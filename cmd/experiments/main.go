@@ -3,9 +3,10 @@
 //
 // Usage:
 //
-//	experiments           # run all seventeen experiments
-//	experiments -run E5   # run one experiment
-//	experiments -list     # list experiment IDs and titles
+//	experiments             # run E1..E21; exit 1 if any does not match
+//	experiments -ablations  # also run the A1/A2 ablations
+//	experiments -run E5     # run one experiment
+//	experiments -list       # list experiment IDs and titles
 package main
 
 import (
@@ -17,67 +18,42 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "", "run only the experiment with this ID (E1..E21, A1, A2)")
+	run := flag.String("run", "", "run only the experiment with this ID (see -list)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	ablations := flag.Bool("ablations", false, "also run the A1/A2 ablations in the full sweep")
 	flag.Parse()
 
-	all := map[string]func() experiments.Report{
-		"E1":  experiments.E1GateCount,
-		"E2":  experiments.E2AddressSpaceCode,
-		"E3":  experiments.E3SupervisorEntries,
-		"E4":  experiments.E4CrossRingCall,
-		"E5":  experiments.E5PageFaultPath,
-		"E6":  experiments.E6NetworkBuffer,
-		"E7":  experiments.E7PolicyFaultInjection,
-		"E8":  experiments.E8InterruptHandling,
-		"E9":  experiments.E9KernelInventory,
-		"E10": experiments.E10Penetration,
-		"E11": experiments.E11MLSPartitioning,
-		"E12": experiments.E12BootComplexity,
-		"E13": experiments.E13NetAttach,
-		"E14": experiments.E14HotPathPerformance,
-		"E15": experiments.E15FaultStorm,
-		"E16": experiments.E16MetricsPlane,
-		"E17": experiments.E17FleetScaling,
-		"E18": experiments.E18HierarchyScale,
-		"E19": experiments.E19CheckpointRestore,
-		"E20": experiments.E20DeterministicEngine,
-		"E21": experiments.E21PersonaWorkloads,
-		"A1":  experiments.A1SecurityCost,
-		"A2":  experiments.A2WaterMarks,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21"}
-	if *ablations {
-		order = append(order, "A1", "A2")
-	}
-
+	all := experiments.All()
 	if *list {
-		for _, id := range order {
-			rep := all[id]()
-			fmt.Printf("%-4s %s\n", rep.ID, rep.Title)
+		for _, e := range all {
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
 
 	if *run != "" {
-		fn, ok := all[*run]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want E1..E21)\n", *run)
-			os.Exit(2)
+		for _, e := range all {
+			if e.ID == *run {
+				rep := e.Run()
+				fmt.Println(rep.Format())
+				if !rep.Pass {
+					os.Exit(1)
+				}
+				return
+			}
 		}
-		rep := fn()
-		fmt.Println(rep.Format())
-		if !rep.Pass {
-			os.Exit(1)
-		}
-		return
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (-list prints the IDs)\n", *run)
+		os.Exit(2)
 	}
 
-	failures := 0
-	for _, id := range order {
-		rep := all[id]()
+	ran, failures := 0, 0
+	for _, e := range all {
+		if e.Ablation && !*ablations {
+			continue
+		}
+		rep := e.Run()
 		fmt.Println(rep.Format())
+		ran++
 		if !rep.Pass {
 			failures++
 		}
@@ -86,5 +62,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %d experiment(s) did not match the paper's shape\n", failures)
 		os.Exit(1)
 	}
-	fmt.Printf("all %d experiments match the paper's claimed shapes\n", len(order))
+	fmt.Printf("all %d experiments match the paper's claimed shapes\n", ran)
 }

@@ -236,10 +236,9 @@ func parseArrival(s string) (open bool, gap int, err error) {
 	return false, 0, fmt.Errorf("-arrival %q: want closed, open, or open:GAP", s)
 }
 
-// buildScenario composes the run's scenario: the classic flat storm
-// (the same scripts workload.Legacy compiles for out-of-tree callers),
-// or a weighted persona mix. validate has already vetted the mix and
-// arrival specs.
+// buildScenario composes the run's scenario: the classic flat storm (one
+// Stormer persona), or a weighted persona mix. validate has already
+// vetted the mix and arrival specs.
 func buildScenario(o options, seed int64) *workload.Scenario {
 	if o.scenario == "" {
 		return workload.NewScenario("storm", seed).

@@ -27,6 +27,7 @@ import (
 	"repro/internal/linker"
 	"repro/internal/machine"
 	"repro/internal/mls"
+	"repro/internal/trace"
 )
 
 // Outcome classifies what happened when an attack ran.
@@ -135,9 +136,9 @@ func (s *Suite) gateArgumentAbuse() (res Result) {
 			// kernel-malfunction is the event this audit exists to catch.
 			_, err := s.attacker.CallGate(name, args...)
 			switch gate.Classify(err) {
-			case gate.ClassBadArgs:
+			case trace.ClassBadArgs:
 				rejected++
-			case gate.ClassMalfunction:
+			case trace.ClassMalfunction:
 				malfunctions++
 			}
 		}
@@ -214,7 +215,7 @@ func (s *Suite) malformedLinkerInput() Result {
 	// Two independent witnesses of a ring-0 malfunction: the kernel's
 	// crash counter, and the gate spine classifying the returned error as
 	// kernel-malfunction (string matching no longer required).
-	case s.k.SystemCrashes > crashesBefore || gate.Classify(err) == gate.ClassMalfunction:
+	case s.k.SystemCrashes > crashesBefore || gate.Classify(err) == trace.ClassMalfunction:
 		res.Outcome = SupervisorCompromise
 		res.Detail = "privileged linker malfunctioned on malstructured input"
 	case err != nil:

@@ -35,6 +35,7 @@ import (
 	"repro/internal/gate"
 	"repro/internal/machine"
 	"repro/internal/mls"
+	"repro/internal/trace"
 )
 
 // FuzzConfig selects one deterministic fuzzing storm.
@@ -210,13 +211,13 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 
 	count := func(err error) {
 		switch gate.Classify(err) {
-		case gate.ClassOK:
+		case trace.ClassOK:
 			rep.OK++
-		case gate.ClassBadArgs:
+		case trace.ClassBadArgs:
 			rep.Rejected++
-		case gate.ClassAccessDenied:
+		case trace.ClassAccessDenied:
 			rep.Denied++
-		case gate.ClassBusy:
+		case trace.ClassBusy:
 			rep.Busy++
 		default:
 			rep.Failed++

@@ -177,19 +177,6 @@ func (s *Store) ReadBlock(pid mem.PageID) ([]uint64, error) {
 	return append([]uint64(nil), s.content[r]...), nil
 }
 
-// PeekBlock returns a copy of pid's live block without consuming the
-// mapping. It is an inspection surface (cmd/ckpt, experiments), not part
-// of mem.BackingStore.
-func (s *Store) PeekBlock(pid mem.PageID) ([]uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.index[pid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
-	}
-	return append([]uint64(nil), s.content[r]...), nil
-}
-
 // FreeBlock implements mem.BackingStore.
 func (s *Store) FreeBlock(pid mem.PageID) error {
 	s.mu.Lock()

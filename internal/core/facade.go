@@ -8,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/mls"
 	"repro/internal/pagectl"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -51,7 +50,7 @@ type Services struct {
 	UserGates *gate.Registry
 	PrivGates *gate.Registry
 	// Faults is the fault plane's injector, nil unless the kernel was
-	// built with a fault spec (Config.Faults / WithFaults).
+	// built with a fault spec (Config.Faults).
 	Faults *faults.Injector
 	// Metrics is the unified measurement plane: one registry every
 	// instrumented subsystem publishes into, replacing the four ad-hoc
@@ -78,40 +77,4 @@ func (k *Kernel) Services() Services {
 		Faults:    k.faults,
 		Metrics:   k.metrics,
 	}
-}
-
-// Option configures kernel construction. Options compose left to right
-// over a zero Config, so NewKernel(WithStage(s)) is New(Config{Stage: s}).
-type Option func(*Config)
-
-// WithStage selects the kernel configuration stage.
-func WithStage(s Stage) Option { return func(c *Config) { c.Stage = s } }
-
-// WithCost sets the machine cost model, overriding the stage default.
-func WithCost(cm machine.CostModel) Option { return func(c *Config) { c.Cost = &cm } }
-
-// WithMem sizes the memory hierarchy.
-func WithMem(mc mem.Config) Option { return func(c *Config) { c.Mem = &mc } }
-
-// WithDescriptorSlots sets the per-process descriptor-segment size.
-func WithDescriptorSlots(n int) Option { return func(c *Config) { c.DescriptorSlots = n } }
-
-// WithRootLabel sets the mandatory label of the file-system root.
-func WithRootLabel(l mls.Label) Option { return func(c *Config) { c.RootLabel = l } }
-
-// WithFaults installs a deterministic fault plan compiled from spec.
-// This is how the fault plane hooks into the kernel — at construction,
-// through the same door as every other parameter, not via a setter
-// bolted on after boot.
-func WithFaults(spec faults.Spec) Option { return func(c *Config) { c.Faults = &spec } }
-
-// NewKernel builds and boots a kernel from functional options. It is
-// equivalent to New with the composed Config and is the preferred
-// construction path.
-func NewKernel(opts ...Option) (*Kernel, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return New(cfg)
 }

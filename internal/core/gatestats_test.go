@@ -31,7 +31,7 @@ func TestGateStatsAccounting(t *testing.T) {
 		t.Fatalf("get_wdir: %v", err)
 	}
 	// Wrong arity: rejected by the central validator, still counted.
-	if _, err := p.CallGate("hcs_$terminate_seg"); gate.Classify(err) != gate.ClassBadArgs {
+	if _, err := p.CallGate("hcs_$terminate_seg"); gate.Classify(err) != trace.ClassBadArgs {
 		t.Fatalf("missing argument classified %v (%v)", gate.Classify(err), err)
 	}
 
@@ -53,9 +53,9 @@ func TestGateStatsAccounting(t *testing.T) {
 			continue
 		}
 		switch {
-		case ev.Name == "hcs_$get_wdir" && ev.Outcome == gate.ClassOK && ev.Cost > 0:
+		case ev.Name == "hcs_$get_wdir" && ev.Outcome == trace.ClassOK && ev.Cost > 0:
 			ok = true
-		case ev.Name == "hcs_$terminate_seg" && ev.Outcome == gate.ClassBadArgs:
+		case ev.Name == "hcs_$terminate_seg" && ev.Outcome == trace.ClassBadArgs:
 			bad = true
 		}
 	}

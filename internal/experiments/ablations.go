@@ -93,8 +93,6 @@ func A1SecurityCost() Report {
 	fmt.Fprintf(&b, "gate calls per decision: %.1f; overhead factor: %.1fx (on 6180 hardware rings)\n", gates, overhead)
 	fmt.Fprintf(&b, "the protection purchased: a hostile policy is limited to denial of use (see E7)\n")
 	return Report{
-		ID:         "A1",
-		Title:      "ablation: performance cost of the policy/mechanism ring split",
 		PaperClaim: "there may still exist other performance penalties associated with removing functions from the supervisor ... one goal of the research is to understand better the performance cost of security (fn. 7)",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("%.1fx per-decision overhead for ring separation (%d -> %d vcycles)", overhead, inK, ringSep),
@@ -133,8 +131,6 @@ func A2WaterMarks() Report {
 		}
 	}
 	return Report{
-		ID:         "A2",
-		Title:      "ablation: free-pool water marks of the parallel page control",
 		PaperClaim: "one process runs in a loop making sure that some small number of free primary memory blocks always exist (the 'small number' is the tuning knob)",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("swept %d settings; faulting path stays eviction-free in all", len(rows)),

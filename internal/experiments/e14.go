@@ -182,8 +182,6 @@ func E14HotPathPerformance() Report {
 	pass := onCycles < offCycles && revokedBlocked && digestsEqual &&
 		onStats.AssocHits > onStats.AssocMisses
 	return Report{
-		ID:    "E14",
-		Title: "hot-path performance: associative memory + concurrent memory core",
 		PaperClaim: "ring checks are cheap because the 6180 caches SDWs in an associative memory instead of " +
 			"re-walking the descriptor segment; the cache is flushed whenever a descriptor changes",
 		Table: b.String(),

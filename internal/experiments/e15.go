@@ -307,8 +307,6 @@ func E15FaultStorm() Report {
 		results[2].counts.Total() > 0 && allSurvived && allSalvaged &&
 		deterministic && intOK && memOK
 	return Report{
-		ID:    "E15",
-		Title: "fault storm: deterministic injection + self-healing recovery paths",
 		PaperClaim: "a security kernel must stay correct when everything around it misbehaves: lost interrupts, " +
 			"failed backing-store transfers, damaged hierarchies are survived by retry, redelivery, and the salvager",
 		Table: b.String(),

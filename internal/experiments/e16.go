@@ -107,8 +107,6 @@ func E16MetricsPlane() Report {
 	pass := overhead <= 1.0 && overhead >= -1.0 && invariant && digestsEqual &&
 		sampled.samples > 0 && len(on1.export) > 2
 	return Report{
-		ID:    "E16",
-		Title: "metrics plane: one registry, zero overhead, parallelism-invariant export",
 		PaperClaim: "auditing a kernel requires observing it without perturbing it: the performance and " +
 			"accounting counters must not change what the system does, only report it",
 		Table: b.String(),

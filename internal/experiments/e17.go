@@ -91,8 +91,6 @@ func E17FleetScaling() Report {
 		s4 >= 2.0 && s16 >= 4.0 && s16 > s4 &&
 		storm.Migrations >= int64(r1.Conns)
 	return Report{
-		ID:    "E17",
-		Title: "fleet: consistent-hash sharding and live migration across kernels",
 		PaperClaim: "the security kernel is engineered to be small and self-contained; growing capacity means " +
 			"replicating the kernel, not enlarging it — sessions must shard across kernels without the " +
 			"kernel or the sessions being able to tell",

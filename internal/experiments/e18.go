@@ -348,8 +348,6 @@ func E18HierarchyScale() Report {
 
 	pass := segments >= 1000000 && ratio >= 10 && digestsEqual && noStale
 	return Report{
-		ID:    "E18",
-		Title: "hierarchy at scale: revocation-safe resolution caches over a million segments",
 		PaperClaim: "every segment reference is mediated by the hierarchy's ACLs — the paper pays a full " +
 			"directory walk with per-component ACL evaluation per access, and argues correctness must not " +
 			"depend on caching: revoked access must take effect immediately",

@@ -351,8 +351,6 @@ func E19CheckpointRestore() Report {
 				par, cr.RecoveredPages, cr.AckedPages, identical))
 	}
 	return Report{
-		ID:    "E19",
-		Title: "Checkpoint, torn-write crash, restore",
 		PaperClaim: "the file system can be stopped and restarted without operator intervention; " +
 			"after a crash the salvager and the backup hierarchy bring the storage system back " +
 			"to a consistent state with no acknowledged work lost",
@@ -364,8 +362,6 @@ func E19CheckpointRestore() Report {
 
 func e19Fail(msg string) Report {
 	return Report{
-		ID:         "E19",
-		Title:      "Checkpoint, torn-write crash, restore",
 		PaperClaim: "crash recovery loses no acknowledged work",
 		Measured:   msg,
 		Pass:       false,

@@ -274,8 +274,6 @@ func E20PageOutTrips(workers int, batched bool) (trips, pages int64, err error) 
 func E20DeterministicEngine() Report {
 	fail := func(msg string) Report {
 		return Report{
-			ID:         "E20",
-			Title:      "Deterministic parallel execution engine",
 			PaperClaim: "kernel functions restructured onto parallel processes behave identically to the sequential design",
 			Measured:   msg,
 			Pass:       false,
@@ -346,8 +344,6 @@ func E20DeterministicEngine() Report {
 	batchedWin := ratio >= 3 && ref.PagesOut == per.PagesOut && ref.PagesOut > 0
 	pass := identical && spread && perSame && batchedWin
 	return Report{
-		ID:    "E20",
-		Title: "Deterministic parallel execution engine",
 		PaperClaim: "page control restructured onto dedicated parallel processes handles the same fault " +
 			"traffic with no observable behavior change; batching the transfers removes the per-page " +
 			"round trips the old organization paid",

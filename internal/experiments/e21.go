@@ -68,8 +68,6 @@ func e21Fleet(kernels, migrateEvery int) (*fleet.RunReport, error) {
 func E21PersonaWorkloads() Report {
 	fail := func(msg string) Report {
 		return Report{
-			ID:         "E21",
-			Title:      "Persona workloads and adversarial fuzzing",
 			PaperClaim: "auditing requires repeatable attacks and repeatable load",
 			Measured:   msg,
 			Pass:       false,
@@ -159,8 +157,6 @@ func E21PersonaWorkloads() Report {
 	pass := closedPar && openPar && fleetInvariant && personasStable && clean &&
 		fuzzClean && len(closed1.Personas) == 4
 	return Report{
-		ID:    "E21",
-		Title: "Persona workloads and adversarial fuzzing",
 		PaperClaim: "the auditing and certification argument rests on repeatability: the review activity " +
 			"needs the same attack to produce the same outcome, and the kernel must enforce its access " +
 			"rules under any load the user community — cooperative or hostile — can compose",

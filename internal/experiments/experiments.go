@@ -19,9 +19,9 @@ import (
 
 // Report is one experiment's regenerated result.
 type Report struct {
-	// ID is the experiment identifier (E1..E12).
-	ID string
-	// Title summarizes the experiment.
+	// ID and Title are the registry's (see Experiment.Run); an
+	// experiment function called directly leaves them empty.
+	ID    string
 	Title string
 	// PaperClaim quotes or paraphrases the paper.
 	PaperClaim string
@@ -83,8 +83,6 @@ func E1GateCount() Report {
 	fmt.Fprintf(&b, "%-24s %8d %8d\n", i1.Stage, i1.Gates, i1.UserGates)
 	fmt.Fprintf(&b, "linker gates removed: %d (%.1f%% of all gate entry points)\n", i0.Gates-i1.Gates, drop)
 	return Report{
-		ID:         "E1",
-		Title:      "gate entry points eliminated by the linker removal",
 		PaperClaim: "the linker's removal eliminated 10% of the gate entry points into the supervisor",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("%.1f%% of gate entry points removed", drop),
@@ -108,8 +106,6 @@ func E2AddressSpaceCode() Report {
 	fmt.Fprintf(&b, "%-24s %28d\n", i2.Stage, i2.AddressSpaceUnits)
 	fmt.Fprintf(&b, "reduction: %.1fx\n", ratio)
 	return Report{
-		ID:         "E2",
-		Title:      "protected address-space-management code after the reference-name removal",
 		PaperClaim: "a reduction by a factor of ten in the size of the protected code needed to manage the address space",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("%.1fx reduction", ratio),
@@ -133,8 +129,6 @@ func E3SupervisorEntries() Report {
 	fmt.Fprintf(&b, "%-24s %24d\n", i2.Stage, i2.UserGates)
 	fmt.Fprintf(&b, "reduction: %.1f%%\n", drop)
 	return Report{
-		ID:         "E3",
-		Title:      "user-available supervisor entries after linker+refname removals",
 		PaperClaim: "the linker and reference name removal projects together reduce the number of user-available supervisor entries by approximately one third",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("%.1f%% fewer user-available entries", drop),
@@ -185,8 +179,6 @@ func E4CrossRingCall() Report {
 	fmt.Fprintf(&b, "%-34s %12d %12d %7.1fx\n", "Honeywell 645 (software rings)", i645, c645, r645)
 	fmt.Fprintf(&b, "%-34s %12d %12d %7.1fx\n", "Honeywell 6180 (hardware rings)", i6180, c6180, r6180)
 	return Report{
-		ID:         "E4",
-		Title:      "cross-ring vs intra-ring call cost, 645 vs 6180",
 		PaperClaim: "on the 6180, calls from one ring to another now cost no more than calls inside a ring; on the 645 they were quite expensive",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("645: %.0fx penalty; 6180: %.1fx penalty", r645, r6180),
@@ -267,8 +259,6 @@ func E5PageFaultPath() Report {
 	fmt.Fprintf(&b, "total virtual time: sequential %d, parallel %d\n", seqTime, parTime)
 	opsRatio := float64(seq.FaulterSteps) / float64(par.FaulterSteps)
 	return Report{
-		ID:         "E5",
-		Title:      "page-fault path: sequential cascade vs dedicated kernel processes",
 		PaperClaim: "the faulting process can just wait until a primary memory block is free; the old design ran the whole core->bulk->disk cascade in the faulting process",
 		Table:      b.String(),
 		Measured: fmt.Sprintf("faulter evictions %d -> %d; faulter ops per fault %.2f -> %.2f (%.1fx shorter path)",

@@ -76,8 +76,6 @@ func E6NetworkBuffer() Report {
 	fmt.Fprintf(&b, "%-28s %10d %10d %10d\n", "infinite VM-backed (new)", messages, iDel, iLost)
 	fmt.Fprintf(&b, "pages materialized by the infinite buffer: %d\n", inf.PagesUsed())
 	return Report{
-		ID:         "E6",
-		Title:      "network input buffering: circular reuse vs infinite VM-backed buffer",
 		PaperClaim: "the old circular buffer had problems of old messages not being removed before a complete circuit; the infinite buffer uses the standard storage facility (the virtual memory) instead",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("circular lost %d of %d under overload; infinite lost %d", cLost, messages, iLost),
@@ -137,8 +135,6 @@ func E7PolicyFaultInjection() Report {
 	fmt.Fprintf(&b, "%-44s %6d\n", "wired-frame evictions refused (mechanism)", log.WiredDenials)
 	fmt.Fprintf(&b, "%-44s %6d\n", "gratuitous (denial-of-use) evictions", log.DenialMoves)
 	return Report{
-		ID:         "E7",
-		Title:      "fault injection: adversarial page-replacement policy in the policy ring",
 		PaperClaim: "the policy algorithm could never cause unauthorized use or modification of the information stored in the pages; it could only cause denial of use",
 		Table:      b.String(),
 		Measured: fmt.Sprintf("0 unauthorized reads/writes across %d hostile rounds; %d denial-of-use evictions",
@@ -209,8 +205,6 @@ func E8InterruptHandling() Report {
 	fmt.Fprintf(&b, "%-30s %8d %8d %14d %16d\n", "borrowed process (old)", old.Raised, old.Handled, old.StolenCycles, old.BlockedAttempts)
 	fmt.Fprintf(&b, "%-30s %8d %8d %14d %16d\n", "dedicated processes (new)", new_.Raised, new_.Handled, new_.StolenCycles, new_.BlockedAttempts)
 	return Report{
-		ID:         "E8",
-		Title:      "interrupt handling: borrowed process vs dedicated handler processes",
 		PaperClaim: "each interrupt handler will be assigned its own process ... the interrupt interceptor will simply turn each interrupt into a wakeup; handlers can use the normal IPC mechanisms",
 		Table:      b.String(),
 		Measured: fmt.Sprintf("stolen cycles %d -> %d; forbidden-blocking attempts %d -> %d; all %d handled in both",
@@ -247,8 +241,6 @@ func E9KernelInventory() Report {
 	k6.Shutdown()
 	shrink := 100 * float64(i0.TotalUnits-i6.TotalUnits) / float64(i0.TotalUnits)
 	return Report{
-		ID:         "E9",
-		Title:      "kernel inventory across the reduction programme",
 		PaperClaim: "one wave of simplification applied to the central core of the system will produce ... a structure that is significantly easier to understand (monotone shrinkage of the protected core)",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("total protected code shrank %.0f%% from S0 to S6, monotonically", shrink),
@@ -287,8 +279,6 @@ func E10Penetration() Report {
 	b.WriteString("\nS2 per-attack detail:\n")
 	b.WriteString(detail2)
 	return Report{
-		ID:         "E10",
-		Title:      "penetration suite: supervisor compromises before and after the removals",
 		PaperClaim: "the chances of such a complex argument, if maliciously malstructured, causing the linker to malfunction while executing in the supervisor were demonstrated to be very high; removal confines the damage to the user ring",
 		Table:      b.String(),
 		Measured: fmt.Sprintf("supervisor compromises: S0=%d, S2=%d, S6=%d",
@@ -343,8 +333,6 @@ func E11MLSPartitioning() Report {
 		b.WriteString("\n")
 	}
 	return Report{
-		ID:         "E11",
-		Title:      "compartmentalization at the bottom layer; sharing common only within compartments",
 		PaperClaim: "mechanisms to provide absolute compartmentalization ... at the bottom layer ... controlled sharing within the compartments ... at the next layer; the second layer mechanisms would be common only within each compartment",
 		Table:      b.String(),
 		Measured:   fmt.Sprintf("%d flows between incomparable compartments (want 0); full access within each compartment", crossCompartmentFlows),
@@ -373,40 +361,10 @@ func E12BootComplexity() Report {
 	fmt.Fprintf(&b, "%-26s %10d %12d %14d %12d\n", iRep.Pattern, iRep.StepsRun, iRep.PrivilegedSteps, iRep.PrivilegedCycles, iRep.TotalCycles)
 	fmt.Fprintf(&b, "image size: %d words (generated once in a user environment of a previous system)\n", len(im.Words()))
 	return Report{
-		ID:         "E12",
-		Title:      "boot-time privilege: bootstrap vs generated memory image",
 		PaperClaim: "produce on a system tape a bit pattern which, when loaded into memory, manifests a fully initialized system ... one pattern of operation may be much simpler to certify",
 		Table:      b.String(),
 		Measured: fmt.Sprintf("privileged boot steps %d -> %d; privileged boot cycles %d -> %d",
 			bRep.PrivilegedSteps, iRep.PrivilegedSteps, bRep.PrivilegedCycles, iRep.PrivilegedCycles),
 		Pass: iRep.PrivilegedSteps == 1 && bRep.PrivilegedSteps >= 10 && iRep.PrivilegedCycles < bRep.PrivilegedCycles,
-	}
-}
-
-// RunAll executes every experiment in order.
-func RunAll() []Report {
-	return []Report{
-		E1GateCount(),
-		E2AddressSpaceCode(),
-		E3SupervisorEntries(),
-		E4CrossRingCall(),
-		E5PageFaultPath(),
-		E6NetworkBuffer(),
-		E7PolicyFaultInjection(),
-		E8InterruptHandling(),
-		E9KernelInventory(),
-		E10Penetration(),
-		E11MLSPartitioning(),
-		E12BootComplexity(),
-		E13NetAttach(),
-		// E14 measures wall-clock scaling and is registered only in
-		// cmd/experiments, as are E18 (million-segment fixture) and E19
-		// (real journal bytes); E15-E17 and E20 are deterministic,
-		// virtual-time-only, and belong here.
-		E15FaultStorm(),
-		E16MetricsPlane(),
-		E17FleetScaling(),
-		E20DeterministicEngine(),
-		E21PersonaWorkloads(),
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestAllExperimentsMatchPaperShapes(t *testing.T) {
 }
 
 func TestReportFormat(t *testing.T) {
-	rep := E4CrossRingCall()
+	rep := registry[3].Run() // E4
 	out := rep.Format()
 	for _, want := range []string{"E4", "MATCH", "paper:", "measured:", "645", "6180"} {
 		if !strings.Contains(out, want) {
@@ -36,17 +37,38 @@ func TestReportFormat(t *testing.T) {
 	}
 }
 
+// TestExperimentCount checks the registry cmd/experiments and RunAll
+// share: E1..E21 in order then the two ablations, unique IDs with titles,
+// and RunAll returning exactly the InRunAll entries, in registry order.
 func TestExperimentCount(t *testing.T) {
-	reps := RunAll()
-	if len(reps) != 18 {
-		t.Fatalf("experiments = %d, want 18", len(reps))
+	exps := All()
+	if len(exps) != 23 {
+		t.Fatalf("registered experiments = %d, want 23", len(exps))
 	}
-	seen := map[string]bool{}
-	for _, r := range reps {
-		if seen[r.ID] {
-			t.Errorf("duplicate experiment ID %s", r.ID)
+	var inRunAll []string
+	for i, e := range exps {
+		want := fmt.Sprintf("E%d", i+1)
+		if i >= 21 {
+			want = fmt.Sprintf("A%d", i-20)
 		}
-		seen[r.ID] = true
+		if e.ID != want || e.Title == "" || e.run == nil {
+			t.Errorf("registry[%d] = %s %q, want %s with a title and a run function", i, e.ID, e.Title, want)
+		}
+		if e.Ablation != (i >= 21) || (e.Ablation && e.InRunAll) {
+			t.Errorf("%s: ablation %v, in RunAll %v", e.ID, e.Ablation, e.InRunAll)
+		}
+		if e.InRunAll {
+			inRunAll = append(inRunAll, e.ID)
+		}
+	}
+	reps := RunAll()
+	if len(reps) != 18 || len(reps) != len(inRunAll) {
+		t.Fatalf("RunAll = %d reports, want 18 (the %d InRunAll entries)", len(reps), len(inRunAll))
+	}
+	for i, r := range reps {
+		if r.ID != inRunAll[i] {
+			t.Errorf("RunAll[%d] = %s, want %s", i, r.ID, inRunAll[i])
+		}
 	}
 }
 

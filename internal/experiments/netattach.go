@@ -54,8 +54,6 @@ func E13NetAttach() Report {
 		cons.Stats.Delivered == cons.Sent &&
 		cons.Digest == replay.Digest
 	return Report{
-		ID:    "E13",
-		Title: "network attachment under storm: borrowed processes vs dedicated front-end",
 		PaperClaim: "I/O consolidation replaces the per-device control packages with a single attachment facility; " +
 			"a dedicated process fields arrivals and the infinite buffer never loses input",
 		Table: b.String(),

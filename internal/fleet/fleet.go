@@ -4,9 +4,7 @@
 // its own core.Kernel (own virtual clock, own metrics registry, own
 // seeded fault plan) behind its own netattach front-end; a
 // consistent-hash router in front maps every session principal
-// (person, project) stably to one kernel; a designated shared subtree
-// (">shared") is readable from every kernel through a read-through
-// cache with revocation-safe invalidation; and live migration drains a
+// (person, project) stably to one kernel; and live migration drains a
 // session on its home kernel, snapshots its KST/connection state, and
 // replay-attaches it on the target with a byte-identical transcript.
 //
@@ -53,9 +51,6 @@ type Config struct {
 	// bulk store (CoreFrames/BulkBlocks) for the expected session load;
 	// zero keeps the kernel's memory defaults.
 	MemFrames int
-	// Replicas is the consistent-hash virtual-point count per member
-	// (0 selects DefaultReplicas).
-	Replicas int
 	// FaultRate, when positive, gives every member its own
 	// deterministic fault plan at this uniform rate; member i's plan
 	// seed is derived from FaultSeed so no two kernels share a plan.
@@ -73,10 +68,6 @@ type Member struct {
 	Sys *multics.System
 	// FE is the member's network attachment front-end.
 	FE *netattach.Frontend
-
-	// admin is the fleet's maintenance session on this member; the
-	// shared subtree is operated through it.
-	admin *multics.Session
 }
 
 // Fleet is N kernels behind one consistent-hash session router.
@@ -85,28 +76,18 @@ type Fleet struct {
 	mu      sync.Mutex
 	ring    *Ring
 	members []*Member
-	shared  *SharedTree
 
-	// reg is the fleet-level metrics registry: router, migration, and
-	// shared-subtree counters. Per-kernel planes stay per-kernel —
-	// each member's registry is at Member.Sys.Kernel.Services().Metrics.
+	// reg is the fleet-level metrics registry: router and migration
+	// counters. Per-kernel planes stay per-kernel — each member's
+	// registry is at Member.Sys.Kernel.Services().Metrics.
 	reg                *metrics.Registry
 	mRouted            *metrics.Counter
 	mMigrations        *metrics.Counter
 	mMigrationFailures *metrics.Counter
 }
 
-// adminPerson/adminProject identify the fleet's maintenance principal,
-// registered on every member at boot.
-const (
-	adminPerson  = "FleetAdmin"
-	adminProject = "Fleet"
-	adminPass    = "fleet pw"
-)
-
 // New boots a fleet of cfg.Kernels members. Each member gets its own
-// kernel (clock, metrics registry, fault plan), its own front-end, a
-// fleet admin session, and the shared subtree root.
+// kernel (clock, metrics registry, fault plan) and its own front-end.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Kernels == 0 {
 		cfg.Kernels = 1
@@ -122,7 +103,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:  cfg,
-		ring: NewRing(cfg.Replicas),
+		ring: NewRing(),
 		reg:  metrics.New(),
 	}
 	f.mRouted = f.reg.Counter("fleet.routed")
@@ -137,11 +118,10 @@ func New(cfg Config) (*Fleet, error) {
 		f.members = append(f.members, m)
 		f.ring.Add(i)
 	}
-	f.shared = newSharedTree(f)
 	return f, nil
 }
 
-// bootMember builds one kernel + front-end + admin session.
+// bootMember builds one kernel + front-end.
 func (f *Fleet) bootMember(i int) (*Member, error) {
 	kcfg := core.Config{Stage: f.cfg.Stage}
 	if f.cfg.MemFrames > 0 {
@@ -165,23 +145,7 @@ func (f *Fleet) bootMember(i int) (*Member, error) {
 		sys.Shutdown()
 		return nil, err
 	}
-	if err := sys.AddUser(adminPerson, adminProject, adminPass, multics.Secret); err != nil {
-		sys.Shutdown()
-		return nil, err
-	}
-	// The admin session runs at the lowest level: the shared subtree
-	// lives under the unclassified root, and the *-property forbids a
-	// higher-level subject writing down into it.
-	admin, err := sys.Login(adminPerson, adminProject, adminPass, multics.Unclassified)
-	if err != nil {
-		sys.Shutdown()
-		return nil, err
-	}
-	if err := admin.MakeDir(SharedRoot); err != nil {
-		sys.Shutdown()
-		return nil, err
-	}
-	return &Member{Index: i, Sys: sys, FE: fe, admin: admin}, nil
+	return &Member{Index: i, Sys: sys, FE: fe}, nil
 }
 
 // Close shuts every member down. The fleet is unusable afterwards.
@@ -209,13 +173,10 @@ func (f *Fleet) Member(i int) *Member {
 	return f.members[i]
 }
 
-// Metrics returns the fleet-level metrics registry (router, migration,
-// and shared-subtree counters). Per-kernel counters live in each
-// member's own registry.
+// Metrics returns the fleet-level metrics registry (router and
+// migration counters). Per-kernel counters live in each member's own
+// registry.
 func (f *Fleet) Metrics() *metrics.Registry { return f.reg }
-
-// Shared returns the fleet's shared-subtree plane.
-func (f *Fleet) Shared() *SharedTree { return f.shared }
 
 // AddUser registers an account on every member, so any kernel can
 // authenticate the principal — the precondition for routing freedom and

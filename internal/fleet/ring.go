@@ -23,9 +23,8 @@ import (
 // Ring is not goroutine-safe; the fleet mutates it only at construction
 // and resize, under its own lock.
 type Ring struct {
-	replicas int
-	members  map[int]bool
-	points   []ringPoint // sorted by hash
+	members map[int]bool
+	points  []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -33,17 +32,13 @@ type ringPoint struct {
 	member int
 }
 
-// DefaultReplicas is the virtual-point count per member: enough for the
+// replicas is the virtual-point count per member: enough for the
 // 16-kernel imbalance bound without making resizes expensive.
-const DefaultReplicas = 128
+const replicas = 128
 
-// NewRing returns an empty ring with the given number of virtual points
-// per member (0 selects DefaultReplicas).
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, members: make(map[int]bool)}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[int]bool)}
 }
 
 // fnv64 is FNV-1a over s with an avalanche finalizer: the same
@@ -75,7 +70,7 @@ func (r *Ring) Add(member int) {
 		return
 	}
 	r.members[member] = true
-	for v := 0; v < r.replicas; v++ {
+	for v := 0; v < replicas; v++ {
 		r.points = append(r.points, ringPoint{
 			hash:   fnv64(fmt.Sprintf("member-%d/vnode-%d", member, v)),
 			member: member,

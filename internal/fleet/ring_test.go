@@ -16,13 +16,13 @@ func ringKeys(n int) []string {
 }
 
 // TestRingDistribution checks bounded imbalance at the fleet sizes E17
-// runs: with DefaultReplicas virtual points, no kernel owns more than
+// runs: with 128 virtual points per member, no kernel owns more than
 // twice its fair share of a large key population, and none starves.
 func TestRingDistribution(t *testing.T) {
 	const keyCount = 10000
 	keys := ringKeys(keyCount)
 	for _, n := range []int{1, 4, 16} {
-		r := NewRing(0)
+		r := NewRing()
 		for m := 0; m < n; m++ {
 			r.Add(m)
 		}
@@ -47,7 +47,7 @@ func TestRingDistribution(t *testing.T) {
 // agree on every key.
 func TestRingStability(t *testing.T) {
 	build := func() *Ring {
-		r := NewRing(0)
+		r := NewRing()
 		for m := 0; m < 4; m++ {
 			r.Add(m)
 		}
@@ -70,7 +70,7 @@ func TestRingStability(t *testing.T) {
 func TestRingRemapMinimality(t *testing.T) {
 	const keyCount = 10000
 	keys := ringKeys(keyCount)
-	r := NewRing(0)
+	r := NewRing()
 	for m := 0; m < 8; m++ {
 		r.Add(m)
 	}
@@ -112,7 +112,7 @@ func TestRingRemapMinimality(t *testing.T) {
 // TestRingRemoveFallthrough checks that a removed member's keys fall to
 // surviving members and every key still resolves.
 func TestRingRemoveFallthrough(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for m := 0; m < 4; m++ {
 		r.Add(m)
 	}

@@ -112,11 +112,6 @@ func TestRevokedDirectoryNeverServedFromPathCache(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, true},
-		{"rename-leaf", func(t *testing.T, h *Hierarchy, uids map[string]uint64) {
-			if err := h.Rename(alice, unc, uids["udd"], "doc", "doc2"); err != nil {
-				t.Fatal(err)
-			}
-		}, true},
 		{"delete-interior-tree", func(t *testing.T, h *Hierarchy, uids map[string]uint64) {
 			if err := h.Delete(alice, unc, uids["udd"], "doc"); err != nil {
 				t.Fatal(err)
@@ -159,14 +154,12 @@ func TestUnrelatedMutationKeepsEntriesCached(t *testing.T) {
 	warmSeg(t, h, ">udd>doc", doc)
 
 	// Mutations in a *different* subtree: ACL churn on the sibling
-	// segment and a rename inside the sibling directory. Neither touches
-	// any object on the cached >udd>doc walk except... none.
+	// segment and a create inside the sibling directory. Neither touches
+	// any object on the cached >udd>doc walk.
 	if err := h.SetACL(alice, unc, sib, bobPat(), acl.ModeRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Rename(alice, unc, other, "sib", "sib2"); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, h, alice, other, "sib2", CreateOptions{Kind: KindSegment})
 
 	before := h.CacheStats()
 	if uid, err := h.ResolvePath(bob, unc, ">udd>doc"); err != nil || uid != doc {

@@ -83,7 +83,7 @@ const RootUID uint64 = 1
 // honor state from before the mutation.
 type Object struct {
 	// aclGen counts ACL and label changes; entGen counts directory-entry
-	// changes (create/delete/link/rename). They are read with atomic loads
+	// changes (create/delete/link). They are read with atomic loads
 	// on cache-validation paths and bumped with atomic adds inside the
 	// owning critical section — invalidation generations, not statistics
 	// (the op and cache statistics live in the metrics registry).
@@ -228,14 +228,14 @@ type Hierarchy struct {
 
 // OpStats counts hierarchy operations.
 type OpStats struct {
-	Creates, Deletes, Lookups, Resolves, Renames, ACLChanges int64
+	Creates, Deletes, Lookups, Resolves, ACLChanges int64
 }
 
 // opCounters are the metrics-registry handles behind OpStats. They replace
 // the plain int fields that PR 7 found being incremented from concurrent
 // sessions without synchronization.
 type opCounters struct {
-	creates, deletes, lookups, resolves, renames, aclChanges *metrics.Counter
+	creates, deletes, lookups, resolves, aclChanges *metrics.Counter
 }
 
 func (c *opCounters) bind(reg *metrics.Registry) {
@@ -243,7 +243,6 @@ func (c *opCounters) bind(reg *metrics.Registry) {
 	c.deletes = reg.Counter("fs.deletes")
 	c.lookups = reg.Counter("fs.lookups")
 	c.resolves = reg.Counter("fs.resolves")
-	c.renames = reg.Counter("fs.renames")
 	c.aclChanges = reg.Counter("fs.acl_changes")
 }
 
@@ -304,7 +303,6 @@ func (h *Hierarchy) OpStats() OpStats {
 		Deletes:    h.ops.deletes.Value(),
 		Lookups:    h.ops.lookups.Value(),
 		Resolves:   h.ops.resolves.Value(),
-		Renames:    h.ops.renames.Value(),
 		ACLChanges: h.ops.aclChanges.Value(),
 	}
 }
@@ -656,47 +654,6 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	delete(dir.entries, name)
 	h.bumpEntGen(dir)
 	h.ops.deletes.Inc()
-	return nil
-}
-
-// Rename changes the name of the entry oldName in directory dirUID to
-// newName (branch or link; the object keeps its UID, ACL, and label). Like
-// Delete it requires modify permission on the containing directory.
-func (h *Hierarchy) Rename(who acl.Principal, subj mls.Label, dirUID uint64, oldName, newName string) error {
-	dir, err := h.directory(dirUID)
-	if err != nil {
-		return err
-	}
-	if err := validName(newName); err != nil {
-		return err
-	}
-	if err := h.checkDir(dir, who, subj, acl.ModeModify); err != nil {
-		return err
-	}
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
-	if dir.dead {
-		return fmt.Errorf("%w: %#x", ErrNoSuchUID, dirUID)
-	}
-	e, ok := dir.entries[oldName]
-	if !ok {
-		return fmt.Errorf("%w: %q in %#x", ErrNotFound, oldName, dirUID)
-	}
-	if _, ok := dir.entries[newName]; ok {
-		return fmt.Errorf("%w: %q in %#x", ErrExists, newName, dirUID)
-	}
-	delete(dir.entries, oldName)
-	e.Name = newName
-	dir.entries[newName] = e
-	if !e.IsLink() {
-		if obj, ok := h.object(e.UID); ok {
-			obj.mu.Lock()
-			obj.name = newName
-			obj.mu.Unlock()
-		}
-	}
-	h.bumpEntGen(dir)
-	h.ops.renames.Inc()
 	return nil
 }
 

@@ -11,9 +11,9 @@
 // map was read, *including* directories reached while chasing interior
 // links — with the ACL and entry generations observed at fill time. A hit
 // is honored only if every step's generations are unchanged. Any
-// SetACL/RemoveACL/Reclassify (aclGen) or Create/Delete/AddLink/Rename
-// (entGen) anywhere along the chain makes the comparison fail, so a
-// revoked or re-routed prefix is never served stale. Generations are
+// SetACL/RemoveACL/Reclassify (aclGen) or Create/Delete/AddLink (entGen)
+// anywhere along the chain makes the comparison fail, so a revoked or
+// re-routed prefix is never served stale. Generations are
 // loaded before the walk observes each object (see resolve.go), so a
 // mutation racing the fill leaves a stillborn entry, not a stale one.
 //

@@ -115,7 +115,7 @@ func countMW(c *counters) Middleware {
 			}
 			if err != nil {
 				c.errors.Inc()
-				if Classify(err) == ClassBadArgs {
+				if Classify(err) == trace.ClassBadArgs {
 					c.rejected.Inc()
 				}
 			}
@@ -177,8 +177,8 @@ func traceMW(r *Registry) Middleware {
 
 // validateMW enforces the gatekeeper's argument checks: the global
 // MaxArgs bound and, when the definition declares a positive Arity, the
-// exact argument count. Rejections carry ClassBadArgs so the counter and
-// trace links upstream can account for them.
+// exact argument count. Rejections carry trace.ClassBadArgs so the
+// counter and trace links upstream can account for them.
 func validateMW(d Def, next machine.EntryFunc) machine.EntryFunc {
 	return func(ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
 		if len(args) > MaxArgs {

@@ -14,24 +14,24 @@ import (
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
-		want Class
+		want trace.Class
 	}{
-		{nil, ClassOK},
-		{BadArgs("g", errors.New("x")), ClassBadArgs},
-		{AccessDenied("g", errors.New("x")), ClassAccessDenied},
-		{Malfunction("g", errors.New("x")), ClassMalfunction},
-		{Busy("g", errors.New("x")), ClassBusy},
-		{fmt.Errorf("wrapped: %w", Malfunction("g", errors.New("x"))), ClassMalfunction},
-		{&machine.Fault{Class: machine.FaultRing}, ClassAccessDenied},
-		{&machine.Fault{Class: machine.FaultGate}, ClassAccessDenied},
-		{&machine.Fault{Class: machine.FaultAccess}, ClassAccessDenied},
-		{&machine.Fault{Class: machine.FaultSegment}, ClassFailed},
-		{mem.ErrBusy, ClassBusy},
-		{mem.ErrOutOfRange, ClassBadArgs},
-		{fmt.Errorf("%w: offset 99", mem.ErrOutOfRange), ClassBadArgs},
-		{mem.ErrSegmentGone, ClassFailed},
-		{fmt.Errorf("%w: segment 7", mem.ErrSegmentGone), ClassFailed},
-		{errors.New("anything else"), ClassFailed},
+		{nil, trace.ClassOK},
+		{BadArgs("g", errors.New("x")), trace.ClassBadArgs},
+		{AccessDenied("g", errors.New("x")), trace.ClassAccessDenied},
+		{Malfunction("g", errors.New("x")), trace.ClassMalfunction},
+		{Busy("g", errors.New("x")), trace.ClassBusy},
+		{fmt.Errorf("wrapped: %w", Malfunction("g", errors.New("x"))), trace.ClassMalfunction},
+		{&machine.Fault{Class: machine.FaultRing}, trace.ClassAccessDenied},
+		{&machine.Fault{Class: machine.FaultGate}, trace.ClassAccessDenied},
+		{&machine.Fault{Class: machine.FaultAccess}, trace.ClassAccessDenied},
+		{&machine.Fault{Class: machine.FaultSegment}, trace.ClassFailed},
+		{mem.ErrBusy, trace.ClassBusy},
+		{mem.ErrOutOfRange, trace.ClassBadArgs},
+		{fmt.Errorf("%w: offset 99", mem.ErrOutOfRange), trace.ClassBadArgs},
+		{mem.ErrSegmentGone, trace.ClassFailed},
+		{fmt.Errorf("%w: segment 7", mem.ErrSegmentGone), trace.ClassFailed},
+		{errors.New("anything else"), trace.ClassFailed},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
@@ -68,18 +68,18 @@ func TestRejectedCounter(t *testing.T) {
 	if _, err := proc.Entries[0](nil, []uint64{1, 2}); err != nil {
 		t.Fatalf("good call: %v", err)
 	}
-	if _, err := proc.Entries[0](nil, make([]uint64, MaxArgs+1)); Classify(err) != ClassBadArgs {
+	if _, err := proc.Entries[0](nil, make([]uint64, MaxArgs+1)); Classify(err) != trace.ClassBadArgs {
 		t.Fatalf("oversized list classified %v (%v)", Classify(err), err)
 	}
-	if _, err := proc.Entries[0](nil, []uint64{1}); Classify(err) != ClassBadArgs {
+	if _, err := proc.Entries[0](nil, []uint64{1}); Classify(err) != trace.ClassBadArgs {
 		t.Fatalf("wrong arity classified %v (%v)", Classify(err), err)
 	}
 	// inline: the body's own NeedArgs failure must count as rejected too.
-	if _, err := proc.Entries[1](nil, nil); Classify(err) != ClassBadArgs {
+	if _, err := proc.Entries[1](nil, nil); Classify(err) != trace.ClassBadArgs {
 		t.Fatalf("body NeedArgs classified %v (%v)", Classify(err), err)
 	}
 	// broken: an ordinary body failure is an error but not a rejection.
-	if _, err := proc.Entries[2](nil, nil); Classify(err) != ClassFailed {
+	if _, err := proc.Entries[2](nil, nil); Classify(err) != trace.ClassFailed {
 		t.Fatalf("body failure classified %v (%v)", Classify(err), err)
 	}
 
@@ -101,10 +101,10 @@ func TestArgBoundaries(t *testing.T) {
 		args[i] = uint64(i)
 	}
 	// Negative index and one-past-the-end both reject as bad-args.
-	if _, err := Arg("g", args, -1); Classify(err) != ClassBadArgs {
+	if _, err := Arg("g", args, -1); Classify(err) != trace.ClassBadArgs {
 		t.Errorf("negative index: %v", err)
 	}
-	if _, err := Arg("g", args, MaxArgs); Classify(err) != ClassBadArgs {
+	if _, err := Arg("g", args, MaxArgs); Classify(err) != trace.ClassBadArgs {
 		t.Errorf("index past end: %v", err)
 	}
 	if v, err := Arg("g", args, MaxArgs-1); err != nil || v != uint64(MaxArgs-1) {
@@ -117,7 +117,7 @@ func TestArgBoundaries(t *testing.T) {
 	if _, err := proc.Entries[0](nil, args); err != nil {
 		t.Errorf("exactly MaxArgs rejected: %v", err)
 	}
-	if _, err := proc.Entries[0](nil, append(args, 99)); Classify(err) != ClassBadArgs {
+	if _, err := proc.Entries[0](nil, append(args, 99)); Classify(err) != trace.ClassBadArgs {
 		t.Errorf("MaxArgs+1 not rejected: %v", err)
 	}
 	if err := NeedArgs("g", args, MaxArgs); err != nil {
@@ -185,17 +185,17 @@ func TestTraceMW(t *testing.T) {
 	if _, err := proc.Entries[0](nil, []uint64{42}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := proc.Entries[0](nil, nil); Classify(err) != ClassBadArgs {
+	if _, err := proc.Entries[0](nil, nil); Classify(err) != trace.ClassBadArgs {
 		t.Fatalf("rejection: %v", err)
 	}
 	snap := ring.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("ring holds %d events, want 2", len(snap))
 	}
-	if snap[0].Name != "strict" || snap[0].Outcome != ClassOK || snap[0].Arg != 42 {
+	if snap[0].Name != "strict" || snap[0].Outcome != trace.ClassOK || snap[0].Arg != 42 {
 		t.Errorf("first event = %+v", snap[0])
 	}
-	if snap[1].Outcome != ClassBadArgs || snap[1].Detail == "" {
+	if snap[1].Outcome != trace.ClassBadArgs || snap[1].Detail == "" {
 		t.Errorf("second event = %+v", snap[1])
 	}
 }

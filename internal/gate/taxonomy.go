@@ -8,35 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Class is the gatekeeper's error taxonomy. The vocabulary lives in the
-// leaf package repro/internal/trace (so the whole spine shares one
-// outcome type); the structural classifier below stays here because it
-// knows the machine and mem error shapes.
-//
-// Deprecated: use trace.Class.
-type Class = trace.Class
-
-const (
-	// ClassOK: the gate call succeeded.
-	ClassOK = trace.ClassOK
-	// ClassBadArgs: the argument list was malformed (oversized, wrong
-	// arity, missing argument) and was rejected by the gatekeeper or by
-	// the gate body's own validation.
-	ClassBadArgs = trace.ClassBadArgs
-	// ClassAccessDenied: the reference monitor refused the request (ring
-	// bracket, access mode, gate, or mandatory-policy violation).
-	ClassAccessDenied = trace.ClassAccessDenied
-	// ClassMalfunction: the supervisor itself failed — the condition the
-	// paper's review activity calls a "supervisor malfunction".
-	ClassMalfunction = trace.ClassMalfunction
-	// ClassBusy: a resource was transiently unavailable (e.g. a frame
-	// changed state mid-transfer); the caller may retry.
-	ClassBusy = trace.ClassBusy
-	// ClassFailed: any other gate-body failure (no such entry, bad mode,
-	// quota exceeded, ...).
-	ClassFailed = trace.ClassFailed
-)
-
 // Error is a classified gate error. Error() returns the underlying
 // message verbatim — classification adds metadata, never rewrites the
 // text — so existing callers that match on message content keep working.
@@ -44,7 +15,7 @@ type Error struct {
 	// Gate is the gate name, when known.
 	Gate string
 	// Class is the taxonomy bucket.
-	Class Class
+	Class trace.Class
 	// Err is the underlying error.
 	Err error
 }
@@ -56,31 +27,33 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // BadArgs wraps err as an argument-validation failure.
 func BadArgs(gate string, err error) error {
-	return &Error{Gate: gate, Class: ClassBadArgs, Err: err}
+	return &Error{Gate: gate, Class: trace.ClassBadArgs, Err: err}
 }
 
 // AccessDenied wraps err as a reference-monitor refusal.
 func AccessDenied(gate string, err error) error {
-	return &Error{Gate: gate, Class: ClassAccessDenied, Err: err}
+	return &Error{Gate: gate, Class: trace.ClassAccessDenied, Err: err}
 }
 
 // Malfunction wraps err as a supervisor malfunction.
 func Malfunction(gate string, err error) error {
-	return &Error{Gate: gate, Class: ClassMalfunction, Err: err}
+	return &Error{Gate: gate, Class: trace.ClassMalfunction, Err: err}
 }
 
 // Busy wraps err as a transient resource-busy condition.
 func Busy(gate string, err error) error {
-	return &Error{Gate: gate, Class: ClassBusy, Err: err}
+	return &Error{Gate: gate, Class: trace.ClassBusy, Err: err}
 }
 
-// Classify maps an arbitrary error from a gate call into the taxonomy.
-// Explicitly classified errors (*Error anywhere in the chain) win;
+// Classify maps an arbitrary error from a gate call into the spine's
+// trace.Class taxonomy. The vocabulary lives in the leaf trace package;
+// the classifier lives here because it knows the machine and mem error
+// shapes. Explicitly classified errors (*Error anywhere in the chain) win;
 // machine faults and mem contention are recognized structurally; every
-// other failure is ClassFailed.
-func Classify(err error) Class {
+// other failure is trace.ClassFailed.
+func Classify(err error) trace.Class {
 	if err == nil {
-		return ClassOK
+		return trace.ClassOK
 	}
 	var ge *Error
 	if errors.As(err, &ge) {
@@ -90,22 +63,22 @@ func Classify(err error) Class {
 	if errors.As(err, &f) {
 		switch f.Class {
 		case machine.FaultAccess, machine.FaultRing, machine.FaultGate:
-			return ClassAccessDenied
+			return trace.ClassAccessDenied
 		}
-		return ClassFailed
+		return trace.ClassFailed
 	}
 	if errors.Is(err, mem.ErrBusy) {
-		return ClassBusy
+		return trace.ClassBusy
 	}
 	// Storage-reference errors from mem.PagedBacking.locate: an offset
 	// outside the segment is the caller's malformed argument; a reference
 	// through a deleted segment is a kernel-side failure (explicit here so
 	// the bucketing is a decision, not a fallthrough).
 	if errors.Is(err, mem.ErrOutOfRange) {
-		return ClassBadArgs
+		return trace.ClassBadArgs
 	}
 	if errors.Is(err, mem.ErrSegmentGone) {
-		return ClassFailed
+		return trace.ClassFailed
 	}
-	return ClassFailed
+	return trace.ClassFailed
 }

@@ -120,10 +120,9 @@ const wordsPerMessage = 2
 // Put, Get, Len, Lost and PagesUsed are serialized by the buffer's lock,
 // which orders the operations of one buffer. The underlying *mem.Store is
 // itself safe for concurrent use (lock-striped), so buffers over the same
-// store may use private locks; NewSharedInfiniteBuffer remains for callers
-// that want a family of buffers serialized as a unit.
+// store use private locks.
 type InfiniteBuffer struct {
-	mu    sync.Locker
+	mu    sync.Mutex
 	store *mem.Store
 	uid   uint64
 	head  int // next message index to write
@@ -134,23 +133,13 @@ type InfiniteBuffer struct {
 }
 
 // NewInfiniteBuffer creates the VM-backed buffer over segment uid, which it
-// creates in store. The buffer gets a private lock serializing its own
+// creates in store. The buffer's private lock serializes its own
 // operations; the store tolerates other concurrent users.
 func NewInfiniteBuffer(store *mem.Store, uid uint64) (*InfiniteBuffer, error) {
-	return NewSharedInfiniteBuffer(store, uid, &sync.Mutex{})
-}
-
-// NewSharedInfiniteBuffer creates the VM-backed buffer over segment uid with
-// an externally supplied lock. All buffers sharing one store must share one
-// lock, since every buffer operation reads and writes store state.
-func NewSharedInfiniteBuffer(store *mem.Store, uid uint64, mu sync.Locker) (*InfiniteBuffer, error) {
-	if mu == nil {
-		return nil, errors.New("iosys: nil lock for infinite buffer")
-	}
 	if _, err := store.CreateSegment(uid, 0); err != nil {
 		return nil, fmt.Errorf("iosys: creating buffer segment: %w", err)
 	}
-	return &InfiniteBuffer{mu: mu, store: store, uid: uid}, nil
+	return &InfiniteBuffer{store: store, uid: uid}, nil
 }
 
 func (b *InfiniteBuffer) wordOf(msgIndex int) int { return msgIndex * wordsPerMessage }

@@ -417,23 +417,6 @@ func TestPageFaultWithoutPagerAborts(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	p, ds, _ := newTestProc(UserRing, Model6180())
-	mustSet(t, ds, 1, SDW{Proc: echoProc(), Mode: ModeExecute, Brackets: GateBrackets(KernelRing, UserRing), Gates: 1})
-	var events []TraceEvent
-	p.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
-	if _, err := p.Call(1, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 {
-		t.Fatalf("trace events = %d, want 1", len(events))
-	}
-	ev := events[0]
-	if ev.From != UserRing || ev.To != KernelRing || !ev.Gate {
-		t.Errorf("trace event = %+v", ev)
-	}
-}
-
 func TestClock(t *testing.T) {
 	c := NewClock()
 	c.Advance(10)

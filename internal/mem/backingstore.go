@@ -43,8 +43,7 @@ type BlockWrite struct {
 // coalesce the faults of one scheduling quantum into a single round trip
 // to the device: one lock acquisition for the volatile store, one journal
 // record group for the durable one. Implementations that have no batching
-// advantage can loop; external implementations written against the PR-8
-// per-block surface keep working through AdaptBatch.
+// advantage can loop.
 type BackingStore interface {
 	// ReadBlock returns a copy of pid's block and drops the live mapping.
 	// Returns ErrNoBlock if the store holds no block for pid.

@@ -129,20 +129,6 @@ type TransferStats struct {
 	ZeroFills  int64 `json:"zero_fills"`
 }
 
-// ContentionStats reports store-level contention: how often an allocation
-// had to steal a free frame or block from another shard's free list, either
-// because its home shard was drained by contending allocators or because the
-// free population is unbalanced.
-type ContentionStats struct {
-	FrameSteals int64 `json:"frame_steals"`
-	BlockSteals int64 `json:"block_steals"`
-}
-
-// Counters is the historical name of ContentionStats.
-//
-// Deprecated: use ContentionStats.
-type Counters = ContentionStats
-
 type frame struct {
 	free     bool
 	pid      PageID
@@ -303,14 +289,6 @@ func (s *Store) Stats() TransferStats {
 		BulkToDisk: s.bulkToDisk.Value(),
 		DiskToBulk: s.diskToBulk.Value(),
 		ZeroFills:  s.zeroFills.Value(),
-	}
-}
-
-// ContentionCounters returns the free-list steal counts.
-func (s *Store) ContentionCounters() ContentionStats {
-	return ContentionStats{
-		FrameSteals: s.frameSteals.Value(),
-		BlockSteals: s.blockSteals.Value(),
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// countingStore wraps a SingleBlockStore-or-better and counts round
-// trips: every ReadBlock/WriteBlock call is one trip, every
-// ReadBlocks/WriteBlocks call is one trip regardless of batch size.
+// countingStore wraps a BackingStore and counts round trips: every
+// ReadBlock/WriteBlock call is one trip, every ReadBlocks/WriteBlocks call
+// is one trip regardless of batch size.
 type countingStore struct {
 	BackingStore
 	trips int
@@ -32,61 +32,6 @@ func (c *countingStore) ReadBlocks(pids []PageID) ([][]uint64, error) {
 func (c *countingStore) WriteBlocks(writes []BlockWrite) error {
 	c.trips++
 	return c.BackingStore.WriteBlocks(writes)
-}
-
-// legacyStore strips the batch methods off a MemStore so AdaptBatch has
-// something to wrap.
-type legacyStore struct {
-	inner *MemStore
-}
-
-func (l *legacyStore) ReadBlock(pid PageID) ([]uint64, error)  { return l.inner.ReadBlock(pid) }
-func (l *legacyStore) WriteBlock(pid PageID, d []uint64) error { return l.inner.WriteBlock(pid, d) }
-func (l *legacyStore) FreeBlock(pid PageID) error              { return l.inner.FreeBlock(pid) }
-func (l *legacyStore) BlockIDs() []PageID                      { return l.inner.BlockIDs() }
-func (l *legacyStore) Sync() error                             { return l.inner.Sync() }
-func (l *legacyStore) Checkpoint(m []byte) error               { return l.inner.Checkpoint(m) }
-func (l *legacyStore) Manifest() ([]byte, error)               { return l.inner.Manifest() }
-func (l *legacyStore) CheckpointBlock(pid PageID) ([]uint64, error) {
-	return l.inner.CheckpointBlock(pid)
-}
-func (l *legacyStore) RevertToCheckpoint() error { return l.inner.RevertToCheckpoint() }
-func (l *legacyStore) Close() error              { return l.inner.Close() }
-
-func TestAdaptBatchPassthrough(t *testing.T) {
-	m := NewMemStore()
-	if got := AdaptBatch(m); got != BackingStore(m) {
-		t.Error("AdaptBatch should return a store that already batches unchanged")
-	}
-}
-
-func TestAdaptBatchLegacy(t *testing.T) {
-	legacy := &legacyStore{inner: NewMemStore()}
-	s := AdaptBatch(legacy)
-	writes := []BlockWrite{
-		{PID: PageID{SegUID: 1, Index: 0}, Data: []uint64{1, 2}},
-		{PID: PageID{SegUID: 1, Index: 1}, Data: []uint64{3, 4}},
-	}
-	if err := s.WriteBlocks(writes); err != nil {
-		t.Fatalf("WriteBlocks: %v", err)
-	}
-	got, err := s.ReadBlocks([]PageID{{SegUID: 1, Index: 1}, {SegUID: 1, Index: 0}})
-	if err != nil {
-		t.Fatalf("ReadBlocks: %v", err)
-	}
-	if got[0][0] != 3 || got[1][0] != 1 {
-		t.Errorf("ReadBlocks returned wrong blocks: %v", got)
-	}
-	// Missing blocks fail the batch before consuming any mapping.
-	if err := s.WriteBlocks(writes); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	if _, err := s.ReadBlocks([]PageID{{SegUID: 1, Index: 0}, {SegUID: 9, Index: 9}}); !errors.Is(err, ErrNoBlock) {
-		t.Fatalf("missing block: got %v, want ErrNoBlock", err)
-	}
-	if _, err := s.ReadBlock(PageID{SegUID: 1, Index: 0}); err != nil {
-		t.Errorf("failed batch read consumed a mapping: %v", err)
-	}
 }
 
 func TestMemStoreBatchAllOrNothing(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/gate"
 	"repro/internal/iosys"
 	"repro/internal/mls"
 	"repro/internal/trace"
@@ -233,7 +232,7 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.state = StateDraining
-	fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: gate.ClassOK})
+	fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: trace.ClassOK})
 	if err := fe.drainLocked(c); err != nil {
 		return err
 	}

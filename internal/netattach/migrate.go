@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/gate"
 	"repro/internal/mls"
 	"repro/internal/trace"
 )
@@ -91,7 +90,7 @@ func (c *Conn) Snapshot() (*SessionState, error) {
 	}
 	st.KnownSegs = len(st.KnownUIDs)
 	fe.emit(trace.Event{Name: "migrate_out", Subject: c.id,
-		Arg: uint64(st.KnownSegs), Outcome: gate.ClassOK})
+		Arg: uint64(st.KnownSegs), Outcome: trace.ClassOK})
 	return st, nil
 }
 
@@ -123,7 +122,7 @@ func (fe *Frontend) AttachMigrated(person, project, password string, level mls.L
 	c.delivered = st.Delivered
 	c.processed = st.Processed
 	fe.emit(trace.Event{Name: "migrate_in", Subject: c.id,
-		Arg: uint64(st.KnownSegs), Outcome: gate.ClassOK})
+		Arg: uint64(st.KnownSegs), Outcome: trace.ClassOK})
 	fe.mu.Unlock()
 	return c, nil
 }

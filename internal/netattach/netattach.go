@@ -314,14 +314,6 @@ type FaultPlane interface {
 	ConnStall(conn uint64) bool
 }
 
-// SetFaultPlane installs fp as the front-end's connection fault
-// decider; nil removes it.
-func (fe *Frontend) SetFaultPlane(fp FaultPlane) {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	fe.faults = fp
-}
-
 // SetSink installs an additional observer for the front-end's lifecycle
 // trace events; nil removes it. Events always reach the kernel's trace
 // ring regardless. This is the uniform spine hookup shared with
@@ -461,7 +453,7 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 	fe.accepted++
 	fe.nm.accepted.Inc()
 	fe.nm.attachLat.Observe(c.attachLat)
-	fe.emit(trace.Event{Name: "attach", Subject: c.id, Cost: c.attachLat, Outcome: gate.ClassOK})
+	fe.emit(trace.Event{Name: "attach", Subject: c.id, Cost: c.attachLat, Outcome: trace.ClassOK})
 }
 
 // reject records a failed accept. Caller holds fe.mu via the simulation.
@@ -609,7 +601,7 @@ func (fe *Frontend) execute(pc *sched.ProcCtx, c *Conn, word uint64) {
 	c.processed++
 	fe.processed++
 	fe.nm.processed.Inc()
-	fe.emit(trace.Event{Name: "request", Subject: c.id, Arg: word, Outcome: gate.ClassOK})
+	fe.emit(trace.Event{Name: "request", Subject: c.id, Arg: word, Outcome: trace.ClassOK})
 	fe.enqueueReply(c, reply)
 }
 
@@ -689,7 +681,7 @@ func (fe *Frontend) finishClose(c *Conn) error {
 	c.state = StateClosed
 	delete(fe.conns, c.id)
 	fe.nm.active.Set(int64(len(fe.conns)))
-	fe.emit(trace.Event{Name: "close", Subject: c.id, Arg: uint64(c.processed), Outcome: gate.ClassOK})
+	fe.emit(trace.Event{Name: "close", Subject: c.id, Arg: uint64(c.processed), Outcome: trace.ClassOK})
 	return nil
 }
 
@@ -707,7 +699,7 @@ func (fe *Frontend) Close() error {
 		switch c.state {
 		case StateAttached, StateDraining:
 			c.state = StateDraining
-			fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: gate.ClassOK})
+			fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: trace.ClassOK})
 			if err := fe.drainLocked(c); err != nil && firstErr == nil {
 				firstErr = err
 			}

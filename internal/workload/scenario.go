@@ -95,20 +95,6 @@ func (sc *Scenario) Name() string { return sc.name }
 // Seed returns the scenario's seed.
 func (sc *Scenario) Seed() int64 { return sc.seed }
 
-// Legacy adapts the old flat Config onto the scenario API: one stormer
-// persona with exactly the configured shape, closed-loop, whole-script
-// bursts. It reproduces the historical engine behavior — and transcript
-// digests — byte-for-byte, which is what keeps pre-scenario seeds
-// comparable. New callers should compose personas instead.
-func Legacy(cfg Config) *Scenario {
-	// Invalid shapes surface from Plan, exactly as the old engine
-	// surfaced them from setDefaults.
-	_ = cfg.setDefaults()
-	return NewScenario("legacy", cfg.Seed).
-		Mix(Stormer(cfg.Steps, cfg.Burst, cfg.Users), 1).
-		Sessions(cfg.Conns)
-}
-
 // Account is one principal a scenario's sessions log in as.
 type Account struct {
 	Person, Project, Password string
@@ -216,8 +202,7 @@ func (sc *Scenario) compile() (*Plan, error) {
 		var legacyScripts []Script
 		if pe.legacy {
 			legacyScripts = GenScripts(Config{
-				Conns: counts[mi], Steps: pe.Steps, Burst: pe.Burst,
-				Users: pe.Users, Seed: sc.seed,
+				Conns: counts[mi], Steps: pe.Steps, Users: pe.Users, Seed: sc.seed,
 			})
 		}
 		for s := 0; s < counts[mi]; s++ {

@@ -8,32 +8,29 @@ import (
 )
 
 // TestLegacyAdapterReproducesGenScripts pins the compatibility contract:
-// the Legacy adapter compiles the old flat Config into exactly the
-// scripts the historical generator produced — same accounts, same
-// levels, same echo/sum/spin stream — with whole-script bursts firing
-// on consecutive rounds.
+// the Stormer persona compiles into exactly the scripts the historical
+// generator produced — same accounts, same levels, same echo/sum/spin
+// stream — with its bursts firing on consecutive rounds.
 func TestLegacyAdapterReproducesGenScripts(t *testing.T) {
-	cfg := Config{Conns: 12, Steps: 10, Burst: 4, Seed: 75}
-	want := cfg
-	if err := want.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Legacy(cfg).Plan()
+	// Users 0 selects the historical min(conns, 8) accounts.
+	const conns, steps, burst, users = 12, 10, 4, 8
+	plan, err := NewScenario("storm", 75).Mix(Stormer(steps, burst, 0), 1).Sessions(conns).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := Config{Conns: conns, Steps: steps, Users: users, Seed: 75}
 	if !reflect.DeepEqual(plan.Scripts, GenScripts(want)) {
-		t.Fatal("Legacy scripts differ from the historical generator's")
+		t.Fatal("Stormer scripts differ from the historical generator's")
 	}
-	if len(plan.Accounts) != want.Users {
-		t.Fatalf("got %d accounts, want %d", len(plan.Accounts), want.Users)
+	if len(plan.Accounts) != users {
+		t.Fatalf("got %d accounts, want %d", len(plan.Accounts), users)
 	}
 	for i, ws := range plan.Windows {
 		wantRound := 0
-		for base := 0; base < want.Steps; base += want.Burst {
-			hi := base + want.Burst
-			if hi > want.Steps {
-				hi = want.Steps
+		for base := 0; base < steps; base += burst {
+			hi := base + burst
+			if hi > steps {
+				hi = steps
 			}
 			w := ws[wantRound]
 			if w != (Window{Round: wantRound, Lo: base, Hi: hi}) {
@@ -47,7 +44,7 @@ func TestLegacyAdapterReproducesGenScripts(t *testing.T) {
 // TestLegacyDefaults pins the historical zero-value behavior: 8
 // connections, 8 steps, one whole-script burst, min(conns, 8) users.
 func TestLegacyDefaults(t *testing.T) {
-	plan, err := Legacy(Config{}).Plan()
+	plan, err := NewScenario("storm", 0).Mix(Stormer(0, 0, 0), 1).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,49 +45,18 @@ type Script struct {
 	Steps                     []Step
 }
 
-// Config is the old flat traffic shape, kept only as the argument to
-// the Legacy adapter: one stormer persona of Conns sessions × Steps
-// requests fired in bursts of Burst over Users accounts from Seed.
-// Everything that used to ride along in this struct (parallelism, trace
-// sinks, backing stores, fault plans) now lives on Scenario; new
-// callers should compose personas with NewScenario instead.
+// Config is the classic flat storm shape GenScripts generates from:
+// Conns sessions × Steps requests over Users accounts, seeded by Seed.
+// The Stormer persona fills it in once its own defaults are applied.
 type Config struct {
-	// Conns is the number of concurrent connections (default 8).
+	// Conns is the number of concurrent connections.
 	Conns int
-	// Steps is the number of requests per session (default 8).
+	// Steps is the number of requests per session.
 	Steps int
-	// Burst is how many requests each connection fires back-to-back
-	// before the engine lets the system run (default Steps: the whole
-	// script arrives as one storm). Bursts larger than the legacy
-	// driver's circular buffer are what make the pre-S5 path lose.
-	Burst int
-	// Users is the number of distinct accounts the connections share
-	// (default min(Conns, 8)).
+	// Users is the number of distinct accounts the connections share.
 	Users int
 	// Seed drives script generation. Same seed, same transcript digest.
 	Seed int64
-}
-
-func (c *Config) setDefaults() error {
-	if c.Conns == 0 {
-		c.Conns = 8
-	}
-	if c.Steps == 0 {
-		c.Steps = 8
-	}
-	if c.Burst == 0 {
-		c.Burst = c.Steps
-	}
-	if c.Users == 0 {
-		c.Users = c.Conns
-		if c.Users > 8 {
-			c.Users = 8
-		}
-	}
-	if c.Conns < 1 || c.Steps < 1 || c.Burst < 1 || c.Users < 1 {
-		return fmt.Errorf("workload: invalid config %+v", *c)
-	}
-	return nil
 }
 
 // PersonaReport is one persona's slice of a run.
@@ -189,9 +158,9 @@ func (r Report) Format() string {
 // GenScripts deterministically generates the historical stormer scripts
 // from the legacy shape: one shared math/rand stream walked in session
 // order, echo/sum/spin work steps, every reply a pure function of its
-// arguments. The Legacy adapter and the Stormer persona route through
-// this generator, which is what keeps pre-scenario seeds producing the
-// same transcript digests they always did.
+// arguments. The Stormer persona routes through this generator, which is
+// what keeps pre-scenario seeds producing the same transcript digests
+// they always did.
 func GenScripts(cfg Config) []Script {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	scripts := make([]Script, cfg.Conns)

@@ -43,6 +43,21 @@ func TestDeterministicDigest(t *testing.T) {
 	}
 }
 
+// TestStormDigestGolden pins the classic storm's transcript digest to
+// the value the flat-Config generator produced before the scenario API
+// replaced it: the Stormer persona must keep reproducing historical
+// seeds byte-for-byte.
+func TestStormDigestGolden(t *testing.T) {
+	const want = "6f742bd24b355f322511c6fe74d31ddd8e37804e57573a4b93144d3967647e44"
+	rep, err := workload.RunAt(multics.StageRestructured, storm(12, 10, 4, 75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Digest != want {
+		t.Fatalf("storm digest %s, want %s", rep.Digest, want)
+	}
+}
+
 func TestStormLegacyLosesConsolidatedDoesNot(t *testing.T) {
 	// A burst of 24 overruns the legacy 16-slot circular buffers but
 	// fits easily inside the S5 infinite buffers.

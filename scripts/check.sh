@@ -122,7 +122,6 @@ check_bump Create bumpEntGen
 check_bump AddLink bumpEntGen
 check_bump Delete bumpEntGen
 check_bump Delete bumpACLGen
-check_bump Rename bumpEntGen
 check_bump SetACL bumpACLGen
 check_bump RemoveACL bumpACLGen
 check_bump Reclassify bumpACLGen
@@ -204,106 +203,10 @@ go test -race ./...
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 
-echo "== metrics-plane smoke (E16: zero overhead, parallelism-invariant export)"
-out=$(go run ./cmd/experiments -run E16)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E16 metrics plane did not meet its claims" >&2
-	exit 1
-	;;
-esac
-
-echo "== fault-storm smoke (E15: one seeded run, salvage must be 100%)"
-out=$(go run ./cmd/experiments -run E15)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E15 fault storm did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'salvager clean after crash'; then
-	echo "E15 fault storm: salvage success not reported clean" >&2
-	exit 1
-fi
-
-echo "== fleet smoke (E17: sharding scales, migration storm survives, digests identical)"
-out=$(go run ./cmd/experiments -run E17)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E17 fleet scaling did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'identical=true'; then
-	echo "E17 fleet: session digests not identical across kernel counts" >&2
-	exit 1
-fi
-
-echo "== hierarchy-scale smoke (E18: million-segment tree, >=10x cached resolution, revocation-safe)"
-out=$(go run ./cmd/experiments -run E18)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E18 hierarchy scale did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'sweep digests identical across par 1/8 and uncached: true'; then
-	echo "E18: revocation sweep digests not identical across parallelism / cache modes" >&2
-	exit 1
-fi
-
-echo "== crash-restore smoke (E19: seeded checkpoint, torn-write crash, byte-identical restore)"
-out=$(go run ./cmd/experiments -run E19)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E19 checkpoint/restore did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'digest identical true'; then
-	echo "E19: restored transcript digest diverged from the uninterrupted run" >&2
-	exit 1
-fi
-
-echo "== execution-engine smoke (E20: deterministic parallel engine, batched page control)"
-out=$(go run ./cmd/experiments -run E20)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E20 execution engine did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'digests identical across engine workers 1/2/8: true'; then
-	echo "E20: transcripts diverged across engine parallelism" >&2
-	exit 1
-fi
-if ! echo "$out" | grep -q 'all workers active: true'; then
-	echo "E20: worker pool was not actually exercised in parallel" >&2
-	exit 1
-fi
-
-echo "== persona-workload smoke (E21: seeded persona mixes, fleet-invariant digests, fuzz storm)"
-out=$(go run ./cmd/experiments -run E21)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E21 persona workloads did not meet their claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'fleet x1 == fleet x4+migration == single-kernel: true'; then
-	echo "E21: persona digests diverged across kernel counts" >&2
-	exit 1
-fi
-if ! echo "$out" | grep -q 'fuzz replay digest match: true'; then
-	echo "E21: adversarial fuzz storm was not reproducible" >&2
-	exit 1
-fi
+echo "== experiments (E1..E21 must all match the paper's shapes)"
+# The command exits 1 when any report's Pass is false. Each Pass already
+# includes that experiment's digest-identity, determinism and survival
+# conditions, so nothing here greps the printed text.
+go run ./cmd/experiments
 
 echo "ok"
