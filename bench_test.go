@@ -473,18 +473,13 @@ func BenchmarkAblationPolicyInKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	pol := pagectl.NewClockPolicy(store)
+	var pol pagectl.ClockPolicy
 	clk := machine.NewClock()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands := make([]mem.Frame, 0, 16)
-		for _, f := range store.Frames() {
-			if !f.Free && !f.Wired {
-				cands = append(cands, f)
-			}
-		}
-		clk.Advance(int64(len(cands)))
-		if _, err := pol.ChooseVictim(cands); err != nil {
+		clk.Advance(int64(experiments.EvictableFrames(store)))
+		if _, err := pol.ChooseVictim(store); err != nil {
 			b.Fatal(err)
 		}
 	}

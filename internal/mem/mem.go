@@ -142,6 +142,7 @@ type block struct {
 	free bool
 	pid  PageID
 	data []uint64
+	fill uint64 // stamp of the fill that put pid here; see bulkIndex
 }
 
 // Lock-striping geometry. Free lists are sharded so concurrent allocators
@@ -165,10 +166,11 @@ type freeShard struct {
 // per segment, frame/block metadata is lock-striped, the free lists are
 // sharded, and transfer statistics are atomics — there is no global lock.
 //
-// Lock order (outermost first): segs map -> one segment's page table -> one
-// frame/block stripe -> free-list shard or the backing store's own lock. No
-// operation ever holds two stripes at once; a transfer that touches both a
-// frame and a block finishes with one before locking the other.
+// Lock order (outermost first): segs map -> one segment's page table -> the
+// bulk index -> one frame/block stripe -> free-list shard or the backing
+// store's own lock. No operation ever holds two stripes at once; a transfer
+// that touches both a frame and a block finishes with one before locking
+// the other. No operation takes the bulk index while holding a stripe.
 type Store struct {
 	cfg Config
 
@@ -189,6 +191,10 @@ type Store struct {
 
 	freeFrames [numShards]freeShard
 	freeBlocks [numShards]freeShard
+
+	// bulk orders the occupied blocks by page for the bulk-freeing
+	// process.
+	bulk bulkIndex
 
 	// Transfer and contention counts live in the unified metrics
 	// registry; these are pre-resolved handles, so the hot path is the
@@ -725,10 +731,7 @@ func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
 		return 0, 0, err
 	}
 	s.pageOut(OpBulkWrite, pid, data)
-	bi := int(b) & stripeMask
-	s.blockMu[bi].Lock()
-	s.blocks[b] = block{pid: pid, data: data}
-	s.blockMu[bi].Unlock()
+	s.fillBlock(b, pid, data)
 	sp.pages[pid.Index] = Location{Level: LevelBulk, Block: b}
 	s.coreToBulk.Inc()
 	return b, s.cfg.BulkWrite, nil
@@ -842,6 +845,10 @@ type Frame struct {
 	Wired    bool
 }
 
+// Evictable reports whether the frame holds a page that may be evicted:
+// occupied and not wired.
+func (f Frame) Evictable() bool { return !f.Free && !f.Wired }
+
 // FrameInfo returns the metadata of frame f.
 func (s *Store) FrameInfo(f FrameID) (Frame, error) {
 	if int(f) < 0 || int(f) >= len(s.frames) {
@@ -854,8 +861,9 @@ func (s *Store) FrameInfo(f FrameID) (Frame, error) {
 	return Frame{ID: f, Free: fr.free, PID: fr.pid, Used: fr.used, Modified: fr.modified, Wired: fr.wired}, nil
 }
 
-// Frames returns metadata for every frame, for replacement policies. The
-// snapshot is per-frame consistent, not globally atomic.
+// Frames returns a copy of every frame's metadata. The snapshot is
+// per-frame consistent, not globally atomic. It allocates, so victim
+// decisions read FrameInfo instead.
 func (s *Store) Frames() []Frame {
 	out := make([]Frame, len(s.frames))
 	for i := range s.frames {
@@ -875,8 +883,9 @@ type Block struct {
 	PID  PageID
 }
 
-// Blocks returns metadata for every bulk-store block. The snapshot is
-// per-block consistent, not globally atomic.
+// Blocks returns a copy of every bulk-store block's metadata. The snapshot
+// is per-block consistent, not globally atomic. It allocates, so victim
+// decisions read LowestBulkPage instead.
 func (s *Store) Blocks() []Block {
 	out := make([]Block, len(s.blocks))
 	for i := range s.blocks {

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestConcurrentStoreHammer drives PageIn/Discard/SetLength/word access and
-// evictions from many goroutines at once. Before the store was lock-striped
-// this failed under -race (concurrent map writes in the page tables and free
-// lists); now it must pass both plain and with -race, and the frame pool
-// must be conserved afterwards.
+// TestConcurrentStoreHammer drives PageIn/Discard/SetLength/word access,
+// evictions and bulk-victim picks from many goroutines at once. Before the
+// store was lock-striped this failed under -race (concurrent map writes in
+// the page tables and free lists); now it must pass both plain and with
+// -race, the frame pool must be conserved afterwards, and the bulk index
+// must agree with the block table.
 //
 // Each worker does word I/O only on its private segment (a frame observed
 // through a private page table cannot be raced away by another worker); the
@@ -45,6 +46,43 @@ func TestConcurrentStoreHammer(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers+1)
+	// A bulk freer imitates the parallel pager's other process until the
+	// rest are done: it picks the lowest bulk page off the index while the
+	// evictor fills blocks, the workers page blocks back in, and the
+	// evictor's own sweep moves blocks to disk. A pick may lose its block
+	// before the move; that surfaces as ErrBusy or "block is free". It
+	// starts first, on a bulk store seeded with one page per worker, and
+	// the others start once it has made its first pick.
+	for w := 0; w < workers; w++ {
+		f, _, err := s.PageIn(PageID{SegUID: uint64(w + 1), Index: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.EvictToBulk(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	started := make(chan struct{})
+	freerDone := make(chan struct{})
+	go func() {
+		defer close(freerDone)
+		for i := 0; ; i++ {
+			if b, ok := s.LowestBulkPage(); ok {
+				_, _ = s.BulkToDisk(b)
+			}
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -128,6 +166,8 @@ func TestConcurrentStoreHammer(t *testing.T) {
 	}()
 
 	wg.Wait()
+	close(stop)
+	<-freerDone
 	close(errCh)
 	for err := range errCh {
 		t.Errorf("concurrent op failed: %v", err)
@@ -155,4 +195,5 @@ func TestConcurrentStoreHammer(t *testing.T) {
 		t.Fatalf("frame conservation violated: %d occupied + %d free != %d",
 			occupied, s.FreeFrameCount(), cfg.CoreFrames)
 	}
+	checkBulkIndex(t, s, 0, "after the hammer")
 }

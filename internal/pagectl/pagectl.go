@@ -32,79 +32,80 @@ import (
 // sees only frame metadata — never page contents — which is what makes the
 // policy/mechanism ring split of internal/policy possible.
 type VictimPolicy interface {
-	// ChooseVictim picks a frame from candidates (all occupied, unwired).
-	// It must return one of the candidate IDs.
-	ChooseVictim(candidates []mem.Frame) (mem.FrameID, error)
+	// ChooseVictim picks an occupied, unwired frame of store, reading live
+	// frame state through FrameInfo and ResetUsage. It returns ErrNoVictim
+	// when every frame is free or wired.
+	ChooseVictim(store *mem.Store) (mem.FrameID, error)
 }
 
 // ErrNoVictim is returned when no frame can be evicted (all wired or free).
 var ErrNoVictim = errors.New("pagectl: no evictable frame")
 
-// evictionCandidates lists occupied, unwired frames.
-func evictionCandidates(store *mem.Store) []mem.Frame {
-	var out []mem.Frame
-	for _, f := range store.Frames() {
-		if !f.Free && !f.Wired {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// ClockPolicy is the default replacement policy: a second-chance clock over
-// the frame table.
+// ClockPolicy is the default replacement policy: a second-chance clock
+// whose hand is a frame ID that persists across decisions. The hand walks
+// the live frame table, skipping free and wired frames; a frame used since
+// the hand last passed has its used bit cleared and is passed over once.
+// The zero value is ready to use; a ClockPolicy serves one store.
 type ClockPolicy struct {
-	hand  int
-	store *mem.Store
+	hand mem.FrameID
 }
 
-// NewClockPolicy returns a clock policy over store (used to reset usage
-// bits as the hand sweeps).
-func NewClockPolicy(store *mem.Store) *ClockPolicy { return &ClockPolicy{store: store} }
-
-// ChooseVictim implements VictimPolicy.
-func (c *ClockPolicy) ChooseVictim(candidates []mem.Frame) (mem.FrameID, error) {
-	if len(candidates) == 0 {
-		return 0, ErrNoVictim
-	}
-	// Sweep at most two full passes: the first pass clears usage bits, the
-	// second finds an unused frame.
-	for pass := 0; pass < 2*len(candidates); pass++ {
-		f := candidates[c.hand%len(candidates)]
-		c.hand++
-		// Re-read the live usage bit; the snapshot may be stale.
-		info, err := c.store.FrameInfo(f.ID)
-		if err != nil || info.Free || info.Wired {
+// ChooseVictim implements VictimPolicy. It makes at most two revolutions:
+// the first clears used bits, so the second finds a frame unused since.
+// Should touches racing the sweep leave nothing unused, it takes the first
+// evictable frame the sweep passed.
+func (c *ClockPolicy) ChooseVictim(store *mem.Store) (mem.FrameID, error) {
+	n := mem.FrameID(store.Config().CoreFrames)
+	first := mem.FrameID(-1)
+	for step := mem.FrameID(0); step < 2*n; step++ {
+		if step == n && first < 0 {
+			break // a whole revolution found only free and wired frames
+		}
+		f := c.hand
+		if c.hand++; c.hand == n {
+			c.hand = 0
+		}
+		info, err := store.FrameInfo(f)
+		if err != nil {
+			return 0, err
+		}
+		if !info.Evictable() {
 			continue
 		}
+		if first < 0 {
+			first = f
+		}
 		if info.Used {
-			if err := c.store.ResetUsage(f.ID); err != nil {
+			if err := store.ResetUsage(f); err != nil {
 				return 0, err
 			}
 			continue
 		}
-		return f.ID, nil
+		return f, nil
 	}
-	// Everything referenced recently: take the next candidate anyway.
-	return candidates[c.hand%len(candidates)].ID, nil
-}
-
-// FIFOPolicy evicts the lowest-numbered candidate frame; simple and
-// deterministic, used as the baseline comparator policy.
-type FIFOPolicy struct{}
-
-// ChooseVictim implements VictimPolicy.
-func (FIFOPolicy) ChooseVictim(candidates []mem.Frame) (mem.FrameID, error) {
-	if len(candidates) == 0 {
+	if first < 0 {
 		return 0, ErrNoVictim
 	}
-	best := candidates[0].ID
-	for _, f := range candidates[1:] {
-		if f.ID < best {
-			best = f.ID
+	return first, nil
+}
+
+// FIFOPolicy evicts the lowest-numbered occupied, unwired frame; simple
+// and deterministic, used as the baseline comparator policy.
+type FIFOPolicy struct{}
+
+// ChooseVictim implements VictimPolicy by walking up from frame 0.
+func (FIFOPolicy) ChooseVictim(store *mem.Store) (mem.FrameID, error) {
+	n := mem.FrameID(store.Config().CoreFrames)
+	for f := mem.FrameID(0); f < n; f++ {
+		info, err := store.FrameInfo(f)
+		if err != nil {
+			return 0, err
+		}
+		if info.Evictable() {
+			return f, nil
 		}
 	}
-	return best, nil
+	return 0, ErrNoVictim
 }
 
 // FaultStats aggregates what the faulting processes experienced; the E5
@@ -203,7 +204,7 @@ func (s *SequentialPager) SetMetrics(reg *metrics.Registry) { s.pm.resolve(reg) 
 // NewSequentialPager returns the old-design pager.
 func NewSequentialPager(store *mem.Store, policy VictimPolicy) *SequentialPager {
 	if policy == nil {
-		policy = NewClockPolicy(store)
+		policy = &ClockPolicy{}
 	}
 	return &SequentialPager{store: store, policy: policy}
 }
@@ -273,7 +274,7 @@ const maxEvictAttempts = 64
 // steal what this one freed, hence the retry structure.
 func (s *SequentialPager) evictOne(pc *sched.ProcCtx) error {
 	for attempt := 0; attempt < maxEvictAttempts; attempt++ {
-		victim, err := s.policy.ChooseVictim(evictionCandidates(s.store))
+		victim, err := s.policy.ChooseVictim(s.store)
 		if err != nil {
 			return err
 		}
@@ -290,9 +291,9 @@ func (s *SequentialPager) evictOne(pc *sched.ProcCtx) error {
 			continue
 		}
 		// The bulk store is full too: move a bulk page to disk first.
-		block, err := pickBulkVictim(s.store)
-		if err != nil {
-			return err
+		block, ok := s.store.LowestBulkPage()
+		if !ok {
+			return errors.New("pagectl: bulk store reported full but no occupied block found")
 		}
 		s.stats.FaulterSteps++
 		lat2, err := s.store.BulkToDisk(block)
@@ -304,26 +305,4 @@ func (s *SequentialPager) evictOne(pc *sched.ProcCtx) error {
 		// Retry the whole cascade: the freed block may already be gone.
 	}
 	return errors.New("pagectl(sequential): eviction starved by competing faulters")
-}
-
-// pickBulkVictim selects an occupied bulk block to push to disk: the block
-// holding the lowest-numbered page, which is deterministic and, because
-// page-ins recycle blocks, approximates oldest-first.
-func pickBulkVictim(store *mem.Store) (mem.BlockID, error) {
-	var best mem.BlockID
-	var bestPID mem.PageID
-	found := false
-	for _, bl := range store.Blocks() {
-		if bl.Free {
-			continue
-		}
-		if !found || bl.PID.SegUID < bestPID.SegUID ||
-			(bl.PID.SegUID == bestPID.SegUID && bl.PID.Index < bestPID.Index) {
-			best, bestPID, found = bl.ID, bl.PID, true
-		}
-	}
-	if !found {
-		return 0, errors.New("pagectl: bulk store reported full but no occupied block found")
-	}
-	return best, nil
 }

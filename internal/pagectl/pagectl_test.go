@@ -239,10 +239,10 @@ func TestClockPolicySecondChance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pol := NewClockPolicy(store)
+	var pol ClockPolicy
 	// First choice sweeps: all frames recently used, so the hand clears
 	// bits and eventually picks one.
-	v1, err := pol.ChooseVictim(evictionCandidates(store))
+	v1, err := pol.ChooseVictim(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestClockPolicySecondChance(t *testing.T) {
 	if _, err := store.ReadWord(v1, 0); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := pol.ChooseVictim(evictionCandidates(store))
+	v2, err := pol.ChooseVictim(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +263,134 @@ func TestClockPolicySecondChance(t *testing.T) {
 	}
 }
 
+// TestClockPolicyHand pins the clock's four rules: the hand persists
+// across decisions, it skips free and wired frames, a used frame gets a
+// second chance (its used bit cleared, chosen on the next revolution), and
+// a table of only free and wired frames yields ErrNoVictim.
+func TestClockPolicyHand(t *testing.T) {
+	store := tinyMem(t, 8, 8)
+	if _, err := store.CreateSegment(1, 1000); err != nil {
+		t.Fatal(err)
+	}
+	var occupied []mem.FrameID
+	for i := 0; i < 6; i++ {
+		f, _, err := store.PageIn(mem.PageID{SegUID: 1, Index: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		occupied = append(occupied, f)
+	}
+	if err := store.Wire(occupied[2], true); err != nil {
+		t.Fatal(err)
+	}
+	// The evictable frames in hand order: ascending IDs, minus the free
+	// and the wired ones.
+	var ring []mem.FrameID
+	for f := mem.FrameID(0); f < 8; f++ {
+		info, _ := store.FrameInfo(f)
+		if info.Evictable() {
+			ring = append(ring, f)
+		}
+		if !info.Free {
+			if err := store.ResetUsage(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(ring) != 5 {
+		t.Fatalf("evictable frames = %v, want 5", ring)
+	}
+	var pol ClockPolicy
+	choose := func(want mem.FrameID) {
+		t.Helper()
+		got, err := pol.ChooseVictim(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("victim = %d, want %d (ring %v)", got, want, ring)
+		}
+	}
+	choose(ring[0])
+	choose(ring[1]) // the hand moved on: no decision restarts at frame 0
+	if _, err := store.ReadWord(ring[2], 0); err != nil {
+		t.Fatal(err)
+	}
+	choose(ring[3]) // ring[2] was used: passed over once
+	if info, _ := store.FrameInfo(ring[2]); info.Used {
+		t.Error("second chance did not clear the used bit")
+	}
+	choose(ring[4])
+	choose(ring[0]) // wrapped past the free and wired frames
+	choose(ring[1])
+	choose(ring[2]) // its second chance is spent
+
+	for _, f := range ring {
+		if err := store.Wire(f, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pol.ChooseVictim(store); err != ErrNoVictim {
+		t.Errorf("all frames free or wired: err = %v, want ErrNoVictim", err)
+	}
+	if _, err := (FIFOPolicy{}).ChooseVictim(store); err != ErrNoVictim {
+		t.Errorf("FIFO, all frames free or wired: err = %v, want ErrNoVictim", err)
+	}
+}
+
 func TestPolicyNoCandidates(t *testing.T) {
 	store := tinyMem(t, 2, 2)
-	if _, err := (FIFOPolicy{}).ChooseVictim(nil); err != ErrNoVictim {
+	if _, err := (FIFOPolicy{}).ChooseVictim(store); err != ErrNoVictim {
 		t.Error("FIFO with no candidates should return ErrNoVictim")
 	}
-	pol := NewClockPolicy(store)
-	if _, err := pol.ChooseVictim(nil); err != ErrNoVictim {
+	var pol ClockPolicy
+	if _, err := pol.ChooseVictim(store); err != ErrNoVictim {
 		t.Error("clock with no candidates should return ErrNoVictim")
+	}
+}
+
+// TestVictimDecisionsAllocateNothing holds both levels' victim choice to
+// zero allocations on a full 256-frame, 256-block store: the freeing
+// processes make one of these per eviction.
+func TestVictimDecisionsAllocateNothing(t *testing.T) {
+	const n = 256
+	store := tinyMem(t, n, n)
+	if _, err := store.CreateSegment(1, 2*n*store.Config().PageWords); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*n; i++ {
+		pid := mem.PageID{SegUID: 1, Index: i}
+		if i >= n {
+			// Core is full: move the page i-n to the bulk store first.
+			loc, err := store.Locate(mem.PageID{SegUID: 1, Index: i - n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := store.EvictToBulk(loc.Frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := store.PageIn(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.FreeFrameCount() != 0 || store.FreeBlockCount() != 0 {
+		t.Fatalf("store not full: %d free frames, %d free blocks", store.FreeFrameCount(), store.FreeBlockCount())
+	}
+	var clock ClockPolicy
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := clock.ChooseVictim(store); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("core victim decision allocates %.1f objects, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := store.LowestBulkPage(); !ok {
+			t.Fatal("no bulk victim in a full bulk store")
+		}
+	}); a != 0 {
+		t.Errorf("bulk victim decision allocates %.1f objects, want 0", a)
 	}
 }
 

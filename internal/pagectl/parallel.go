@@ -88,7 +88,7 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 		return nil, fmt.Errorf("pagectl: bad bulk water marks %+v", cfg)
 	}
 	if policy == nil {
-		policy = NewClockPolicy(store)
+		policy = &ClockPolicy{}
 	}
 	p := &ParallelPager{store: store, sch: sch, cfg: cfg, policy: policy}
 	p.framesAvail = ipc.NewChannel("pc.frames-available", sch, nil)
@@ -118,7 +118,7 @@ func (p *ParallelPager) Stats() FaultStats { return p.stats }
 func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 	for {
 		for p.store.FreeFrameCount() < p.cfg.CoreTarget {
-			victim, err := p.policy.ChooseVictim(evictionCandidates(p.store))
+			victim, err := p.policy.ChooseVictim(p.store)
 			if err != nil {
 				// Nothing evictable right now; wait for the situation to
 				// change rather than spin.
@@ -186,8 +186,10 @@ func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 	for {
 		for p.store.FreeBlockCount() < p.cfg.BulkTarget {
-			block, err := pickBulkVictim(p.store)
-			if err != nil {
+			// The block holding the lowest-numbered page: deterministic
+			// and, because page-ins recycle blocks, roughly oldest-first.
+			block, ok := p.store.LowestBulkPage()
+			if !ok {
 				break // bulk store empty of occupied blocks
 			}
 			lat, err := p.store.BulkToDisk(block)

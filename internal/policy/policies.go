@@ -2,7 +2,6 @@ package policy
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -185,20 +184,15 @@ var _ pagectl.VictimPolicy = (*RingPolicy)(nil)
 // NewRingPolicy returns the adapter.
 func NewRingPolicy(d *Domain) *RingPolicy { return &RingPolicy{Domain: d} }
 
-// ChooseVictim implements pagectl.VictimPolicy.
-func (r *RingPolicy) ChooseVictim(candidates []mem.Frame) (mem.FrameID, error) {
-	if len(candidates) == 0 {
-		return 0, pagectl.ErrNoVictim
-	}
-	choice, err := r.Domain.Choose()
-	if err == nil {
-		for _, c := range candidates {
-			if c.ID == choice {
-				return choice, nil
-			}
+// ChooseVictim implements pagectl.VictimPolicy. The policy's choice is
+// checked against live frame state: it must name a frame in range that is
+// occupied and unwired, whatever the policy claims.
+func (r *RingPolicy) ChooseVictim(store *mem.Store) (mem.FrameID, error) {
+	if choice, err := r.Domain.Choose(); err == nil {
+		if info, err := store.FrameInfo(choice); err == nil && info.Evictable() {
+			return choice, nil
 		}
-		err = fmt.Errorf("policy chose non-candidate frame %d", choice)
 	}
 	r.Fallbacks++
-	return r.fallback.ChooseVictim(candidates)
+	return r.fallback.ChooseVictim(store)
 }

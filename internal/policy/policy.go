@@ -73,7 +73,7 @@ func (m *Mechanism) Procedure() *machine.Procedure {
 				if len(args) != 0 {
 					return nil, errors.New("pgm_$frame_count: no arguments expected")
 				}
-				return []uint64{uint64(len(m.store.Frames()))}, nil
+				return []uint64{uint64(m.store.Config().CoreFrames)}, nil
 			},
 			EntryUsage: func(_ *machine.ExecContext, args []uint64) ([]uint64, error) {
 				f, err := m.frameArg("pgm_$usage", args)
@@ -152,7 +152,7 @@ func (m *Mechanism) frameArg(gateName string, args []uint64) (mem.FrameID, error
 		return 0, fmt.Errorf("%s: want 1 argument, got %d", gateName, len(args))
 	}
 	f := mem.FrameID(args[0])
-	if int(f) < 0 || int(f) >= len(m.store.Frames()) {
+	if int(f) < 0 || int(f) >= m.store.Config().CoreFrames {
 		m.DeniedInvalid++
 		return 0, fmt.Errorf("%s: frame %d out of range", gateName, f)
 	}

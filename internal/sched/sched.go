@@ -89,6 +89,9 @@ type Process struct {
 	yield  chan struct{}
 
 	blockReason string
+	// sleepFor is the length of the Sleep the process is blocked in, or 0;
+	// BlockReason formats it only when asked.
+	sleepFor int64
 	// Bindings counts how many times layer 2 bound this process to a VP.
 	Bindings int64
 	// CPUCycles is the total cycles this process has consumed.
@@ -99,7 +102,12 @@ type Process struct {
 func (p *Process) State() ProcState { return p.state }
 
 // BlockReason returns why the process is blocked (empty if not blocked).
-func (p *Process) BlockReason() string { return p.blockReason }
+func (p *Process) BlockReason() string {
+	if p.sleepFor > 0 {
+		return fmt.Sprintf("sleep %d", p.sleepFor)
+	}
+	return p.blockReason
+}
 
 type timer struct {
 	at   int64
@@ -258,6 +266,7 @@ func (s *Scheduler) Unblock(p *Process) {
 	}
 	p.state = StateReady
 	p.blockReason = ""
+	p.sleepFor = 0
 	if p.vp != nil && p.vp.Dedicated {
 		return // dedicated processes stay bound; readiness is enough
 	}
@@ -484,8 +493,15 @@ func (pc *ProcCtx) Block(reason string) {
 	if pc.direct {
 		panic(fmt.Sprintf("sched: direct context %q cannot block (%s)", pc.p.Name, reason))
 	}
+	pc.block(reason, 0)
+}
+
+// block suspends the process with the reason BlockReason will report:
+// reason itself, or "sleep <sleepFor>" when sleepFor is positive.
+func (pc *ProcCtx) block(reason string, sleepFor int64) {
 	pc.p.state = StateBlocked
 	pc.p.blockReason = reason
+	pc.p.sleepFor = sleepFor
 	pc.yieldToScheduler()
 }
 
@@ -504,7 +520,7 @@ func (pc *ProcCtx) Sleep(d int64) {
 	}
 	pc.s.seq++
 	heap.Push(&pc.s.timers, &timer{at: pc.s.Clock.Now() + d, seq: pc.s.seq, proc: pc.p})
-	pc.Block(fmt.Sprintf("sleep %d", d))
+	pc.block("", d)
 }
 
 // Wakeup unblocks target. This is the base-level IPC primitive; the event

@@ -213,6 +213,35 @@ func TestBlockedProcessesReported(t *testing.T) {
 	}
 }
 
+func TestSleepBlockReason(t *testing.T) {
+	s := newSched()
+	defer s.Shutdown()
+	s.AddVP("cpu-a", false)
+	sleeper := s.Spawn("sleeper", func(pc *ProcCtx) {
+		pc.Sleep(50)
+		pc.Block("woken, then stuck")
+	})
+	napper := s.Spawn("napper", func(pc *ProcCtx) { pc.Sleep(20) })
+	for len(s.BlockedProcesses()) < 2 {
+		if !s.Step() {
+			t.Fatal("ran out of work before both processes slept")
+		}
+	}
+	if got := sleeper.BlockReason(); got != "sleep 50" {
+		t.Errorf("sleeping: reason = %q", got)
+	}
+	if got := napper.BlockReason(); got != "sleep 20" {
+		t.Errorf("napping: reason = %q", got)
+	}
+	s.Run(0)
+	if got := sleeper.BlockReason(); got != "woken, then stuck" {
+		t.Errorf("blocked after the timer: reason = %q", got)
+	}
+	if got := napper.BlockReason(); got != "" {
+		t.Errorf("finished after the timer: reason = %q, want empty", got)
+	}
+}
+
 func TestAtTimerFires(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()

@@ -1,37 +1,37 @@
 #!/bin/sh
 # Run the full benchmark suite and archive the results as structured JSON
-# in BENCH_<yyyymmdd>.json at the repository root, so perf regressions can
-# be diffed across commits. Wall time, allocations, and the simulation's
-# own metrics (vcycles/call, req/kvcycle, ...) are all captured.
-# After archiving, a delta report compares ns/op against the previous
-# archive (an earlier run today, or else the most recent BENCH_*.json).
+# in BENCH_<commit>.json at the repository root, keyed by the short hash
+# of HEAD, so perf regressions can be diffed across commits and two
+# commits benchmarked on one day keep separate archives. Wall time,
+# allocations, and the simulation's own metrics (vcycles/call,
+# req/kvcycle, ...) are all captured. After archiving, a delta report
+# compares ns/op against a baseline archive: the parent commit's when one
+# exists, else the newest other archive.
 #
 # Usage: scripts/bench.sh [bench-regex]   (default: all benchmarks)
 set -eu
 cd "$(dirname "$0")/.."
 
 pattern="${1:-.}"
-out="BENCH_$(date +%Y%m%d).json"
+out="BENCH_$(git rev-parse --short HEAD).json"
 raw="$(mktemp)"
-snap=""
-trap 'rm -f "$raw" ${snap:+"$snap"}' EXIT
+trap 'rm -f "$raw"' EXIT
 
-# Pick the delta baseline before we overwrite anything: today's earlier
-# archive if one exists (snapshotted to a temp file), else the newest
-# archive from a previous day.
+# Pick the delta baseline: the parent commit's archive if one exists,
+# else the newest archive other than this commit's own: newest by the
+# commit that added it, then by file time for archives never committed.
 base=""
-baselabel=""
-if [ -e "$out" ]; then
-	snap="$(mktemp)"
-	cp "$out" "$snap"
-	base="$snap"
-	baselabel="$out (previous run today)"
+parent="$(git rev-parse --short HEAD^ 2>/dev/null || true)"
+if [ -n "$parent" ] && [ -e "BENCH_$parent.json" ]; then
+	base="BENCH_$parent.json"
 else
-	prevfile="$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1 || true)"
-	if [ -n "$prevfile" ]; then
-		base="$prevfile"
-		baselabel="$prevfile"
-	fi
+	for f in $(git log --format= --name-only --diff-filter=A -- 'BENCH_*.json') \
+		$(ls -t BENCH_*.json 2>/dev/null || true); do
+		if [ "$f" != "$out" ] && [ -e "$f" ]; then
+			base="$f"
+			break
+		fi
+	done
 fi
 
 go test -run '^$' -bench "$pattern" -benchmem . | tee "$raw"
@@ -99,7 +99,7 @@ fi
 # regression cannot land silently with a fresh archive.
 if [ -n "$base" ]; then
 	echo ""
-	echo "delta vs $baselabel:"
+	echo "delta vs $base:"
 	if ! awk -v limit=20 '
 	FNR == 1 { fileno++ }
 	match($0, /"name": "[^"]*"/) {
@@ -121,7 +121,7 @@ if [ -n "$base" ]; then
 	}
 	END { exit bad }
 	' "$base" "$out"; then
-		echo "bench: ns/op regression over 20% vs $baselabel (see ** lines above)" >&2
+		echo "bench: ns/op regression over 20% vs $base (see ** lines above)" >&2
 		exit 1
 	fi
 fi
