@@ -522,11 +522,12 @@ func BenchmarkAblationPolicyInRing(b *testing.B) {
 // benchGateDispatch drives one niladic user gate through the full spine
 // — counter, trace, validation, classification middleware, then the ring
 // crossing — on the cached-SDW hit path, and returns virtual cycles per
-// call. Only the machine's ring-crossing cost model advances the clock;
-// the middleware itself charges nothing, so trace-on and trace-off must
-// report the same vcycles/call (the ≤1-vcycle overhead budget on the
-// 6180 fast path holds with margin zero).
-func benchGateDispatch(b *testing.B, traceOn bool) float64 {
+// call and heap allocations per call (by testing.AllocsPerRun). Only the
+// machine's ring-crossing cost model advances the clock; the middleware
+// itself charges nothing, so trace-on and trace-off must report the same
+// vcycles/call (the ≤1-vcycle overhead budget on the 6180 fast path holds
+// with margin zero).
+func benchGateDispatch(b *testing.B, traceOn bool) (vcycles, allocs float64) {
 	b.Helper()
 	k := buildKernel(b, core.S6Restructured)
 	k.Services().Trace.SetEnabled(traceOn)
@@ -539,35 +540,45 @@ func benchGateDispatch(b *testing.B, traceOn bool) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the descriptor path so every timed call is an SDW cache hit.
-	if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-		b.Fatal(err)
-	}
-	clk := k.Services().Clock
-	start := clk.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	call := func() {
 		if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return float64(clk.Now()-start) / float64(b.N)
+	// Warm the descriptor path so every timed call is an SDW cache hit.
+	call()
+	clk := k.Services().Clock
+	start := clk.Now()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+	b.StopTimer()
+	vcycles = float64(clk.Now()-start) / float64(b.N)
+	return vcycles, testing.AllocsPerRun(2000, call)
 }
 
 // BenchmarkGateDispatch measures the instrumented kernel-crossing fast
-// path with the trace ring enabled and disabled.
+// path with the trace ring enabled and disabled. A traced call must
+// allocate nothing and cost the vcycles of an untraced one.
 func BenchmarkGateDispatch(b *testing.B) {
-	var on, off float64
+	var on, off, onAllocs float64
 	b.Run("trace-on", func(b *testing.B) {
-		on = benchGateDispatch(b, true)
+		on, onAllocs = benchGateDispatch(b, true)
 		b.ReportMetric(on, "vcycles/call")
+		b.ReportMetric(onAllocs, "allocs/call")
 	})
 	b.Run("trace-off", func(b *testing.B) {
-		off = benchGateDispatch(b, false)
+		var allocs float64
+		off, allocs = benchGateDispatch(b, false)
 		b.ReportMetric(off, "vcycles/call")
+		b.ReportMetric(allocs, "allocs/call")
 	})
 	if on != off {
 		b.Fatalf("trace ring changed the virtual cost of a gate call: on %.1f, off %.1f", on, off)
+	}
+	if onAllocs != 0 {
+		b.Fatalf("traced gate dispatch allocates %.1f objects/call, want 0", onAllocs)
 	}
 }
 
@@ -924,82 +935,4 @@ func BenchmarkE18PathResolution(b *testing.B) {
 		})
 	}
 	h.SetCacheEnabled(true)
-}
-
-// BenchmarkE20EngineDispatch proves the two performance claims the
-// execution-engine restructuring makes. First, the gate-dispatch hot
-// path allocates nothing: the processor reuses a depth-indexed
-// ExecContext cache and a per-context result arena, and the trace ring
-// publishes into pre-allocated value slots, so a traced niladic gate
-// call touches no heap. Second, the batch seam turns one backing-store
-// round trip per evicted page into one per quantum — measured by
-// running the E20 engine workload with the batched flusher and with a
-// frame-at-a-time flusher over identical staged work.
-func BenchmarkE20EngineDispatch(b *testing.B) {
-	defer debug.SetGCPercent(debug.SetGCPercent(1000))
-
-	k := buildKernel(b, core.S6Restructured)
-	k.Services().Trace.SetEnabled(true)
-	p, err := k.CreateProcess("bench", acl.Principal{Person: "Bench", Project: "Perf", Tag: "a"},
-		mls.NewLabel(mls.Unclassified), machine.UserRing)
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := k.Services().UserGates.EntryIndex("hcs_$get_system_info")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-		b.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-			b.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		b.Fatalf("traced gate dispatch allocates %.1f objects/call, want 0", allocs)
-	}
-
-	batchedTrips, batchedPages, err := experiments.E20PageOutTrips(8, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	perTrips, perPages, err := experiments.E20PageOutTrips(8, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if batchedPages == 0 || batchedPages != perPages {
-		b.Fatalf("arms paged out different work: batched %d pages, per-page %d", batchedPages, perPages)
-	}
-	if ratio := float64(perTrips) / float64(batchedTrips); ratio < 3 {
-		b.Fatalf("batched page-out saved only %.1fx backing round trips (%d vs %d), want >= 3x",
-			ratio, batchedTrips, perTrips)
-	}
-
-	b.Run("gate-dispatch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(allocs, "allocs/call")
-	})
-	for _, arm := range []struct {
-		name    string
-		batched bool
-		trips   int64
-	}{
-		{"pageout-batched", true, batchedTrips},
-		{"pageout-perpage", false, perTrips},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := experiments.E20PageOutTrips(8, arm.batched); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(arm.trips), "backing-trips")
-		})
-	}
 }

@@ -19,12 +19,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"repro/internal/blockstore"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/mem"
 )
@@ -54,17 +57,16 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit one JSON object instead of text")
 	flag.Parse()
 	if *storePath == "" {
-		fmt.Fprintln(os.Stderr, "ckpt: -store is required")
-		flag.Usage()
-		os.Exit(2)
+		cliutil.Exit2("ckpt", errors.New("-store is required"))
 	}
-	if err := run(*storePath, *verify, *asJSON); err != nil {
+	if err := run(os.Stdout, *storePath, *verify, *asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "ckpt: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, verify, asJSON bool) error {
+// run inspects the journal at path and writes the report to w.
+func run(w io.Writer, path string, verify, asJSON bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -94,13 +96,13 @@ func run(path string, verify, asJSON bool) error {
 	}
 
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			return err
 		}
 	} else {
-		printText(doc)
+		printText(w, doc)
 	}
 	if verify && (doc.Verify == nil || !doc.Verify.OK) {
 		return fmt.Errorf("verification failed: %s", doc.Verify.Detail)
@@ -141,17 +143,18 @@ func verifyCheckpoint(bs *blockstore.Store, man *core.Manifest) *verifyResult {
 	return v
 }
 
-func printText(doc inspection) {
+func printText(w io.Writer, doc inspection) {
 	rec, st := doc.Recovery, doc.Stats
 	tear := "none"
 	if rec.Truncated {
 		tear = fmt.Sprintf("%dB torn (journal would recover at %dB)", rec.TornBytes, rec.JournalSize)
 	}
-	fmt.Printf("journal  %s: %dB, %d records (%d writes, %d dedup maps, %d frees, %d checkpoints, %d reverts), tail: %s\n",
-		doc.Journal, doc.Bytes, rec.Records, rec.Writes, rec.Maps, rec.Frees, rec.Checkpoints, rec.Reverts, tear)
-	fmt.Printf("store    %d live blocks, %d distinct contents\n", st.Blocks, st.ContentBlocks)
+	// A batch group is one record; its entries count as writes and maps.
+	fmt.Fprintf(w, "journal  %s: %dB, %d records (%d batch groups, %d writes, %d dedup maps, %d frees, %d checkpoints, %d reverts), tail: %s\n",
+		doc.Journal, doc.Bytes, rec.Records, rec.Batches, rec.Writes, rec.Maps, rec.Frees, rec.Checkpoints, rec.Reverts, tear)
+	fmt.Fprintf(w, "store    %d live blocks, %d distinct contents\n", st.Blocks, st.ContentBlocks)
 	if doc.Manifest == nil {
-		fmt.Println("checkpoint  none")
+		fmt.Fprintln(w, "checkpoint  none")
 	} else {
 		man := doc.Manifest
 		pages := 0
@@ -162,7 +165,7 @@ func printText(doc inspection) {
 		if len(digest) > 16 {
 			digest = digest[:16]
 		}
-		fmt.Printf("checkpoint  vcycle %d, stage S%d, %d-word pages, %d segments, %d pages, hierarchy %s\n",
+		fmt.Fprintf(w, "checkpoint  vcycle %d, stage S%d, %d-word pages, %d segments, %d pages, hierarchy %s\n",
 			man.VCycle, man.Stage, man.PageWords, len(man.Segments), pages, digest)
 		keys := make([]string, 0, len(man.Meta))
 		for k := range man.Meta {
@@ -174,7 +177,7 @@ func printText(doc inspection) {
 			if len(v) > 48 {
 				v = fmt.Sprintf("(%d bytes)", len(v))
 			}
-			fmt.Printf("  meta %s = %s\n", k, v)
+			fmt.Fprintf(w, "  meta %s = %s\n", k, v)
 		}
 	}
 	if doc.Verify != nil {
@@ -182,11 +185,11 @@ func printText(doc inspection) {
 		if doc.Verify.OK {
 			status = "ok"
 		}
-		fmt.Printf("verify   %s: %d/%d checkpoint blocks readable, hierarchy digest ok=%v",
+		fmt.Fprintf(w, "verify   %s: %d/%d checkpoint blocks readable, hierarchy digest ok=%v",
 			status, doc.Verify.BlocksReadable, doc.Verify.BlocksChecked, doc.Verify.HierarchyOK)
 		if doc.Verify.Detail != "" {
-			fmt.Printf(" (%s)", doc.Verify.Detail)
+			fmt.Fprintf(w, " (%s)", doc.Verify.Detail)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"repro/internal/mem"
 )
 
-// Batched transfers: one scheduling quantum's page-outs become ONE
-// journal record (kindBatch) instead of one kindWrite/kindMap record per
-// page — one frame, one CRC, one append, and at most one media flush for
-// the whole group. Dedup still applies per entry: content already in the
-// store (or earlier in the same batch) is recorded as a reference, not a
-// second copy.
+// Batched transfers: a checkpoint flushes each segment's materialized
+// pages (mem.Store.FlushSegment) as ONE journal record (kindBatch)
+// instead of one kindWrite/kindMap record per page — one frame, one CRC,
+// one append, and at most one media flush for the whole group. Dedup
+// still applies per entry: content already in the store (or earlier in
+// the same batch) is recorded as a reference, not a second copy.
 
 // WriteBlocks implements mem.BackingStore natively. The batch is
 // all-or-nothing: collisions are detected for every entry before any
@@ -74,6 +74,8 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 // ReadBlocks implements mem.BackingStore natively: one lock acquisition
 // serves the whole batch, and the all-or-nothing check runs before any
 // live mapping is dropped. Reads are not journaled, same as ReadBlock.
+// No kernel path calls it; the benchmark in perfbench reaches it through
+// the interface.
 func (s *Store) ReadBlocks(pids []mem.PageID) ([][]uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,5 +1,5 @@
 // Package cliutil is the shared flag-validation discipline of the
-// repository's command-line drivers (loadgen, metricsdump, gateaudit).
+// repository's command-line drivers (loadgen, metricsdump, gateaudit, ckpt).
 // Each driver declares its constraints as a table of Rules — predicate
 // plus usage message — and turns the first violation into the uniform
 // exit path: "<prog>: <message>" on stderr, the flag usage text, exit

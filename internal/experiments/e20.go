@@ -1,357 +1,108 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/mls"
-	"repro/internal/pagectl"
-	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
-// E20 is the deterministic-parallel-execution experiment: the same mixed
-// kernel workload — gate calls through the full middleware spine,
-// page-outs staged against the batch seam, interrupt raise/deliver
-// traffic — runs on the execution engine at 1, 2, and 8 workers, and the
-// committed transcript must be byte-identical, with the clock to the
-// cycle, while the per-worker slice counters prove the work was actually
-// spread across the pool. A second arm flushes the same staged page-outs
-// one frame at a time, which measures what the batch seam saves: one
-// backing-store round trip per quantum instead of one per page.
-const (
-	e20Quantum   = 64
-	e20GateTasks = 6
-	e20PageTasks = 4
-	e20Rounds    = 24
-	e20Pulses    = 12
-)
+// E20 pins the cost of observing the gate spine: a traced niladic gate
+// call allocates no heap object and charges the same virtual cycles as
+// an untraced one. The processor reuses a depth-indexed ExecContext
+// cache and result arena, the trace ring publishes event values into
+// pre-allocated slots, and the middleware never advances the clock.
+const e20Calls = 2000
 
-// e20Counting wraps the kernel's backing store and counts round trips:
-// each single-block call is one trip, each batch call is one trip
-// regardless of size. All backing traffic in this workload happens in
-// the engine's single-threaded barrier phase, so a plain counter is
-// race-free.
-type e20Counting struct {
-	mem.BackingStore
-	trips int64
+// e20Arm is one arm's measurement over e20Calls calls.
+type e20Arm struct {
+	allocs uint64 // heap allocations per call
+	cycles int64  // virtual cycles for all calls
+	events uint64 // events the trace ring accepted
 }
 
-func (c *e20Counting) ReadBlock(pid mem.PageID) ([]uint64, error) {
-	c.trips++
-	return c.BackingStore.ReadBlock(pid)
+// e20Measure times e20Calls calls of call with the trace ring on or off.
+// The first call warms the descriptor path and stays outside the count,
+// so every counted call is an SDW cache hit. Allocations are counted by
+// testing.AllocsPerRun's rule: GOMAXPROCS 1, the Mallocs delta, and an
+// integer average, so a stray background allocation rounds away instead
+// of failing the sweep.
+func e20Measure(svc core.Services, traced bool, call func() error) (e20Arm, error) {
+	svc.Trace.SetEnabled(traced)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := call(); err != nil {
+		return e20Arm{}, err
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, start, written := ms.Mallocs, svc.Clock.Now(), svc.Trace.Written()
+	for i := 0; i < e20Calls; i++ {
+		if err := call(); err != nil {
+			return e20Arm{}, err
+		}
+	}
+	arm := e20Arm{cycles: svc.Clock.Now() - start, events: svc.Trace.Written() - written}
+	runtime.ReadMemStats(&ms)
+	arm.allocs = (ms.Mallocs - mallocs) / e20Calls
+	return arm, nil
 }
 
-func (c *e20Counting) WriteBlock(pid mem.PageID, data []uint64) error {
-	c.trips++
-	return c.BackingStore.WriteBlock(pid, data)
-}
-
-func (c *e20Counting) ReadBlocks(pids []mem.PageID) ([][]uint64, error) {
-	c.trips++
-	return c.BackingStore.ReadBlocks(pids)
-}
-
-func (c *e20Counting) WriteBlocks(writes []mem.BlockWrite) error {
-	c.trips++
-	return c.BackingStore.WriteBlocks(writes)
-}
-
-// e20Digest folds committed events into a chained hash, exactly the
-// transcript the determinism claim is about: commit order and every
-// field that reaches the spine.
-type e20Digest struct {
-	h     [32]byte
-	count int
-}
-
-func (d *e20Digest) Record(ev trace.Event) {
-	line := fmt.Sprintf("%x|%d|%s|%d|%d|%d|%d|%d",
-		d.h, ev.Stage, ev.Name, ev.Ring, ev.Subject, ev.Arg, ev.Cost, ev.At)
-	d.h = sha256.Sum256([]byte(line))
-	d.count++
-}
-
-// e20Result is one engine run's outcome.
-type e20Result struct {
-	Digest     [32]byte
-	Events     int
-	Clock      int64
-	Workers    []sched.WorkerStats
-	Trips      int64 // backing-store round trips during the run
-	PagesOut   int64 // pages written to the backing store
-	Batches    int64 // non-empty barrier flushes
-	GateCalls  int64
-	Interrupts int64
-}
-
-// e20Run executes the mixed workload at the given engine parallelism.
-// When batched is false the staged page-outs are flushed one frame at a
-// time — same staging, same barrier, one backing round trip per page.
-func e20Run(workers int, batched bool) (*e20Result, error) {
-	mc := mem.DefaultConfig()
-	mc.CoreFrames = 1024
-	mc.BulkBlocks = 256
-	counter := &e20Counting{BackingStore: mem.NewMemStore()}
-	mc.Backing = counter
-	k, err := core.New(core.Config{Stage: core.S6Restructured, Mem: &mc})
+// E20TracedGateDispatch regenerates the traced-dispatch claim: with the
+// trace ring on, every call of hcs_$get_system_info is recorded, makes
+// zero heap allocations, and costs the vcycles of a call with the ring
+// off.
+func E20TracedGateDispatch() Report {
+	claim := "every kernel entry passes through a gate, so auditing the gates must not perturb them: " +
+		"a traced gate call costs exactly what an untraced one costs"
+	fail := func(err error) Report {
+		return Report{PaperClaim: claim, Measured: err.Error()}
+	}
+	k, err := core.New(core.Config{Stage: core.S6Restructured})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	defer k.Shutdown()
-	store := k.Services().Store
-
-	clk := machine.NewClock()
-	sink := &e20Digest{}
-	e, err := sched.NewEngine(sched.EngineConfig{
-		Workers: workers, Quantum: e20Quantum, Clock: clk, Sink: sink,
-	})
+	svc := k.Services()
+	p, err := k.CreateProcess("e20", acl.Principal{Person: "Audit", Project: "E20", Tag: "a"},
+		mls.NewLabel(mls.Unclassified), machine.UserRing)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-
-	res := &e20Result{}
-
-	// Gate tasks: each owns a process whose processor clock is re-homed
-	// onto the task clock, and whose gate trace events route into the
-	// task's effect buffer (machine.Processor.SetGateSink), so the full
-	// middleware spine runs concurrently yet commits deterministically.
-	gateNames := []string{"hcs_$get_system_info", "hcs_$total_cpu_time", "hcs_$get_authorization"}
-	for i := 0; i < e20GateTasks; i++ {
-		i := i
-		p, err := k.CreateProcess(fmt.Sprintf("e20-gate%d", i),
-			acl.Principal{Person: "Engine", Project: "E20", Tag: "a"},
-			mls.NewLabel(mls.Unclassified), machine.UserRing)
-		if err != nil {
-			return nil, err
-		}
-		rounds := 0
-		wired := false
-		e.AddTask(fmt.Sprintf("gate%d", i), 2, func(tc *sched.TaskCtx) sched.TaskStatus {
-			if !wired {
-				p.CPU.Clock = tc.Clock()
-				p.CPU.SetGateSink(trace.SinkFunc(func(ev trace.Event) { tc.Emit(ev) }))
-				wired = true
-			}
-			rounds++
-			if _, err := p.CallGate(gateNames[(i+rounds)%len(gateNames)]); err != nil {
-				tc.Emit(trace.Event{Stage: trace.StageSched, Name: "gate-error", Subject: uint64(i)})
-				return sched.TaskDone
-			}
-			tc.Defer(func() { res.GateCalls++ }) // counted in the single-threaded commit phase
-			tc.Consume(3)
-			if rounds >= e20Rounds {
-				return sched.TaskDone
-			}
-			return sched.TaskRunnable
-		})
-	}
-
-	// Page tasks: fresh page per round, staged for eviction from the
-	// commit phase. The flusher is the arms' only difference.
-	var staged []mem.FrameID
-	bp := pagectl.NewBatchPager(store)
-	if batched {
-		bp.Attach(e)
-	} else {
-		e.AddFlusher("pagectl.perpage", func() (int64, error) {
-			var total int64
-			for _, f := range staged {
-				lat, err := store.EvictToDisk(f)
-				if err != nil {
-					return 0, err
-				}
-				total += lat
-				res.PagesOut++
-				res.Batches++
-			}
-			staged = staged[:0]
-			return total, nil
-		})
-	}
-	for i := 0; i < e20PageTasks; i++ {
-		i := i
-		uid := uint64(9000 + i)
-		if _, err := store.CreateSegment(uid, (e20Rounds+1)*mc.PageWords); err != nil {
-			return nil, err
-		}
-		rounds := 0
-		e.AddTask(fmt.Sprintf("pager%d", i), 1, func(tc *sched.TaskCtx) sched.TaskStatus {
-			rounds++
-			pid := mem.PageID{SegUID: uid, Index: rounds}
-			f, _, err := store.PageIn(pid)
-			if err != nil {
-				tc.Emit(trace.Event{Stage: trace.StageSched, Name: "page-error", Subject: uid})
-				return sched.TaskDone
-			}
-			if err := store.WriteWord(f, 0, uint64(rounds)); err != nil {
-				return sched.TaskDone
-			}
-			tc.Consume(2)
-			tc.Emit(trace.Event{Stage: trace.StageSched, Name: "pageout", Subject: uid, Arg: uint64(rounds)})
-			if batched {
-				tc.Defer(func() { bp.Stage(f) })
-			} else {
-				tc.Defer(func() { staged = append(staged, f) })
-			}
-			if rounds >= e20Rounds {
-				return sched.TaskDone
-			}
-			return sched.TaskRunnable
-		})
-	}
-
-	// Interrupt traffic: a ticker raises a pulse every quantum; two
-	// blocked waiters are woken by the delivery handler at the boundary.
-	var waiters []*sched.Task
-	for i := 0; i < 2; i++ {
-		i := i
-		rounds := 0
-		waiters = append(waiters, e.AddTask(fmt.Sprintf("waiter%d", i), 0, func(tc *sched.TaskCtx) sched.TaskStatus {
-			rounds++
-			tc.Consume(1)
-			tc.Emit(trace.Event{Stage: trace.StageSched, Name: "woken", Subject: uint64(i), Arg: uint64(rounds)})
-			if rounds >= e20Pulses/2 {
-				return sched.TaskDone
-			}
-			return sched.TaskBlocked
-		}))
-	}
-	pulses := 0
-	e.AddTask("ticker", 0, func(tc *sched.TaskCtx) sched.TaskStatus {
-		pulses++
-		tc.Consume(2)
-		tc.Raise("pulse", uint64(pulses))
-		if pulses >= e20Pulses {
-			return sched.TaskDone
-		}
-		return sched.TaskRunnable
-	})
-	e.OnInterrupt("pulse", func(data uint64, at int64) {
-		res.Interrupts++
-		for _, w := range waiters {
-			e.Wake(w)
-		}
-	})
-
-	trips0 := counter.trips
-	if err := e.Run(0); err != nil {
-		return nil, err
-	}
-	res.Digest = sink.h
-	res.Events = sink.count
-	res.Clock = clk.Now()
-	res.Workers = e.WorkerStats()
-	res.Trips = counter.trips - trips0
-	if batched {
-		st := bp.BatchStats()
-		res.PagesOut = st.Written
-		res.Batches = st.Batches
-	}
-	return res, nil
-}
-
-// E20PageOutTrips runs the E20 workload once at the given engine
-// parallelism and reports the backing-store round trips and pages
-// written — the benchmark's hook into the batch-seam comparison.
-func E20PageOutTrips(workers int, batched bool) (trips, pages int64, err error) {
-	r, err := e20Run(workers, batched)
+	idx, err := svc.UserGates.EntryIndex("hcs_$get_system_info")
 	if err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
-	return r.Trips, r.PagesOut, nil
-}
-
-// E20DeterministicEngine regenerates the execution-engine claims:
-// byte-identical transcripts at engine parallelism 1, 2, and 8 with
-// every worker demonstrably active, and batched page control cutting
-// backing-store round trips from one per page to one per quantum.
-func E20DeterministicEngine() Report {
-	fail := func(msg string) Report {
-		return Report{
-			PaperClaim: "kernel functions restructured onto parallel processes behave identically to the sequential design",
-			Measured:   msg,
-			Pass:       false,
-		}
+	call := func() error {
+		_, err := p.CPU.Call(core.SegHCS, idx, nil)
+		return err
 	}
-
-	ref, err := e20Run(1, true)
+	on, err := e20Measure(svc, true, call)
 	if err != nil {
-		return fail(fmt.Sprintf("workers=1: %v", err))
+		return fail(err)
 	}
-	if ref.Events == 0 || ref.GateCalls == 0 || ref.PagesOut == 0 || ref.Interrupts == 0 {
-		return fail(fmt.Sprintf("degenerate reference run: %+v", ref))
+	off, err := e20Measure(svc, false, call)
+	if err != nil {
+		return fail(err)
 	}
-
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-9s %-8s %-9s %-12s %-8s %s\n",
-		"workers", "digest", "events", "clock", "worker-load", "trips", "identical")
-	workerLoad := func(ws []sched.WorkerStats) (string, bool) {
-		parts := make([]string, len(ws))
-		all := true
-		for i, w := range ws {
-			parts[i] = fmt.Sprintf("%d", w.Slices)
-			if w.Slices == 0 {
-				all = false
-			}
-		}
-		return strings.Join(parts, "/"), all
+	fmt.Fprintf(&b, "%-10s %6s %12s %13s %12s\n", "arm", "calls", "allocs/call", "vcycles/call", "gate events")
+	for _, row := range []struct {
+		name string
+		arm  e20Arm
+	}{{"traced", on}, {"untraced", off}} {
+		fmt.Fprintf(&b, "%-10s %6d %12d %13.1f %12d\n",
+			row.name, e20Calls, row.arm.allocs, float64(row.arm.cycles)/e20Calls, row.arm.events)
 	}
-	load1, _ := workerLoad(ref.Workers)
-	fmt.Fprintf(&b, "%-8d %-9x %-8d %-9d %-12s %-8d %s\n",
-		1, ref.Digest[:4], ref.Events, ref.Clock, load1, ref.Trips, "(reference)")
-
-	identical, spread := true, true
-	for _, workers := range []int{2, 8} {
-		r, err := e20Run(workers, true)
-		if err != nil {
-			return fail(fmt.Sprintf("workers=%d: %v", workers, err))
-		}
-		same := r.Digest == ref.Digest && r.Events == ref.Events && r.Clock == ref.Clock
-		load, allActive := workerLoad(r.Workers)
-		if !same {
-			identical = false
-		}
-		if !allActive {
-			spread = false
-		}
-		fmt.Fprintf(&b, "%-8d %-9x %-8d %-9d %-12s %-8d %v\n",
-			workers, r.Digest[:4], r.Events, r.Clock, load, r.Trips, same)
-	}
-
-	// The batch seam: same workload, page-outs flushed one frame at a
-	// time. Staging is identical, so the trip counts isolate the seam.
-	per, err := e20Run(1, false)
-	if err != nil {
-		return fail(fmt.Sprintf("per-page arm: %v", err))
-	}
-	perDet, err := e20Run(8, false)
-	if err != nil {
-		return fail(fmt.Sprintf("per-page arm workers=8: %v", err))
-	}
-	perSame := per.Digest == perDet.Digest && per.Clock == perDet.Clock
-	ratio := float64(per.Trips) / float64(ref.Trips)
-	fmt.Fprintf(&b, "\npage-outs: %d pages in %d batched trips vs %d per-page trips (%.1fx fewer round trips)\n",
-		ref.PagesOut, ref.Trips, per.Trips, ratio)
-	fmt.Fprintf(&b, "gate calls through the spine: %d; interrupts delivered: %d; per-page arm deterministic: %v\n",
-		ref.GateCalls, ref.Interrupts, perSame)
-
-	batchedWin := ratio >= 3 && ref.PagesOut == per.PagesOut && ref.PagesOut > 0
-	pass := identical && spread && perSame && batchedWin
 	return Report{
-		PaperClaim: "page control restructured onto dedicated parallel processes handles the same fault " +
-			"traffic with no observable behavior change; batching the transfers removes the per-page " +
-			"round trips the old organization paid",
-		Table: b.String(),
-		Measured: fmt.Sprintf(
-			"digests identical across engine workers 1/2/8: %v; all workers active: %v; "+
-				"batched page-out used %.1fx fewer backing round trips (%d vs %d for %d pages)",
-			identical, spread, ratio, ref.Trips, per.Trips, ref.PagesOut),
-		Pass: pass,
+		PaperClaim: claim,
+		Table:      b.String(),
+		Measured: fmt.Sprintf("traced gate call: %d allocs/call, %.1f vcycles/call vs %.1f untraced, %d of %d calls traced",
+			on.allocs, float64(on.cycles)/e20Calls, float64(off.cycles)/e20Calls, on.events, e20Calls),
+		Pass: on.allocs == 0 && on.cycles > 0 && on.cycles == off.cycles &&
+			on.events == e20Calls && off.events == 0,
 	}
 }

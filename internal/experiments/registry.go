@@ -47,7 +47,7 @@ var registry = []Experiment{
 	{ID: "E17", Title: "fleet: consistent-hash sharding and live migration across kernels", InRunAll: true, run: E17FleetScaling},
 	{ID: "E18", Title: "hierarchy at scale: revocation-safe resolution caches over a million segments", run: E18HierarchyScale},
 	{ID: "E19", Title: "Checkpoint, torn-write crash, restore", run: E19CheckpointRestore},
-	{ID: "E20", Title: "Deterministic parallel execution engine", InRunAll: true, run: E20DeterministicEngine},
+	{ID: "E20", Title: "traced gate dispatch: zero allocations, zero added vcycles", InRunAll: true, run: E20TracedGateDispatch},
 	{ID: "E21", Title: "Persona workloads and adversarial fuzzing", InRunAll: true, run: E21PersonaWorkloads},
 	{ID: "A1", Title: "ablation: performance cost of the policy/mechanism ring split", Ablation: true, run: A1SecurityCost},
 	{ID: "A2", Title: "ablation: free-pool water marks of the parallel page control", Ablation: true, run: A2WaterMarks},

@@ -36,14 +36,15 @@ type BlockWrite struct {
 }
 
 // BackingStore is the durable block layer under the memory hierarchy. All
-// implementations must be safe for concurrent use; the store calls them
-// from every worker.
+// implementations must be safe for concurrent use, because Store is: it
+// calls its backing store from whichever goroutines call it.
 //
-// The batch methods (ReadBlocks/WriteBlocks) exist so page control can
-// coalesce the faults of one scheduling quantum into a single round trip
-// to the device: one lock acquisition for the volatile store, one journal
-// record group for the durable one. Implementations that have no batching
-// advantage can loop.
+// WriteBlocks exists for the checkpoint flush (Store.FlushSegment), which
+// writes each segment's materialized pages as one round trip: one lock
+// acquisition for the volatile store, one journal record group for the
+// durable one. ReadBlocks has no caller in the kernel; it stays because
+// the benchmark in perfbench wraps the whole interface. Implementations
+// that have no batching advantage can loop.
 type BackingStore interface {
 	// ReadBlock returns a copy of pid's block and drops the live mapping.
 	// Returns ErrNoBlock if the store holds no block for pid.

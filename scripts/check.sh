@@ -162,32 +162,26 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-echo "== engine-determinism lint"
-# The execution engine's determinism guarantee (byte-identical
-# transcripts at any worker count) forbids three things in engine code:
-# wall-clock reads (time.Now), unseeded randomness (math/rand), and
-# goroutines launched anywhere but the one barrier-protected site in
-# engineworkers.go. Tests may sleep to simulate stalls, but engine
-# sources themselves must be pure functions of the virtual clock.
-# The persona workload sources are held to the same bar: every persona
-# decision must be a pure seeded hash, or replay digests drift with
-# parallelism and kernel count.
+echo "== persona-determinism lint"
+# Every persona decision must be a pure seeded hash, or replay digests
+# drift with parallelism and kernel count. The persona workload sources
+# therefore may not read the wall clock (time.Now), draw unseeded
+# randomness (math/rand) or start goroutines. A listed file that does
+# not exist fails the lint, so a rename cannot switch the rule off.
 bad=""
-for f in internal/sched/engine.go internal/pagectl/batch.go \
-	internal/workload/persona.go internal/workload/scenario.go; do
+for f in internal/workload/persona.go internal/workload/scenario.go; do
+	if [ ! -f "$f" ]; then
+		echo "persona-determinism lint: $f not found" >&2
+		exit 1
+	fi
 	hits=$(grep -n 'time\.Now\|math/rand\|^\s*go \|[^a-zA-Z]go func' "$f" || true)
 	if [ -n "$hits" ]; then
 		bad="$bad
 $(printf '%s' "$hits" | sed "s|^|$f:|")"
 	fi
 done
-hits=$(grep -n 'time\.Now\|math/rand' internal/sched/engineworkers.go || true)
-if [ -n "$hits" ]; then
-	bad="$bad
-$(printf '%s' "$hits" | sed 's|^|internal/sched/engineworkers.go:|')"
-fi
 if [ -n "$bad" ]; then
-	echo "nondeterminism in execution-engine sources (wall clock / rand / stray goroutine):$bad" >&2
+	echo "nondeterminism in persona workload sources (wall clock / rand / goroutine):$bad" >&2
 	exit 1
 fi
 
