@@ -25,7 +25,7 @@
 // the given mean gap). Persona definitions fix each session's shape,
 // so -steps, -burst and -users do not combine with -scenario. All
 // persona decisions are pure seeded hashes: the transcript digest is
-// byte-identical at any -par and any -kernels count.
+// byte-identical across runs and at any -kernels count.
 //
 // With -compare the same scripts are replayed against the pre-S5 legacy
 // per-device drivers (fixed circular buffers, silent overwrites counted
@@ -84,9 +84,8 @@ import (
 // options is the parsed flag set, separated from flag.Parse so the
 // validation below is testable without forking a process.
 type options struct {
-	n, steps, burst, users int
-	par, stage             int
-	faultRate              float64
+	n, steps, burst, users, stage int
+	faultRate                     float64
 	// faultSeedSet records whether -fault-seed appeared on the command
 	// line at all (its value is meaningful only with -fault-rate > 0).
 	faultSeedSet bool
@@ -120,7 +119,6 @@ func validate(o options) error {
 		cliutil.AtLeast("steps", o.steps, 1, "one request per session"),
 		cliutil.NonNegative("burst", o.burst),
 		cliutil.NonNegative("users", o.users),
-		cliutil.AtLeast("par", o.par, 1, "one worker"),
 		cliutil.Probability("fault-rate", o.faultRate),
 		cliutil.Rule{Bad: o.faultSeedSet && o.faultRate == 0,
 			Msg: "-fault-seed without -fault-rate > 0: the seed selects a fault plan, but no faults were requested"},
@@ -243,10 +241,9 @@ func buildScenario(o options, seed int64) *workload.Scenario {
 	if o.scenario == "" {
 		return workload.NewScenario("storm", seed).
 			Mix(workload.Stormer(o.steps, o.burst, o.users), 1).
-			Sessions(o.n).
-			Parallel(o.par)
+			Sessions(o.n)
 	}
-	sc := workload.NewScenario(o.scenario, seed).Sessions(o.n).Parallel(o.par)
+	sc := workload.NewScenario(o.scenario, seed).Sessions(o.n)
 	mix, _ := parseMix(o.mix)
 	for _, e := range mix {
 		sc.Mix(e.persona, e.weight)
@@ -263,7 +260,6 @@ func main() {
 	burst := flag.Int("burst", 0, "requests fired back-to-back per connection (default: steps)")
 	users := flag.Int("users", 0, "distinct accounts (default: min(n, 8))")
 	seed := flag.Int64("seed", 75, "script generator seed")
-	par := flag.Int("par", 1, "worker goroutines replaying the connections")
 	stage := flag.Int("stage", int(core.S6Restructured), "kernel stage (0..6)")
 	compare := flag.Bool("compare", false, "also replay the same storm on the legacy S0 path")
 	faultRate := flag.Float64("fault-rate", 0, "uniform fault-injection rate in [0, 1]; 0 disables the fault plane")
@@ -282,7 +278,7 @@ func main() {
 
 	o := options{
 		n: *n, steps: *steps, burst: *burst, users: *users,
-		par: *par, stage: *stage, faultRate: *faultRate,
+		stage: *stage, faultRate: *faultRate,
 		scenario: *scenario, mix: *mix, arrival: *arrival,
 		metricsEvery: *metricsEvery,
 		kernels:      *kernels, migrateEvery: *migrateEvery,

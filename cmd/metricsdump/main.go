@@ -37,7 +37,6 @@ func main() {
 	n := flag.Int("n", 32, "concurrent connections in the workload")
 	steps := flag.Int("steps", 16, "requests per session")
 	seed := flag.Int64("seed", 75, "script generator seed")
-	par := flag.Int("par", 1, "worker goroutines replaying the connections")
 	asJSON := flag.Bool("json", false, "print the snapshot as JSON instead of a table")
 	filter := flag.String("filter", "", "only print metrics whose name has this prefix")
 	sample := flag.Int64("sample", 0, "sampling period in virtual cycles (0 disables the sampler)")
@@ -47,7 +46,6 @@ func main() {
 		cliutil.InRange("stage", *stage, int(core.S0Baseline), int(core.S6Restructured)),
 		cliutil.AtLeast("n", *n, 1, "one connection"),
 		cliutil.AtLeast("steps", *steps, 1, "one request per session"),
-		cliutil.AtLeast("par", *par, 1, "one worker"),
 		cliutil.Rule{Bad: *sample < 0, Msg: fmt.Sprintf("-sample %d: cannot be negative", *sample)},
 	); err != nil {
 		cliutil.Exit2("metricsdump", err)
@@ -55,8 +53,7 @@ func main() {
 
 	sc := workload.NewScenario("metricsdump", *seed).
 		Mix(workload.Stormer(*steps, 0, 0), 1).
-		Sessions(*n).
-		Parallel(*par)
+		Sessions(*n)
 	sys, err := workload.Boot(multics.Stage(*stage), sc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "metricsdump: boot: %v\n", err)

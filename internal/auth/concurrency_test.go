@@ -104,18 +104,30 @@ func TestConcurrentFailureLockout(t *testing.T) {
 	}
 }
 
-// A password change racing a storm of logins: every login must observe
-// either the old or the new password as valid — never neither — and once
-// the change commits, the old password must fail.
+// A password change racing a storm of logins. A pair of logins (old
+// password, then new) is judged only when no change began or ended
+// around it: then the current password must work and the stale one must
+// fail. A pair that straddles a change may legitimately see neither.
+// Each change waits for a pair judged since the previous one, so the
+// storm judges at least one pair per change.
 func TestChangePasswordRacingLogin(t *testing.T) {
+	const changes = 50
 	r := NewRegistry()
 	if err := r.AddUser("Racer", "Proj", "old-password", mls.NewLabel(mls.Secret)); err != nil {
 		t.Fatal(err)
 	}
 	svc := NewService(Subsystem, r, nil)
+	// bumps counts change edges: it is odd while a ChangePassword is in
+	// flight, and bumps/2 changes have completed otherwise.
+	var (
+		mu     sync.Mutex
+		judged = sync.NewCond(&mu)
+		bumps  int
+		pairs  int
+		failed bool
+	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	errs := make(chan error, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -125,38 +137,61 @@ func TestChangePasswordRacingLogin(t *testing.T) {
 				return
 			default:
 			}
-			// Either password may be current; at least one must work.
+			mu.Lock()
+			before := bumps
+			mu.Unlock()
 			_, errOld := svc.Login("Racer", "Proj", "old-password", mls.NewLabel(mls.Unclassified))
 			_, errNew := svc.Login("Racer", "Proj", "new-password", mls.NewLabel(mls.Unclassified))
-			if errOld != nil && errNew != nil {
-				select {
-				case errs <- errors.Join(errOld, errNew):
-				default:
+			mu.Lock()
+			if bumps == before && before%2 == 0 {
+				current, stale := errOld, errNew
+				if before/2%2 == 1 {
+					current, stale = errNew, errOld
 				}
-				return
+				if !failed && (current != nil || !errors.Is(stale, ErrBadPassword)) {
+					failed = true
+					t.Errorf("after %d changes: current password = %v, stale password = %v (want nil, ErrBadPassword)",
+						before/2, current, stale)
+				}
+				pairs++
+				judged.Broadcast()
 			}
+			mu.Unlock()
 		}
 	}()
-	// Flip the password back and forth under the login storm. Note the
-	// failed Authenticate inside ChangePassword with the stale password
-	// bumps the failure counter, so reset it by succeeding with the
-	// current one (authenticateLocked zeroes failures on success) — the
-	// alternation below always authenticates with the current password.
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	// The failed Authenticate inside ChangePassword with the stale
+	// password would bump the failure counter, so the alternation below
+	// always authenticates with the current one.
 	cur, next := "old-password", "new-password"
-	for i := 0; i < 50; i++ {
-		if err := r.ChangePassword("Racer", cur, next); err != nil {
+	seen := 0
+	for i := 0; i < changes; i++ {
+		mu.Lock()
+		for pairs == seen {
+			judged.Wait()
+		}
+		bumps++
+		mu.Unlock()
+		err := r.ChangePassword("Racer", cur, next)
+		mu.Lock()
+		bumps++
+		seen = pairs
+		mu.Unlock()
+		if err != nil {
 			t.Fatalf("change %d: %v", i, err)
 		}
 		cur, next = next, cur
 	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Errorf("login found neither password valid: %v", err)
-	default:
+	mu.Lock()
+	judgedPairs := pairs
+	mu.Unlock()
+	if judgedPairs < changes {
+		t.Errorf("judged %d login pairs, want at least %d", judgedPairs, changes)
 	}
-	// After the loop cur holds whichever password the last flip installed.
+	// After the loop cur holds whichever password the last change installed.
 	if err := r.Authenticate("Racer", cur); err != nil {
 		t.Errorf("final password rejected: %v", err)
 	}

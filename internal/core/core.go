@@ -87,18 +87,13 @@ func (s Stage) String() string {
 
 // Config parameterizes kernel construction.
 type Config struct {
-	// Stage selects the kernel configuration.
+	// Stage selects the kernel configuration, and with it the machine
+	// cost model: the paper's hardware history, the 645 for S0 and the
+	// 6180 from S1 on.
 	Stage Stage
-	// Cost is the machine cost model. The zero value selects the paper's
-	// hardware history: the 645 for S0, the 6180 from S1 on.
-	Cost *machine.CostModel
 	// Mem sizes the memory hierarchy; zero value = mem.DefaultConfig
 	// scaled up for multi-process workloads.
 	Mem *mem.Config
-	// DescriptorSlots is the per-process descriptor-segment size.
-	DescriptorSlots int
-	// RootLabel is the mandatory label of the file-system root.
-	RootLabel mls.Label
 	// Faults, when non-nil, compiles a deterministic fault plan from the
 	// spec and installs its injector across the kernel's layers (backing
 	// store now; connections when a front-end wires itself in). This is
@@ -120,6 +115,9 @@ const (
 
 // ArgSegWords is the size of the argument segment.
 const ArgSegWords = 2048
+
+// descriptorSlots is the size of every process's descriptor segment.
+const descriptorSlots = 128
 
 // traceRingSize is the capacity of the kernel-crossing trace ring.
 const traceRingSize = 4096
@@ -210,12 +208,6 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 	if cfg.Stage < 0 || cfg.Stage >= NumStages {
 		return nil, fmt.Errorf("core: invalid stage %d", int(cfg.Stage))
 	}
-	if cfg.DescriptorSlots == 0 {
-		cfg.DescriptorSlots = 128
-	}
-	if cfg.DescriptorSlots < int(FirstUserSegNo)+1 {
-		return nil, fmt.Errorf("core: descriptor slots %d too small", cfg.DescriptorSlots)
-	}
 	k := &Kernel{
 		cfg:      cfg,
 		clock:    machine.NewClock(),
@@ -227,9 +219,7 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 		metrics:  metrics.New(),
 	}
 	k.metrics.SetNow(k.clock.Now)
-	if cfg.Cost != nil {
-		k.cost = *cfg.Cost
-	} else if cfg.Stage == S0Baseline {
+	if cfg.Stage == S0Baseline {
 		k.cost = machine.Model645()
 	} else {
 		k.cost = machine.Model6180()
@@ -264,7 +254,7 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 		sm.SetMetrics(k.metrics)
 	}
 	if rst == nil {
-		k.hier, err = fs.New(k.store, cfg.RootLabel)
+		k.hier, err = fs.New(k.store, mls.Label{})
 		if err != nil {
 			return nil, fmt.Errorf("core: building file hierarchy: %w", err)
 		}

@@ -56,7 +56,7 @@ func (k *Kernel) CreateProcess(name string, who acl.Principal, label mls.Label, 
 	if !ring.Valid() {
 		return nil, fmt.Errorf("core: invalid ring %d", int(ring))
 	}
-	ds := machine.NewDescriptorSegment(k.cfg.DescriptorSlots)
+	ds := machine.NewDescriptorSegment(descriptorSlots)
 	cpu := machine.NewProcessor(ds, k.clock, k.cost, ring)
 	p := &Proc{
 		Name:      name,

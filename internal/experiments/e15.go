@@ -34,12 +34,11 @@ type e15StormResult struct {
 	clean     bool   // verification pass after repair found nothing
 }
 
-func e15Storm(rate float64, parallelism int) (*e15StormResult, error) {
+func e15Storm(rate float64) (*e15StormResult, error) {
 	spec := faults.UniformSpec(e15Seed, rate, 6)
 	sc := workload.NewScenario("e15-storm", 75).
 		Mix(workload.Stormer(12, 12, 0), 1).
 		Sessions(32).
-		Parallel(parallelism).
 		Faults(&spec)
 	sys, err := workload.Boot(multics.StageIOConsolidated, sc)
 	if err != nil {
@@ -60,7 +59,7 @@ func e15Storm(rate float64, parallelism int) (*e15StormResult, error) {
 	// Reboot story: crash the hierarchy per the plan, salvage in repair
 	// mode, then verify a second walk finds nothing left to fix. The
 	// repair report's canonical rendering is what the driver compares
-	// byte for byte across parallelism.
+	// byte for byte across replays.
 	corrupted, repairRep, err := svc.Faults.CrashAndSalvage(svc.Hierarchy)
 	if err != nil {
 		return nil, err
@@ -81,7 +80,7 @@ func e15Storm(rate float64, parallelism int) (*e15StormResult, error) {
 // directories of segments plus a subdirectory each — so the simulated
 // crash has real structure to damage. Creation is sequential and always
 // issues the same calls, so the UIDs (and therefore the plan's choice of
-// crash victims) are identical across runs and parallelism levels.
+// crash victims) are identical across runs.
 func e15Populate(h *fs.Hierarchy) error {
 	who := acl.Principal{Person: "Salvage", Project: "Traffic", Tag: "a"}
 	unc := mls.NewLabel(mls.Unclassified)
@@ -233,15 +232,15 @@ func e15Interrupts(rate float64, n int) (raised, handled, lost, dup int64) {
 // E15FaultStorm exercises the deterministic fault plane end to end: the
 // same traffic mix as the performance experiments runs at fault rates
 // 0, 0.1%, and 1%, the recovery paths (page-in retry, drain-and-requeue,
-// interrupt redelivery, salvager) absorb the damage, and the transcript
-// digest at parallelism 1 and 8 under the same plan must be identical —
-// the witness that injected faults are a function of the plan, not of
-// scheduling.
+// interrupt redelivery, salvager) absorb the damage, and a replay of the
+// 1% plan must reproduce the transcript digest, the salvage report and
+// the virtual time — the witness that injected faults are a function of
+// the plan.
 func E15FaultStorm() Report {
 	rates := []float64{0, 0.001, 0.01}
 	results := make([]*e15StormResult, len(rates))
 	for i, r := range rates {
-		res, err := e15Storm(r, 1)
+		res, err := e15Storm(r)
 		if err != nil {
 			panic(err)
 		}
@@ -249,18 +248,14 @@ func E15FaultStorm() Report {
 	}
 	base := results[0]
 
-	// Determinism witness: the 1% plan replayed at parallelism 1 and 8
-	// must produce byte-identical digests and salvage outcomes.
-	par1, err := e15Storm(0.01, 1)
+	// Determinism witness: a replay of the 1% plan must reproduce the
+	// digest, the salvage outcome and the virtual time.
+	replay, err := e15Storm(0.01)
 	if err != nil {
 		panic(err)
 	}
-	par8, err := e15Storm(0.01, 8)
-	if err != nil {
-		panic(err)
-	}
-	deterministic := par1.rep.Digest == par8.rep.Digest &&
-		par1.salvage == par8.salvage
+	deterministic := replay.rep.Digest == results[2].rep.Digest &&
+		replay.salvage == results[2].salvage && replay.rep.Cycles == results[2].rep.Cycles
 
 	// Interrupt recovery at a deliberately harsh 20% loss/dup rate. After
 	// the redelivery poll, every one of the 300 interrupts must have been
@@ -296,8 +291,8 @@ func E15FaultStorm() Report {
 		c.MemIO, c.ConnResets, c.ConnStalls, c.CrashCorruptions)
 	overhead := float64(results[2].rep.Cycles-base.rep.Cycles) / float64(base.rep.Cycles) * 100
 	fmt.Fprintf(&b, "recovery overhead at 1%% faults: %+.1f%% virtual cycles over zero-fault baseline\n", overhead)
-	fmt.Fprintf(&b, "digest parallelism 1 vs 8 under 1%% plan: equal=%v (%s)\n",
-		deterministic, par1.rep.Digest[:16])
+	fmt.Fprintf(&b, "replay of the 1%% plan: digest, salvage and cycles equal=%v (%s)\n",
+		deterministic, replay.rep.Digest[:16])
 	fmt.Fprintf(&b, "interrupts: raised %d handled %d lost-then-redelivered %d duplicated %d\n",
 		raised, handled, lost, dup)
 	fmt.Fprintf(&b, "backing store at 5%% io-fault rate: %d injected failures absorbed, transcript intact=%v\n",
@@ -311,7 +306,7 @@ func E15FaultStorm() Report {
 			"failed backing-store transfers, damaged hierarchies are survived by retry, redelivery, and the salvager",
 		Table: b.String(),
 		Measured: fmt.Sprintf("survival 100%% at 1%% fault rate (%d injected); salvager clean after crash; "+
-			"digest parallelism-invariant; +%.1f%% cycle overhead",
+			"replay reproduces digest, salvage and cycles; +%.1f%% cycle overhead",
 			results[2].counts.Total(), overhead),
 		Pass: pass,
 	}

@@ -17,7 +17,7 @@ import (
 // E19 is the checkpoint/restore experiment: the durable backing store's
 // recovery contract, asserted end to end against real journal bytes.
 //
-// Two arms per parallelism level, same seed:
+// Two arms, same seed:
 //
 //   - Reference: boot over a durable blockstore, run the scripted traffic
 //     in two windows, record the transcript digest.
@@ -32,18 +32,17 @@ import (
 //
 // Claims: every acknowledged write (every page the checkpoint covered) is
 // byte-identical after recovery; the resumed transcript digest equals the
-// uninterrupted reference digest; both hold at parallelism 1 and 8.
+// uninterrupted reference digest.
 const (
 	e19Seed  = 1975
 	e19Conns = 8
 	e19Steps = 16
 )
 
-func e19Scenario(par int) *workload.Scenario {
+func e19Scenario() *workload.Scenario {
 	return workload.NewScenario("e19-storm", e19Seed).
 		Mix(workload.Stormer(e19Steps, 4, 4), 1).
-		Sessions(e19Conns).
-		Parallel(par)
+		Sessions(e19Conns)
 }
 
 // e19Pages is how many data pages each arm plants before the checkpoint.
@@ -126,8 +125,8 @@ func e19Boot(sc *workload.Scenario, media *blockstore.MemMedia) (*multics.System
 // e19Reference runs the traffic uninterrupted (same window structure as
 // the crash arm: two login sessions per connection) and returns the
 // transcript digest.
-func e19Reference(par int) (string, error) {
-	sc := e19Scenario(par)
+func e19Reference() (string, error) {
+	sc := e19Scenario()
 	sys, _, err := e19Boot(sc, blockstore.NewMemMedia())
 	if err != nil {
 		return "", err
@@ -163,8 +162,8 @@ type e19CrashResult struct {
 }
 
 // e19Crash runs the checkpoint → torn-write crash → restore arm.
-func e19Crash(par int) (*e19CrashResult, error) {
-	sc := e19Scenario(par)
+func e19Crash() (*e19CrashResult, error) {
+	sc := e19Scenario()
 	media := blockstore.NewMemMedia()
 	sys, bs, err := e19Boot(sc, media)
 	if err != nil {
@@ -258,7 +257,7 @@ func e19Crash(par int) (*e19CrashResult, error) {
 		}
 		// The restored kernel manages its own store; size core memory the
 		// way Boot would, but without re-attaching the backing store.
-		mc := workload.MemConfig(e19Scenario(par))
+		mc := workload.MemConfig(e19Scenario())
 		k2, res, oerr = core.Restore(core.Config{Mem: &mc}, bs2)
 		if oerr != nil {
 			return nil, oerr
@@ -320,43 +319,33 @@ func e19Crash(par int) (*e19CrashResult, error) {
 
 // E19CheckpointRestore regenerates the recovery claim: a checkpointed
 // system crashed mid-journal recovers every acknowledged write and
-// resumes to a transcript digest byte-identical to the uninterrupted run,
-// at parallelism 1 and 8.
+// resumes to a transcript digest byte-identical to the uninterrupted run.
 func E19CheckpointRestore() Report {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-10s %-12s %-11s %-9s %-8s %s\n",
-		"par", "digests", "acked pages", "torn bytes", "records", "salvage", "transcript")
-	pass := true
-	measured := make([]string, 0, 2)
-	for _, par := range []int{1, 8} {
-		ref, err := e19Reference(par)
-		if err != nil {
-			return e19Fail(fmt.Sprintf("reference arm (par %d): %v", par, err))
-		}
-		cr, err := e19Crash(par)
-		if err != nil {
-			return e19Fail(fmt.Sprintf("crash arm (par %d): %v", par, err))
-		}
-		identical := ref == cr.Digest
-		full := cr.RecoveredPages == cr.AckedPages && cr.AckedPages > 0
-		clean := cr.SalvageProblems == 0
-		if !identical || !full || !clean {
-			pass = false
-		}
-		fmt.Fprintf(&b, "%-6d %-10v %3d/%-8d %-11d %-9d %-8d %s\n",
-			par, identical, cr.RecoveredPages, cr.AckedPages,
-			cr.TornBytes, cr.ReplayRecords, cr.SalvageProblems, cr.Digest[:16])
-		measured = append(measured,
-			fmt.Sprintf("par %d: %d/%d acked pages recovered, digest identical %v",
-				par, cr.RecoveredPages, cr.AckedPages, identical))
+	ref, err := e19Reference()
+	if err != nil {
+		return e19Fail(fmt.Sprintf("reference arm: %v", err))
 	}
+	cr, err := e19Crash()
+	if err != nil {
+		return e19Fail(fmt.Sprintf("crash arm: %v", err))
+	}
+	identical := ref == cr.Digest
+	full := cr.RecoveredPages == cr.AckedPages && cr.AckedPages > 0
+	clean := cr.SalvageProblems == 0
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %-12s %-11s %-9s %-8s %s\n",
+		"digests", "acked pages", "torn bytes", "records", "salvage", "transcript")
+	fmt.Fprintf(&b, "%-10v %3d/%-8d %-11d %-9d %-8d %s\n",
+		identical, cr.RecoveredPages, cr.AckedPages,
+		cr.TornBytes, cr.ReplayRecords, cr.SalvageProblems, cr.Digest[:16])
 	return Report{
 		PaperClaim: "the file system can be stopped and restarted without operator intervention; " +
 			"after a crash the salvager and the backup hierarchy bring the storage system back " +
 			"to a consistent state with no acknowledged work lost",
-		Table:    b.String(),
-		Measured: strings.Join(measured, "; "),
-		Pass:     pass,
+		Table: b.String(),
+		Measured: fmt.Sprintf("%d/%d acked pages recovered, digest identical %v",
+			cr.RecoveredPages, cr.AckedPages, identical),
+		Pass: identical && full && clean,
 	}
 }
 

@@ -43,7 +43,7 @@ var registry = []Experiment{
 	{ID: "E13", Title: "network attachment under storm: borrowed processes vs dedicated front-end", InRunAll: true, run: E13NetAttach},
 	{ID: "E14", Title: "hot-path performance: associative memory + concurrent memory core", run: E14HotPathPerformance},
 	{ID: "E15", Title: "fault storm: deterministic injection + self-healing recovery paths", InRunAll: true, run: E15FaultStorm},
-	{ID: "E16", Title: "metrics plane: one registry, zero overhead, parallelism-invariant export", InRunAll: true, run: E16MetricsPlane},
+	{ID: "E16", Title: "metrics plane: one registry, zero overhead, sampler-invariant export", InRunAll: true, run: E16MetricsPlane},
 	{ID: "E17", Title: "fleet: consistent-hash sharding and live migration across kernels", InRunAll: true, run: E17FleetScaling},
 	{ID: "E18", Title: "hierarchy at scale: revocation-safe resolution caches over a million segments", run: E18HierarchyScale},
 	{ID: "E19", Title: "Checkpoint, torn-write crash, restore", run: E19CheckpointRestore},

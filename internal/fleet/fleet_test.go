@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/netattach"
@@ -192,6 +193,32 @@ func TestFleetRunDigestInvariant(t *testing.T) {
 	if digests["1-kernel"] != digests["4-kernel-migrating"] {
 		t.Errorf("digest differs under migration:\n unmigrated: %s\n migrating:  %s",
 			digests["1-kernel"], digests["4-kernel-migrating"])
+	}
+}
+
+// TestFleetRunRepeats checks a fleet replay is a function of its input:
+// E17's storm, run twice on the same fleet shape, reports the same
+// virtual time on every member, with and without a migration storm.
+func TestFleetRunRepeats(t *testing.T) {
+	run := func(kernels, migrate int) *RunReport {
+		f, err := New(Config{Kernels: kernels, Workers: 8, MaxConns: 64, MemFrames: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sc := workload.NewScenario("e17-storm", 75).Mix(workload.Stormer(8, 2, 64), 1).Sessions(64)
+		rep, err := Run(f, RunConfig{Scenario: sc, MigrateEvery: migrate})
+		if err != nil {
+			t.Fatalf("%d kernels: %v", kernels, err)
+		}
+		return rep
+	}
+	for _, tc := range []struct{ kernels, migrate int }{{1, 0}, {4, 1}} {
+		a, b := run(tc.kernels, tc.migrate), run(tc.kernels, tc.migrate)
+		if a.MaxCycles != b.MaxCycles || !reflect.DeepEqual(a.PerKernel, b.PerKernel) {
+			t.Errorf("%d kernels, migrate every %d: two replays differ:\n%d %+v\n%d %+v",
+				tc.kernels, tc.migrate, a.MaxCycles, a.PerKernel, b.MaxCycles, b.PerKernel)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
+	"hash"
 
 	"repro/internal/netattach"
 	"repro/internal/workload"
@@ -15,10 +15,9 @@ import (
 // persona mix and burst schedule are compiled exactly as the
 // single-kernel engine compiles them) plus the migration cadence.
 type RunConfig struct {
-	// Scenario is the workload to replay. Its Parallel/Trace/Faults
-	// settings are ignored — the fleet runner is goroutine-per-session,
-	// and fault plans are per-member (Config.FaultRate). For the
-	// classic storm shape use workload.Stormer with Users set to the
+	// Scenario is the workload to replay. Its Trace and Faults settings
+	// are ignored: fault plans are per-member (Config.FaultRate). For
+	// the classic storm shape use workload.Stormer with Users set to the
 	// session count, so the router spreads principals across kernels
 	// instead of piling one principal's sessions on one member.
 	Scenario *workload.Scenario
@@ -92,13 +91,15 @@ func (r RunReport) Format() string {
 }
 
 // Run replays the compiled scenario across the fleet: every session is
-// routed to its home kernel, driven by its own goroutine through its
-// burst schedule, optionally migrated between kernels mid-script, and
-// its reply transcript hashed. Per-session transcripts are pure
-// functions of the scripts, so SessionDigest is identical whether the
-// fleet has 1 kernel or 16 and whether sessions migrated zero times or
-// every burst — that is the tentpole claim E17 measures, and E21
-// extends it to mixed persona schedules.
+// routed to its home kernel, driven through its burst schedule by
+// workload.Replay on the caller's goroutine, optionally migrated between
+// kernels mid-script, and its reply transcript hashed. Per-session
+// transcripts are pure functions of the scripts, so SessionDigest is
+// identical whether the fleet has 1 kernel or 16 and whether sessions
+// migrated zero times or every burst — that is the tentpole claim E17
+// measures, and E21 extends it to mixed persona schedules. Every
+// member's virtual time is a function of the scenario, the fleet size
+// and the cadence.
 func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("fleet: RunConfig needs a Scenario")
@@ -132,8 +133,7 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	migrationsBefore := f.mMigrations.Value()
 	migFailuresBefore := f.mMigrationFailures.Value()
 
-	// Attach in script order (deterministic routing trace), then hand
-	// each session to its own goroutine.
+	// Attach in script order (deterministic routing trace).
 	sessions := make([]*Session, len(scripts))
 	for i, s := range scripts {
 		sess, err := f.Attach(s.Person, s.Project, s.Password, s.Level)
@@ -147,88 +147,51 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 		rep.PerKernel[sess.Home()].Sessions++
 	}
 
-	type tally struct {
-		sent, received, throttled int64
-		digest                    [sha256.Size]byte
-		err                       error
-	}
-	tallies := make([]tally, len(sessions))
-
-	var wg sync.WaitGroup
-	for i := range sessions {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t := &tallies[i]
-			sess, script := sessions[i], scripts[i]
-			h := sha256.New()
-			burstNo := 0
-			for _, w := range plan.Windows[i] {
-				if t.err != nil {
-					break
-				}
-				for s := w.Lo; s < w.Hi; s++ {
-					st := script.Steps[s]
-					err := sess.Conn().Send(st.Op, st.Arg)
-					switch {
-					case err == nil:
-						t.sent++
-					case errors.Is(err, netattach.ErrThrottled):
-						t.throttled++
-					default:
-						t.err = fmt.Errorf("fleet: session %d send %d: %w", i, s, err)
-					}
-				}
-				if t.err != nil {
-					break
-				}
-				if err := sess.Conn().Drain(); err != nil {
-					t.err = fmt.Errorf("fleet: session %d drain: %w", i, err)
-					break
-				}
-				for {
-					v, ok, err := sess.Conn().TryRecv()
-					if err != nil {
-						t.err = fmt.Errorf("fleet: session %d recv: %w", i, err)
-						break
-					}
-					if !ok {
-						break
-					}
-					t.received++
-					fmt.Fprintf(h, "%d %d\n", i, v)
-				}
-				burstNo++
-				if t.err == nil && cfg.MigrateEvery > 0 && n > 1 && burstNo%cfg.MigrateEvery == 0 {
-					target := (sess.Home() + 1) % n
-					if err := sess.Migrate(target); err != nil {
-						// The session fell back to its home kernel and keeps
-						// serving; only a dead fallback kills it (surfaced by
-						// the next send).
-						if errors.Is(err, netattach.ErrReplayMismatch) {
-							t.err = fmt.Errorf("fleet: session %d: %w", i, err)
-							break
-						}
-					}
-				}
+	tgt := workload.Target{
+		Conn: func(i int) *netattach.Conn { return sessions[i].Conn() },
+		Flush: func() {
+			for k := 0; k < n; k++ {
+				f.Member(k).FE.Flush()
 			}
-			copy(t.digest[:], h.Sum(nil))
-			if cerr := sess.Close(); cerr != nil && t.err == nil {
-				t.err = fmt.Errorf("fleet: session %d close: %w", i, cerr)
-			}
-		}(i)
+		},
 	}
-	wg.Wait()
+	if cfg.MigrateEvery > 0 && n > 1 {
+		bursts := make([]int, len(sessions))
+		tgt.Burst = func(i int) error {
+			bursts[i]++
+			if bursts[i]%cfg.MigrateEvery != 0 {
+				return nil
+			}
+			// A failed migration leaves the session serving on its home
+			// kernel; only a dead fallback kills it (surfaced by the next
+			// send).
+			if err := sessions[i].Migrate((sessions[i].Home() + 1) % n); errors.Is(err, netattach.ErrReplayMismatch) {
+				return fmt.Errorf("fleet: session %d: %w", i, err)
+			}
+			return nil
+		}
+	}
+	hs := make([]hash.Hash, len(sessions))
+	for i := range hs {
+		hs[i] = sha256.New()
+	}
+	tallies := make([]workload.Tally, len(sessions))
+	workload.Replay(plan, 0, plan.MaxSteps(), tgt, hs, tallies)
 
-	for i := range tallies {
-		t := &tallies[i]
-		if t.err != nil {
+	// Log out in session order.
+	for i, sess := range sessions {
+		if err := sess.Close(); err != nil && tallies[i].Err == nil {
+			tallies[i].Err = fmt.Errorf("fleet: session %d close: %w", i, err)
+		}
+	}
+	for i, t := range tallies {
+		if t.Err != nil {
 			rep.Failed++
 			continue
 		}
-		rep.Sent += t.sent
-		rep.Received += t.received
-		rep.Throttled += t.throttled
+		rep.Sent += t.Sent
+		rep.Received += t.Received
+		rep.Throttled += t.Throttled
 		rep.Migrations += int64(sessions[i].Migrations())
 	}
 
@@ -259,8 +222,8 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	// cadence deliberately stay out so the digest compares across them
 	// (and against workload.Report.SessionDigest).
 	h := sha256.New()
-	for i := range tallies {
-		fmt.Fprintf(h, "session %d %x\n", i, tallies[i].digest)
+	for i := range hs {
+		fmt.Fprintf(h, "session %d %x\n", i, hs[i].Sum(nil))
 	}
 	rep.SessionDigest = hex.EncodeToString(h.Sum(nil))
 	return rep, nil

@@ -117,7 +117,7 @@ func (r *SalvageReport) Repaired() int {
 // line per problem in walk order. The walk is deterministic (sorted
 // names, sorted UIDs), so two runs that found the same damage produce
 // byte-identical renderings; the fault-storm experiment compares reports
-// across parallelism levels this way.
+// across replays this way.
 func (r *SalvageReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "salvage: walked %d objects, %d problems, %d repaired\n",

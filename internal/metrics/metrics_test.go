@@ -171,10 +171,10 @@ func hammer(t *testing.T, par int) []byte {
 	return r.Snapshot().JSON()
 }
 
-// TestParallelismInvariantExport is the determinism check the E16
-// experiment relies on: the same deterministic work partitioned over 1
-// and 8 goroutines exports byte-identical aggregates (commutative sums,
-// sorted snapshot). Run under -race this also hammers the hot path.
+// TestParallelismInvariantExport checks the registry's concurrency
+// contract: the same deterministic work partitioned over 1 and 8
+// goroutines exports byte-identical aggregates (commutative sums, sorted
+// snapshot). Run under -race this also hammers the hot path.
 func TestParallelismInvariantExport(t *testing.T) {
 	seq := hammer(t, 1)
 	park := hammer(t, 8)
@@ -300,6 +300,9 @@ func TestDeltaUnderConcurrentRecording(t *testing.T) {
 		workers = 4
 		ops     = 4000
 	)
+	// The baseline precedes every recorder, so the delta chain covers
+	// every increment.
+	prev := r.Snapshot()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -314,7 +317,6 @@ func TestDeltaUnderConcurrentRecording(t *testing.T) {
 		}(w)
 	}
 
-	prev := r.Snapshot()
 	var opsSeen, obsSeen int64
 	for i := 0; i < 50; i++ {
 		cur := r.Snapshot()

@@ -136,9 +136,7 @@ func (s Snapshot) Compact() Snapshot {
 }
 
 // Filter returns a copy of s keeping only instruments for which keep
-// returns true. Used to carve the deterministic subset out of an export
-// (e.g. dropping observational sched.* counts whose totals depend on
-// worker scheduling, per the determinism argument in DESIGN.md).
+// returns true (metricsdump -filter prints a name prefix this way).
 func (s Snapshot) Filter(keep func(name string) bool) Snapshot {
 	f := Snapshot{At: s.At}
 	for _, v := range s.Counters {

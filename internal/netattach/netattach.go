@@ -30,8 +30,10 @@
 //
 // The front-end's public API is serialized by one lock, and the simulation
 // is only advanced under that lock, so many goroutines may drive
-// connections concurrently while the simulated system itself stays
-// deterministic.
+// connections concurrently and every reply stays a pure function of its
+// connection's requests. Virtual time then depends on how the goroutines
+// interleave, which is why the traffic engines (internal/workload and
+// internal/fleet) replay every connection from one goroutine.
 package netattach
 
 import (
@@ -72,11 +74,9 @@ type Config struct {
 	// queues (messages). Input at or above HighWater refuses sends;
 	// replies shed from HighWater down to LowWater.
 	HighWater, LowWater int
-	// MaxConns bounds the connection table.
+	// MaxConns bounds the connection table. At S5+ it also scales the
+	// private store backing the reply buffers.
 	MaxConns int
-	// BufferMem sizes the private store backing reply buffers at S5+.
-	// Nil selects a default scaled to MaxConns.
-	BufferMem *mem.Config
 }
 
 // Front-end defaults.
@@ -273,9 +273,6 @@ func New(k *core.Kernel, login LoginFunc, cfg Config) (*Frontend, error) {
 			mc.CoreFrames = 512
 		}
 		mc.BulkBlocks = 256
-		if cfg.BufferMem != nil {
-			mc = *cfg.BufferMem
-		}
 		var err error
 		fe.outStore, err = mem.NewStore(mc)
 		if err != nil {

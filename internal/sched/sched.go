@@ -166,11 +166,10 @@ func (s *Scheduler) SetSink(sk trace.Sink) { s.sink = sk }
 // SetMetrics publishes dispatch accounting into reg as sched.dispatches
 // and sched.dispatch_cycles. A nil registry detaches the scheduler.
 //
-// Note for determinism-sensitive consumers: dispatch counts depend on how
-// often outer drivers pump the scheduler (e.g. netattach Flush cadence),
-// which can vary with workload parallelism — so sched.* counters are
-// observational and are excluded from parallelism-invariant aggregate
-// comparisons (see the determinism argument in DESIGN.md).
+// Dispatch counts depend on how often callers pump the scheduler (e.g.
+// netattach Flush cadence). The traffic engines replay from one
+// goroutine in a fixed order, so these counters repeat exactly across
+// replays; E16 compares the whole registry, sched.* included.
 func (s *Scheduler) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		s.mDispatches, s.mDispatchCycles = nil, nil

@@ -11,9 +11,9 @@ import (
 // Only reply-pure operations are offered: echo, sum and spin replies are
 // functions of the connection's own request sequence, and level replies
 // are functions of the session's login level, so any mix keeps the
-// transcript digest parallelism- and kernel-count-invariant. (OpClock is
-// deliberately absent — its reply reads the virtual clock, which would
-// tie the transcript to scheduling order.)
+// transcript digest invariant across kernel counts and migrations.
+// (OpClock is deliberately absent — its reply reads the virtual clock,
+// which would tie the transcript to which kernel served it, and when.)
 type OpMix struct {
 	// Echo replays the payload unchanged.
 	Echo int
@@ -173,7 +173,7 @@ func (p *Persona) clearance() multics.Level {
 // splitmix64 is the pure seeded hash every persona decision derives
 // from: no stateful generator, no shared stream, so any step of any session can
 // be computed independently of every other — the property that keeps
-// schedules and scripts identical at any parallelism and kernel count.
+// schedules and scripts identical at any kernel count.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

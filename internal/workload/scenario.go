@@ -17,12 +17,11 @@ import (
 // Every decision a scenario makes — which session belongs to which
 // persona, what its script says, when each burst fires — is a pure
 // function of the seed, so the compiled Plan and the transcript digests
-// it produces are byte-identical at any Parallelism and kernel count.
+// it produces are byte-identical across replays and at any kernel count.
 type Scenario struct {
 	name     string
 	seed     int64
 	sessions int
-	par      int
 	mix      []mixEntry
 	open     bool
 	openGap  int
@@ -40,9 +39,9 @@ type mixEntry struct {
 }
 
 // NewScenario starts a scenario named name, seeded with seed. The
-// default shape is 8 sessions, closed-loop arrival, Parallelism 1.
+// default shape is 8 sessions, closed-loop arrival.
 func NewScenario(name string, seed int64) *Scenario {
-	return &Scenario{name: name, seed: seed, sessions: 8, par: 1}
+	return &Scenario{name: name, seed: seed, sessions: 8}
 }
 
 // Mix adds weight shares of persona p to the scenario. Weights are
@@ -70,12 +69,6 @@ func (sc *Scenario) OpenLoop(meanGap int) *Scenario {
 // fixed population of sessions is present from the start, each pacing
 // itself with its persona's think-time between bursts.
 func (sc *Scenario) ClosedLoop() *Scenario { sc.open, sc.openGap = false, 0; sc.plan = nil; return sc }
-
-// Parallel sets the number of real worker goroutines replaying the
-// sessions. Each session is owned by exactly one worker and every reply
-// is a pure function of its own session's script, so the digest is
-// identical at any setting.
-func (sc *Scenario) Parallel(par int) *Scenario { sc.par = par; return sc }
 
 // Trace tees the front-end's attachment-lifecycle trace stream to sink.
 func (sc *Scenario) Trace(sink trace.Sink) *Scenario { sc.sink = sink; return sc }
@@ -138,9 +131,6 @@ func (sc *Scenario) Plan() (*Plan, error) {
 func (sc *Scenario) compile() (*Plan, error) {
 	if sc.sessions < 1 {
 		return nil, fmt.Errorf("workload: scenario %q: %d sessions", sc.name, sc.sessions)
-	}
-	if sc.par < 1 {
-		return nil, fmt.Errorf("workload: scenario %q: parallelism %d", sc.name, sc.par)
 	}
 	if sc.openGap < 0 {
 		return nil, fmt.Errorf("workload: scenario %q: negative arrival gap %d", sc.name, sc.openGap)
@@ -267,8 +257,8 @@ func (sc *Scenario) compile() (*Plan, error) {
 
 // ScheduleDigest folds every session's burst schedule in session order:
 // the arrival-model determinism witness. It is computed from the Plan
-// alone, so comparing it across runs at different Parallelism or kernel
-// counts asserts the schedules — not just the replies — are identical.
+// alone, so comparing it across runs and kernel counts asserts the
+// schedules — not just the replies — are identical.
 func (p *Plan) ScheduleDigest() string {
 	h := sha256.New()
 	for i, ws := range p.Windows {

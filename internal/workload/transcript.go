@@ -6,10 +6,8 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash"
-	"sync"
 
 	"repro/internal/netattach"
 	"repro/multics"
@@ -114,10 +112,10 @@ func (t *Transcript) Counts() (sent, received, throttled int64) {
 // which is why a restored system (whose sessions died with the crash)
 // can resume at any window boundary. The reply values are pure functions
 // of the scripted requests, so transcripts are identical across
-// crash-restore and across Parallelism; the engine partitions
-// connections over workers exactly like Run. Each session fires the
-// slices of its compiled burst windows that intersect [lo, hi), so
-// personas with scripts shorter than the window simply sit the tail out.
+// crash-restore. Replay drives the window exactly as it drives Run: each
+// session fires the slices of its compiled burst windows that intersect
+// [lo, hi), so personas with scripts shorter than the window simply sit
+// the tail out.
 func RunWindow(sys *multics.System, sc *Scenario, tr *Transcript, lo, hi int) error {
 	plan, err := sc.Plan()
 	if err != nil {
@@ -149,102 +147,18 @@ func RunWindow(sys *multics.System, sc *Scenario, tr *Transcript, lo, hi int) er
 		}
 	}
 
-	var mu sync.Mutex // guards tr counters; per-conn hashes are worker-owned
-	var firstErr error
-	drive := func(owned []int) {
-		var sent, received, throttled int64
-		var err error
-		next := make(map[int]int, len(owned))
-		for round := 0; round < plan.Rounds && err == nil; round++ {
-			active := false
-			for _, i := range owned {
-				ws := plan.Windows[i]
-				if next[i] >= len(ws) || ws[next[i]].Round != round {
-					continue
-				}
-				w := ws[next[i]]
-				next[i]++
-				// Clip the burst to the replay window.
-				base, top := w.Lo, w.Hi
-				if base < lo {
-					base = lo
-				}
-				if top > hi {
-					top = hi
-				}
-				if base >= top {
-					continue
-				}
-				active = true
-				for s := base; s < top; s++ {
-					st := scripts[i].Steps[s]
-					serr := conns[i].Send(st.Op, st.Arg)
-					switch {
-					case serr == nil:
-						sent++
-					case errors.Is(serr, netattach.ErrThrottled):
-						throttled++
-					default:
-						err = fmt.Errorf("workload: send %d/%d: %w", i, s, serr)
-					}
-				}
-			}
-			if !active {
-				continue
-			}
-			fe.Flush()
-			for _, i := range owned {
-				for {
-					v, ok, rerr := conns[i].TryRecv()
-					if rerr != nil {
-						err = fmt.Errorf("workload: recv %d: %w", i, rerr)
-						break
-					}
-					if !ok {
-						break
-					}
-					received++
-					fmt.Fprintf(tr.hs[i], "%d %d\n", i, v)
-				}
-			}
+	tallies := make([]Tally, len(conns))
+	Replay(plan, lo, hi, Target{
+		Conn:  func(i int) *netattach.Conn { return conns[i] },
+		Flush: fe.Flush,
+	}, tr.hs, tallies)
+	for _, tl := range tallies {
+		if tl.Err != nil {
+			return tl.Err
 		}
-		mu.Lock()
-		tr.sent += sent
-		tr.received += received
-		tr.throttled += throttled
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	par := sc.par
-	if par > len(conns) {
-		par = len(conns)
-	}
-	if par <= 1 {
-		owned := make([]int, len(conns))
-		for i := range owned {
-			owned[i] = i
-		}
-		drive(owned)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			owned := make([]int, 0, len(conns)/par+1)
-			for i := w; i < len(conns); i += par {
-				owned = append(owned, i)
-			}
-			wg.Add(1)
-			go func(owned []int) {
-				defer wg.Done()
-				drive(owned)
-			}(owned)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return firstErr
+		tr.sent += tl.Sent
+		tr.received += tl.Received
+		tr.throttled += tl.Throttled
 	}
 	for i, c := range conns {
 		if err := c.Close(); err != nil {

@@ -13,7 +13,7 @@ import (
 // running sum restarts at every window boundary, and only stateless
 // replies make a split replay equal to an uninterrupted one. The bursts
 // (3 and 4 steps) straddle the split point, so RunWindow must clip them.
-func windowScenario(par int) *workload.Scenario {
+func windowScenario() *workload.Scenario {
 	return workload.NewScenario("window", 75).
 		Mix(workload.Persona{
 			Name: "prober", Steps: 12, Burst: 3, Think: 1, Users: 3,
@@ -24,27 +24,35 @@ func windowScenario(par int) *workload.Scenario {
 			Name: "spinner", Steps: 9, Burst: 4, Users: 2,
 			Ops: workload.OpMix{Echo: 1, Spin: 2},
 		}, 1).
-		Sessions(12).Parallel(par)
+		Sessions(12)
 }
 
-// replay boots a fresh system for sc and replays steps [lo, hi) into tr.
-func replay(t *testing.T, sc *workload.Scenario, tr *workload.Transcript, lo, hi int) {
+// replay boots a fresh system for sc, replays steps [lo, hi) into tr,
+// and returns the virtual cycles the window took.
+func replay(t *testing.T, sc *workload.Scenario, tr *workload.Transcript, lo, hi int) int64 {
 	t.Helper()
 	sys, err := workload.Boot(multics.StageRestructured, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Shutdown()
+	clk := sys.Kernel.Services().Clock
+	start := clk.Now()
 	if err := workload.RunWindow(sys, sc, tr, lo, hi); err != nil {
 		t.Fatalf("RunWindow [%d, %d): %v", lo, hi, err)
 	}
+	return clk.Now() - start
 }
 
 // TestRunWindowResumesFromSnapshot replays [0, k), snapshots the
 // transcript, restores it on a fresh system and replays [k, n): the
-// digest must equal the uninterrupted [0, n) replay, at Parallel 1 and 8.
+// digest must equal the uninterrupted [0, n) replay. par1 runs this split
+// replay once; par8 runs it eight times at once, each on its own systems
+// and host goroutine. Replay drives a system from its caller's goroutine
+// and systems share no state, so every par8 run must also take par1's
+// virtual time in both windows.
 func TestRunWindowResumesFromSnapshot(t *testing.T) {
-	ref := windowScenario(1)
+	ref := windowScenario()
 	plan, err := ref.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -57,35 +65,50 @@ func TestRunWindowResumesFromSnapshot(t *testing.T) {
 		t.Fatalf("uninterrupted replay sent %d, received %d", sent, received)
 	}
 
-	for _, par := range []int{1, 8} {
-		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			sc := windowScenario(par)
-			first := workload.NewTranscript(len(plan.Scripts))
-			replay(t, sc, first, 0, k)
-			snap, err := first.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := workload.RestoreTranscript(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resumed.Digest() != first.Digest() {
-				t.Fatal("restored transcript digest differs from the snapshotted one")
-			}
-			replay(t, sc, resumed, k, n)
-			// The digest folds the request counters in too.
-			if got := resumed.Digest(); got != want {
-				t.Errorf("[0,%d) + restore + [%d,%d) digest %s, uninterrupted %s", k, k, n, got, want)
-			}
-		})
+	// split runs the split replay and returns each window's virtual cycles.
+	split := func(t *testing.T) [2]int64 {
+		sc := windowScenario()
+		first := workload.NewTranscript(len(plan.Scripts))
+		c0 := replay(t, sc, first, 0, k)
+		snap, err := first.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := workload.RestoreTranscript(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Digest() != first.Digest() {
+			t.Fatal("restored transcript digest differs from the snapshotted one")
+		}
+		c1 := replay(t, sc, resumed, k, n)
+		// The digest folds the request counters in too.
+		if got := resumed.Digest(); got != want {
+			t.Errorf("[0,%d) + restore + [%d,%d) digest %s, uninterrupted %s", k, k, n, got, want)
+		}
+		return [2]int64{c0, c1}
 	}
+	var base [2]int64
+	t.Run("par1", func(t *testing.T) { base = split(t) })
+	t.Run("par8", func(t *testing.T) {
+		if base == ([2]int64{}) { // -run skipped par1
+			base = split(t)
+		}
+		for i := 0; i < 8; i++ {
+			t.Run(fmt.Sprintf("run%d", i), func(t *testing.T) {
+				t.Parallel()
+				if got := split(t); got != base {
+					t.Errorf("window virtual time %v cycles, par1 %v", got, base)
+				}
+			})
+		}
+	})
 }
 
 // TestRunWindowRejectsBadWindows checks the window bounds and the
 // transcript size are validated before any connection is dialed.
 func TestRunWindowRejectsBadWindows(t *testing.T) {
-	sc := windowScenario(1)
+	sc := windowScenario()
 	plan, err := sc.Plan()
 	if err != nil {
 		t.Fatal(err)

@@ -4,25 +4,24 @@
 // long-lived daemons, MLS-labeled tenant pairs — or the classic storm
 // shape) under an open- or closed-loop arrival model; every script,
 // schedule and account is a pure function of the scenario seed, the
-// engine drives the sessions in a fixed round schedule over virtual
-// time, and the transcript of every reply is folded into a digest — so
-// the same seed always produces the same digest, no matter how many
-// worker goroutines replay it or how many kernels serve it. The report
-// carries throughput, per-persona outcome and attach-latency breakdowns,
-// peak buffer occupancy, and exact drop counts, which is what lets
-// cmd/loadgen show the legacy circular buffers losing traffic under
-// storm while the consolidated S5 path loses none.
+// engine drives the sessions from one goroutine in a fixed round
+// schedule over virtual time, and the transcript of every reply is
+// folded into a digest — so the same seed always produces the same
+// digest and the same virtual time, and the same digest no matter how
+// many kernels serve it. The report carries throughput, per-persona
+// outcome and attach-latency breakdowns, peak buffer occupancy, and
+// exact drop counts, which is what lets cmd/loadgen show the legacy
+// circular buffers losing traffic under storm while the consolidated S5
+// path loses none.
 package workload
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -127,11 +126,9 @@ type Report struct {
 	// Plan.ScheduleDigest): the arrival-model determinism witness.
 	ScheduleDigest string `json:"schedule_digest"`
 	// TraceDigest is a sha256 over the front-end's attachment-lifecycle
-	// trace stream, folded per connection in ascending connection-id
-	// order. Each connection's events (attach → request* → drain →
-	// close) are FIFO within the connection, so the fold is independent
-	// of how worker goroutines interleave: the digest is byte-identical
-	// at Parallelism 1 and Parallelism 8.
+	// trace stream (attach → request* → drain → close per connection),
+	// in arrival order. One goroutine drives the replay, so two replays
+	// of the same scenario produce the same digest.
 	TraceDigest string `json:"trace_digest"`
 }
 
@@ -252,14 +249,9 @@ func frontend(sys *multics.System, conns int) (*netattach.Frontend, error) {
 }
 
 // Run replays the scenario against sys: dial every session, fire the
-// compiled burst schedule round by round, drain replies between bursts,
-// log every session out, and report. Sessions are partitioned over
-// Scenario.Parallel real worker goroutines; each worker walks the round
-// schedule over the sessions it owns, so with Parallelism 1 the
-// interleaving is exactly the fixed round-robin. The reply transcript
-// is hashed per session and the per-session digests are folded together
-// in session order, so the digest does not depend on how workers
-// interleave.
+// compiled burst schedule round by round (Replay), log every session
+// out, and report. The reply transcript is hashed per session and the
+// per-session digests are folded together in session order.
 func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	plan, err := sc.Plan()
 	if err != nil {
@@ -271,7 +263,7 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	}
 	// The canonical trace collector sees every lifecycle event the run
 	// produces; a caller-supplied trace sink rides along as a tee.
-	tc := &traceCollector{tee: sc.sink, byID: make(map[uint64][]trace.Event)}
+	tc := &traceCollector{h: sha256.New(), tee: sc.sink}
 	fe.SetSink(tc)
 	defer fe.SetSink(nil)
 
@@ -302,120 +294,26 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 		}
 	}
 
-	// Each connection accumulates its own transcript hash and counters;
-	// workers never touch another worker's tallies, and the fold at the
-	// end walks the table in index order regardless of which worker
-	// produced what.
-	type connTally struct {
-		sent, received, throttled int64
-		digest                    [sha256.Size]byte
-		err                       error
-	}
-	tallies := make([]connTally, len(conns))
-
-	// driveConns runs the engine loop — walk the compiled round
-	// schedule, storm each due burst on every owned connection, flush
-	// the simulation, drain the replies — over the subset of
-	// connections owned by one worker.
-	driveConns := func(owned []int) {
-		hs := make(map[int]hash.Hash, len(owned))
-		next := make(map[int]int, len(owned))
-		for _, i := range owned {
-			hs[i] = sha256.New()
-			if dead[i] {
-				tallies[i].err = fmt.Errorf("workload: connection %d never attached", i)
-			}
-		}
-		for round := 0; round < plan.Rounds; round++ {
-			// Storm phase: every owned connection with a window due this
-			// round fires it back-to-back. Nothing pumps the scheduler
-			// here, so requests pile up in the kernel buffers — the
-			// legacy rings overwrite, the S5 infinite buffers grow.
-			active := false
-			for _, i := range owned {
-				t := &tallies[i]
-				if t.err != nil {
-					continue
-				}
-				ws := plan.Windows[i]
-				if next[i] >= len(ws) || ws[next[i]].Round != round {
-					continue
-				}
-				w := ws[next[i]]
-				next[i]++
-				active = true
-				for s := w.Lo; s < w.Hi; s++ {
-					st := scripts[i].Steps[s]
-					err := conns[i].Send(st.Op, st.Arg)
-					switch {
-					case err == nil:
-						t.sent++
-					case errors.Is(err, netattach.ErrThrottled):
-						t.throttled++
-					default:
-						t.err = fmt.Errorf("workload: send %d/%d: %w", i, s, err)
-					}
-				}
-			}
-			if !active {
-				continue
-			}
-			// Service phase: let the multiplexer drain everything, then
-			// read the replies back in owned-table order.
-			fe.Flush()
-			for _, i := range owned {
-				t := &tallies[i]
-				if t.err != nil {
-					continue
-				}
-				for {
-					v, ok, err := conns[i].TryRecv()
-					if err != nil {
-						t.err = fmt.Errorf("workload: recv %d: %w", i, err)
-						break
-					}
-					if !ok {
-						break
-					}
-					t.received++
-					fmt.Fprintf(hs[i], "%d %d\n", i, v)
-				}
-			}
-		}
-		for _, i := range owned {
-			copy(tallies[i].digest[:], hs[i].Sum(nil))
+	// Each session hashes its own replies into its own transcript; the
+	// folds below walk the table in index order.
+	hs := make([]hash.Hash, len(conns))
+	tallies := make([]Tally, len(conns))
+	for i := range conns {
+		hs[i] = sha256.New()
+		if dead[i] {
+			tallies[i].Err = fmt.Errorf("workload: connection %d never attached", i)
 		}
 	}
-
-	par := sc.par
-	if par > len(conns) {
-		par = len(conns)
-	}
-	if par <= 1 {
-		owned := make([]int, len(conns))
-		for i := range owned {
-			owned[i] = i
-		}
-		driveConns(owned)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			owned := make([]int, 0, len(conns)/par+1)
-			for i := w; i < len(conns); i += par {
-				owned = append(owned, i)
-			}
-			wg.Add(1)
-			go func(owned []int) {
-				defer wg.Done()
-				driveConns(owned)
-			}(owned)
-		}
-		wg.Wait()
-	}
+	Replay(plan, 0, plan.MaxSteps(), Target{
+		Conn:  func(i int) *netattach.Conn { return conns[i] },
+		Flush: fe.Flush,
+	}, hs, tallies)
+	digests := make([][]byte, len(conns))
 	for i := range tallies {
-		if tallies[i].err != nil {
+		digests[i] = hs[i].Sum(nil)
+		if tallies[i].Err != nil {
 			if sc.faults == nil {
-				return nil, tallies[i].err
+				return nil, tallies[i].Err
 			}
 			if !dead[i] {
 				// Already counted when the attach failed; count fresh
@@ -425,9 +323,9 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 			}
 			continue
 		}
-		rep.Sent += tallies[i].sent
-		rep.Received += tallies[i].received
-		rep.Throttled += tallies[i].throttled
+		rep.Sent += tallies[i].Sent
+		rep.Received += tallies[i].Received
+		rep.Throttled += tallies[i].Throttled
 	}
 
 	// Logout in table order.
@@ -450,7 +348,7 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	h := sha256.New()
 	for i := range tallies {
 		fmt.Fprintf(h, "conn %d %x sent %d received %d throttled %d dead %v\n",
-			i, tallies[i].digest, tallies[i].sent, tallies[i].received, tallies[i].throttled, dead[i])
+			i, digests[i], tallies[i].Sent, tallies[i].Received, tallies[i].Throttled, dead[i])
 	}
 	fmt.Fprintf(h, "sent %d received %d throttled %d failed %d lost %d/%d drops %d\n",
 		rep.Sent, rep.Received, rep.Throttled, rep.Failed,
@@ -461,15 +359,14 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	// witness).
 	sh := sha256.New()
 	for i := range tallies {
-		fmt.Fprintf(sh, "session %d %x\n", i, tallies[i].digest)
+		fmt.Fprintf(sh, "session %d %x\n", i, digests[i])
 	}
 	rep.SessionDigest = hex.EncodeToString(sh.Sum(nil))
 	rep.ScheduleDigest = plan.ScheduleDigest()
-	rep.TraceDigest = tc.digest()
+	rep.TraceDigest = hex.EncodeToString(tc.h.Sum(nil))
 
-	// Per-persona breakdown, folded single-threaded after the workers
-	// joined: sessions are grouped by plan persona, attach latencies
-	// (fixed under the single-threaded login flush) are ranked for
+	// Per-persona breakdown: sessions are grouped by plan persona, attach
+	// latencies (fixed under the login flush) are ranked for
 	// percentiles, and the sections are sorted by name so the JSON and
 	// terminal renderings are byte-identical across runs.
 	byName := map[string]*PersonaReport{}
@@ -482,9 +379,9 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 			byName[name] = pr
 		}
 		pr.Sessions++
-		pr.Sent += tallies[i].sent
-		pr.Received += tallies[i].received
-		pr.Throttled += tallies[i].throttled
+		pr.Sent += tallies[i].Sent
+		pr.Received += tallies[i].Received
+		pr.Throttled += tallies[i].Throttled
 		if dead[i] {
 			pr.Failed++
 		} else {
@@ -506,7 +403,7 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 		ph := sha256.New()
 		for i := range tallies {
 			if plan.Personas[i] == name {
-				fmt.Fprintf(ph, "session %d %x\n", i, tallies[i].digest)
+				fmt.Fprintf(ph, "session %d %x\n", i, digests[i])
 			}
 		}
 		pr.Digest = hex.EncodeToString(ph.Sum(nil))
@@ -514,8 +411,7 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	}
 
 	// Fold the session outcomes into the kernel's unified metrics
-	// registry. This runs after the single-threaded tally fold above, so
-	// the additions are deterministic regardless of Parallelism.
+	// registry.
 	reg := sys.Kernel.Services().Metrics
 	reg.Counter("workload.sessions").Add(int64(rep.Conns))
 	reg.Counter("workload.failed").Add(rep.Failed)
@@ -532,47 +428,22 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// traceCollector is the engine's canonical trace consumer: it groups
-// the front-end's lifecycle events by connection id and optionally tees
-// the raw stream to a caller-supplied sink. The front-end serializes
-// emission under its own lock, but the collector carries its own mutex
-// so it is a valid TraceSink regardless of who calls it.
+// traceCollector is the engine's canonical trace consumer: it hashes
+// the front-end's lifecycle events in arrival order and optionally tees
+// the raw stream to a caller-supplied sink. The front-end emits under
+// its own lock, and one goroutine drives the replay, so the arrival
+// order is a function of the plan.
 type traceCollector struct {
-	mu   sync.Mutex
-	tee  trace.Sink
-	byID map[uint64][]trace.Event
+	h   hash.Hash
+	tee trace.Sink
 }
 
 func (tc *traceCollector) Record(ev trace.Event) {
-	tc.mu.Lock()
-	tc.byID[ev.Subject] = append(tc.byID[ev.Subject], ev)
-	tc.mu.Unlock()
+	fmt.Fprintf(tc.h, "%d %v %s %d %d %v %s\n",
+		ev.Subject, ev.Stage, ev.Name, ev.Arg, ev.Cost, ev.Outcome, ev.Detail)
 	if tc.tee != nil {
 		tc.tee.Record(ev)
 	}
-}
-
-// digest folds the per-connection event streams in ascending
-// connection-id order. Within a connection the stream is FIFO (attach
-// happens under the single-threaded Flush, requests drain in input
-// order, drain/close fire in table order), so the result does not
-// depend on worker interleaving.
-func (tc *traceCollector) digest() string {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	ids := make([]uint64, 0, len(tc.byID))
-	for id := range tc.byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	h := sha256.New()
-	for _, id := range ids {
-		for _, ev := range tc.byID[id] {
-			fmt.Fprintf(h, "%d %v %s %d %d %v %s\n",
-				id, ev.Stage, ev.Name, ev.Arg, ev.Cost, ev.Outcome, ev.Detail)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // RunAt boots a fresh system at the stage, runs the scenario, shuts the

@@ -2,7 +2,6 @@ package workload_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/acl"
@@ -150,35 +149,33 @@ func mixed(seed int64) *workload.Scenario {
 }
 
 // TestParallelReplayDigestInvariant is the determinism guarantee of the
-// worker-pool engine: the transcript digest is byte-identical no matter how
-// many goroutines replay the connections, because every reply is a pure
-// function of its own connection's script and the per-connection digests
-// fold in fixed table order.
+// replay engine: two replays of the same scenario produce byte-identical
+// transcript digests in identical virtual time, because one goroutine
+// drives every session in the plan's fixed round order.
 func TestParallelReplayDigestInvariant(t *testing.T) {
-	run := func(par int) string {
-		sc := storm(24, 12, 12, 75).Parallel(par)
-		r, err := workload.RunAt(multics.StageRestructured, sc)
+	run := func() *workload.Report {
+		r, err := workload.RunAt(multics.StageRestructured, storm(24, 12, 12, 75))
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
 		}
 		if r.Sent == 0 || r.Received != r.Sent {
-			t.Fatalf("parallelism %d: sent %d received %d", par, r.Sent, r.Received)
+			t.Fatalf("sent %d received %d", r.Sent, r.Received)
 		}
-		return r.Digest
+		return r
 	}
-
-	d1 := run(1)
-	for _, par := range []int{2, 8} {
-		if d := run(par); d != d1 {
-			t.Errorf("digest at parallelism %d differs from parallelism 1:\n%s\n%s", par, d, d1)
-		}
+	r1, r2 := run(), run()
+	if r1.Digest != r2.Digest {
+		t.Errorf("two replays, different digests:\n%s\n%s", r1.Digest, r2.Digest)
+	}
+	if r1.Cycles != r2.Cycles {
+		t.Errorf("two replays, different virtual time: %d vs %d cycles", r1.Cycles, r2.Cycles)
 	}
 }
 
 // TestArrivalModelDeterminism is the arrival-model half of the
 // determinism guarantee: open- and closed-loop persona schedules — and
-// the transcripts they produce — are byte-identical at parallelism 1
-// and 8, and two compiles of the same scenario agree.
+// the transcripts and virtual time they produce — are byte-identical
+// across two replays, and two compiles of the same scenario agree.
 func TestArrivalModelDeterminism(t *testing.T) {
 	shapes := map[string]func() *workload.Scenario{
 		"closed": func() *workload.Scenario { return mixed(75).ClosedLoop() },
@@ -199,25 +196,28 @@ func TestArrivalModelDeterminism(t *testing.T) {
 					plan1.ScheduleDigest(), plan2.ScheduleDigest())
 			}
 
-			run := func(par int) *workload.Report {
-				r, err := workload.RunAt(multics.StageRestructured, build().Parallel(par))
+			run := func() *workload.Report {
+				r, err := workload.RunAt(multics.StageRestructured, build())
 				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
+					t.Fatal(err)
 				}
 				return r
 			}
-			r1, r8 := run(1), run(8)
+			r1, r2 := run(), run()
 			if r1.ScheduleDigest != plan1.ScheduleDigest() {
 				t.Fatalf("report schedule digest %s != compiled %s", r1.ScheduleDigest, plan1.ScheduleDigest())
 			}
-			if r1.ScheduleDigest != r8.ScheduleDigest {
-				t.Errorf("schedule digest differs across parallelism:\n%s\n%s", r1.ScheduleDigest, r8.ScheduleDigest)
+			if r1.ScheduleDigest != r2.ScheduleDigest {
+				t.Errorf("schedule digest differs across replays:\n%s\n%s", r1.ScheduleDigest, r2.ScheduleDigest)
 			}
-			if r1.Digest != r8.Digest {
-				t.Errorf("transcript digest differs across parallelism:\n%s\n%s", r1.Digest, r8.Digest)
+			if r1.Digest != r2.Digest {
+				t.Errorf("transcript digest differs across replays:\n%s\n%s", r1.Digest, r2.Digest)
 			}
-			if r1.SessionDigest != r8.SessionDigest {
-				t.Errorf("session digest differs across parallelism:\n%s\n%s", r1.SessionDigest, r8.SessionDigest)
+			if r1.SessionDigest != r2.SessionDigest {
+				t.Errorf("session digest differs across replays:\n%s\n%s", r1.SessionDigest, r2.SessionDigest)
+			}
+			if r1.Cycles != r2.Cycles {
+				t.Errorf("virtual time differs across replays: %d vs %d cycles", r1.Cycles, r2.Cycles)
 			}
 			if r1.Throttled != 0 || r1.Failed != 0 {
 				t.Fatalf("persona mix throttled %d failed %d — bursts must stay under the high-water mark",
@@ -233,8 +233,8 @@ func TestArrivalModelDeterminism(t *testing.T) {
 				if p.Sessions == 0 || p.Sent == 0 || p.Received != p.Sent {
 					t.Errorf("persona %q: sessions %d sent %d received %d", p.Name, p.Sessions, p.Sent, p.Received)
 				}
-				if p.Digest != r8.Personas[i].Digest {
-					t.Errorf("persona %q digest differs across parallelism", p.Name)
+				if p.Digest != r2.Personas[i].Digest {
+					t.Errorf("persona %q digest differs across replays", p.Name)
 				}
 			}
 		})
@@ -271,60 +271,55 @@ func TestOpenLoopStaggersArrivals(t *testing.T) {
 
 // countingSink counts trace events delivered through the Scenario.Trace
 // tee.
-type countingSink struct {
-	mu sync.Mutex
-	n  int
-}
+type countingSink struct{ n int }
 
-func (s *countingSink) Record(trace.Event) {
-	s.mu.Lock()
-	s.n++
-	s.mu.Unlock()
-}
+func (s *countingSink) Record(trace.Event) { s.n++ }
 
 // TestTraceStreamParallelismInvariant is the trace-spine half of the
-// determinism guarantee: the attachment-lifecycle trace stream, folded
-// per connection, is byte-identical at parallelism 1 and 8, and the
+// determinism guarantee: the attachment-lifecycle trace stream, hashed
+// in arrival order, is byte-identical across two replays, and the
 // caller-supplied trace tee sees the full stream (one attach, one
 // event per request, one drain, one close per connection).
 func TestTraceStreamParallelismInvariant(t *testing.T) {
 	const conns, steps = 24, 12
 
-	run := func(par int) (string, int) {
+	run := func() (*workload.Report, int) {
 		sink := &countingSink{}
-		sc := storm(conns, steps, steps, 75).Parallel(par).Trace(sink)
-		r, err := workload.RunAt(multics.StageRestructured, sc)
+		r, err := workload.RunAt(multics.StageRestructured, storm(conns, steps, steps, 75).Trace(sink))
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
 		}
 		if r.TraceDigest == "" {
-			t.Fatalf("parallelism %d: empty trace digest", par)
+			t.Fatal("empty trace digest")
 		}
-		return r.TraceDigest, sink.n
+		return r, sink.n
 	}
 
-	d1, n1 := run(1)
+	r1, n1 := run()
 	// attach + one event per processed request + drain + close, per conn.
 	want := conns*3 + conns*steps
 	if n1 != want {
 		t.Fatalf("tee saw %d events, want %d", n1, want)
 	}
-	d8, n8 := run(8)
-	if n8 != n1 {
-		t.Fatalf("tee saw %d events at parallelism 8, %d at 1", n8, n1)
+	r2, n2 := run()
+	if n2 != n1 {
+		t.Fatalf("tee saw %d events on the second replay, %d on the first", n2, n1)
 	}
-	if d8 != d1 {
-		t.Fatalf("trace digest differs between parallelism 1 and 8:\n%s\n%s", d1, d8)
+	if r2.TraceDigest != r1.TraceDigest {
+		t.Fatalf("trace digest differs across replays:\n%s\n%s", r1.TraceDigest, r2.TraceDigest)
+	}
+	if r2.Cycles != r1.Cycles {
+		t.Fatalf("virtual time differs across replays: %d vs %d cycles", r1.Cycles, r2.Cycles)
 	}
 }
 
 func TestFaultPlanDigestAndSalvageParallelismInvariant(t *testing.T) {
-	// Same fault plan, parallelism 1 vs 8: the reply transcript digest
-	// AND the salvager's repair report must be byte-identical — injected
-	// faults are a function of the plan, never of worker interleaving.
-	run := func(par int) (string, string) {
+	// Same fault plan, two replays: the reply transcript digest, the
+	// salvager's repair report and the virtual time must be identical —
+	// injected faults are a function of the plan.
+	run := func() (string, string, int64) {
 		spec := faults.UniformSpec(4242, 0.01, 4)
-		sc := storm(24, 10, 10, 31).Parallel(par).Faults(&spec)
+		sc := storm(24, 10, 10, 31).Faults(&spec)
 		sys, err := workload.Boot(multics.StageIOConsolidated, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +330,7 @@ func TestFaultPlanDigestAndSalvageParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Failed != 0 {
-			t.Fatalf("parallelism %d: %d sessions failed despite recovery paths", par, rep.Failed)
+			t.Fatalf("%d sessions failed despite recovery paths", rep.Failed)
 		}
 		svc := sys.Kernel.Services()
 		// Grow the same deterministic tree in both runs so the crash has
@@ -365,17 +360,20 @@ func TestFaultPlanDigestAndSalvageParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !verify.Clean() {
-			t.Fatalf("parallelism %d: hierarchy dirty after salvage: %v", par, verify.Problems)
+			t.Fatalf("hierarchy dirty after salvage: %v", verify.Problems)
 		}
-		return rep.Digest, salvageRep.Format()
+		return rep.Digest, salvageRep.Format(), rep.Cycles
 	}
-	d1, s1 := run(1)
-	d8, s8 := run(8)
-	if d1 != d8 {
-		t.Errorf("transcript digest differs across parallelism:\n 1: %s\n 8: %s", d1, d8)
+	d1, s1, c1 := run()
+	d2, s2, c2 := run()
+	if d1 != d2 {
+		t.Errorf("transcript digest differs across replays:\n 1: %s\n 2: %s", d1, d2)
 	}
-	if s1 != s8 {
-		t.Errorf("salvage report differs across parallelism:\n 1: %q\n 8: %q", s1, s8)
+	if s1 != s2 {
+		t.Errorf("salvage report differs across replays:\n 1: %q\n 2: %q", s1, s2)
+	}
+	if c1 != c2 {
+		t.Errorf("virtual time differs across replays: %d vs %d cycles", c1, c2)
 	}
 }
 

@@ -162,16 +162,21 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-echo "== persona-determinism lint"
-# Every persona decision must be a pure seeded hash, or replay digests
-# drift with parallelism and kernel count. The persona workload sources
-# therefore may not read the wall clock (time.Now), draw unseeded
-# randomness (math/rand) or start goroutines. A listed file that does
-# not exist fails the lint, so a rename cannot switch the rule off.
+echo "== replay-determinism lint"
+# Every persona decision must be a pure seeded hash, and one goroutine
+# must drive every replay, or digests drift with kernel count and
+# virtual time drifts from run to run. The persona sources and the
+# replay engine (the round loop and its three callers' files) therefore
+# may not read the wall clock (time.Now), import math/rand or start
+# goroutines. workload.go stays off the list: GenScripts walks a seeded
+# math/rand stream. A listed file that does not exist fails the lint,
+# so a rename cannot switch the rule off.
 bad=""
-for f in internal/workload/persona.go internal/workload/scenario.go; do
+for f in internal/workload/persona.go internal/workload/scenario.go \
+	internal/workload/replay.go internal/workload/transcript.go \
+	internal/fleet/run.go; do
 	if [ ! -f "$f" ]; then
-		echo "persona-determinism lint: $f not found" >&2
+		echo "replay-determinism lint: $f not found" >&2
 		exit 1
 	fi
 	hits=$(grep -n 'time\.Now\|math/rand\|^\s*go \|[^a-zA-Z]go func' "$f" || true)
@@ -181,7 +186,7 @@ $(printf '%s' "$hits" | sed "s|^|$f:|")"
 	fi
 done
 if [ -n "$bad" ]; then
-	echo "nondeterminism in persona workload sources (wall clock / rand / goroutine):$bad" >&2
+	echo "nondeterminism in persona or replay sources (wall clock / rand / goroutine):$bad" >&2
 	exit 1
 fi
 
