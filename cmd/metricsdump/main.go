@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,15 +34,27 @@ import (
 	"repro/multics"
 )
 
-func main() {
-	stage := flag.Int("stage", int(core.S6Restructured), "kernel stage (0..6)")
-	n := flag.Int("n", 32, "concurrent connections in the workload")
-	steps := flag.Int("steps", 16, "requests per session")
-	seed := flag.Int64("seed", 75, "script generator seed")
-	asJSON := flag.Bool("json", false, "print the snapshot as JSON instead of a table")
-	filter := flag.String("filter", "", "only print metrics whose name has this prefix")
-	sample := flag.Int64("sample", 0, "sampling period in virtual cycles (0 disables the sampler)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, replays the seeded workload and writes the snapshot to
+// stdout. It returns the exit status: 2 for a usage error, 1 for a failed
+// boot or run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("metricsdump", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	stage := fl.Int("stage", int(core.S6Restructured), "kernel stage (0..6)")
+	n := fl.Int("n", 32, "concurrent connections in the workload")
+	steps := fl.Int("steps", 16, "requests per session")
+	seed := fl.Int64("seed", 75, "script generator seed")
+	asJSON := fl.Bool("json", false, "print the snapshot as JSON instead of a table")
+	filter := fl.String("filter", "", "only print metrics whose name has this prefix")
+	sample := fl.Int64("sample", 0, "sampling period in virtual cycles (0 disables the sampler)")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if err := cliutil.FirstError(
 		cliutil.InRange("stage", *stage, int(core.S0Baseline), int(core.S6Restructured)),
@@ -48,7 +62,9 @@ func main() {
 		cliutil.AtLeast("steps", *steps, 1, "one request per session"),
 		cliutil.Rule{Bad: *sample < 0, Msg: fmt.Sprintf("-sample %d: cannot be negative", *sample)},
 	); err != nil {
-		cliutil.Exit2("metricsdump", err)
+		fmt.Fprintf(stderr, "metricsdump: %v\n", err)
+		fl.Usage()
+		return 2
 	}
 
 	sc := workload.NewScenario("metricsdump", *seed).
@@ -56,8 +72,8 @@ func main() {
 		Sessions(*n)
 	sys, err := workload.Boot(multics.Stage(*stage), sc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "metricsdump: boot: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "metricsdump: boot: %v\n", err)
+		return 1
 	}
 	defer sys.Shutdown()
 
@@ -68,8 +84,8 @@ func main() {
 
 	rep, err := workload.Run(sys, sc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "metricsdump: run: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "metricsdump: run: %v\n", err)
+		return 1
 	}
 
 	snap := svc.Metrics.Snapshot().Compact()
@@ -77,16 +93,17 @@ func main() {
 		snap = snap.Filter(func(name string) bool { return strings.HasPrefix(name, *filter) })
 	}
 	if *asJSON {
-		os.Stdout.Write(snap.JSON())
-		fmt.Println()
-		return
+		stdout.Write(snap.JSON())
+		fmt.Fprintln(stdout)
+		return 0
 	}
-	fmt.Printf("--- stage S%d  seed %d  conns %d  steps %d  cycles %d  throughput %.2f req/kcy\n",
+	fmt.Fprintf(stdout, "--- stage S%d  seed %d  conns %d  steps %d  cycles %d  throughput %.2f req/kcy\n",
 		*stage, *seed, rep.Conns, rep.Steps, rep.Cycles, rep.Throughput)
-	fmt.Print(snap.Text())
+	fmt.Fprint(stdout, snap.Text())
 	if s := sys.Kernel.Sampler(); s != nil {
 		s.Flush(svc.Clock.Now())
-		fmt.Printf("--- sampler: %d StageMetrics events emitted into the trace ring (every %d cycles)\n",
+		fmt.Fprintf(stdout, "--- sampler: %d StageMetrics events emitted into the trace ring (every %d cycles)\n",
 			s.Samples(), *sample)
 	}
+	return 0
 }

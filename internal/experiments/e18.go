@@ -21,7 +21,7 @@ import (
 // revocation-safe path-prefix and ACL decision caches, against the
 // uncached per-component walk the paper's design pays on every access.
 //
-// Like E14 it measures wall-clock on real data structures, so it is
+// It measures wall-clock on real data structures, so it is
 // registered in cmd/experiments only, not in the deterministic All() set.
 // The revocation-correctness half (the part that must hold under -race at
 // any parallelism) also runs as a regular test: see e18_test.go.

@@ -7,9 +7,9 @@ type Experiment struct {
 	ID string
 	// Title summarizes the experiment.
 	Title string
-	// InRunAll marks the experiments RunAll executes. E14 measures
-	// wall-clock scaling, E18 builds a million-segment tree and E19
-	// writes real journal bytes, so only cmd/experiments runs them.
+	// InRunAll marks the experiments RunAll executes. E18 builds a
+	// million-segment tree and E19 writes real journal bytes, so only
+	// cmd/experiments runs them; it also runs E14, which RunAll omits.
 	InRunAll bool
 	// Ablation marks A1 and A2, which cmd/experiments sweeps only under
 	// -ablations.
@@ -41,7 +41,7 @@ var registry = []Experiment{
 	{ID: "E11", Title: "compartmentalization at the bottom layer; sharing common only within compartments", InRunAll: true, run: E11MLSPartitioning},
 	{ID: "E12", Title: "boot-time privilege: bootstrap vs generated memory image", InRunAll: true, run: E12BootComplexity},
 	{ID: "E13", Title: "network attachment under storm: borrowed processes vs dedicated front-end", InRunAll: true, run: E13NetAttach},
-	{ID: "E14", Title: "hot-path performance: associative memory + concurrent memory core", run: E14HotPathPerformance},
+	{ID: "E14", Title: "hot-path performance: the associative memory", run: E14HotPathPerformance},
 	{ID: "E15", Title: "fault storm: deterministic injection + self-healing recovery paths", InRunAll: true, run: E15FaultStorm},
 	{ID: "E16", Title: "metrics plane: one registry, zero overhead, sampler-invariant export", InRunAll: true, run: E16MetricsPlane},
 	{ID: "E17", Title: "fleet: consistent-hash sharding and live migration across kernels", InRunAll: true, run: E17FleetScaling},

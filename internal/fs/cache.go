@@ -33,32 +33,20 @@ type decisionKey struct {
 	want  acl.Mode
 }
 
-const (
-	decShardCount = 16
-	// decShardCap bounds each shard; on overflow the shard is reset
-	// wholesale (epoch eviction — cheap, and a dropped entry only costs a
-	// recomputation).
-	decShardCap = 1 << 14
-)
-
-type decShard struct {
-	mu sync.RWMutex
-	m  map[decisionKey]uint64 // value: aclGen at fill time
-}
+// decCacheCap bounds the cache; on overflow it is reset wholesale (epoch
+// eviction — cheap, and a dropped entry only costs a recomputation).
+const decCacheCap = 1 << 18
 
 type decisionCache struct {
-	shards  [decShardCount]decShard
-	enabled uint32 // atomic; 1 = on
+	mu      sync.RWMutex
+	m       map[decisionKey]uint64 // value: aclGen at fill time
+	enabled uint32                 // atomic; 1 = on
 
 	hits, misses, fills, invalidations, evictions *metrics.Counter
 }
 
 func newDecisionCache() *decisionCache {
-	c := &decisionCache{enabled: 1}
-	for i := range c.shards {
-		c.shards[i].m = make(map[decisionKey]uint64)
-	}
-	return c
+	return &decisionCache{enabled: 1, m: make(map[decisionKey]uint64)}
 }
 
 func (c *decisionCache) bind(reg *metrics.Registry) {
@@ -83,28 +71,18 @@ func (c *decisionCache) setEnabled(on bool) {
 // flush drops every cached decision (used when state changes bypass the
 // generation discipline, e.g. salvager repair of corrupted structures).
 func (c *decisionCache) flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[decisionKey]uint64)
-		s.mu.Unlock()
-	}
-}
-
-func (c *decisionCache) shard(k decisionKey) *decShard {
-	// The UID alone spreads well: one object's decisions land on one
-	// shard, but objects are many and UIDs sequential.
-	return &c.shards[k.uid&(decShardCount-1)]
+	c.mu.Lock()
+	c.m = make(map[decisionKey]uint64)
+	c.mu.Unlock()
 }
 
 // lookup reports whether a positive verdict for k is cached and still
 // valid at generation gen (the object's current aclGen, loaded by the
 // caller before probing).
 func (c *decisionCache) lookup(k decisionKey, gen uint64) bool {
-	s := c.shard(k)
-	s.mu.RLock()
-	stored, ok := s.m[k]
-	s.mu.RUnlock()
+	c.mu.RLock()
+	stored, ok := c.m[k]
+	c.mu.RUnlock()
 	if ok && stored == gen {
 		c.hits.Inc()
 		return true
@@ -118,14 +96,13 @@ func (c *decisionCache) lookup(k decisionKey, gen uint64) bool {
 // in between bumps the object past gen, so the entry is stillborn rather
 // than stale.
 func (c *decisionCache) store(k decisionKey, gen uint64) {
-	s := c.shard(k)
-	s.mu.Lock()
-	if len(s.m) >= decShardCap {
-		s.m = make(map[decisionKey]uint64)
+	c.mu.Lock()
+	if len(c.m) >= decCacheCap {
+		c.m = make(map[decisionKey]uint64)
 		c.evictions.Inc()
 	}
-	s.m[k] = gen
-	s.mu.Unlock()
+	c.m[k] = gen
+	c.mu.Unlock()
 	c.fills.Inc()
 }
 

@@ -22,11 +22,11 @@
 //     user ring.
 //
 // Concurrency: the hierarchy is safe for concurrent use. The object table
-// is striped into independent shards keyed by UID, and every object carries
-// its own lock guarding the mutable branch attributes (name, parent, label,
-// ACL, bit count, and — for directories — the entry map). Lock order is
-// parent directory before child object; the shard maps are leaves taken
-// last. Hot-path access checks and tree-name walks are memoized by the
+// is one map under one lock, and every object carries its own lock
+// guarding the mutable branch attributes (name, parent, label, ACL, bit
+// count, and — for directories — the entry map). Lock order is parent
+// directory before child object; the table's lock is a leaf taken last.
+// Hot-path access checks and tree-name walks are memoized by the
 // revocation-safe caches in cache.go and pathcache.go: every mutation of an
 // ACL, label, or directory entry bumps the owning object's generation
 // counter inside the same critical section, which atomically kills every
@@ -199,20 +199,13 @@ var (
 	ErrRootImmutable = errors.New("fs: the root directory cannot be deleted")
 )
 
-// objShardCount stripes the object table; a power of two so the shard
-// index is a mask (same geometry as internal/mem's frame stripes).
-const objShardCount = 64
-
-type objShard struct {
-	mu      sync.RWMutex
-	objects map[uint64]*Object
-}
-
 // Hierarchy is the complete storage system: the layer-1 UID store plus the
 // layer-2 naming hierarchy.
 type Hierarchy struct {
-	store   *mem.Store
-	shards  [objShardCount]objShard
+	store *mem.Store
+	// objMu guards the object table, keyed by UID.
+	objMu   sync.RWMutex
+	objects map[uint64]*Object
 	nextUID uint64 // atomic
 
 	// mutEpoch advances (atomically) on every generation bump anywhere in
@@ -250,10 +243,7 @@ func (c *opCounters) bind(reg *metrics.Registry) {
 // ACL initially grants sma to every principal; real installations tighten
 // it immediately.
 func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
-	h := &Hierarchy{store: store, nextUID: RootUID + 1}
-	for i := range h.shards {
-		h.shards[i].objects = make(map[uint64]*Object)
-	}
+	h := &Hierarchy{store: store, nextUID: RootUID + 1, objects: make(map[uint64]*Object)}
 	// The hierarchy publishes into its own registry until the kernel hands
 	// it the system one via SetMetrics at boot.
 	h.SetMetrics(metrics.New())
@@ -307,55 +297,42 @@ func (h *Hierarchy) OpStats() OpStats {
 	}
 }
 
-func (h *Hierarchy) shard(uid uint64) *objShard {
-	return &h.shards[uid&(objShardCount-1)]
-}
-
 func (h *Hierarchy) object(uid uint64) (*Object, bool) {
-	s := h.shard(uid)
-	s.mu.RLock()
-	o, ok := s.objects[uid]
-	s.mu.RUnlock()
+	h.objMu.RLock()
+	o, ok := h.objects[uid]
+	h.objMu.RUnlock()
 	return o, ok
 }
 
 func (h *Hierarchy) putObject(o *Object) {
-	s := h.shard(o.UID)
-	s.mu.Lock()
-	s.objects[o.UID] = o
-	s.mu.Unlock()
+	h.objMu.Lock()
+	h.objects[o.UID] = o
+	h.objMu.Unlock()
 }
 
 func (h *Hierarchy) removeObject(uid uint64) {
-	s := h.shard(uid)
-	s.mu.Lock()
-	delete(s.objects, uid)
-	s.mu.Unlock()
+	h.objMu.Lock()
+	delete(h.objects, uid)
+	h.objMu.Unlock()
 }
 
 // Count returns the number of live objects in the hierarchy.
 func (h *Hierarchy) Count() int {
-	n := 0
-	for i := range h.shards {
-		h.shards[i].mu.RLock()
-		n += len(h.shards[i].objects)
-		h.shards[i].mu.RUnlock()
-	}
-	return n
+	h.objMu.RLock()
+	defer h.objMu.RUnlock()
+	return len(h.objects)
 }
 
 // UIDs returns every live object UID in ascending order. The fault
 // plane uses the list to choose deterministic corruption targets for a
 // simulated crash; the salvager's own walk does not need it.
 func (h *Hierarchy) UIDs() []uint64 {
-	out := make([]uint64, 0, h.Count())
-	for i := range h.shards {
-		h.shards[i].mu.RLock()
-		for uid := range h.shards[i].objects {
-			out = append(out, uid)
-		}
-		h.shards[i].mu.RUnlock()
+	h.objMu.RLock()
+	out := make([]uint64, 0, len(h.objects))
+	for uid := range h.objects {
+		out = append(out, uid)
 	}
+	h.objMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

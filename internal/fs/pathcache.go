@@ -27,7 +27,7 @@
 // the epoch at all.
 //
 // Layout: entries are keyed in two levels — a small outer map from
-// (principal, label) to that subject's view, then lock-striped inner maps
+// (principal, label) to that subject's view, then one inner map per view
 // keyed by the path string alone. Distinct subjects must never share
 // entries (the verdict chain embeds their access rights), and the split
 // means the per-probe cost is hashing one string, not a five-string
@@ -89,54 +89,27 @@ func (e *pathEntry) valid(now uint64) bool {
 	return true
 }
 
-const (
-	pathShardCount = 16
-	// pathShardCap is sized so a ~100k-path working set (E18 resolves a
-	// 50k sample against a 1.1M-segment tree, with prefix fills on top)
-	// stays resident.
-	pathShardCap = 1 << 15
-)
+// subjPathCap bounds one subject's view; on overflow the view is reset
+// wholesale. It is sized so a ~100k-path working set (E18 resolves a 50k
+// sample against a 1.1M-segment tree, with prefix fills on top) stays
+// resident.
+const subjPathCap = 1 << 19
 
-type pathShard struct {
+// subjPaths is one subject's path → entry index.
+type subjPaths struct {
 	mu sync.RWMutex
 	m  map[string]*pathEntry
 }
 
-// subjPaths is one subject's striped path → entry index.
-type subjPaths struct {
-	shards [pathShardCount]pathShard
-}
-
 func newSubjPaths() *subjPaths {
-	sp := &subjPaths{}
-	for i := range sp.shards {
-		sp.shards[i].m = make(map[string]*pathEntry)
-	}
-	return sp
-}
-
-func (sp *subjPaths) shard(path string) *pathShard {
-	// FNV-1a over the path's length and last 8 bytes: the tail is where
-	// sibling paths differ, and bounding the scan keeps the shard pick
-	// off the hit path's profile (the full-string hash happens once, in
-	// the shard map itself).
-	h := uint64(14695981039346656037) ^ uint64(len(path))
-	h *= 1099511628211
-	for i := len(path) - 8; i < len(path); i++ {
-		if i < 0 {
-			continue
-		}
-		h ^= uint64(path[i])
-		h *= 1099511628211
-	}
-	return &sp.shards[h&(pathShardCount-1)]
+	return &subjPaths{m: make(map[string]*pathEntry)}
 }
 
 type pathCache struct {
 	mu sync.RWMutex
 	// subjs has one entry per (principal, label) that ever resolved a
 	// name — small and read-mostly; the per-path churn lives in the
-	// subject views' inner shards.
+	// subject views' own maps.
 	subjs   map[subjKey]*subjPaths
 	enabled uint32 // atomic
 
@@ -203,10 +176,9 @@ func (c *pathCache) viewOrCreate(k subjKey) *subjPaths {
 // the read path would force the write lock.
 func (c *pathCache) lookup(sp *subjPaths, path string, now uint64) *pathEntry {
 	if sp != nil {
-		s := sp.shard(path)
-		s.mu.RLock()
-		e := s.m[path]
-		s.mu.RUnlock()
+		sp.mu.RLock()
+		e := sp.m[path]
+		sp.mu.RUnlock()
 		if e != nil && e.valid(now) {
 			c.hits.Inc()
 			return e
@@ -220,13 +192,12 @@ func (c *pathCache) lookup(sp *subjPaths, path string, now uint64) *pathEntry {
 // generations were captured before each object was observed, so an
 // interleaved mutation leaves it immediately invalid rather than stale.
 func (c *pathCache) store(sp *subjPaths, path string, e *pathEntry) {
-	s := sp.shard(path)
-	s.mu.Lock()
-	if len(s.m) >= pathShardCap {
-		s.m = make(map[string]*pathEntry)
+	sp.mu.Lock()
+	if len(sp.m) >= subjPathCap {
+		sp.m = make(map[string]*pathEntry)
 		c.evictions.Inc()
 	}
-	s.m[path] = e
-	s.mu.Unlock()
+	sp.m[path] = e
+	sp.mu.Unlock()
 	c.fills.Inc()
 }

@@ -137,10 +137,7 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("fs: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
-	h := &Hierarchy{store: store, nextUID: snap.NextUID}
-	for i := range h.shards {
-		h.shards[i].objects = make(map[uint64]*Object)
-	}
+	h := &Hierarchy{store: store, nextUID: snap.NextUID, objects: make(map[uint64]*Object)}
 	h.SetMetrics(metrics.New())
 	sawRoot := false
 	for _, so := range snap.Objects {

@@ -26,7 +26,6 @@ func TestClassify(t *testing.T) {
 		{&machine.Fault{Class: machine.FaultGate}, trace.ClassAccessDenied},
 		{&machine.Fault{Class: machine.FaultAccess}, trace.ClassAccessDenied},
 		{&machine.Fault{Class: machine.FaultSegment}, trace.ClassFailed},
-		{mem.ErrBusy, trace.ClassBusy},
 		{mem.ErrOutOfRange, trace.ClassBadArgs},
 		{fmt.Errorf("%w: offset 99", mem.ErrOutOfRange), trace.ClassBadArgs},
 		{mem.ErrSegmentGone, trace.ClassFailed},

@@ -49,8 +49,8 @@ func Busy(gate string, err error) error {
 // trace.Class taxonomy. The vocabulary lives in the leaf trace package;
 // the classifier lives here because it knows the machine and mem error
 // shapes. Explicitly classified errors (*Error anywhere in the chain) win;
-// machine faults and mem contention are recognized structurally; every
-// other failure is trace.ClassFailed.
+// machine faults and mem storage-reference errors are recognized
+// structurally; every other failure is trace.ClassFailed.
 func Classify(err error) trace.Class {
 	if err == nil {
 		return trace.ClassOK
@@ -66,9 +66,6 @@ func Classify(err error) trace.Class {
 			return trace.ClassAccessDenied
 		}
 		return trace.ClassFailed
-	}
-	if errors.Is(err, mem.ErrBusy) {
-		return trace.ClassBusy
 	}
 	// Storage-reference errors from mem.PagedBacking.locate: an offset
 	// outside the segment is the caller's malformed argument; a reference

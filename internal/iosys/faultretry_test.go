@@ -57,8 +57,6 @@ func TestInfiniteBufferRetriesInjectedErrors(t *testing.T) {
 		{"no-faults", nil, true},
 		{"one-io-error", repeatErrs(mem.ErrIO, 1), true},
 		{"io-error-burst", repeatErrs(mem.ErrIO, pageRetryLimit-1), true},
-		{"busy-then-clean", repeatErrs(mem.ErrBusy, 2), true},
-		{"mixed-io-and-busy", []error{mem.ErrIO, mem.ErrBusy, mem.ErrIO}, true},
 		{"exhausts-retry-budget", repeatErrs(mem.ErrIO, pageRetryLimit), false},
 		{"non-retryable", []error{permanent}, false},
 	}

@@ -119,8 +119,8 @@ const wordsPerMessage = 2
 //
 // Put, Get, Len, Lost and PagesUsed are serialized by the buffer's lock,
 // which orders the operations of one buffer. The underlying *mem.Store is
-// itself safe for concurrent use (lock-striped), so buffers over the same
-// store use private locks.
+// itself safe for concurrent use (it has its own lock), so buffers over
+// the same store use private locks.
 type InfiniteBuffer struct {
 	mu    sync.Mutex
 	store *mem.Store
@@ -146,11 +146,10 @@ func (b *InfiniteBuffer) wordOf(msgIndex int) int { return msgIndex * wordsPerMe
 
 // writeWord stores one word, paging the frame in on demand (the buffer IS
 // the virtual memory).
-// pageRetryLimit bounds the buffer's page-in retries on transient
-// conditions — an injected backing-store I/O error (mem.ErrIO) or a
-// frame raced away mid-transfer (mem.ErrBusy). Buffers run outside any
-// process context, so the retry is immediate rather than backed off;
-// the bound converts a persistent fault into an error for the caller.
+// pageRetryLimit bounds the buffer's page-in retries on a transient
+// backing-store I/O error (mem.ErrIO). Buffers run outside any process
+// context, so the retry is immediate rather than backed off; the bound
+// converts a persistent fault into an error for the caller.
 const pageRetryLimit = 8
 
 // pageInRetry is store.PageIn with bounded retry on transient errors.
@@ -160,7 +159,7 @@ func (b *InfiniteBuffer) pageInRetry(pid mem.PageID) error {
 		if _, _, err = b.store.PageIn(pid); err == nil {
 			return nil
 		}
-		if !errors.Is(err, mem.ErrIO) && !errors.Is(err, mem.ErrBusy) {
+		if !errors.Is(err, mem.ErrIO) {
 			return err
 		}
 	}

@@ -36,8 +36,9 @@ type BlockWrite struct {
 }
 
 // BackingStore is the durable block layer under the memory hierarchy. All
-// implementations must be safe for concurrent use, because Store is: it
-// calls its backing store from whichever goroutines call it.
+// implementations must be safe for concurrent use: Store calls its backing
+// store under the store's lock, but the kernel's checkpoint and restore
+// paths call it directly.
 //
 // WriteBlocks exists for the checkpoint flush (Store.FlushSegment), which
 // writes each segment's materialized pages as one round trip: one lock

@@ -1,7 +1,5 @@
 package mem
 
-import "sync"
-
 // bulkIndexSlack bounds the bulk index at this many entries per bulk-store
 // block. Stale entries accumulate between trips to the top of the heap;
 // past the bound the index is rebuilt from the block table.
@@ -15,13 +13,8 @@ const bulkIndexSlack = 4
 // never touch it: every fill stamps its block with the next value of a
 // sequence, the entry carries the same stamp, and an entry whose block
 // has since been freed or refilled no longer matches the block and is
-// dropped when it reaches the top.
-//
-// Lock order: the index lock sits between a segment's page table and the
-// block stripes. Filling, picking and rebuilding take block stripes while
-// holding the index lock; no path holds a stripe while waiting for it.
+// dropped when it reaches the top. The store's lock guards it.
 type bulkIndex struct {
-	mu    sync.Mutex
 	heap  []bulkEntry
 	fills uint64 // the last fill stamp issued
 }
@@ -81,46 +74,33 @@ func (x *bulkIndex) popTop() {
 
 // blockHolds reports whether block e.block still holds the fill e records.
 func (s *Store) blockHolds(e bulkEntry) bool {
-	bi := int(e.block) & stripeMask
-	s.blockMu[bi].Lock()
 	bl := &s.blocks[e.block]
-	held := !bl.free && bl.fill == e.fill
-	s.blockMu[bi].Unlock()
-	return held
+	return !bl.free && bl.fill == e.fill
 }
 
 // fillBlock publishes page data into freshly allocated block b and
-// indexes it under a new fill stamp. The caller holds pid's segment lock
-// and not b's stripe.
+// indexes it under a new fill stamp.
 func (s *Store) fillBlock(b BlockID, pid PageID, data []uint64) {
 	x := &s.bulk
-	x.mu.Lock()
 	x.fills++
 	e := bulkEntry{pid: pid, block: b, fill: x.fills}
-	bi := int(b) & stripeMask
-	s.blockMu[bi].Lock()
 	s.blocks[b] = block{pid: pid, data: data, fill: e.fill}
-	s.blockMu[bi].Unlock()
 	x.heap = append(x.heap, e)
 	x.up(len(x.heap) - 1)
 	if len(x.heap) > bulkIndexSlack*len(s.blocks) {
-		s.rebuildBulkIndexLocked()
+		s.rebuildBulkIndex()
 	}
-	x.mu.Unlock()
 }
 
-// rebuildBulkIndexLocked replaces the index with one entry per occupied
-// block, read from the block table. The caller holds the index lock.
-func (s *Store) rebuildBulkIndexLocked() {
+// rebuildBulkIndex replaces the index with one entry per occupied block,
+// read from the block table.
+func (s *Store) rebuildBulkIndex() {
 	x := &s.bulk
 	x.heap = x.heap[:0]
 	for i := range s.blocks {
-		bi := i & stripeMask
-		s.blockMu[bi].Lock()
 		if bl := &s.blocks[i]; !bl.free {
 			x.heap = append(x.heap, bulkEntry{pid: bl.pid, block: BlockID(i), fill: bl.fill})
 		}
-		s.blockMu[bi].Unlock()
 	}
 	for i := len(x.heap)/2 - 1; i >= 0; i-- {
 		x.down(i)
@@ -132,9 +112,9 @@ func (s *Store) rebuildBulkIndexLocked() {
 // the bulk store holds no page. Entries made stale by frees and refills
 // are dropped on the way; the call allocates nothing.
 func (s *Store) LowestBulkPage() (BlockID, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	x := &s.bulk
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	for len(x.heap) > 0 {
 		if top := x.heap[0]; s.blockHolds(top) {
 			return top.block, true

@@ -8,7 +8,7 @@ import (
 // Checkpoint support: the kernel's checkpoint flushes every materialized
 // page through the backing store without moving it, and restore re-adopts
 // segments with their pages at the disk level. Both ends live here because
-// they need the page-table and stripe locks.
+// they work on the page tables under the store's lock.
 
 // FlushSegment writes a durable copy of every materialized page of uid
 // through the backing store, leaving live locations untouched, and returns
@@ -16,14 +16,11 @@ import (
 // level are durable by definition and are not rewritten. The caller is
 // responsible for the durability barrier (BackingStore.Sync or Checkpoint).
 func (s *Store) FlushSegment(uid uint64) ([]int, error) {
-	sp, ok := s.seg(uid)
-	if !ok {
-		return nil, fmt.Errorf("mem: segment %#x does not exist", uid)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return nil, fmt.Errorf("mem: segment %#x does not exist", uid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(uid)
+	if err != nil {
+		return nil, err
 	}
 	// Collect every core- and bulk-resident page, then push the whole
 	// segment through the backing store in one batch — one journal record
@@ -35,25 +32,17 @@ func (s *Store) FlushSegment(uid uint64) ([]int, error) {
 		var data []uint64
 		switch loc.Level {
 		case LevelCore:
-			fi := int(loc.Frame) & stripeMask
-			s.frameMu[fi].Lock()
 			fr := &s.frames[loc.Frame]
 			if fr.free || fr.pid != pid {
-				s.frameMu[fi].Unlock()
 				return nil, fmt.Errorf("mem: flush of %v found frame %d inconsistent", pid, loc.Frame)
 			}
 			data = append([]uint64(nil), fr.data...)
-			s.frameMu[fi].Unlock()
 		case LevelBulk:
-			bi := int(loc.Block) & stripeMask
-			s.blockMu[bi].Lock()
 			bl := &s.blocks[loc.Block]
 			if bl.free || bl.pid != pid {
-				s.blockMu[bi].Unlock()
 				return nil, fmt.Errorf("mem: flush of %v found block %d inconsistent", pid, loc.Block)
 			}
 			data = append([]uint64(nil), bl.data...)
-			s.blockMu[bi].Unlock()
 		case LevelDisk:
 			idxs = append(idxs, idx)
 			continue
@@ -90,12 +79,12 @@ func (s *Store) AdoptSegment(uid uint64, length int, pages []int) error {
 			return fmt.Errorf("mem: adopted page %d outside segment %#x (%d pages)", idx, uid, numPages)
 		}
 	}
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.segs[uid]; ok {
 		return fmt.Errorf("mem: segment %#x already exists", uid)
 	}
-	sp := &SegmentPages{UID: uid, length: length, pages: make(map[int]Location, len(pages))}
+	sp := &SegmentPages{UID: uid, store: s, length: length, pages: make(map[int]Location, len(pages))}
 	for _, idx := range pages {
 		sp.pages[idx] = Location{Level: LevelDisk}
 	}

@@ -54,8 +54,9 @@ func (op IOOp) String() string {
 // both do, with bounded attempts.
 var ErrIO = errors.New("mem: backing store I/O error")
 
-// FaultHook interposes on backing-store transfers. Implementations must
-// be safe for concurrent use; the store calls them from every worker.
+// FaultHook interposes on backing-store transfers. The store calls it
+// under the store's lock, so an implementation must not call back into
+// the store.
 type FaultHook interface {
 	// PageIO is consulted before each transfer of pid. A non-nil error
 	// (which must wrap ErrIO) aborts the transfer with no state change;

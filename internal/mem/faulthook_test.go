@@ -118,9 +118,3 @@ func TestFaultHookRemovable(t *testing.T) {
 		t.Fatalf("unhooked PageIn still failing: %v", err)
 	}
 }
-
-func TestErrIOIsDistinctFromErrBusy(t *testing.T) {
-	if errors.Is(ErrIO, ErrBusy) || errors.Is(ErrBusy, ErrIO) {
-		t.Error("ErrIO and ErrBusy must be distinct sentinels")
-	}
-}

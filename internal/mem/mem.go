@@ -145,39 +145,67 @@ type block struct {
 	fill uint64 // stamp of the fill that put pid here; see bulkIndex
 }
 
-// Lock-striping geometry. Free lists are sharded so concurrent allocators
-// rarely meet; frame and block metadata is striped so word access and
-// transfers on different frames never share a lock.
-const (
-	numShards  = 8
-	shardMask  = numShards - 1
-	numStripes = 64
-	stripeMask = numStripes - 1
-)
+// numBins is how many free lists each pool keeps. A page takes a frame
+// (or block) from its home bin and then from the other bins in order. The
+// bins are an allocation rule: they decide which frame each page gets,
+// and so which victims the clock later picks.
+const numBins = 8
 
-// freeShard is one shard of a free list (LIFO within the shard).
-type freeShard struct {
-	mu  sync.Mutex
-	ids []int
+// freeBins is one pool's free IDs, LIFO within each bin. A freed ID goes
+// back to bin id mod numBins.
+type freeBins [numBins][]int
+
+func (fb *freeBins) count() int {
+	n := 0
+	for i := range fb {
+		n += len(fb[i])
+	}
+	return n
+}
+
+// take pops a free ID, starting at bin home and moving on to the others
+// in order when it is empty; taking from another bin counts as a steal.
+func (fb *freeBins) take(home int, steals *metrics.Counter) (int, bool) {
+	for i := 0; i < numBins; i++ {
+		bin := &fb[(home+i)%numBins]
+		if n := len(*bin); n > 0 {
+			id := (*bin)[n-1]
+			*bin = (*bin)[:n-1]
+			if i != 0 {
+				steals.Add(1)
+			}
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+func (fb *freeBins) put(id int) {
+	fb[id%numBins] = append(fb[id%numBins], id)
 }
 
 // Store is the whole simulated memory hierarchy plus the page tables of all
-// segments. It is safe for concurrent use: page-table operations serialize
-// per segment, frame/block metadata is lock-striped, the free lists are
-// sharded, and transfer statistics are atomics — there is no global lock.
-//
-// Lock order (outermost first): segs map -> one segment's page table -> the
-// bulk index -> one frame/block stripe -> free-list shard or the backing
-// store's own lock. No operation ever holds two stripes at once; a transfer
-// that touches both a frame and a block finishes with one before locking
-// the other. No operation takes the bulk index while holding a stripe.
+// segments. It is safe for concurrent use: one mutex guards the frame and
+// block tables, the free lists, the page tables and the bulk index, and
+// every method holds it for its whole body, so a transfer that reads a page
+// table, a frame and a block does so in one critical section. Transfer
+// statistics are metrics counters. Under the store's lock a method may call
+// the backing store and the fault hook, which have their own locks; neither
+// calls back into the store.
 type Store struct {
 	cfg Config
 
-	frames  []frame
-	frameMu [numStripes]sync.Mutex
-	blocks  []block
-	blockMu [numStripes]sync.Mutex
+	mu     sync.Mutex
+	frames []frame
+	blocks []block
+	segs   map[uint64]*SegmentPages
+
+	freeFrames freeBins
+	freeBlocks freeBins
+
+	// bulk orders the occupied blocks by page for the bulk-freeing
+	// process.
+	bulk bulkIndex
 
 	// backing is the durable block layer serving LevelDisk. It may also
 	// hold stale copies of pages whose live location is core or bulk —
@@ -185,20 +213,8 @@ type Store struct {
 	// a real disk copy goes stale when the page is later dirtied in core.
 	backing BackingStore
 
-	// segMu guards the segs map only; each SegmentPages has its own lock.
-	segMu sync.RWMutex
-	segs  map[uint64]*SegmentPages
-
-	freeFrames [numShards]freeShard
-	freeBlocks [numShards]freeShard
-
-	// bulk orders the occupied blocks by page for the bulk-freeing
-	// process.
-	bulk bulkIndex
-
-	// Transfer and contention counts live in the unified metrics
-	// registry; these are pre-resolved handles, so the hot path is the
-	// same single atomic add it was when the fields were raw atomics.
+	// Transfer and steal counts live in the unified metrics registry;
+	// these are pre-resolved handles.
 	bulkToCore, diskToCore   *metrics.Counter
 	coreToBulk, coreToDisk   *metrics.Counter
 	bulkToDisk, diskToBulk   *metrics.Counter
@@ -212,27 +228,26 @@ type Store struct {
 }
 
 // SegmentPages is the page table of one segment. All access to it goes
-// through the owning Store, which serializes page transitions per segment.
+// through the owning Store, under the store's lock.
 type SegmentPages struct {
 	UID uint64
 
-	mu      sync.Mutex
-	length  int // length in words
-	pages   map[int]Location
-	deleted bool
+	store  *Store
+	length int // length in words
+	pages  map[int]Location
 }
 
 // Length returns the segment length in words.
 func (s *SegmentPages) Length() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
 	return s.length
 }
 
 // NumPages returns how many pages the segment spans.
 func (s *SegmentPages) NumPages(pageWords int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
 	return (s.length + pageWords - 1) / pageWords
 }
 
@@ -268,13 +283,11 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	for i := range st.frames {
 		st.frames[i].free = true
-		sh := &st.freeFrames[i&shardMask]
-		sh.ids = append(sh.ids, i)
+		st.freeFrames.put(i)
 	}
 	for i := range st.blocks {
 		st.blocks[i].free = true
-		sh := &st.freeBlocks[i&shardMask]
-		sh.ids = append(sh.ids, i)
+		st.freeBlocks.put(i)
 	}
 	return st, nil
 }
@@ -298,12 +311,12 @@ func (s *Store) Stats() TransferStats {
 	}
 }
 
-// seg returns the page table for uid under the map lock only.
-func (s *Store) seg(uid uint64) (*SegmentPages, bool) {
-	s.segMu.RLock()
-	sp, ok := s.segs[uid]
-	s.segMu.RUnlock()
-	return sp, ok
+// seg returns the page table for uid. The caller holds the store's lock.
+func (s *Store) seg(uid uint64) (*SegmentPages, error) {
+	if sp, ok := s.segs[uid]; ok {
+		return sp, nil
+	}
+	return nil, fmt.Errorf("mem: segment %#x does not exist", uid)
 }
 
 // CreateSegment registers a segment of length words, with all pages
@@ -312,47 +325,45 @@ func (s *Store) CreateSegment(uid uint64, length int) (*SegmentPages, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("mem: negative segment length %d", length)
 	}
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.segs[uid]; ok {
 		return nil, fmt.Errorf("mem: segment %#x already exists", uid)
 	}
-	sp := &SegmentPages{UID: uid, length: length, pages: make(map[int]Location)}
+	sp := &SegmentPages{UID: uid, store: s, length: length, pages: make(map[int]Location)}
 	s.segs[uid] = sp
 	return sp, nil
 }
 
 // Segment returns the page table for uid.
 func (s *Store) Segment(uid uint64) (*SegmentPages, bool) {
-	return s.seg(uid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, ok := s.segs[uid]
+	return sp, ok
 }
 
 // SegmentUIDs returns the UIDs of all registered segments, sorted.
 func (s *Store) SegmentUIDs() []uint64 {
-	s.segMu.RLock()
+	s.mu.Lock()
 	out := make([]uint64, 0, len(s.segs))
 	for uid := range s.segs {
 		out = append(out, uid)
 	}
-	s.segMu.RUnlock()
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // DeleteSegment releases every page of uid at every level.
 func (s *Store) DeleteSegment(uid uint64) error {
-	s.segMu.Lock()
-	sp, ok := s.segs[uid]
-	if !ok {
-		s.segMu.Unlock()
-		return fmt.Errorf("mem: segment %#x does not exist", uid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(uid)
+	if err != nil {
+		return err
 	}
 	delete(s.segs, uid)
-	s.segMu.Unlock()
-
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.deleted = true
 	for idx, loc := range sp.pages {
 		s.releasePage(PageID{SegUID: uid, Index: idx}, loc)
 		delete(sp.pages, idx)
@@ -360,8 +371,7 @@ func (s *Store) DeleteSegment(uid uint64) error {
 	return nil
 }
 
-// releasePage returns a page's storage to the free pools. The caller holds
-// the owning segment's lock, which pins the location.
+// releasePage returns a page's storage to the free pools.
 func (s *Store) releasePage(pid PageID, loc Location) {
 	switch loc.Level {
 	case LevelCore:
@@ -379,17 +389,14 @@ func (s *Store) releasePage(pid PageID, loc Location) {
 // SetLength grows or shrinks a segment. Shrinking releases pages beyond the
 // new length.
 func (s *Store) SetLength(uid uint64, length int) error {
-	sp, ok := s.seg(uid)
-	if !ok {
-		return fmt.Errorf("mem: segment %#x does not exist", uid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(uid)
+	if err != nil {
+		return err
 	}
 	if length < 0 {
 		return fmt.Errorf("mem: negative segment length %d", length)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return fmt.Errorf("mem: segment %#x does not exist", uid)
 	}
 	lastPage := (length + s.cfg.PageWords - 1) / s.cfg.PageWords
 	for idx, loc := range sp.pages {
@@ -410,14 +417,11 @@ func (s *Store) SetLength(uid uint64, length int) error {
 // fully-consumed pages return their storage to the standard free pools.
 // Discarding an unmaterialized page is a no-op.
 func (s *Store) Discard(pid PageID) error {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(pid.SegUID)
+	if err != nil {
+		return err
 	}
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
@@ -430,12 +434,12 @@ func (s *Store) Discard(pid PageID) error {
 
 // Locate returns where a page of uid currently lives.
 func (s *Store) Locate(pid PageID) (Location, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return Location{}, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(pid.SegUID)
+	if err != nil {
+		return Location{}, err
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
 		return Location{Level: LevelNone}, nil
@@ -445,96 +449,57 @@ func (s *Store) Locate(pid PageID) (Location, error) {
 
 // FreeFrameCount returns the number of free primary-memory frames.
 func (s *Store) FreeFrameCount() int {
-	n := 0
-	for i := range s.freeFrames {
-		sh := &s.freeFrames[i]
-		sh.mu.Lock()
-		n += len(sh.ids)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.freeFrames.count()
 }
 
 // FreeBlockCount returns the number of free bulk-store blocks.
 func (s *Store) FreeBlockCount() int {
-	n := 0
-	for i := range s.freeBlocks {
-		sh := &s.freeBlocks[i]
-		sh.mu.Lock()
-		n += len(sh.ids)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.freeBlocks.count()
 }
 
-// homeShard spreads allocations for different pages over the shards while
+// homeBin spreads allocations for different pages over the bins while
 // keeping the choice deterministic for a given page.
-func homeShard(pid PageID) int {
-	return int((pid.SegUID*31 + uint64(pid.Index)) & shardMask)
-}
-
-// takeFree pops a free ID, starting at the page's home shard and stealing
-// from the others in deterministic order when it is empty.
-func takeFree(shards *[numShards]freeShard, home int, steals *metrics.Counter) (int, bool) {
-	for i := 0; i < numShards; i++ {
-		sh := &shards[(home+i)&shardMask]
-		sh.mu.Lock()
-		if n := len(sh.ids); n > 0 {
-			id := sh.ids[n-1]
-			sh.ids = sh.ids[:n-1]
-			sh.mu.Unlock()
-			if i != 0 {
-				steals.Add(1)
-			}
-			return id, true
-		}
-		sh.mu.Unlock()
-	}
-	return 0, false
-}
-
-func putFree(shards *[numShards]freeShard, id int) {
-	sh := &shards[id&shardMask]
-	sh.mu.Lock()
-	sh.ids = append(sh.ids, id)
-	sh.mu.Unlock()
+func homeBin(pid PageID) int {
+	return int((pid.SegUID*31 + uint64(pid.Index)) % numBins)
 }
 
 func (s *Store) takeFrame(pid PageID) (FrameID, bool) {
-	id, ok := takeFree(&s.freeFrames, homeShard(pid), s.frameSteals)
+	id, ok := s.freeFrames.take(homeBin(pid), s.frameSteals)
 	return FrameID(id), ok
 }
 
 func (s *Store) takeBlock(pid PageID) (BlockID, bool) {
-	id, ok := takeFree(&s.freeBlocks, homeShard(pid), s.blockSteals)
+	id, ok := s.freeBlocks.take(homeBin(pid), s.blockSteals)
 	return BlockID(id), ok
 }
 
-// releaseFrame clears frame metadata and returns the frame to its free-list
-// shard. The caller must not hold the frame's stripe.
-func (s *Store) releaseFrame(f FrameID) {
-	s.frameMu[int(f)&stripeMask].Lock()
+// releaseFrame clears frame metadata and returns the frame to its free
+// list, returning its page data.
+func (s *Store) releaseFrame(f FrameID) []uint64 {
 	fr := &s.frames[f]
 	if fr.free {
-		s.frameMu[int(f)&stripeMask].Unlock()
-		return
+		return nil
 	}
+	data := fr.data
 	*fr = frame{free: true}
-	s.frameMu[int(f)&stripeMask].Unlock()
-	putFree(&s.freeFrames, int(f))
+	s.freeFrames.put(int(f))
+	return data
 }
 
 // releaseBlock is the bulk-store analogue of releaseFrame.
-func (s *Store) releaseBlock(b BlockID) {
-	s.blockMu[int(b)&stripeMask].Lock()
+func (s *Store) releaseBlock(b BlockID) []uint64 {
 	bl := &s.blocks[b]
 	if bl.free {
-		s.blockMu[int(b)&stripeMask].Unlock()
-		return
+		return nil
 	}
+	data := bl.data
 	*bl = block{free: true}
-	s.blockMu[int(b)&stripeMask].Unlock()
-	putFree(&s.freeBlocks, int(b))
+	s.freeBlocks.put(int(b))
+	return data
 }
 
 // ErrNoFreeFrame is returned when a page-in needs a core frame and none is
@@ -544,30 +509,20 @@ var ErrNoFreeFrame = errors.New("mem: no free primary memory frame")
 // ErrNoFreeBlock is the bulk-store analogue of ErrNoFreeFrame.
 var ErrNoFreeBlock = errors.New("mem: no free bulk store block")
 
-// ErrBusy is returned when a frame or block changed state between the
-// caller's observation and the transfer — a concurrent operation raced it
-// away (evicted it, discarded it, or reused it for another page). Page
-// control reacts by choosing another victim.
-var ErrBusy = errors.New("mem: frame or block changed state during transfer")
-
 // MaterializeZero brings an unmaterialized page into core as zeros. It
 // consumes a free frame and charges no transfer latency (zero-fill is a
 // core-speed operation).
 func (s *Store) MaterializeZero(pid PageID) (FrameID, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(pid.SegUID)
+	if err != nil {
+		return 0, err
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	return s.materializeZeroLocked(sp, pid)
+	return s.materializeZero(sp, pid)
 }
 
-// materializeZeroLocked is MaterializeZero with the segment lock held.
-func (s *Store) materializeZeroLocked(sp *SegmentPages, pid PageID) (FrameID, error) {
+func (s *Store) materializeZero(sp *SegmentPages, pid PageID) (FrameID, error) {
 	if loc, ok := sp.pages[pid.Index]; ok {
 		return 0, fmt.Errorf("mem: page %v already materialized at %v", pid, loc.Level)
 	}
@@ -575,37 +530,33 @@ func (s *Store) materializeZeroLocked(sp *SegmentPages, pid PageID) (FrameID, er
 	if !ok {
 		return 0, ErrNoFreeFrame
 	}
-	s.installFrame(f, pid, make([]uint64, s.cfg.PageWords))
-	sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+	s.installFrame(sp, f, pid, make([]uint64, s.cfg.PageWords))
 	s.zeroFills.Inc()
 	return f, nil
 }
 
-// installFrame publishes page data into a freshly allocated frame.
-func (s *Store) installFrame(f FrameID, pid PageID, data []uint64) {
-	s.frameMu[int(f)&stripeMask].Lock()
+// installFrame publishes page data into a freshly allocated frame and
+// points the page table at it.
+func (s *Store) installFrame(sp *SegmentPages, f FrameID, pid PageID, data []uint64) {
 	s.frames[f] = frame{pid: pid, data: data, used: true}
-	s.frameMu[int(f)&stripeMask].Unlock()
+	sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
 }
 
 // PageIn transfers a page from bulk or disk into a free core frame and
 // returns the frame plus the transfer latency charged to whoever waited.
 func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return 0, 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.seg(pid.SegUID)
+	if err != nil {
+		return 0, 0, err
 	}
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
 		if err := s.checkIO(OpMaterialize, pid); err != nil {
 			return 0, 0, err
 		}
-		f, err := s.materializeZeroLocked(sp, pid)
+		f, err := s.materializeZero(sp, pid)
 		return f, 0, err
 	}
 	switch loc.Level {
@@ -619,16 +570,7 @@ func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
 		if !ok {
 			return 0, 0, ErrNoFreeFrame
 		}
-		// Pull the data out and free the block under its own stripe, then
-		// fill the frame — never two stripes at once.
-		bi := int(loc.Block) & stripeMask
-		s.blockMu[bi].Lock()
-		data := s.blocks[loc.Block].data
-		s.blocks[loc.Block] = block{free: true}
-		s.blockMu[bi].Unlock()
-		putFree(&s.freeBlocks, int(loc.Block))
-		s.installFrame(f, pid, data)
-		sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+		s.installFrame(sp, f, pid, s.releaseBlock(loc.Block))
 		s.bulkToCore.Inc()
 		return f, s.cfg.BulkRead, nil
 	case LevelDisk:
@@ -641,11 +583,10 @@ func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
 		}
 		data, err := s.backing.ReadBlock(pid)
 		if err != nil {
-			putFree(&s.freeFrames, int(f))
+			s.freeFrames.put(int(f))
 			return 0, 0, fmt.Errorf("mem: disk read of %v: %w", pid, err)
 		}
-		s.installFrame(f, pid, data)
-		sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+		s.installFrame(sp, f, pid, data)
 		s.diskToCore.Inc()
 		return f, s.cfg.DiskRead, nil
 	default:
@@ -653,70 +594,31 @@ func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
 	}
 }
 
-// claimFrameForEviction validates that frame f is still occupied, unwired,
-// and (on the second look) still holds the page first observed, then strips
-// it and returns the page data. The caller holds the owning segment's lock
-// on the second look, so the page cannot move concurrently.
-func (s *Store) peekFrame(f FrameID) (PageID, error) {
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+// evictable returns the page in frame f and its page table, or an error
+// if the frame is out of range, free or wired.
+func (s *Store) evictable(f FrameID) (*SegmentPages, PageID, error) {
+	if int(f) < 0 || int(f) >= len(s.frames) {
+		return nil, PageID{}, fmt.Errorf("mem: frame %d out of range", f)
+	}
 	fr := &s.frames[f]
 	if fr.free {
-		return PageID{}, fmt.Errorf("mem: frame %d is free", f)
+		return nil, PageID{}, fmt.Errorf("mem: frame %d is free", f)
 	}
 	if fr.wired {
-		return PageID{}, fmt.Errorf("mem: frame %d is wired", f)
+		return nil, PageID{}, fmt.Errorf("mem: frame %d is wired", f)
 	}
-	return fr.pid, nil
-}
-
-// stripFrame re-verifies frame f still holds pid and is evictable, then
-// frees it and returns the page data. Caller holds the segment lock of
-// pid's segment.
-func (s *Store) stripFrame(f FrameID, pid PageID) ([]uint64, error) {
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	fr := &s.frames[f]
-	if fr.free || fr.wired || fr.pid != pid {
-		s.frameMu[fi].Unlock()
-		return nil, fmt.Errorf("%w (frame %d)", ErrBusy, f)
-	}
-	data := fr.data
-	*fr = frame{free: true}
-	s.frameMu[fi].Unlock()
-	putFree(&s.freeFrames, int(f))
-	return data, nil
-}
-
-// evictTarget resolves the segment a frame's page belongs to. A missing
-// segment means a concurrent delete won the race.
-func (s *Store) evictTarget(pid PageID) (*SegmentPages, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return nil, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
-	}
-	return sp, nil
+	sp, err := s.seg(fr.pid.SegUID)
+	return sp, fr.pid, err
 }
 
 // EvictToBulk moves the page in frame f to a free bulk-store block,
 // returning the block and the latency.
 func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
-	if int(f) < 0 || int(f) >= len(s.frames) {
-		return 0, 0, fmt.Errorf("mem: frame %d out of range", f)
-	}
-	pid, err := s.peekFrame(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, pid, err := s.evictable(f)
 	if err != nil {
 		return 0, 0, err
-	}
-	sp, err := s.evictTarget(pid)
-	if err != nil {
-		return 0, 0, err
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, 0, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
 	}
 	if err := s.checkIO(OpBulkWrite, pid); err != nil {
 		return 0, 0, err
@@ -725,11 +627,7 @@ func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
 	if !ok {
 		return 0, 0, ErrNoFreeBlock
 	}
-	data, err := s.stripFrame(f, pid)
-	if err != nil {
-		putFree(&s.freeBlocks, int(b))
-		return 0, 0, err
-	}
+	data := s.releaseFrame(f)
 	s.pageOut(OpBulkWrite, pid, data)
 	s.fillBlock(b, pid, data)
 	sp.pages[pid.Index] = Location{Level: LevelBulk, Block: b}
@@ -739,100 +637,68 @@ func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
 
 // EvictToDisk moves the page in frame f directly to disk.
 func (s *Store) EvictToDisk(f FrameID) (int64, error) {
-	if int(f) < 0 || int(f) >= len(s.frames) {
-		return 0, fmt.Errorf("mem: frame %d out of range", f)
-	}
-	pid, err := s.peekFrame(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, pid, err := s.evictable(f)
 	if err != nil {
 		return 0, err
-	}
-	sp, err := s.evictTarget(pid)
-	if err != nil {
-		return 0, err
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
 	}
 	if err := s.checkIO(OpDiskWrite, pid); err != nil {
 		return 0, err
 	}
-	data, err := s.stripFrame(f, pid)
-	if err != nil {
+	if err := s.writeToDisk(OpDiskWrite, sp, pid, s.releaseFrame(f)); err != nil {
 		return 0, err
 	}
-	s.pageOut(OpDiskWrite, pid, data)
-	if err := s.backing.WriteBlock(pid, data); err != nil {
-		s.reinstatePage(sp, pid, data)
-		return 0, fmt.Errorf("mem: disk write of %v: %w", pid, err)
-	}
-	sp.pages[pid.Index] = Location{Level: LevelDisk}
 	s.coreToDisk.Inc()
 	return s.cfg.DiskWrite, nil
-}
-
-// reinstatePage puts a page whose frame or block was already stripped back
-// into core after the backing store refused the write. If no frame is free
-// the page reverts to unmaterialized — the data is gone, which is exactly
-// what a device that fails mid-write does; the caller's error says so.
-func (s *Store) reinstatePage(sp *SegmentPages, pid PageID, data []uint64) {
-	if f, ok := s.takeFrame(pid); ok {
-		s.installFrame(f, pid, data)
-		sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
-		return
-	}
-	delete(sp.pages, pid.Index)
 }
 
 // BulkToDisk moves the page in bulk block b to disk. In the real system
 // this passed through primary memory; the latency charged reflects a bulk
 // read plus a disk write.
 func (s *Store) BulkToDisk(b BlockID) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if int(b) < 0 || int(b) >= len(s.blocks) {
 		return 0, fmt.Errorf("mem: block %d out of range", b)
 	}
-	bi := int(b) & stripeMask
-	s.blockMu[bi].Lock()
 	bl := &s.blocks[b]
 	if bl.free {
-		s.blockMu[bi].Unlock()
 		return 0, fmt.Errorf("mem: block %d is free", b)
 	}
 	pid := bl.pid
-	s.blockMu[bi].Unlock()
-
-	sp, err := s.evictTarget(pid)
+	sp, err := s.seg(pid.SegUID)
 	if err != nil {
 		return 0, err
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
 	}
 	if err := s.checkIO(OpBulkToDisk, pid); err != nil {
 		return 0, err
 	}
-	s.blockMu[bi].Lock()
-	bl = &s.blocks[b]
-	if bl.free || bl.pid != pid {
-		s.blockMu[bi].Unlock()
-		return 0, fmt.Errorf("%w (block %d)", ErrBusy, b)
+	if err := s.writeToDisk(OpBulkToDisk, sp, pid, s.releaseBlock(b)); err != nil {
+		return 0, err
 	}
-	data := bl.data
-	*bl = block{free: true}
-	s.blockMu[bi].Unlock()
-	putFree(&s.freeBlocks, int(b))
-
-	s.pageOut(OpBulkToDisk, pid, data)
-	if err := s.backing.WriteBlock(pid, data); err != nil {
-		s.reinstatePage(sp, pid, data)
-		return 0, fmt.Errorf("mem: disk write of %v: %w", pid, err)
-	}
-	sp.pages[pid.Index] = Location{Level: LevelDisk}
 	s.bulkToDisk.Inc()
 	return s.cfg.BulkRead + s.cfg.DiskWrite, nil
+}
+
+// writeToDisk writes the data of a page whose frame or block was just
+// released through the backing store and points the page table at disk.
+// If the backing store refuses the write, the page goes back into core;
+// if no frame is free it reverts to unmaterialized — the data is gone,
+// which is exactly what a device that fails mid-write does, and the
+// returned error says so.
+func (s *Store) writeToDisk(op IOOp, sp *SegmentPages, pid PageID, data []uint64) error {
+	s.pageOut(op, pid, data)
+	if err := s.backing.WriteBlock(pid, data); err != nil {
+		if f, ok := s.takeFrame(pid); ok {
+			s.installFrame(sp, f, pid, data)
+		} else {
+			delete(sp.pages, pid.Index)
+		}
+		return fmt.Errorf("mem: disk write of %v: %w", pid, err)
+	}
+	sp.pages[pid.Index] = Location{Level: LevelDisk}
+	return nil
 }
 
 // Frame gives page-control read access to frame metadata.
@@ -849,29 +715,29 @@ type Frame struct {
 // occupied and not wired.
 func (f Frame) Evictable() bool { return !f.Free && !f.Wired }
 
+func (s *Store) frameInfo(f FrameID) Frame {
+	fr := &s.frames[f]
+	return Frame{ID: f, Free: fr.free, PID: fr.pid, Used: fr.used, Modified: fr.modified, Wired: fr.wired}
+}
+
 // FrameInfo returns the metadata of frame f.
 func (s *Store) FrameInfo(f FrameID) (Frame, error) {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return Frame{}, fmt.Errorf("mem: frame %d out of range", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
-	fr := &s.frames[f]
-	return Frame{ID: f, Free: fr.free, PID: fr.pid, Used: fr.used, Modified: fr.modified, Wired: fr.wired}, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frameInfo(f), nil
 }
 
-// Frames returns a copy of every frame's metadata. The snapshot is
-// per-frame consistent, not globally atomic. It allocates, so victim
+// Frames returns a copy of every frame's metadata. It allocates, so victim
 // decisions read FrameInfo instead.
 func (s *Store) Frames() []Frame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]Frame, len(s.frames))
 	for i := range s.frames {
-		fi := i & stripeMask
-		s.frameMu[fi].Lock()
-		fr := &s.frames[i]
-		out[i] = Frame{ID: FrameID(i), Free: fr.free, PID: fr.pid, Used: fr.used, Modified: fr.modified, Wired: fr.wired}
-		s.frameMu[fi].Unlock()
+		out[i] = s.frameInfo(FrameID(i))
 	}
 	return out
 }
@@ -883,17 +749,15 @@ type Block struct {
 	PID  PageID
 }
 
-// Blocks returns a copy of every bulk-store block's metadata. The snapshot
-// is per-block consistent, not globally atomic. It allocates, so victim
-// decisions read LowestBulkPage instead.
+// Blocks returns a copy of every bulk-store block's metadata. It
+// allocates, so victim decisions read LowestBulkPage instead.
 func (s *Store) Blocks() []Block {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]Block, len(s.blocks))
 	for i := range s.blocks {
-		bi := i & stripeMask
-		s.blockMu[bi].Lock()
 		bl := &s.blocks[i]
 		out[i] = Block{ID: BlockID(i), Free: bl.free, PID: bl.pid}
-		s.blockMu[bi].Unlock()
 	}
 	return out
 }
@@ -903,10 +767,9 @@ func (s *Store) ResetUsage(f FrameID) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: frame %d out of range", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
+	s.mu.Lock()
 	s.frames[f].used = false
-	s.frameMu[fi].Unlock()
+	s.mu.Unlock()
 	return nil
 }
 
@@ -915,9 +778,8 @@ func (s *Store) Wire(f FrameID, wired bool) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: frame %d out of range", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.frames[f].free {
 		return fmt.Errorf("mem: cannot wire free frame %d", f)
 	}
@@ -930,9 +792,8 @@ func (s *Store) ReadWord(f FrameID, off int) (uint64, error) {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return 0, fmt.Errorf("mem: read of invalid frame %d", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	fr := &s.frames[f]
 	if fr.free {
 		return 0, fmt.Errorf("mem: read of invalid frame %d", f)
@@ -949,9 +810,8 @@ func (s *Store) WriteWord(f FrameID, off int, val uint64) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: write of invalid frame %d", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	fr := &s.frames[f]
 	if fr.free {
 		return fmt.Errorf("mem: write of invalid frame %d", f)

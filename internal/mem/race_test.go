@@ -7,11 +7,11 @@ import (
 )
 
 // TestConcurrentStoreHammer drives PageIn/Discard/SetLength/word access,
-// evictions and bulk-victim picks from many goroutines at once. Before the
-// store was lock-striped this failed under -race (concurrent map writes in
-// the page tables and free lists); now it must pass both plain and with
-// -race, the frame pool must be conserved afterwards, and the bulk index
-// must agree with the block table.
+// evictions and bulk-victim picks from many goroutines at once. Without
+// the store's lock this fails under -race (concurrent map writes in the
+// page tables and free lists); it must pass both plain and with -race,
+// the frame pool must be conserved afterwards, and the bulk index must
+// agree with the block table.
 //
 // Each worker does word I/O only on its private segment (a frame observed
 // through a private page table cannot be raced away by another worker); the
@@ -40,8 +40,7 @@ func TestConcurrentStoreHammer(t *testing.T) {
 
 	tolerable := func(err error) bool {
 		return err == nil ||
-			errors.Is(err, ErrNoFreeFrame) || errors.Is(err, ErrNoFreeBlock) ||
-			errors.Is(err, ErrBusy)
+			errors.Is(err, ErrNoFreeFrame) || errors.Is(err, ErrNoFreeBlock)
 	}
 
 	var wg sync.WaitGroup
@@ -50,7 +49,7 @@ func TestConcurrentStoreHammer(t *testing.T) {
 	// rest are done: it picks the lowest bulk page off the index while the
 	// evictor fills blocks, the workers page blocks back in, and the
 	// evictor's own sweep moves blocks to disk. A pick may lose its block
-	// before the move; that surfaces as ErrBusy or "block is free". It
+	// before the move; that surfaces as "block is free". It
 	// starts first, on a bulk store seeded with one page per worker, and
 	// the others start once it has made its first pick.
 	for w := 0; w < workers; w++ {

@@ -7,13 +7,11 @@
 // and simplification with measured consequences; a uniform way to observe
 // the kernel is what makes that auditing activity repeatable.
 //
-// The hot path is lock-free in the same discipline as internal/mem: the
-// instrument table is sharded so registration and lookup never contend on
-// a global lock, instruments are pre-resolved handles over padded
-// atomics, and histogram cells are striped so concurrent observers rarely
-// share a cache line. Recording charges no virtual cycles — observation
-// must not perturb the virtual-time results it reports (the gate spine
-// set that precedent with its zero-vcycle middleware budget).
+// The hot path takes no lock: the instrument table is one map under one
+// lock that only registration and snapshotting take, and instruments are
+// pre-resolved handles over atomics. Recording charges no virtual cycles —
+// observation must not perturb the virtual-time results it reports (the
+// gate spine set that precedent with its zero-vcycle middleware budget).
 //
 // Determinism: every aggregate is a commutative sum, so a deterministic
 // workload yields the same exported aggregate no matter how many real
@@ -25,15 +23,9 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
-)
-
-// Sharding geometry for the instrument table and histogram cells, same
-// power-of-two discipline as internal/mem's free-list shards.
-const (
-	numShards = 8
-	shardMask = numShards - 1
 )
 
 // Registry holds the instruments of one system. The zero value is not
@@ -46,13 +38,9 @@ type Registry struct {
 	// now, when set, stamps snapshots with the current virtual cycle.
 	now atomic.Pointer[func() int64]
 
-	shards [numShards]regShard
-}
-
-// regShard is one shard of the instrument table. Only registration and
-// snapshotting take the lock; recording goes through handles.
-type regShard struct {
-	mu    sync.RWMutex
+	// mu guards insts. Only registration and snapshotting take it;
+	// recording goes through handles.
+	mu    sync.Mutex
 	insts map[string]instrument
 }
 
@@ -63,11 +51,8 @@ type instrument interface {
 
 // New returns an empty, enabled registry.
 func New() *Registry {
-	r := &Registry{}
+	r := &Registry{insts: make(map[string]instrument)}
 	r.enabled.Store(true)
-	for i := range r.shards {
-		r.shards[i].insts = make(map[string]instrument)
-	}
 	return r
 }
 
@@ -88,26 +73,12 @@ func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 // Enabled reports whether recordings are being accepted.
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
-// shardFor hashes a name onto its table shard (FNV-1a, same function the
-// fault plane uses for its decisions).
-func shardFor(name string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return int(h & shardMask)
-}
-
 // Counter is a monotonically increasing event count. Handles are cheap
 // to hold and safe for concurrent use.
 type Counter struct {
 	name string
 	on   *atomic.Bool
 	v    atomic.Int64
-	// Pad the struct past a cache line so adjacent instruments allocated
-	// together do not false-share.
-	_ [32]byte
 }
 
 func (c *Counter) instName() string { return c.name }
@@ -135,7 +106,6 @@ type Gauge struct {
 	name string
 	on   *atomic.Bool
 	v    atomic.Int64
-	_    [32]byte
 }
 
 func (g *Gauge) instName() string { return g.name }
@@ -164,21 +134,14 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution. Bounds are ascending
 // inclusive upper bounds; observations above the last bound land in an
-// implicit overflow bucket. Cells are striped across shards so
-// concurrent observers rarely share a cache line; Snapshot merges the
-// stripes, which is the histogram-merge step the tests pin down.
+// implicit overflow bucket.
 type Histogram struct {
 	name   string
 	on     *atomic.Bool
 	bounds []int64
-	shards [numShards]histShard
-}
-
-type histShard struct {
 	counts []atomic.Int64 // len(bounds)+1; last is overflow
 	sum    atomic.Int64
 	count  atomic.Int64
-	_      [32]byte
 }
 
 func (h *Histogram) instName() string { return h.name }
@@ -189,22 +152,11 @@ func (h *Histogram) Name() string { return h.name }
 // Bounds returns the bucket upper bounds (not a copy; do not mutate).
 func (h *Histogram) Bounds() []int64 { return h.bounds }
 
-// mix64 spreads an observation over the stripe index (splitmix64 finalizer).
-func mix64(v uint64) uint64 {
-	v ^= v >> 33
-	v *= 0xff51afd7ed558ccd
-	v ^= v >> 33
-	v *= 0xc4ceb9fe1a85ec53
-	v ^= v >> 33
-	return v
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	if !h.on.Load() {
 		return
 	}
-	sh := &h.shards[mix64(uint64(v))&shardMask]
 	// Linear scan: bucket lists are short (a dozen bounds) and the scan
 	// avoids sort.Search's function-call overhead on the hot path.
 	idx := len(h.bounds)
@@ -214,23 +166,18 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
-	sh.counts[idx].Add(1)
-	sh.sum.Add(v)
-	sh.count.Add(1)
+	h.counts[idx].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
 }
 
-// merge folds the stripes into one bucket array plus sum and count.
-func (h *Histogram) merge() (counts []int64, sum, count int64) {
-	counts = make([]int64, len(h.bounds)+1)
-	for s := range h.shards {
-		sh := &h.shards[s]
-		for i := range sh.counts {
-			counts[i] += sh.counts[i].Load()
-		}
-		sum += sh.sum.Load()
-		count += sh.count.Load()
+// load reads the bucket counts, sum and count.
+func (h *Histogram) load() (counts []int64, sum, count int64) {
+	counts = make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
 	}
-	return counts, sum, count
+	return counts, h.sum.Load(), h.count.Load()
 }
 
 // Counter returns the named counter, creating it on first use. The same
@@ -238,19 +185,13 @@ func (h *Histogram) merge() (counts []int64, sum, count int64) {
 // names a different instrument kind panics (a malformed instrument table
 // is a programming error, like a malformed gate table).
 func (r *Registry) Counter(name string) *Counter {
-	sh := &r.shards[shardFor(name)]
-	sh.mu.RLock()
-	in, ok := sh.insts[name]
-	sh.mu.RUnlock()
+	r.mu.Lock()
+	in, ok := r.insts[name]
 	if !ok {
-		sh.mu.Lock()
-		in, ok = sh.insts[name]
-		if !ok {
-			in = &Counter{name: name, on: &r.enabled}
-			sh.insts[name] = in
-		}
-		sh.mu.Unlock()
+		in = &Counter{name: name, on: &r.enabled}
+		r.insts[name] = in
 	}
+	r.mu.Unlock()
 	c, ok := in.(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as %T, not a counter", name, in))
@@ -260,19 +201,13 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	sh := &r.shards[shardFor(name)]
-	sh.mu.RLock()
-	in, ok := sh.insts[name]
-	sh.mu.RUnlock()
+	r.mu.Lock()
+	in, ok := r.insts[name]
 	if !ok {
-		sh.mu.Lock()
-		in, ok = sh.insts[name]
-		if !ok {
-			in = &Gauge{name: name, on: &r.enabled}
-			sh.insts[name] = in
-		}
-		sh.mu.Unlock()
+		in = &Gauge{name: name, on: &r.enabled}
+		r.insts[name] = in
 	}
+	r.mu.Unlock()
 	g, ok := in.(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as %T, not a gauge", name, in))
@@ -289,32 +224,28 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram %q bounds not ascending: %v", name, bounds))
 		}
 	}
-	sh := &r.shards[shardFor(name)]
-	sh.mu.RLock()
-	in, ok := sh.insts[name]
-	sh.mu.RUnlock()
+	r.mu.Lock()
+	in, ok := r.insts[name]
 	if !ok {
-		sh.mu.Lock()
-		in, ok = sh.insts[name]
-		if !ok {
-			if len(bounds) == 0 {
-				panic(fmt.Sprintf("metrics: histogram %q needs bounds on first registration", name))
-			}
-			h := &Histogram{name: name, on: &r.enabled, bounds: append([]int64(nil), bounds...)}
-			for s := range h.shards {
-				h.shards[s].counts = make([]atomic.Int64, len(bounds)+1)
-			}
-			in = h
-			sh.insts[name] = in
+		if len(bounds) == 0 {
+			r.mu.Unlock()
+			panic(fmt.Sprintf("metrics: histogram %q needs bounds on first registration", name))
 		}
-		sh.mu.Unlock()
+		in = &Histogram{
+			name:   name,
+			on:     &r.enabled,
+			bounds: append([]int64(nil), bounds...),
+			counts: make([]atomic.Int64, len(bounds)+1),
+		}
+		r.insts[name] = in
 	}
+	r.mu.Unlock()
 	h, ok := in.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as %T, not a histogram", name, in))
 	}
-	if bounds != nil && len(h.bounds) != len(bounds) {
-		panic(fmt.Sprintf("metrics: histogram %q re-registered with different bounds", name))
+	if bounds != nil && !slices.Equal(h.bounds, bounds) {
+		panic(fmt.Sprintf("metrics: histogram %q re-registered with bounds %v, registered with %v", name, bounds, h.bounds))
 	}
 	return h
 }

@@ -40,7 +40,7 @@ func TestDisabledRegistryDropsRecordings(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatalf("disabled registry recorded: counter=%d gauge=%d", c.Value(), g.Value())
 	}
-	if _, _, count := h.merge(); count != 0 {
+	if _, _, count := h.load(); count != 0 {
 		t.Fatalf("disabled registry recorded %d histogram observations", count)
 	}
 	r.SetEnabled(true)
@@ -61,9 +61,9 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("dual")
 }
 
-// TestHistogramMerge drives observations across every stripe and checks
-// the merged bucket totals against a sequentially computed distribution,
-// including boundary values and overflow.
+// TestHistogramMerge checks the bucket totals a histogram reports against
+// a sequentially computed distribution, including boundary values and
+// overflow.
 func TestHistogramMerge(t *testing.T) {
 	r := New()
 	bounds := []int64{10, 50, 100}
@@ -83,7 +83,7 @@ func TestHistogramMerge(t *testing.T) {
 		wantSum += v
 		wantCount++
 	}
-	counts, sum, count := h.merge()
+	counts, sum, count := h.load()
 	for i := range want {
 		if counts[i] != want[i] {
 			t.Fatalf("bucket %d = %d, want %d", i, counts[i], want[i])
@@ -99,6 +99,24 @@ func TestHistogramMerge(t *testing.T) {
 	if counts[len(bounds)] != 30 { // 101..130 overflow
 		t.Fatalf("overflow bucket = %d, want 30", counts[len(bounds)])
 	}
+}
+
+// TestHistogramRejectsDifferentBounds re-registers a name with bounds of
+// the same length but different values: the registry must panic rather
+// than hand back the first histogram, while the same bounds or nil return
+// it.
+func TestHistogramRejectsDifferentBounds(t *testing.T) {
+	r := New()
+	h := r.Histogram("h", []int64{1, 2, 3})
+	if r.Histogram("h", []int64{1, 2, 3}) != h || r.Histogram("h", nil) != h {
+		t.Fatal("same bounds or nil must return the registered histogram")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic re-registering h with bounds {10,20,30}")
+		}
+	}()
+	r.Histogram("h", []int64{10, 20, 30})
 }
 
 // TestDeltaCorrectness records in two phases and checks that the delta of
@@ -293,7 +311,7 @@ func TestTextAndJSONExport(t *testing.T) {
 // live and checks the Delta chain is consistent: every delta is
 // non-negative for counters and histogram buckets, and the deltas sum
 // to exactly the final total. Run under -race this exercises Snapshot's
-// read locks against the lock-free record path.
+// lock against the lock-free record path.
 func TestDeltaUnderConcurrentRecording(t *testing.T) {
 	r := New()
 	const (

@@ -46,28 +46,25 @@ func (r *Registry) Snapshot() Snapshot {
 	if fn := r.now.Load(); fn != nil {
 		s.At = (*fn)()
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, in := range sh.insts {
-			switch v := in.(type) {
-			case *Counter:
-				s.Counters = append(s.Counters, CounterValue{Name: v.name, Value: v.Value()})
-			case *Gauge:
-				s.Gauges = append(s.Gauges, GaugeValue{Name: v.name, Value: v.Value()})
-			case *Histogram:
-				counts, sum, count := v.merge()
-				s.Histograms = append(s.Histograms, HistogramValue{
-					Name:   v.name,
-					Bounds: append([]int64(nil), v.bounds...),
-					Counts: counts,
-					Sum:    sum,
-					Count:  count,
-				})
-			}
+	r.mu.Lock()
+	for _, in := range r.insts {
+		switch v := in.(type) {
+		case *Counter:
+			s.Counters = append(s.Counters, CounterValue{Name: v.name, Value: v.Value()})
+		case *Gauge:
+			s.Gauges = append(s.Gauges, GaugeValue{Name: v.name, Value: v.Value()})
+		case *Histogram:
+			counts, sum, count := v.load()
+			s.Histograms = append(s.Histograms, HistogramValue{
+				Name:   v.name,
+				Bounds: append([]int64(nil), v.bounds...),
+				Counts: counts,
+				Sum:    sum,
+				Count:  count,
+			})
 		}
-		sh.mu.RUnlock()
 	}
+	r.mu.Unlock()
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })

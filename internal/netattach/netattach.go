@@ -178,9 +178,9 @@ type Frontend struct {
 	runq    []*Conn
 
 	// outStore (S5+) is the private store behind the reply buffers. The
-	// store is lock-striped and safe for concurrent use, so each buffer
-	// carries its own private lock — two connections' reply streams never
-	// contend on a shared buffer lock.
+	// store has its own lock and is safe for concurrent use, so each
+	// buffer carries its own private lock — two connections' reply
+	// streams never contend on a shared buffer lock.
 	outStore   *mem.Store
 	nextOutUID uint64
 

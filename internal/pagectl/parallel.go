@@ -144,11 +144,6 @@ func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 				}
 				continue
 			}
-			if errors.Is(err, mem.ErrBusy) {
-				// The victim changed state under us (a concurrent faulter or
-				// discard raced it away); choose another.
-				continue
-			}
 			if errors.Is(err, mem.ErrIO) {
 				// Injected transient I/O error: back off and retry rather
 				// than killing the dedicated process.
@@ -193,9 +188,6 @@ func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 				break // bulk store empty of occupied blocks
 			}
 			lat, err := p.store.BulkToDisk(block)
-			if errors.Is(err, mem.ErrBusy) {
-				continue // block raced away; pick another
-			}
 			if errors.Is(err, mem.ErrIO) {
 				p.stats.IORetries++
 				p.pm.ioRetry()

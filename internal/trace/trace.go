@@ -1,5 +1,5 @@
 // Package trace is the kernel-crossing trace spine: one event type, one
-// sink interface, one lock-free ring buffer. Every layer that observes a
+// sink interface, one ring buffer. Every layer that observes a
 // crossing — the gatekeeper, the processor's fault delivery, the
 // scheduler's dispatch loop, the network attachment front-end, and the
 // fault-injection plane — records the same Event shape into the same
@@ -14,7 +14,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -82,8 +81,8 @@ const (
 	// ClassMalfunction: the supervisor itself failed — the condition the
 	// paper's review activity calls a "supervisor malfunction".
 	ClassMalfunction
-	// ClassBusy: a resource was transiently unavailable (e.g. a frame
-	// changed state mid-transfer); the caller may retry.
+	// ClassBusy: a resource was transiently unavailable; the caller may
+	// retry.
 	ClassBusy
 	// ClassFailed: any other failure (no such entry, bad mode, quota
 	// exceeded, ...).
@@ -154,14 +153,12 @@ type SinkFunc func(ev Event)
 // Record calls f(ev).
 func (f SinkFunc) Record(ev Event) { f(ev) }
 
-// Ring is a fixed-size ring buffer of trace events. Writers claim a
-// slot with a single atomic add and publish the event VALUE under that
-// slot's own mutex — no per-event heap allocation, which keeps Record
-// off the garbage collector's books on the gate-dispatch hot path. Slot
-// mutexes are uncontended except when two writers lap each other onto
-// the same slot; the ring never blocks on other slots and old events
-// are overwritten once the ring wraps. A disabled ring drops events at
-// the cost of one atomic load.
+// Ring is a fixed-size ring buffer of trace events. One mutex orders
+// the writers: Record stores the event VALUE in the next slot under it,
+// so no event costs a heap allocation, which keeps Record off the
+// garbage collector's books on the gate-dispatch hot path. Old events are
+// overwritten once the ring wraps. A disabled ring drops events at the
+// cost of one atomic load.
 // The slot array is allocated lazily on the first Record: a kernel
 // boots one ring per instance, and inventory-style workloads that boot
 // many kernels but trace little would otherwise pay the full slot
@@ -169,17 +166,11 @@ func (f SinkFunc) Record(ev Event) { f(ev) }
 type Ring struct {
 	size    int // capacity (power of two)
 	mask    uint64
-	init    sync.Once
-	slots   []ringSlot
-	cursor  atomic.Uint64
 	enabled atomic.Bool
-}
 
-// ringSlot is one published event plus its occupancy flag.
-type ringSlot struct {
-	mu   sync.Mutex
-	full bool
-	ev   Event
+	mu      sync.Mutex
+	events  []Event // nil until the first Record
+	written uint64  // events recorded so far; the next Seq
 }
 
 // NewRing returns an enabled ring holding at least size events
@@ -194,14 +185,6 @@ func NewRing(size int) *Ring {
 	return r
 }
 
-// lazySlots allocates the slot array on first use. The sync.Once fast
-// path is one atomic load, so the Record hot path stays allocation-free
-// after the first event.
-func (r *Ring) lazySlots() []ringSlot {
-	r.init.Do(func() { r.slots = make([]ringSlot, r.size) })
-	return r.slots
-}
-
 // SetEnabled turns recording on or off. Disabling is how benchmarks
 // measure the spine's overhead floor.
 func (r *Ring) SetEnabled(on bool) {
@@ -213,19 +196,21 @@ func (r *Ring) SetEnabled(on bool) {
 // Enabled reports whether the ring is recording.
 func (r *Ring) Enabled() bool { return r != nil && r.enabled.Load() }
 
-// Record claims the next slot and publishes ev. Safe for concurrent
-// writers; a nil or disabled ring drops the event.
+// Record stamps ev with the next sequence number and stores it in the
+// next slot. Safe for concurrent writers; a nil or disabled ring drops
+// the event.
 func (r *Ring) Record(ev Event) {
 	if r == nil || !r.enabled.Load() {
 		return
 	}
-	seq := r.cursor.Add(1) - 1
-	ev.Seq = seq
-	s := &r.lazySlots()[seq&r.mask]
-	s.mu.Lock()
-	s.ev = ev
-	s.full = true
-	s.mu.Unlock()
+	r.mu.Lock()
+	if r.events == nil {
+		r.events = make([]Event, r.size)
+	}
+	ev.Seq = r.written
+	r.events[r.written&r.mask] = ev
+	r.written++
+	r.mu.Unlock()
 }
 
 // Written returns the number of events recorded since creation,
@@ -234,7 +219,9 @@ func (r *Ring) Written() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.cursor.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.written
 }
 
 // Cap returns the ring capacity in events.
@@ -245,27 +232,22 @@ func (r *Ring) Cap() int {
 	return r.size
 }
 
-// Snapshot copies the currently published events out of the ring, oldest
-// first by sequence number. Under concurrent writers the snapshot is a
-// best-effort cut: each slot is read under its own lock, but slots race
-// with overwrites, so Snapshot is for inspection and post-run reporting.
+// Snapshot copies the events still in the ring out of it, oldest first
+// by sequence number.
 func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	if r.cursor.Load() == 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.written == 0 {
 		return nil
 	}
-	slots := r.lazySlots()
-	out := make([]Event, 0, len(slots))
-	for i := range slots {
-		s := &slots[i]
-		s.mu.Lock()
-		if s.full {
-			out = append(out, s.ev)
-		}
-		s.mu.Unlock()
+	if r.written <= uint64(r.size) {
+		return append([]Event(nil), r.events[:r.written]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	oldest := r.written & r.mask
+	out := make([]Event, 0, r.size)
+	out = append(out, r.events[oldest:]...)
+	return append(out, r.events[:oldest]...)
 }

@@ -96,11 +96,17 @@ fi
 
 # The delta doubles as a regression gate: any benchmark whose ns/op grew
 # more than 20% over the baseline is flagged and fails the run, so a perf
-# regression cannot land silently with a fresh archive.
+# regression cannot land silently with a fresh archive. On a full run
+# (no pattern), a benchmark in the baseline but absent from this run is
+# listed as removed; that alone does not fail the run.
+full=0
+if [ "$pattern" = . ]; then
+	full=1
+fi
 if [ -n "$base" ]; then
 	echo ""
 	echo "delta vs $base:"
-	if ! awk -v limit=20 '
+	if ! awk -v limit=20 -v full="$full" '
 	FNR == 1 { fileno++ }
 	match($0, /"name": "[^"]*"/) {
 	    name = substr($0, RSTART + 9, RLENGTH - 10)
@@ -108,7 +114,9 @@ if [ -n "$base" ]; then
 	        ns = substr($0, RSTART + 9, RLENGTH - 9)
 	        if (fileno == 1) {
 	            old[name] = ns
+	            order[++nold] = name
 	        } else if (name in old) {
+	            seen[name] = 1
 	            pct = (ns - old[name]) / old[name] * 100
 	            mark = ""
 	            if (pct > limit) { mark = "  ** REGRESSION"; bad = 1 }
@@ -119,7 +127,12 @@ if [ -n "$base" ]; then
 	        }
 	    }
 	}
-	END { exit bad }
+	END {
+	    for (i = 1; full && i <= nold; i++)
+	        if (!(order[i] in seen))
+	            printf "  %-52s %14s ns/op  (removed)\n", order[i], old[order[i]]
+	    exit bad
+	}
 	' "$base" "$out"; then
 		echo "bench: ns/op regression over 20% vs $base (see ** lines above)" >&2
 		exit 1

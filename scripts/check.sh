@@ -1,8 +1,19 @@
 #!/bin/sh
-# Repository gate: vet everything, then run the full test suite under the
-# race detector. CI and pre-commit both call this.
+# Repository gate: check formatting, vet everything, then run the full
+# test suite under the race detector. CI and pre-commit both call this.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt"
+# Every Go source file is gofmt-clean; the gate lists the files that are
+# not. The benchmark's build directory (.bench_build, git-ignored) holds
+# no source and is skipped.
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists files that need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== gate-registration lint"
 # Gate tables are declarative and live in internal/core only: no other
@@ -46,16 +57,26 @@ echo "== atomic-counter lint"
 # Counters live in the unified metrics plane (internal/metrics): no other
 # package may grow private sync/atomic counter fields — that is how the
 # four ad-hoc stats surfaces accreted in the first place. Allowlisted
-# survivors: the trace ring's cursor/enabled (internal/trace/trace.go is
-# the leaf the metrics plane itself publishes through) and the fault
-# injector's tallies (internal/faults/inject.go predates the plane and is
-# scheduled to migrate). atomic.Pointer is not a counter and is exempt.
+# survivors: the trace ring's enabled flag, an atomic.Bool and nothing
+# else (internal/trace/trace.go is the leaf the metrics plane itself
+# publishes through; its cursor moves under the ring's mutex), and the
+# fault injector's tallies (internal/faults/inject.go predates the plane
+# and is scheduled to migrate). atomic.Pointer is not a counter and is
+# exempt.
+any='atomic\.\(Int32\|Int64\|Uint32\|Uint64\|Bool\)'
+ints='atomic\.\(Int32\|Int64\|Uint32\|Uint64\)'
 bad=""
-for f in $(grep -rl 'atomic\.\(Int32\|Int64\|Uint32\|Uint64\|Bool\)' --include='*.go' internal/ cmd/ multics/ examples/ ./*.go 2>/dev/null |
-	grep -v '^internal/metrics/' | grep -v '^internal/trace/trace\.go$' |
-	grep -v '^internal/faults/inject\.go$' || true); do
-	bad="$bad
-$(grep -n 'atomic\.\(Int32\|Int64\|Uint32\|Uint64\|Bool\)' "$f" | sed "s|^|$f:|")"
+for f in $(grep -rl "$any" --include='*.go' internal/ cmd/ multics/ examples/ ./*.go 2>/dev/null |
+	grep -v '^internal/metrics/' | grep -v '^internal/faults/inject\.go$' || true); do
+	pat="$any"
+	if [ "$f" = internal/trace/trace.go ]; then
+		pat="$ints"
+	fi
+	hits=$(grep -n "$pat" "$f" || true)
+	if [ -n "$hits" ]; then
+		bad="$bad
+$(printf '%s' "$hits" | sed "s|^|$f:|")"
+	fi
 done
 if [ -n "$bad" ]; then
 	echo "sync/atomic counters outside internal/metrics (use Services().Metrics):$bad" >&2
