@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/acl"
 	"repro/internal/mls"
@@ -78,12 +76,8 @@ func hashPassword(pw string) uint64 {
 	return h.Sum64()
 }
 
-// Registry is the user data base of the answering service. All methods are
-// safe for concurrent use: the network attachment front-end authenticates
-// many connections in parallel, and failure lockout counts must stay exact
-// under that load.
+// Registry is the user data base of the answering service.
 type Registry struct {
-	mu    sync.Mutex
 	users map[string]*user
 }
 
@@ -99,8 +93,6 @@ func (r *Registry) AddUser(person, project, password string, clearance mls.Label
 	if len(password) < minPasswordLen {
 		return ErrWeakPassword
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, dup := r.users[strings.ToLower(person)]; dup {
 		return fmt.Errorf("%w: %s", ErrDuplicateUser, person)
 	}
@@ -115,8 +107,6 @@ func (r *Registry) AddUser(person, project, password string, clearance mls.Label
 
 // AddProject registers an existing user on an additional project.
 func (r *Registry) AddProject(person, project string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	u, ok := r.users[strings.ToLower(person)]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownUser, person)
@@ -127,14 +117,6 @@ func (r *Registry) AddProject(person, project string) error {
 
 // Authenticate verifies the password, maintaining the failure lockout.
 func (r *Registry) Authenticate(person, password string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.authenticateLocked(person, password)
-}
-
-// authenticateLocked is Authenticate with r.mu already held, so compound
-// operations (password change, login) can verify-then-act atomically.
-func (r *Registry) authenticateLocked(person, password string) error {
 	u, ok := r.users[strings.ToLower(person)]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownUser, person)
@@ -154,13 +136,8 @@ func (r *Registry) authenticateLocked(person, password string) error {
 }
 
 // ChangePassword replaces person's password after verifying the old one.
-// Verification and replacement happen under one critical section, so a
-// login racing the change sees either the old password or the new one,
-// never a torn intermediate.
 func (r *Registry) ChangePassword(person, oldPassword, newPassword string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.authenticateLocked(person, oldPassword); err != nil {
+	if err := r.Authenticate(person, oldPassword); err != nil {
 		return err
 	}
 	if len(newPassword) < minPasswordLen {
@@ -172,8 +149,6 @@ func (r *Registry) ChangePassword(person, oldPassword, newPassword string) error
 
 // Clearance returns the registered clearance of person.
 func (r *Registry) Clearance(person string) (mls.Label, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	u, ok := r.users[strings.ToLower(person)]
 	if !ok {
 		return mls.Label{}, fmt.Errorf("%w: %s", ErrUnknownUser, person)
@@ -184,8 +159,6 @@ func (r *Registry) Clearance(person string) (mls.Label, error) {
 // UserInfo returns the canonical (registered) spelling of person's name and
 // their clearance, for callers that authenticated with a case-folded name.
 func (r *Registry) UserInfo(person string) (string, mls.Label, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	u, ok := r.users[strings.ToLower(person)]
 	if !ok {
 		return "", mls.Label{}, fmt.Errorf("%w: %s", ErrUnknownUser, person)
@@ -195,8 +168,6 @@ func (r *Registry) UserInfo(person string) (string, mls.Label, error) {
 
 // CheckProject reports whether person is registered on project.
 func (r *Registry) CheckProject(person, project string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	u, ok := r.users[strings.ToLower(person)]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownUser, person)
@@ -220,16 +191,13 @@ type Session struct {
 // experiments show login working identically in both placements.
 type ProcessCreator func(s Session) error
 
-// Service is the answering service. Login may be called from many
-// goroutines at once; the outcome counters are updated atomically.
+// Service is the answering service.
 type Service struct {
 	Placement Placement
 	registry  *Registry
 	create    ProcessCreator
 
-	// Logins and Failures count outcomes for the reports. Read them with
-	// sync/atomic (or via LoginCount/FailureCount) when logins may be in
-	// flight.
+	// Logins and Failures count outcomes for the reports.
 	Logins, Failures int64
 }
 
@@ -242,7 +210,7 @@ func NewService(placement Placement, registry *Registry, create ProcessCreator) 
 // requested label against the clearance, and creates the process.
 func (s *Service) Login(person, project, password string, requested mls.Label) (Session, error) {
 	fail := func(err error) (Session, error) {
-		atomic.AddInt64(&s.Failures, 1)
+		s.Failures++
 		return Session{}, err
 	}
 	if err := s.registry.Authenticate(person, password); err != nil {
@@ -267,15 +235,9 @@ func (s *Service) Login(person, project, password string, requested mls.Label) (
 			return fail(fmt.Errorf("auth: creating process: %w", err))
 		}
 	}
-	atomic.AddInt64(&s.Logins, 1)
+	s.Logins++
 	return sess, nil
 }
-
-// LoginCount returns the number of successful logins, safely.
-func (s *Service) LoginCount() int64 { return atomic.LoadInt64(&s.Logins) }
-
-// FailureCount returns the number of failed logins, safely.
-func (s *Service) FailureCount() int64 { return atomic.LoadInt64(&s.Failures) }
 
 // KernelCodeUnits reports how much of the answering service counts as
 // protected kernel code in this placement: everything when privileged, only

@@ -170,3 +170,44 @@ func TestCreateProcessFailurePropagates(t *testing.T) {
 		t.Errorf("create failure = %v", err)
 	}
 }
+
+// TestChangePassword alternates the password between two values. After
+// every change a login with the new password succeeds and one with the
+// old password fails; a weak or wrong-old change is refused and leaves
+// the password as it was.
+func TestChangePassword(t *testing.T) {
+	r := NewRegistry()
+	if err := r.AddUser("Racer", "Proj", "old-password", mls.NewLabel(mls.Secret)); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(Subsystem, r, nil)
+	login := func(pw string) error {
+		_, err := svc.Login("Racer", "Proj", pw, mls.NewLabel(mls.Unclassified))
+		return err
+	}
+	// Each change authenticates with the current password, which resets
+	// the failure count the stale login below adds, so 50 rounds stay
+	// clear of the lockout.
+	cur, next := "old-password", "new-password"
+	for i := 0; i < 50; i++ {
+		if err := r.ChangePassword("Racer", cur, next); err != nil {
+			t.Fatalf("change %d: %v", i, err)
+		}
+		cur, next = next, cur
+		if err := login(cur); err != nil {
+			t.Fatalf("after change %d: current password = %v", i, err)
+		}
+		if err := login(next); !errors.Is(err, ErrBadPassword) {
+			t.Fatalf("after change %d: stale password = %v, want ErrBadPassword", i, err)
+		}
+	}
+	if err := r.ChangePassword("Racer", next, "fresh-password"); !errors.Is(err, ErrBadPassword) {
+		t.Errorf("change with stale old password = %v, want ErrBadPassword", err)
+	}
+	if err := r.ChangePassword("Racer", cur, "x"); !errors.Is(err, ErrWeakPassword) {
+		t.Errorf("change to weak password = %v, want ErrWeakPassword", err)
+	}
+	if err := r.Authenticate("Racer", cur); err != nil {
+		t.Errorf("refused changes altered the password: %v", err)
+	}
+}

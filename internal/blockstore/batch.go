@@ -21,8 +21,6 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	refs := make([]ref, len(writes))
 	isNew := make([]bool, len(writes))
 	fresh := make(map[ref][]uint64, len(writes))
@@ -71,14 +69,11 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 	return nil
 }
 
-// ReadBlocks implements mem.BackingStore natively: one lock acquisition
-// serves the whole batch, and the all-or-nothing check runs before any
-// live mapping is dropped. Reads are not journaled, same as ReadBlock.
+// ReadBlocks implements mem.BackingStore natively: the all-or-nothing
+// check runs before any live mapping is dropped. Reads are not journaled, same as ReadBlock.
 // No kernel path calls it; the benchmark in perfbench reaches it through
 // the interface.
 func (s *Store) ReadBlocks(pids []mem.PageID) ([][]uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, pid := range pids {
 		if _, ok := s.index[pid]; !ok {
 			return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)

@@ -3,7 +3,6 @@ package blockstore
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -21,7 +20,6 @@ import (
 // paged back in. That is a harmless superset — restore trusts the
 // checkpoint manifest, not the live map — and it keeps page-ins appendfree.
 type Store struct {
-	mu      sync.Mutex
 	media   Media
 	enc     recEncoder
 	pending []byte // framed records not yet handed to media
@@ -102,8 +100,6 @@ func (s *Store) bindMetrics(reg *metrics.Registry) {
 // SetMetrics repoints the store's counters at reg. The kernel calls it at
 // boot for stores opened before the kernel's registry existed.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.bindMetrics(reg)
 }
 
@@ -134,8 +130,6 @@ func (s *Store) flushPending() error {
 // WriteBlock implements mem.BackingStore.
 func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 	r := refOf(data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if existing, ok := s.content[r]; ok {
 		if !equalWords(existing, data) {
 			// A 128-bit collision. Detected, never merged; loud because
@@ -166,8 +160,6 @@ func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 
 // ReadBlock implements mem.BackingStore.
 func (s *Store) ReadBlock(pid mem.PageID) ([]uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.index[pid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
@@ -179,8 +171,6 @@ func (s *Store) ReadBlock(pid mem.PageID) ([]uint64, error) {
 
 // FreeBlock implements mem.BackingStore.
 func (s *Store) FreeBlock(pid mem.PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.index[pid]; !ok {
 		return nil
 	}
@@ -196,12 +186,10 @@ func (s *Store) FreeBlock(pid mem.PageID) error {
 
 // BlockIDs implements mem.BackingStore.
 func (s *Store) BlockIDs() []mem.PageID {
-	s.mu.Lock()
 	out := make([]mem.PageID, 0, len(s.index))
 	for pid := range s.index {
 		out = append(out, pid)
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].SegUID != out[j].SegUID {
 			return out[i].SegUID < out[j].SegUID
@@ -213,12 +201,6 @@ func (s *Store) BlockIDs() []mem.PageID {
 
 // Sync implements mem.BackingStore.
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncLocked()
-}
-
-func (s *Store) syncLocked() error {
 	if err := s.flushPending(); err != nil {
 		return err
 	}
@@ -233,8 +215,6 @@ func (s *Store) syncLocked() error {
 // manifest and the full block map at the barrier, then a sync. The record
 // is self-contained — replay restores both without reading anything else.
 func (s *Store) Checkpoint(manifest []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pids := make([]mem.PageID, 0, len(s.index))
 	for pid := range s.index {
 		pids = append(pids, pid)
@@ -255,7 +235,7 @@ func (s *Store) Checkpoint(manifest []byte) error {
 	if err := s.append(); err != nil {
 		return err
 	}
-	if err := s.syncLocked(); err != nil {
+	if err := s.Sync(); err != nil {
 		return err
 	}
 	ck := make(map[mem.PageID]ref, len(s.index))
@@ -269,8 +249,6 @@ func (s *Store) Checkpoint(manifest []byte) error {
 
 // Manifest implements mem.BackingStore.
 func (s *Store) Manifest() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ckpt == nil {
 		return nil, mem.ErrNoCheckpoint
 	}
@@ -279,8 +257,6 @@ func (s *Store) Manifest() ([]byte, error) {
 
 // CheckpointBlock implements mem.BackingStore.
 func (s *Store) CheckpointBlock(pid mem.PageID) ([]uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ckpt == nil {
 		return nil, mem.ErrNoCheckpoint
 	}
@@ -295,8 +271,6 @@ func (s *Store) CheckpointBlock(pid mem.PageID) ([]uint64, error) {
 // journal record, so a store reopened after a restore replays to the same
 // reverted map.
 func (s *Store) RevertToCheckpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ckpt == nil {
 		return mem.ErrNoCheckpoint
 	}
@@ -304,7 +278,7 @@ func (s *Store) RevertToCheckpoint() error {
 	if err := s.append(); err != nil {
 		return err
 	}
-	if err := s.syncLocked(); err != nil {
+	if err := s.Sync(); err != nil {
 		return err
 	}
 	live := make(map[mem.PageID]ref, len(s.ckpt))
@@ -320,8 +294,6 @@ func (s *Store) RevertToCheckpoint() error {
 // reach the OS) but nothing is synced: closing an unsynced store models a
 // crash, and the tear decides what the unsynced tail loses.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.flushPending(); err != nil {
 		return err
 	}
@@ -343,8 +315,6 @@ type Stats struct {
 
 // StoreStats returns the census.
 func (s *Store) StoreStats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return Stats{
 		Blocks:        len(s.index),
 		ContentBlocks: len(s.content),

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 )
 
 // Media is the journal's byte sink. Append never reorders: the journal's
@@ -43,7 +42,6 @@ type Media interface {
 // (or worse, zero-fill on growth) the whole journal often enough to
 // dominate the page-out path's wall-clock profile.
 type MemMedia struct {
-	mu     sync.Mutex
 	chunks [][]byte
 	size   int64
 	synced int64
@@ -56,8 +54,6 @@ func NewMemMedia() *MemMedia { return &MemMedia{} }
 
 // Contents implements Media.
 func (m *MemMedia) Contents() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]byte, 0, m.size)
 	for _, c := range m.chunks {
 		out = append(out, c...)
@@ -67,8 +63,6 @@ func (m *MemMedia) Contents() ([]byte, error) {
 
 // Append implements Media.
 func (m *MemMedia) Append(p []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.chunks = append(m.chunks, append([]byte(nil), p...))
 	m.size += int64(len(p))
 	return nil
@@ -76,14 +70,15 @@ func (m *MemMedia) Append(p []byte) error {
 
 // Sync implements Media.
 func (m *MemMedia) Sync() error {
-	m.mu.Lock()
 	m.synced = m.size
-	m.mu.Unlock()
 	return nil
 }
 
-// truncateLocked cuts the journal to n bytes. Caller holds m.mu.
-func (m *MemMedia) truncateLocked(n int64) {
+// Truncate implements Media.
+func (m *MemMedia) Truncate(n int64) error {
+	if n < 0 || n > m.size {
+		return fmt.Errorf("blockstore: truncate %d outside journal of %d bytes", n, m.size)
+	}
 	remain := n
 	for i, c := range m.chunks {
 		if remain >= int64(len(c)) {
@@ -98,16 +93,6 @@ func (m *MemMedia) truncateLocked(n int64) {
 	if m.synced > n {
 		m.synced = n
 	}
-}
-
-// Truncate implements Media.
-func (m *MemMedia) Truncate(n int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n < 0 || n > m.size {
-		return fmt.Errorf("blockstore: truncate %d outside journal of %d bytes", n, m.size)
-	}
-	m.truncateLocked(n)
 	return nil
 }
 
@@ -117,15 +102,11 @@ func (m *MemMedia) Close() error { return nil }
 
 // Size returns the journal length in bytes.
 func (m *MemMedia) Size() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.size
 }
 
 // UnsyncedBytes returns how many tail bytes a crash is allowed to damage.
 func (m *MemMedia) UnsyncedBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.size - m.synced
 }
 
@@ -133,8 +114,6 @@ func (m *MemMedia) UnsyncedBytes() int64 {
 // bytes of the unsynced tail and discards the rest, exactly what a device
 // that lost power mid-write leaves behind.
 func (m *MemMedia) Tear(keepUnsynced int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if keepUnsynced < 0 {
 		return fmt.Errorf("blockstore: negative tear keep %d", keepUnsynced)
 	}
@@ -142,14 +121,12 @@ func (m *MemMedia) Tear(keepUnsynced int64) error {
 	if keep > m.size {
 		keep = m.size
 	}
-	m.truncateLocked(keep)
-	return nil
+	return m.Truncate(keep)
 }
 
 // FileMedia is the file-backed Media: a single append-only journal file
 // with fsync as the durability barrier.
 type FileMedia struct {
-	mu     sync.Mutex
 	f      *os.File
 	size   int64
 	synced int64
@@ -174,8 +151,6 @@ func OpenFileMedia(path string) (*FileMedia, error) {
 
 // Contents implements Media.
 func (m *FileMedia) Contents() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	buf := make([]byte, m.size)
 	if _, err := m.f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("blockstore: read journal: %w", err)
@@ -185,8 +160,6 @@ func (m *FileMedia) Contents() ([]byte, error) {
 
 // Append implements Media.
 func (m *FileMedia) Append(p []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, err := m.f.WriteAt(p, m.size); err != nil {
 		return fmt.Errorf("blockstore: append journal: %w", err)
 	}
@@ -196,8 +169,6 @@ func (m *FileMedia) Append(p []byte) error {
 
 // Sync implements Media.
 func (m *FileMedia) Sync() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.f.Sync(); err != nil {
 		return fmt.Errorf("blockstore: sync journal: %w", err)
 	}
@@ -207,8 +178,6 @@ func (m *FileMedia) Sync() error {
 
 // Truncate implements Media.
 func (m *FileMedia) Truncate(n int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if n < 0 || n > m.size {
 		return fmt.Errorf("blockstore: truncate %d outside journal of %d bytes", n, m.size)
 	}
@@ -224,36 +193,27 @@ func (m *FileMedia) Truncate(n int64) error {
 
 // Close implements Media.
 func (m *FileMedia) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.f.Close()
 }
 
 // Size returns the journal length in bytes.
 func (m *FileMedia) Size() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.size
 }
 
 // UnsyncedBytes returns how many tail bytes a crash is allowed to damage.
 func (m *FileMedia) UnsyncedBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.size - m.synced
 }
 
 // Tear simulates a crash on the file journal; see MemMedia.Tear.
 func (m *FileMedia) Tear(keepUnsynced int64) error {
-	m.mu.Lock()
-	keep := m.synced + keepUnsynced
-	size := m.size
-	m.mu.Unlock()
 	if keepUnsynced < 0 {
 		return fmt.Errorf("blockstore: negative tear keep %d", keepUnsynced)
 	}
-	if keep > size {
-		keep = size
+	keep := m.synced + keepUnsynced
+	if keep > m.size {
+		keep = m.size
 	}
 	return m.Truncate(keep)
 }

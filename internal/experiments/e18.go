@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/acl"
@@ -22,9 +21,9 @@ import (
 // uncached per-component walk the paper's design pays on every access.
 //
 // It measures wall-clock on real data structures, so it is
-// registered in cmd/experiments only, not in the deterministic All() set.
-// The revocation-correctness half (the part that must hold under -race at
-// any parallelism) also runs as a regular test: see e18_test.go.
+// registered in cmd/experiments only, not in the deterministic RunAll set.
+// The revocation-correctness half also runs as a regular test: see
+// e18_test.go.
 
 // e18 tree geometry: 8 levels of fanout 4 is 65,536 leaf directories;
 // 17 segments per leaf crosses the million-segment line (1,114,112).
@@ -114,11 +113,9 @@ func e18ResolveAll(h *fs.Hierarchy, paths []string) time.Duration {
 }
 
 // e18SweepResult is one revocation sweep's outcome: a transcript digest
-// folded in target order (so it is parallelism-invariant by construction
-// only if no worker's observations leak into another target's transcript)
-// and the count of stale decisions observed — allows after revocation,
-// resolutions after deletion. Mismatches must be zero at any parallelism:
-// a nonzero count means a cache served revoked authority.
+// folded in target order and the count of stale decisions observed —
+// allows after revocation, resolutions after deletion. Mismatches must be
+// zero: a nonzero count means a cache served revoked authority.
 type e18SweepResult struct {
 	Digest     string
 	Mismatches int
@@ -126,12 +123,10 @@ type e18SweepResult struct {
 }
 
 // e18RevocationSweep drives the full revoke/re-grant/delete/recreate cycle
-// against every target with par workers sharing one hierarchy. Each target
-// is an independent directory+segment pair, so workers never contend for
-// the same branch; the per-target transcript records outcomes (allowed,
-// denied, resolved, absent), never raw UIDs, which float with creation
-// order across parallelism levels.
-func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir, par int) e18SweepResult {
+// against every target in turn. Each target is an independent
+// directory+segment pair; the per-target transcript records outcomes
+// (allowed, denied, resolved, absent), never raw UIDs.
+func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir int) e18SweepResult {
 	reader := fs.Principal{Person: "Reader", Project: "SDC", Tag: "a"}
 	readerPat := acl.Pattern{Person: "Reader", Project: "SDC", Tag: acl.Wildcard}
 	anyPat := acl.Pattern{Person: acl.Wildcard, Project: acl.Wildcard, Tag: acl.Wildcard}
@@ -167,10 +162,9 @@ func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir, par int) e18SweepResu
 		}
 	}
 
-	transcripts := make([]string, len(targets))
-	mismatches := make([]int, len(targets))
-	run := func(i int) {
-		tg := targets[i]
+	fold := sha256.New()
+	mismatches := 0
+	for _, tg := range targets {
 		var b strings.Builder
 		note := func(op string, ok bool) {
 			fmt.Fprintf(&b, "%s %s %v\n", tg.path, op, ok)
@@ -195,7 +189,7 @@ func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir, par int) e18SweepResu
 		allowed := check()
 		note("after-revoke", allowed)
 		if allowed {
-			mismatches[i]++
+			mismatches++
 		}
 		// Re-grant: visible immediately (denials are never cached).
 		if err := h.SetACL(e18Who, e18Self, uid, readerPat, acl.ModeRead); err != nil {
@@ -209,7 +203,7 @@ func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir, par int) e18SweepResu
 		_, err := h.ResolvePath(reader, e18Self, tg.path)
 		note("after-delete", err == nil)
 		if err == nil {
-			mismatches[i]++
+			mismatches++
 		}
 		// Recreate under the same name: the fresh object must be served,
 		// not the dead one's cached UID.
@@ -224,33 +218,14 @@ func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir, par int) e18SweepResu
 		got, err := h.ResolvePath(reader, e18Self, tg.path)
 		note("recreate-resolves-fresh", err == nil && got == fresh)
 		if err != nil || got != fresh {
-			mismatches[i]++
+			mismatches++
 		}
 		sum := sha256.Sum256([]byte(b.String()))
-		transcripts[i] = hex.EncodeToString(sum[:])
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(targets); i += par {
-				run(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	fold := sha256.New()
-	total := 0
-	for i := range targets {
-		fold.Write([]byte(transcripts[i]))
-		total += mismatches[i]
+		fold.Write([]byte(hex.EncodeToString(sum[:])))
 	}
 	return e18SweepResult{
 		Digest:     hex.EncodeToString(fold.Sum(nil)),
-		Mismatches: total,
+		Mismatches: mismatches,
 		Targets:    len(targets),
 	}
 }
@@ -266,22 +241,11 @@ func E18Fixture() (*fs.Hierarchy, []string, int) {
 	return h, paths, segments
 }
 
-// E18RevocationSweep exposes the sweep for the tier-1 test and the bench
-// harness: it returns the outcome digest (parallelism-invariant), the
-// stale-decision count (must be zero), and the target count.
-func E18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir, par int) (digest string, mismatches, targets int) {
-	res := e18RevocationSweep(h, dirs, segsPerDir, par)
-	return res.Digest, res.Mismatches, res.Targets
-}
-
-// E18NewHierarchy builds a hierarchy on a fresh store for sweep callers.
-func E18NewHierarchy() *fs.Hierarchy { return e18NewHierarchy(1024) }
-
 // E18HierarchyScale regenerates the ROADMAP item-4 claim: at a
 // million-plus segments, cached tree-name resolution beats the paper's
 // per-component walk by an order of magnitude, while the caches remain
-// incapable of serving revoked authority — at parallelism 1 and 8, with
-// transcript digests identical to each other and to an uncached run.
+// incapable of serving revoked authority, with a transcript digest
+// identical to an uncached run's.
 func E18HierarchyScale() Report {
 	buildStart := time.Now()
 	h, paths, segments := E18Fixture()
@@ -317,18 +281,14 @@ func E18HierarchyScale() Report {
 	ratio := float64(uncached) / float64(cached)
 	cs := h.CacheStats()
 
-	// Revocation sweeps on fresh hierarchies: cached par 1, cached par 8,
-	// uncached par 1. All three digests must agree and no sweep may
-	// observe a stale decision.
-	swCached1 := e18RevocationSweep(e18NewHierarchy(1024), 32, 4, 1)
-	swCached8 := e18RevocationSweep(e18NewHierarchy(1024), 32, 4, 8)
+	// Revocation sweeps on fresh hierarchies, cached and uncached: the
+	// digests must agree and neither sweep may observe a stale decision.
+	swCached := e18RevocationSweep(e18NewHierarchy(1024), 32, 4)
 	hUncached := e18NewHierarchy(1024)
 	hUncached.SetCacheEnabled(false)
-	swUncached := e18RevocationSweep(hUncached, 32, 4, 1)
-	digestsEqual := swCached1.Digest == swCached8.Digest &&
-		swCached1.Digest == swUncached.Digest
-	noStale := swCached1.Mismatches == 0 && swCached8.Mismatches == 0 &&
-		swUncached.Mismatches == 0
+	swUncached := e18RevocationSweep(hUncached, 32, 4)
+	digestsEqual := swCached.Digest == swUncached.Digest
+	noStale := swCached.Mismatches == 0 && swUncached.Mismatches == 0
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "tree: %d levels x fanout %d, %d segments (built in %v)\n",
@@ -341,10 +301,10 @@ func E18HierarchyScale() Report {
 	fmt.Fprintf(&b, "speedup: %.1fx (must be >= 10)\n", ratio)
 	fmt.Fprintf(&b, "path cache: %d hits / %d misses / %d fills; acl cache: %d hits / %d misses\n",
 		cs.PathHits, cs.PathMisses, cs.PathFills, cs.ACLHits, cs.ACLMisses)
-	fmt.Fprintf(&b, "revocation sweep (%d targets): stale decisions cached-par1=%d cached-par8=%d uncached=%d\n",
-		swCached1.Targets, swCached1.Mismatches, swCached8.Mismatches, swUncached.Mismatches)
-	fmt.Fprintf(&b, "sweep digests identical across par 1/8 and uncached: %v (%s)\n",
-		digestsEqual, swCached1.Digest[:16])
+	fmt.Fprintf(&b, "revocation sweep (%d targets): stale decisions cached=%d uncached=%d\n",
+		swCached.Targets, swCached.Mismatches, swUncached.Mismatches)
+	fmt.Fprintf(&b, "sweep digests identical, cached and uncached: %v (%s)\n",
+		digestsEqual, swCached.Digest[:16])
 
 	pass := segments >= 1000000 && ratio >= 10 && digestsEqual && noStale
 	return Report{
@@ -353,10 +313,10 @@ func E18HierarchyScale() Report {
 			"depend on caching: revoked access must take effect immediately",
 		Table: b.String(),
 		Measured: fmt.Sprintf("%d segments; cached resolution %.1fx faster than the per-component walk "+
-			"(%v vs %v per resolve); 0 stale decisions across %d revocation cycles at par 1 and 8, "+
-			"digests identical to the uncached run",
+			"(%v vs %v per resolve); 0 stale decisions across %d revocation cycles, "+
+			"digest identical to the uncached run",
 			segments, ratio, (cached / time.Duration(len(paths))).Round(time.Nanosecond),
-			(uncached / time.Duration(len(paths))).Round(time.Nanosecond), swCached1.Targets),
+			(uncached / time.Duration(len(paths))).Round(time.Nanosecond), swCached.Targets),
 		Pass: pass,
 	}
 }

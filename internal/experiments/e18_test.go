@@ -2,24 +2,22 @@ package experiments
 
 import "testing"
 
-// The deterministic half of E18, kept in the tier-1 test suite so `go test
-// -race` proves the revocation discipline at both parallelism levels on
-// every run: no stale ACL decision or stale prefix is ever honored after
-// SetACL/Delete, and the outcome transcript is parallelism-invariant and
-// identical to an uncached twin.
-func TestE18RevocationSweepParallelismInvariant(t *testing.T) {
+// The deterministic half of E18, kept in the tier-1 test suite: no stale
+// ACL decision or stale prefix is ever honored after SetACL/Delete, and
+// the cached sweep's outcome transcript is identical to an uncached
+// twin's.
+func TestE18RevocationSweepCachedMatchesUncached(t *testing.T) {
 	const dirs, segs = 16, 4
-	cached1 := e18RevocationSweep(e18NewHierarchy(1024), dirs, segs, 1)
-	cached8 := e18RevocationSweep(e18NewHierarchy(1024), dirs, segs, 8)
+	cached := e18RevocationSweep(e18NewHierarchy(1024), dirs, segs)
 	hUncached := e18NewHierarchy(1024)
 	hUncached.SetCacheEnabled(false)
-	uncached := e18RevocationSweep(hUncached, dirs, segs, 1)
+	uncached := e18RevocationSweep(hUncached, dirs, segs)
 
 	for _, sw := range []struct {
 		name string
 		res  e18SweepResult
 	}{
-		{"cached-par1", cached1}, {"cached-par8", cached8}, {"uncached", uncached},
+		{"cached", cached}, {"uncached", uncached},
 	} {
 		if sw.res.Mismatches != 0 {
 			t.Errorf("%s: %d stale decisions honored", sw.name, sw.res.Mismatches)
@@ -28,12 +26,8 @@ func TestE18RevocationSweepParallelismInvariant(t *testing.T) {
 			t.Errorf("%s: swept %d targets, want %d", sw.name, sw.res.Targets, dirs*segs)
 		}
 	}
-	if cached1.Digest != cached8.Digest {
-		t.Errorf("sweep digest differs across parallelism: par1 %s, par8 %s",
-			cached1.Digest[:16], cached8.Digest[:16])
-	}
-	if cached1.Digest != uncached.Digest {
+	if cached.Digest != uncached.Digest {
 		t.Errorf("cached sweep digest %s differs from uncached twin %s: caches changed observable behavior",
-			cached1.Digest[:16], uncached.Digest[:16])
+			cached.Digest[:16], uncached.Digest[:16])
 	}
 }

@@ -59,7 +59,7 @@ func (in *Injector) Crash(h *fs.Hierarchy) int {
 			continue
 		}
 		corrupted++
-		in.crash.Add(1)
+		in.counts.CrashCorruptions++
 		in.emit(PointCrash, c.uid, uint64(kind), "simulated crash damage: "+kind.String())
 	}
 	return corrupted

@@ -2,8 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -36,8 +34,8 @@ func (c Counts) Total() int64 {
 //
 // Decisions key on stable entity identities (segment UID + page index,
 // connection id, interrupt source) plus a per-entity occurrence number
-// the injector maintains, so outcomes are independent of goroutine
-// interleaving. Because a retry advances the occurrence number, every
+// the injector maintains, so outcomes are independent of scheduling
+// order. Because a retry advances the occurrence number, every
 // injected fault is transient: at rate r a retry loop of k attempts
 // fails outright only with probability r^k.
 type Injector struct {
@@ -45,12 +43,8 @@ type Injector struct {
 	clock *machine.Clock
 	sink  trace.Sink
 
-	mu  sync.Mutex
-	occ map[occKey]uint64
-
-	memIO, torn, intLost, intDup  atomic.Int64
-	connResets, connStalls, crash atomic.Int64
-	storeTears                    atomic.Int64
+	occ    map[occKey]uint64
+	counts Counts
 }
 
 // occKey identifies one entity at one injection point.
@@ -70,27 +64,14 @@ func NewInjector(plan *Plan, clock *machine.Clock, sink trace.Sink) *Injector {
 func (in *Injector) Plan() *Plan { return in.plan }
 
 // Counts returns a snapshot of the injected-fault counters.
-func (in *Injector) Counts() Counts {
-	return Counts{
-		MemIO:            in.memIO.Load(),
-		TornWrites:       in.torn.Load(),
-		IntLost:          in.intLost.Load(),
-		IntDup:           in.intDup.Load(),
-		ConnResets:       in.connResets.Load(),
-		ConnStalls:       in.connStalls.Load(),
-		CrashCorruptions: in.crash.Load(),
-		StoreTears:       in.storeTears.Load(),
-	}
-}
+func (in *Injector) Counts() Counts { return in.counts }
 
 // next returns the occurrence number for entity (a, b) at pt and
 // advances it.
 func (in *Injector) next(pt Point, a, b uint64) uint64 {
 	k := occKey{pt: pt, a: a, b: b}
-	in.mu.Lock()
 	n := in.occ[k]
 	in.occ[k] = n + 1
-	in.mu.Unlock()
 	return n
 }
 
@@ -129,7 +110,7 @@ func (in *Injector) PageIO(op mem.IOOp, pid mem.PageID) error {
 	if !in.plan.Decide(PointMemIO, pid.SegUID, uint64(pid.Index), n) {
 		return nil
 	}
-	in.memIO.Add(1)
+	in.counts.MemIO++
 	in.emit(PointMemIO, pid.SegUID, uint64(pid.Index), fmt.Sprintf("%v on %v, occurrence %d", op, pid, n))
 	return fmt.Errorf("%w: injected %v fault on %v (occurrence %d)", mem.ErrIO, op, pid, n)
 }
@@ -144,7 +125,7 @@ func (in *Injector) PageOut(op mem.IOOp, pid mem.PageID, data []uint64) {
 	}
 	w := in.plan.HashKey(PointTornWrite, pid.SegUID, uint64(pid.Index), n, 1) % uint64(len(data))
 	data[w] ^= tornMask
-	in.torn.Add(1)
+	in.counts.TornWrites++
 	in.emit(PointTornWrite, pid.SegUID, uint64(pid.Index), fmt.Sprintf("%v of %v tore word %d", op, pid, w))
 }
 
@@ -156,7 +137,7 @@ func (in *Injector) ConnStall(conn uint64) bool {
 	if !in.plan.Decide(PointConnStall, conn, 0, n) {
 		return false
 	}
-	in.connStalls.Add(1)
+	in.counts.ConnStalls++
 	in.emit(PointConnStall, conn, n, "service pass stalled; connection requeued")
 	return true
 }
@@ -169,7 +150,7 @@ func (in *Injector) ConnReset(conn uint64) bool {
 	if !in.plan.Decide(PointConnReset, conn, 0, n) {
 		return false
 	}
-	in.connResets.Add(1)
+	in.counts.ConnResets++
 	in.emit(PointConnReset, conn, n, "read reset mid-flight; drained and requeued")
 	return true
 }

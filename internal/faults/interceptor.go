@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/interrupt"
 )
@@ -15,9 +14,7 @@ import (
 type FaultyInterceptor struct {
 	inner interrupt.Interceptor
 	in    *Injector
-
-	mu   sync.Mutex
-	lost []lostInterrupt
+	lost  []lostInterrupt
 }
 
 // lostInterrupt is one dropped Raise awaiting redelivery.
@@ -38,17 +35,15 @@ func (fi *FaultyInterceptor) Raise(source string, data uint64) {
 	sid := strKey(source)
 	n := fi.in.next(PointIntLost, sid, 0)
 	if fi.in.plan.Decide(PointIntLost, sid, 0, n) {
-		fi.mu.Lock()
 		fi.lost = append(fi.lost, lostInterrupt{source: source, data: data})
-		fi.mu.Unlock()
-		fi.in.intLost.Add(1)
+		fi.in.counts.IntLost++
 		fi.in.emit(PointIntLost, sid, data, fmt.Sprintf("interrupt from %q dropped; stashed for redelivery", source))
 		return
 	}
 	fi.inner.Raise(source, data)
 	m := fi.in.next(PointIntDup, sid, 0)
 	if fi.in.plan.Decide(PointIntDup, sid, 0, m) {
-		fi.in.intDup.Add(1)
+		fi.in.counts.IntDup++
 		fi.in.emit(PointIntDup, sid, data, fmt.Sprintf("interrupt from %q delivered twice", source))
 		fi.inner.Raise(source, data)
 	}
@@ -59,21 +54,15 @@ func (fi *FaultyInterceptor) Raise(source string, data uint64) {
 func (fi *FaultyInterceptor) Stats() interrupt.Stats { return fi.inner.Stats() }
 
 // Pending returns how many lost interrupts await redelivery.
-func (fi *FaultyInterceptor) Pending() int {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return len(fi.lost)
-}
+func (fi *FaultyInterceptor) Pending() int { return len(fi.lost) }
 
 // Redeliver flushes every stashed lost interrupt into the wrapped
 // interceptor — the recovery poll — and returns how many it delivered.
 // Redelivered interrupts are not subjected to further loss, mirroring a
 // poll that reads device state directly.
 func (fi *FaultyInterceptor) Redeliver() int {
-	fi.mu.Lock()
 	stash := fi.lost
 	fi.lost = nil
-	fi.mu.Unlock()
 	for _, li := range stash {
 		fi.inner.Raise(li.source, li.data)
 	}

@@ -125,8 +125,8 @@ func UniformSpec(seed int64, rate float64, crashObjects int) Spec {
 }
 
 // Plan is a compiled, immutable fault plan. A decision for (point, keys)
-// is a pure function of the plan — no state, no randomness — so plans
-// are safe for concurrent use and replays are exact.
+// is a pure function of the plan — no state, no randomness — so one plan
+// can be shared by many injectors and replays are exact.
 type Plan struct {
 	spec   Spec
 	seed   uint64

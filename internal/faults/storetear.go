@@ -33,7 +33,7 @@ func (in *Injector) TearJournal(j TearableJournal) (int64, error) {
 	if err := j.Tear(keep); err != nil {
 		return 0, fmt.Errorf("faults: tearing journal: %w", err)
 	}
-	in.storeTears.Add(1)
+	in.counts.StoreTears++
 	in.emit(PointStoreTear, uint64(unsynced), uint64(keep),
 		fmt.Sprintf("journal torn: kept %d of %d unsynced bytes", keep, unsynced))
 	return keep, nil

@@ -21,7 +21,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -73,7 +72,6 @@ type Member struct {
 // Fleet is N kernels behind one consistent-hash session router.
 type Fleet struct {
 	cfg     Config
-	mu      sync.Mutex
 	ring    *Ring
 	members []*Member
 
@@ -150,28 +148,17 @@ func (f *Fleet) bootMember(i int) (*Member, error) {
 
 // Close shuts every member down. The fleet is unusable afterwards.
 func (f *Fleet) Close() {
-	f.mu.Lock()
-	members := f.members
-	f.members = nil
-	f.mu.Unlock()
-	for _, m := range members {
+	for _, m := range f.members {
 		m.Sys.Shutdown()
 	}
+	f.members = nil
 }
 
 // Size returns the member count.
-func (f *Fleet) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.members)
-}
+func (f *Fleet) Size() int { return len(f.members) }
 
 // Member returns member i.
-func (f *Fleet) Member(i int) *Member {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.members[i]
-}
+func (f *Fleet) Member(i int) *Member { return f.members[i] }
 
 // Metrics returns the fleet-level metrics registry (router and
 // migration counters). Per-kernel counters live in each member's own
@@ -182,10 +169,7 @@ func (f *Fleet) Metrics() *metrics.Registry { return f.reg }
 // authenticate the principal — the precondition for routing freedom and
 // for migration (the target kernel re-authenticates the session).
 func (f *Fleet) AddUser(person, project, password string, clearance multics.Level) error {
-	f.mu.Lock()
-	members := append([]*Member(nil), f.members...)
-	f.mu.Unlock()
-	for _, m := range members {
+	for _, m := range f.members {
 		if err := m.Sys.AddUser(person, project, password, clearance); err != nil {
 			return fmt.Errorf("fleet: registering %s.%s on kernel %d: %w", person, project, m.Index, err)
 		}
@@ -196,8 +180,6 @@ func (f *Fleet) AddUser(person, project, password string, clearance multics.Leve
 // Route returns the home kernel of (person, project): stable across
 // calls, runs, and fleet restarts of the same size.
 func (f *Fleet) Route(person, project string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.mRouted.Inc()
 	return f.ring.Lookup(SessionKey(person, project))
 }

@@ -20,8 +20,7 @@ import (
 //     never reshuffling the rest — which is what keeps a fleet resize
 //     from turning into a full-fleet migration storm.
 //
-// Ring is not goroutine-safe; the fleet mutates it only at construction
-// and resize, under its own lock.
+// The fleet mutates its ring only at construction and resize.
 type Ring struct {
 	members map[int]bool
 	points  []ringPoint // sorted by hash

@@ -5,7 +5,7 @@
 // principal, subject label, wanted mode). The cache memoizes positive
 // verdicts keyed by exactly those inputs, with the object state represented
 // by its ACL generation counter: every SetACL/RemoveACL/Delete/Reclassify
-// bumps the generation inside the mutating critical section, so a cached
+// bumps the generation in the mutating function, so a cached
 // verdict computed under the old ACL compares unequal and is never honored.
 // This is the same discipline machine.AssocMemory enforces from
 // DescriptorSegment.Set, applied one layer up.
@@ -17,9 +17,6 @@
 package fs
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/acl"
 	"repro/internal/metrics"
 )
@@ -38,15 +35,14 @@ type decisionKey struct {
 const decCacheCap = 1 << 18
 
 type decisionCache struct {
-	mu      sync.RWMutex
 	m       map[decisionKey]uint64 // value: aclGen at fill time
-	enabled uint32                 // atomic; 1 = on
+	enabled bool
 
 	hits, misses, fills, invalidations, evictions *metrics.Counter
 }
 
 func newDecisionCache() *decisionCache {
-	return &decisionCache{enabled: 1, m: make(map[decisionKey]uint64)}
+	return &decisionCache{enabled: true, m: make(map[decisionKey]uint64)}
 }
 
 func (c *decisionCache) bind(reg *metrics.Registry) {
@@ -57,13 +53,9 @@ func (c *decisionCache) bind(reg *metrics.Registry) {
 	c.evictions = reg.Counter("fs.acl_cache.evictions")
 }
 
-func (c *decisionCache) on() bool { return atomic.LoadUint32(&c.enabled) == 1 }
-
 func (c *decisionCache) setEnabled(on bool) {
-	if on {
-		atomic.StoreUint32(&c.enabled, 1)
-	} else {
-		atomic.StoreUint32(&c.enabled, 0)
+	c.enabled = on
+	if !on {
 		c.flush()
 	}
 }
@@ -71,19 +63,13 @@ func (c *decisionCache) setEnabled(on bool) {
 // flush drops every cached decision (used when state changes bypass the
 // generation discipline, e.g. salvager repair of corrupted structures).
 func (c *decisionCache) flush() {
-	c.mu.Lock()
 	c.m = make(map[decisionKey]uint64)
-	c.mu.Unlock()
 }
 
 // lookup reports whether a positive verdict for k is cached and still
-// valid at generation gen (the object's current aclGen, loaded by the
-// caller before probing).
+// valid at generation gen (the object's current aclGen).
 func (c *decisionCache) lookup(k decisionKey, gen uint64) bool {
-	c.mu.RLock()
-	stored, ok := c.m[k]
-	c.mu.RUnlock()
-	if ok && stored == gen {
+	if stored, ok := c.m[k]; ok && stored == gen {
 		c.hits.Inc()
 		return true
 	}
@@ -91,18 +77,13 @@ func (c *decisionCache) lookup(k decisionKey, gen uint64) bool {
 	return false
 }
 
-// store records a positive verdict computed at generation gen. gen must
-// have been loaded *before* the verdict was computed: a revocation landing
-// in between bumps the object past gen, so the entry is stillborn rather
-// than stale.
+// store records a positive verdict computed at generation gen.
 func (c *decisionCache) store(k decisionKey, gen uint64) {
-	c.mu.Lock()
 	if len(c.m) >= decCacheCap {
 		c.m = make(map[decisionKey]uint64)
 		c.evictions.Inc()
 	}
 	c.m[k] = gen
-	c.mu.Unlock()
 	c.fills.Inc()
 }
 

@@ -3,7 +3,6 @@ package fs
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/acl"
@@ -284,11 +283,7 @@ func TestPathOfBoundedOnLongParentCycle(t *testing.T) {
 	// Manufacture a 2-cycle a<->b that never reaches the root; before the
 	// depth bound this spun forever (only self-parent was detected).
 	objA, _ := h.Object(a)
-	objB, _ := h.Object(b)
-	objA.mu.Lock()
 	objA.parent = b
-	objA.mu.Unlock()
-	_ = objB
 	if _, err := h.PathOf(b); !errors.Is(err, ErrParentLoop) {
 		t.Errorf("PathOf on 2-cycle = %v, want ErrParentLoop", err)
 	}
@@ -326,10 +321,10 @@ func TestCacheDisableFlushesAndBypasses(t *testing.T) {
 	}
 }
 
-// TestConcurrentResolveAndRevoke hammers resolution against ACL and entry
-// churn under -race: 8 resolvers race 2 mutators, and after every revoke
-// settles, access must be denied — never a stale allow from either cache.
-func TestConcurrentResolveAndRevoke(t *testing.T) {
+// TestInterleavedResolveAndRevoke interleaves cached resolutions with
+// ACL churn: every revoke must be denied on the very next check, and
+// every re-grant allowed, with both caches warm from the rounds before.
+func TestInterleavedResolveAndRevoke(t *testing.T) {
 	h := newHier(t)
 	const dirs = 8
 	segUIDs := make([]uint64, dirs)
@@ -343,48 +338,40 @@ func TestConcurrentResolveAndRevoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var resolvers, mutators sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		resolvers.Add(1)
-		go func(w int) {
-			defer resolvers.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p := paths[(w+i)%dirs]
-				uid, err := h.ResolvePath(bob, unc, p)
-				if err == nil {
-					_, _ = h.CheckSegmentAccess(bob, unc, uid, acl.ModeRead)
-				}
-			}
-		}(w)
+	access := func(i int) error {
+		uid, err := h.ResolvePath(bob, unc, paths[i])
+		if err != nil {
+			return err
+		}
+		_, err = h.CheckSegmentAccess(bob, unc, uid, acl.ModeRead)
+		return err
 	}
-	for m := 0; m < 2; m++ {
-		mutators.Add(1)
-		go func(m int) {
-			defer mutators.Done()
-			for i := 0; i < 200; i++ {
-				seg := segUIDs[(m*3+i)%dirs]
-				_ = h.SetACL(alice, unc, seg, bobPat(), 0)
-				_ = h.SetACL(alice, unc, seg, bobPat(), acl.ModeRead)
+	for round := 0; round < 200; round++ {
+		for i := range paths {
+			if err := access(i); err != nil {
+				t.Fatalf("round %d: granted %s denied: %v", round, paths[i], err)
 			}
-		}(m)
+		}
+		i := (round * 3) % dirs
+		if err := h.SetACL(alice, unc, segUIDs[i], bobPat(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if access(i) == nil {
+			t.Fatalf("round %d: revoked %s honored", round, paths[i])
+		}
+		if err := h.SetACL(alice, unc, segUIDs[i], bobPat(), acl.ModeRead); err != nil {
+			t.Fatal(err)
+		}
 	}
-	mutators.Wait()
-	close(stop)
-	resolvers.Wait()
-	// After the churn settles, revoke everything: no stale allow may
-	// survive from either cache.
+	if st := h.CacheStats(); st.ACLHits == 0 || st.PathHits == 0 {
+		t.Fatalf("churn never hit the caches: %+v", st)
+	}
 	for i, seg := range segUIDs {
 		if err := h.SetACL(alice, unc, seg, bobPat(), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.CheckSegmentAccess(bob, unc, seg, acl.ModeRead); err == nil {
-			t.Errorf("seg %d: revoked access honored after concurrent churn", i)
+		if access(i) == nil {
+			t.Errorf("seg %d: revoked access honored after churn", i)
 		}
 	}
 }

@@ -21,25 +21,20 @@
 //     the new simpler interface that lets tree-name resolution move into the
 //     user ring.
 //
-// Concurrency: the hierarchy is safe for concurrent use. The object table
-// is one map under one lock, and every object carries its own lock
-// guarding the mutable branch attributes (name, parent, label, ACL, bit
-// count, and — for directories — the entry map). Lock order is parent
-// directory before child object; the table's lock is a leaf taken last.
+// One goroutine at a time drives a hierarchy, as it drives the kernel that
+// owns it (DESIGN.md, "One driver per kernel"), so nothing here locks.
 // Hot-path access checks and tree-name walks are memoized by the
 // revocation-safe caches in cache.go and pathcache.go: every mutation of an
 // ACL, label, or directory entry bumps the owning object's generation
-// counter inside the same critical section, which atomically kills every
-// cached decision derived from the old state (the same discipline the
-// machine's SDW associative memory enforces from DescriptorSegment.Set).
+// counter in the mutating function, which kills every cached decision
+// derived from the old state (the same discipline the machine's SDW
+// associative memory enforces from DescriptorSegment.Set).
 package fs
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/acl"
 	"repro/internal/machine"
@@ -76,17 +71,15 @@ const RootUID uint64 = 1
 // Object is one layer-1 object plus the layer-2 attributes its branch
 // carries: the ACL, ring brackets, and (for directories) the entry map.
 //
-// UID, Kind, Author, Brackets and Gates are immutable after creation and
-// may be read freely. The remaining attributes are guarded by mu and read
-// through the accessor methods; they are mutated only by Hierarchy methods,
-// which bump the generation counters so the decision and path caches never
-// honor state from before the mutation.
+// UID, Kind, Author, Brackets and Gates are immutable after creation. The
+// remaining attributes are read through the accessor methods; they are
+// mutated only by Hierarchy methods, which bump the generation counters so
+// the decision and path caches never honor state from before the mutation.
 type Object struct {
 	// aclGen counts ACL and label changes; entGen counts directory-entry
-	// changes (create/delete/link). They are read with atomic loads
-	// on cache-validation paths and bumped with atomic adds inside the
-	// owning critical section — invalidation generations, not statistics
-	// (the op and cache statistics live in the metrics registry).
+	// changes (create/delete/link). They are invalidation generations,
+	// not statistics (the op and cache statistics live in the metrics
+	// registry).
 	aclGen uint64
 	entGen uint64
 
@@ -98,7 +91,6 @@ type Object struct {
 	Brackets machine.Brackets
 	Gates    int
 
-	mu sync.RWMutex
 	// name is the branch name in the parent directory.
 	name string
 	// parent is the parent directory UID (RootUID's parent is itself).
@@ -115,61 +107,25 @@ type Object struct {
 }
 
 // Name returns the object's branch name in its parent directory.
-func (o *Object) Name() string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.name
-}
+func (o *Object) Name() string { return o.name }
 
 // Parent returns the parent directory UID (the root is its own parent).
-func (o *Object) Parent() uint64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.parent
-}
+func (o *Object) Parent() uint64 { return o.parent }
 
 // Label returns the object's mandatory security label.
-func (o *Object) Label() mls.Label {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.label
-}
+func (o *Object) Label() mls.Label { return o.label }
 
 // BitCount returns the branch bit count.
-func (o *Object) BitCount() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.bitCount
-}
+func (o *Object) BitCount() int { return o.bitCount }
 
 // ACLEntries returns a copy of the branch ACL, most specific first.
-func (o *Object) ACLEntries() []acl.Entry {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.dacl.Entries()
-}
+func (o *Object) ACLEntries() []acl.Entry { return o.dacl.Entries() }
 
 // ACLModeFor computes the discretionary mode the branch ACL grants who.
-func (o *Object) ACLModeFor(who acl.Principal) acl.Mode {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.dacl.ModeFor(who)
-}
+func (o *Object) ACLModeFor(who acl.Principal) acl.Mode { return o.dacl.ModeFor(who) }
 
 // CheckACL verifies who holds every bit of want on the branch ACL.
-func (o *Object) CheckACL(who acl.Principal, want acl.Mode) error {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.dacl.Check(who, want)
-}
-
-// nameParent returns name and parent under one lock acquisition (PathOf
-// walks many objects; half the lock traffic matters there).
-func (o *Object) nameParent() (string, uint64) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.name, o.parent
-}
+func (o *Object) CheckACL(who acl.Principal, want acl.Mode) error { return o.dacl.Check(who, want) }
 
 // DirEntry is one entry of a directory: a branch to an object or a link to
 // a path name.
@@ -203,13 +159,12 @@ var (
 // layer-2 naming hierarchy.
 type Hierarchy struct {
 	store *mem.Store
-	// objMu guards the object table, keyed by UID.
-	objMu   sync.RWMutex
+	// objects is the object table, keyed by UID.
 	objects map[uint64]*Object
-	nextUID uint64 // atomic
+	nextUID uint64
 
-	// mutEpoch advances (atomically) on every generation bump anywhere in
-	// the hierarchy. Path-cache entries filled under the current epoch
+	// mutEpoch advances on every generation bump anywhere in the
+	// hierarchy. Path-cache entries filled under the current epoch
 	// validate with a single load instead of a per-step generation scan;
 	// see pathcache.go.
 	mutEpoch uint64
@@ -224,9 +179,7 @@ type OpStats struct {
 	Creates, Deletes, Lookups, Resolves, ACLChanges int64
 }
 
-// opCounters are the metrics-registry handles behind OpStats. They replace
-// the plain int fields that PR 7 found being incremented from concurrent
-// sessions without synchronization.
+// opCounters are the metrics-registry handles behind OpStats.
 type opCounters struct {
 	creates, deletes, lookups, resolves, aclChanges *metrics.Counter
 }
@@ -261,7 +214,7 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 		Brackets: machine.KernelBrackets(),
 		entries:  make(map[string]*DirEntry),
 	}
-	h.putObject(root)
+	h.objects[RootUID] = root
 	// Directories are layer-1 objects too: the hierarchy's own storage is
 	// paged like everything else.
 	if _, err := store.CreateSegment(RootUID, 0); err != nil {
@@ -297,49 +250,24 @@ func (h *Hierarchy) OpStats() OpStats {
 	}
 }
 
-func (h *Hierarchy) object(uid uint64) (*Object, bool) {
-	h.objMu.RLock()
-	o, ok := h.objects[uid]
-	h.objMu.RUnlock()
-	return o, ok
-}
-
-func (h *Hierarchy) putObject(o *Object) {
-	h.objMu.Lock()
-	h.objects[o.UID] = o
-	h.objMu.Unlock()
-}
-
-func (h *Hierarchy) removeObject(uid uint64) {
-	h.objMu.Lock()
-	delete(h.objects, uid)
-	h.objMu.Unlock()
-}
-
 // Count returns the number of live objects in the hierarchy.
-func (h *Hierarchy) Count() int {
-	h.objMu.RLock()
-	defer h.objMu.RUnlock()
-	return len(h.objects)
-}
+func (h *Hierarchy) Count() int { return len(h.objects) }
 
 // UIDs returns every live object UID in ascending order. The fault
 // plane uses the list to choose deterministic corruption targets for a
 // simulated crash; the salvager's own walk does not need it.
 func (h *Hierarchy) UIDs() []uint64 {
-	h.objMu.RLock()
 	out := make([]uint64, 0, len(h.objects))
 	for uid := range h.objects {
 		out = append(out, uid)
 	}
-	h.objMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Object returns the object with the given UID.
 func (h *Hierarchy) Object(uid uint64) (*Object, error) {
-	o, ok := h.object(uid)
+	o, ok := h.objects[uid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %#x", ErrNoSuchUID, uid)
 	}
@@ -348,7 +276,9 @@ func (h *Hierarchy) Object(uid uint64) (*Object, error) {
 
 // allocUID generates the next system-wide unique identifier.
 func (h *Hierarchy) allocUID() uint64 {
-	return atomic.AddUint64(&h.nextUID, 1) - 1
+	uid := h.nextUID
+	h.nextUID++
+	return uid
 }
 
 func (h *Hierarchy) directory(uid uint64) (*Object, error) {
@@ -362,10 +292,10 @@ func (h *Hierarchy) directory(uid uint64) (*Object, error) {
 	return o, nil
 }
 
-// checkDirLocked verifies discretionary directory access plus the
+// checkDirSlow verifies discretionary directory access plus the
 // mandatory checks: observing a directory requires reading it, changing it
-// requires writing it. The caller holds dir.mu (read or write).
-func checkDirLocked(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
+// requires writing it.
+func checkDirSlow(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
 	if err := dir.dacl.Check(who, want); err != nil {
 		return err
 	}
@@ -386,24 +316,15 @@ func checkDirLocked(dir *Object, who acl.Principal, subj mls.Label, want acl.Mod
 // verdict is honored only while the directory's ACL generation is
 // unchanged, so a revoked decision is never served (see cache.go).
 func (h *Hierarchy) checkDir(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
-	if !h.dec.on() {
-		dir.mu.RLock()
-		err := checkDirLocked(dir, who, subj, want)
-		dir.mu.RUnlock()
-		return err
+	if !h.dec.enabled {
+		return checkDirSlow(dir, who, subj, want)
 	}
 	key := decisionKey{uid: dir.UID, who: who, label: subj.CacheKey(), want: want}
-	// Read the generation before the slow check: if a revocation lands
-	// between this load and the verdict, the entry is stored with a stale
-	// generation and can never be honored.
-	gen := atomic.LoadUint64(&dir.aclGen)
+	gen := dir.aclGen
 	if h.dec.lookup(key, gen) {
 		return nil
 	}
-	dir.mu.RLock()
-	err := checkDirLocked(dir, who, subj, want)
-	dir.mu.RUnlock()
-	if err != nil {
+	if err := checkDirSlow(dir, who, subj, want); err != nil {
 		return err
 	}
 	h.dec.store(key, gen)
@@ -411,18 +332,18 @@ func (h *Hierarchy) checkDir(dir *Object, who acl.Principal, subj mls.Label, wan
 }
 
 // bumpACLGen invalidates every cached decision derived from o's ACL or
-// label. Call inside the critical section that mutates them.
+// label. Call from the function that mutates them.
 func (h *Hierarchy) bumpACLGen(o *Object) {
-	atomic.AddUint64(&o.aclGen, 1)
-	atomic.AddUint64(&h.mutEpoch, 1)
+	o.aclGen++
+	h.mutEpoch++
 	h.dec.invalidations.Inc()
 }
 
 // bumpEntGen invalidates every cached path prefix that walked through o's
-// entry map. Call inside the critical section that mutates it.
+// entry map. Call from the function that mutates it.
 func (h *Hierarchy) bumpEntGen(o *Object) {
-	atomic.AddUint64(&o.entGen, 1)
-	atomic.AddUint64(&h.mutEpoch, 1)
+	o.entGen++
+	h.mutEpoch++
 	h.paths.invalidations.Inc()
 }
 
@@ -474,8 +395,6 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 		return 0, fmt.Errorf("fs: invalid ring brackets %v", brackets)
 	}
 
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	if dir.dead {
 		return 0, fmt.Errorf("%w: %#x", ErrNoSuchUID, dirUID)
 	}
@@ -503,7 +422,7 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if _, err := h.store.CreateSegment(uid, opts.Length); err != nil {
 		return 0, fmt.Errorf("fs: creating storage for %q: %w", name, err)
 	}
-	h.putObject(o)
+	h.objects[uid] = o
 	dir.entries[name] = &DirEntry{Name: name, UID: uid}
 	h.bumpEntGen(dir)
 	h.ops.creates.Inc()
@@ -522,8 +441,6 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 	if err := h.checkDir(dir, who, subj, acl.ModeAppend); err != nil {
 		return err
 	}
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	if dir.dead {
 		return fmt.Errorf("%w: %#x", ErrNoSuchUID, dirUID)
 	}
@@ -543,16 +460,11 @@ func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, 
 		return nil, err
 	}
 	h.ops.lookups.Inc()
-	dir.mu.RLock()
 	e, ok := dir.entries[name]
-	var cp DirEntry
-	if ok {
-		cp = *e
-	}
-	dir.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dir.UID)
 	}
+	cp := *e
 	return &cp, nil
 }
 
@@ -577,12 +489,10 @@ func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64) ([]Di
 		return nil, err
 	}
 	h.ops.lookups.Inc()
-	dir.mu.RLock()
 	out := make([]DirEntry, 0, len(dir.entries))
 	for _, e := range dir.entries {
 		out = append(out, *e)
 	}
-	dir.mu.RUnlock()
 	sortEntries(out)
 	return out, nil
 }
@@ -597,8 +507,6 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if err := h.checkDir(dir, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	e, ok := dir.entries[name]
 	if !ok {
 		return fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dirUID)
@@ -611,10 +519,7 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 		if obj.UID == RootUID {
 			return ErrRootImmutable
 		}
-		// Lock order parent -> child: obj's parent is dir, already held.
-		obj.mu.Lock()
 		if obj.Kind == KindDirectory && len(obj.entries) > 0 {
-			obj.mu.Unlock()
 			return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 		}
 		obj.dead = true
@@ -622,11 +527,10 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 		// object before it disappears from the table.
 		h.bumpACLGen(obj)
 		h.bumpEntGen(obj)
-		obj.mu.Unlock()
 		if err := h.store.DeleteSegment(obj.UID); err != nil {
 			return fmt.Errorf("fs: releasing storage of %q: %w", name, err)
 		}
-		h.removeObject(obj.UID)
+		delete(h.objects, obj.UID)
 	}
 	delete(dir.entries, name)
 	h.bumpEntGen(dir)
@@ -649,10 +553,8 @@ func (h *Hierarchy) SetACL(who acl.Principal, subj mls.Label, uid uint64, patter
 	if err := h.checkDir(parent, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
-	obj.mu.Lock()
 	obj.dacl.Set(pattern, mode)
 	h.bumpACLGen(obj)
-	obj.mu.Unlock()
 	h.ops.aclChanges.Inc()
 	return nil
 }
@@ -670,15 +572,10 @@ func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pat
 	if err := h.checkDir(parent, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
-	obj.mu.Lock()
-	removed := obj.dacl.Remove(pattern)
-	if removed {
-		h.bumpACLGen(obj)
-	}
-	obj.mu.Unlock()
-	if !removed {
+	if !obj.dacl.Remove(pattern) {
 		return fmt.Errorf("%w: no ACL entry %v", ErrNotFound, pattern)
 	}
+	h.bumpACLGen(obj)
 	h.ops.aclChanges.Inc()
 	return nil
 }
@@ -691,10 +588,8 @@ func (h *Hierarchy) Reclassify(uid uint64, label mls.Label) error {
 	if err != nil {
 		return err
 	}
-	obj.mu.Lock()
 	obj.label = label
 	h.bumpACLGen(obj)
-	obj.mu.Unlock()
 	h.ops.aclChanges.Inc()
 	return nil
 }
@@ -707,15 +602,12 @@ func (h *Hierarchy) SetBitCount(uid uint64, bc int) error {
 	if err != nil {
 		return err
 	}
-	obj.mu.Lock()
 	obj.bitCount = bc
-	obj.mu.Unlock()
 	return nil
 }
 
-// checkSegLocked is the slow-path segment access computation; the caller
-// holds obj.mu.
-func checkSegLocked(obj *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
+// checkSegSlow is the slow-path segment access computation.
+func checkSegSlow(obj *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
 	if err := obj.dacl.Check(who, want); err != nil {
 		return err
 	}
@@ -746,25 +638,19 @@ func (h *Hierarchy) CheckSegmentAccess(who acl.Principal, subj mls.Label, uid ui
 	if obj.Kind != KindSegment {
 		return nil, fmt.Errorf("%w: %#x", ErrNotSegment, uid)
 	}
-	if !h.dec.on() {
-		obj.mu.RLock()
-		err := checkSegLocked(obj, who, subj, want)
-		obj.mu.RUnlock()
-		if err != nil {
+	if !h.dec.enabled {
+		if err := checkSegSlow(obj, who, subj, want); err != nil {
 			return nil, err
 		}
 		return obj, nil
 	}
 	key := decisionKey{uid: uid, who: who, label: subj.CacheKey(), want: want}
-	gen := atomic.LoadUint64(&obj.aclGen)
+	gen := obj.aclGen
 	if h.dec.lookup(key, gen) {
 		return obj, nil
 	}
-	obj.mu.RLock()
-	cerr := checkSegLocked(obj, who, subj, want)
-	obj.mu.RUnlock()
-	if cerr != nil {
-		return nil, cerr
+	if err := checkSegSlow(obj, who, subj, want); err != nil {
+		return nil, err
 	}
 	h.dec.store(key, gen)
 	return obj, nil

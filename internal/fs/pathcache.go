@@ -13,14 +13,12 @@
 // is honored only if every step's generations are unchanged. Any
 // SetACL/RemoveACL/Reclassify (aclGen) or Create/Delete/AddLink (entGen)
 // anywhere along the chain makes the comparison fail, so a revoked or
-// re-routed prefix is never served stale. Generations are
-// loaded before the walk observes each object (see resolve.go), so a
-// mutation racing the fill leaves a stillborn entry, not a stale one.
+// re-routed prefix is never served stale.
 //
 // Steady state is cheaper still: every generation bump also bumps one
 // hierarchy-wide mutation epoch, and an entry whose fill-time epoch is
 // still current skips the per-step scan entirely — in a read-dominated
-// phase a cached resolution is one probe plus one atomic load, regardless
+// phase a cached resolution is one probe plus one comparison, regardless
 // of path depth. The epoch is purely an accelerator: an epoch mismatch
 // falls back to the per-step generation checks, so unrelated mutations
 // slow hits without evicting them, and the safety argument never rests on
@@ -36,9 +34,6 @@
 package fs
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/acl"
 	"repro/internal/metrics"
 )
@@ -62,9 +57,9 @@ type pathStep struct {
 // validation chain. steps is snapshot-copied at fill and never mutated.
 type pathEntry struct {
 	uid uint64
-	// epoch is the hierarchy-wide mutation epoch loaded before the filling
-	// walk observed anything. If the epoch is still current at lookup time,
-	// no ACL, label, or entry mutated anywhere since before the fill, so
+	// epoch is the hierarchy-wide mutation epoch when the filling walk
+	// began. If the epoch is still current at lookup time, no ACL, label,
+	// or entry mutated anywhere since the fill, so
 	// the whole chain is trivially valid and the per-step scan is skipped.
 	epoch uint64
 	steps []pathStep
@@ -72,7 +67,7 @@ type pathEntry struct {
 
 // valid reports whether the entry may be honored. now is the current
 // hierarchy mutation epoch: an exact match proves nothing mutated since
-// before the fill (the O(1) steady-state fast path); otherwise every step's
+// the fill (the O(1) steady-state fast path); otherwise every step's
 // generations are re-checked individually, so unrelated mutations cost a
 // scan but never evict, and relevant mutations are always detected.
 func (e *pathEntry) valid(now uint64) bool {
@@ -81,8 +76,7 @@ func (e *pathEntry) valid(now uint64) bool {
 	}
 	for i := range e.steps {
 		s := &e.steps[i]
-		if atomic.LoadUint64(&s.obj.aclGen) != s.aclGen ||
-			atomic.LoadUint64(&s.obj.entGen) != s.entGen {
+		if s.obj.aclGen != s.aclGen || s.obj.entGen != s.entGen {
 			return false
 		}
 	}
@@ -97,27 +91,21 @@ const subjPathCap = 1 << 19
 
 // subjPaths is one subject's path → entry index.
 type subjPaths struct {
-	mu sync.RWMutex
-	m  map[string]*pathEntry
-}
-
-func newSubjPaths() *subjPaths {
-	return &subjPaths{m: make(map[string]*pathEntry)}
+	m map[string]*pathEntry
 }
 
 type pathCache struct {
-	mu sync.RWMutex
 	// subjs has one entry per (principal, label) that ever resolved a
 	// name — small and read-mostly; the per-path churn lives in the
 	// subject views' own maps.
 	subjs   map[subjKey]*subjPaths
-	enabled uint32 // atomic
+	enabled bool
 
 	hits, misses, fills, invalidations, evictions *metrics.Counter
 }
 
 func newPathCache() *pathCache {
-	return &pathCache{enabled: 1, subjs: make(map[subjKey]*subjPaths)}
+	return &pathCache{enabled: true, subjs: make(map[subjKey]*subjPaths)}
 }
 
 func (c *pathCache) bind(reg *metrics.Registry) {
@@ -128,58 +116,34 @@ func (c *pathCache) bind(reg *metrics.Registry) {
 	c.evictions = reg.Counter("fs.path_cache.evictions")
 }
 
-func (c *pathCache) on() bool { return atomic.LoadUint32(&c.enabled) == 1 }
-
 func (c *pathCache) setEnabled(on bool) {
-	if on {
-		atomic.StoreUint32(&c.enabled, 1)
-	} else {
-		atomic.StoreUint32(&c.enabled, 0)
+	c.enabled = on
+	if !on {
 		c.flush()
 	}
 }
 
 func (c *pathCache) flush() {
-	c.mu.Lock()
 	c.subjs = make(map[subjKey]*subjPaths)
-	c.mu.Unlock()
-}
-
-// view returns the subject's path index, or nil if this subject has never
-// filled an entry. Probe-only callers take nil as an immediate miss.
-func (c *pathCache) view(k subjKey) *subjPaths {
-	c.mu.RLock()
-	sp := c.subjs[k]
-	c.mu.RUnlock()
-	return sp
 }
 
 // viewOrCreate returns the subject's path index, creating it on first use.
 func (c *pathCache) viewOrCreate(k subjKey) *subjPaths {
-	if sp := c.view(k); sp != nil {
-		return sp
+	sp := c.subjs[k]
+	if sp == nil {
+		sp = &subjPaths{m: make(map[string]*pathEntry)}
+		c.subjs[k] = sp
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sp := c.subjs[k]; sp != nil {
-		return sp
-	}
-	sp := newSubjPaths()
-	c.subjs[k] = sp
 	return sp
 }
 
 // lookup returns a valid cached entry for path in the subject view sp (nil
-// sp = subject has no entries). now is the caller's pre-walk load of the
-// hierarchy mutation epoch. An entry that fails generation validation is
-// left in place — overwritten on the next fill — because deleting under
-// the read path would force the write lock.
+// sp = subject has no entries). now is the hierarchy mutation epoch when
+// the walk began. An entry that fails generation validation is left in
+// place; the next fill overwrites it.
 func (c *pathCache) lookup(sp *subjPaths, path string, now uint64) *pathEntry {
 	if sp != nil {
-		sp.mu.RLock()
-		e := sp.m[path]
-		sp.mu.RUnlock()
-		if e != nil && e.valid(now) {
+		if e := sp.m[path]; e != nil && e.valid(now) {
 			c.hits.Inc()
 			return e
 		}
@@ -188,16 +152,12 @@ func (c *pathCache) lookup(sp *subjPaths, path string, now uint64) *pathEntry {
 	return nil
 }
 
-// store records a resolved prefix in the subject view. The entry's step
-// generations were captured before each object was observed, so an
-// interleaved mutation leaves it immediately invalid rather than stale.
+// store records a resolved prefix in the subject view.
 func (c *pathCache) store(sp *subjPaths, path string, e *pathEntry) {
-	sp.mu.Lock()
 	if len(sp.m) >= subjPathCap {
 		sp.m = make(map[string]*pathEntry)
 		c.evictions.Inc()
 	}
 	sp.m[path] = e
-	sp.mu.Unlock()
 	c.fills.Inc()
 }

@@ -3,7 +3,6 @@ package fs
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // PathSep is the Multics path-name separator: ">udd>CSR>Schroeder>thesis".
@@ -57,15 +56,14 @@ func JoinPath(parts ...string) string {
 // the full per-component walk. See pathcache.go for the safety argument.
 func (h *Hierarchy) ResolvePath(who Principal, subj Label, path string) (uint64, error) {
 	h.ops.resolves.Inc()
-	// The epoch is loaded before the cache is probed or the walk observes
-	// anything: entries filled under it stay on the O(1) validation path
+	// Entries filled under this epoch stay on the O(1) validation path
 	// until the next mutation anywhere (see pathcache.go).
-	ep := atomic.LoadUint64(&h.mutEpoch)
-	if h.paths.on() {
+	ep := h.mutEpoch
+	if h.paths.enabled {
 		// Fast path: the exact name was resolved before for this subject
 		// and nothing along its walk has changed. No parsing needed — a
 		// cache key can only exist if this identical string resolved.
-		sp := h.paths.view(subjKey{who: who, label: subj.CacheKey()})
+		sp := h.paths.subjs[subjKey{who: who, label: subj.CacheKey()}]
 		if e := h.paths.lookup(sp, path, ep); e != nil {
 			return e.uid, nil
 		}
@@ -93,8 +91,8 @@ func componentEnds(path string) []int {
 // link target must invalidate every cached prefix that chased the link).
 // probeFull controls whether the full-path cache entry is probed here;
 // ResolvePath already probed it for the top-level call. ep is the mutation
-// epoch loaded before the outermost walk observed anything; entries filled
-// with it are trivially valid while it stays current.
+// epoch when the outermost walk began; entries filled with it are
+// trivially valid while it stays current.
 func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, ep uint64, acc *[]pathStep, probeFull bool) (uint64, error) {
 	if depth > maxLinkDepth {
 		return 0, fmt.Errorf("%w: %q", ErrLinkLoop, path)
@@ -107,7 +105,7 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 		return RootUID, nil
 	}
 
-	caching := h.paths.on()
+	caching := h.paths.enabled
 	var sp *subjPaths
 	var ends []int
 	cur := uint64(RootUID)
@@ -147,23 +145,12 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 		if err != nil {
 			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}
-		// Capture the generations before observing the directory: a
-		// mutation racing this lookup bumps past these values, so the
-		// prefix entry filled below is stillborn rather than stale.
-		var st pathStep
-		if caching {
-			st = pathStep{
-				obj:    dir,
-				aclGen: atomic.LoadUint64(&dir.aclGen),
-				entGen: atomic.LoadUint64(&dir.entGen),
-			}
-		}
 		entry, err := h.lookupEntry(dir, who, subj, name)
 		if err != nil {
 			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}
 		if caching {
-			*acc = append(*acc, st)
+			*acc = append(*acc, pathStep{obj: dir, aclGen: dir.aclGen, entGen: dir.entGen})
 		}
 		if entry.IsLink() {
 			// Chase the link, then continue with the remaining components.
@@ -214,12 +201,11 @@ func (h *Hierarchy) PathOf(uid uint64) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		name, parent := obj.nameParent()
-		parts = append(parts, name)
-		if parent == uid {
+		parts = append(parts, obj.name)
+		if obj.parent == uid {
 			return "", fmt.Errorf("fs: object %#x is its own parent", uid)
 		}
-		uid = parent
+		uid = obj.parent
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]

@@ -145,7 +145,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 	reachable := map[uint64]bool{RootUID: true}
 	var walk func(dirUID uint64) error
 	walk = func(dirUID uint64) error {
-		dir, ok := h.object(dirUID)
+		dir, ok := h.objects[dirUID]
 		if !ok || dir.Kind != KindDirectory {
 			return fmt.Errorf("fs: salvager walked into non-directory %#x", dirUID)
 		}
@@ -159,7 +159,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 			if e.IsLink() {
 				continue // links may dangle by design; resolution reports it
 			}
-			obj, ok := h.object(e.UID)
+			obj, ok := h.objects[e.UID]
 			if !ok {
 				p := Problem{Kind: DanglingEntry, UID: dirUID, Name: name,
 					Detail: fmt.Sprintf("entry points at missing object %#x", e.UID)}
@@ -222,7 +222,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 		if reachable[uid] {
 			continue
 		}
-		obj, ok := h.object(uid)
+		obj, ok := h.objects[uid]
 		if !ok {
 			continue
 		}
@@ -231,7 +231,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 		if repair {
 			lost, err := h.lostAndFound()
 			if err == nil {
-				lostDir, _ := h.object(lost)
+				lostDir, _ := h.objects[lost]
 				name := fmt.Sprintf("orphan.%x", uid)
 				if _, dup := lostDir.entries[name]; !dup {
 					lostDir.entries[name] = &DirEntry{Name: name, UID: uid}
@@ -249,7 +249,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 // lostAndFound returns the recovery directory's UID, creating it directly
 // (the salvager runs with kernel authority during initialization).
 func (h *Hierarchy) lostAndFound() (uint64, error) {
-	root, _ := h.object(RootUID)
+	root, _ := h.objects[RootUID]
 	if e, ok := root.entries["lost+found"]; ok && !e.IsLink() {
 		return e.UID, nil
 	}
@@ -266,7 +266,7 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 	if _, err := h.store.CreateSegment(uid, 0); err != nil {
 		return 0, err
 	}
-	h.putObject(lost)
+	h.objects[lost.UID] = lost
 	root.entries["lost+found"] = &DirEntry{Name: "lost+found", UID: uid}
 	return uid, nil
 }
@@ -277,23 +277,23 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 func (h *Hierarchy) CorruptForTesting(kind ProblemKind, uid uint64) error {
 	// Injected damage bypasses the generation discipline entirely.
 	defer h.FlushCaches()
-	obj, ok := h.object(uid)
+	obj, ok := h.objects[uid]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrNoSuchUID, uid)
 	}
 	switch kind {
 	case OrphanObject:
-		parent, ok := h.object(obj.parent)
+		parent, ok := h.objects[obj.parent]
 		if !ok {
 			return fmt.Errorf("fs: object %#x has no parent", uid)
 		}
 		delete(parent.entries, obj.name)
 	case DanglingEntry:
-		h.removeObject(uid)
+		delete(h.objects, uid)
 		_ = h.store.DeleteSegment(uid)
 		// the parent's entry remains, now dangling
 	case ParentMismatch:
-		root, _ := h.object(RootUID)
+		root, _ := h.objects[RootUID]
 		if root.entries[obj.name] != nil {
 			return fmt.Errorf("fs: cannot fake mismatch for %q", obj.name)
 		}

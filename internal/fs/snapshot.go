@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/acl"
 	"repro/internal/machine"
@@ -68,19 +67,13 @@ type snapshot struct {
 	Objects []snapObject `json:"objects"`
 }
 
-// ExportSnapshot serializes the live hierarchy canonically. It is meant to
-// run at a checkpoint barrier with no concurrent mutators; each object is
-// read under its own lock, so a quiescent hierarchy exports consistently.
+// ExportSnapshot serializes the live hierarchy canonically.
 func (h *Hierarchy) ExportSnapshot() ([]byte, error) {
 	snap := snapshot{Version: snapshotVersion}
 	uids := h.UIDs()
 	snap.Objects = make([]snapObject, 0, len(uids))
 	for _, uid := range uids {
-		o, ok := h.object(uid)
-		if !ok {
-			continue
-		}
-		o.mu.RLock()
+		o := h.objects[uid]
 		so := snapObject{
 			UID:      o.UID,
 			Kind:     int(o.Kind),
@@ -107,18 +100,13 @@ func (h *Hierarchy) ExportSnapshot() ([]byte, error) {
 			}
 			sort.Slice(so.Entries, func(i, j int) bool { return so.Entries[i].Name < so.Entries[j].Name })
 		}
-		o.mu.RUnlock()
 		snap.Objects = append(snap.Objects, so)
 	}
-	// nextUID is read last: with mutators quiesced it matches the object
-	// census; restore must continue UID allocation where the checkpoint
-	// left off so post-restore creates repeat the uninterrupted run.
-	snap.NextUID = h.loadNextUID()
+	// Restore must continue UID allocation where the checkpoint left off
+	// so post-restore creates repeat the uninterrupted run.
+	snap.NextUID = h.nextUID
 	return json.Marshal(snap)
 }
-
-// loadNextUID reads the UID allocator without advancing it.
-func (h *Hierarchy) loadNextUID() uint64 { return atomic.LoadUint64(&h.nextUID) }
 
 // SnapshotDigest returns the hex sha256 of snapshot bytes.
 func SnapshotDigest(data []byte) string {
@@ -168,10 +156,10 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 				o.entries[e.Name] = &DirEntry{Name: e.Name, UID: e.UID, LinkTo: e.LinkTo}
 			}
 		}
-		if _, ok := h.object(so.UID); ok {
+		if _, ok := h.objects[so.UID]; ok {
 			return nil, fmt.Errorf("fs: snapshot repeats UID %#x", so.UID)
 		}
-		h.putObject(o)
+		h.objects[so.UID] = o
 		if so.UID == RootUID {
 			sawRoot = true
 		}
@@ -186,7 +174,7 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 			if e.LinkTo != "" {
 				continue
 			}
-			if _, ok := h.object(e.UID); !ok {
+			if _, ok := h.objects[e.UID]; !ok {
 				return nil, fmt.Errorf("fs: snapshot entry %q in %#x points at missing object %#x", e.Name, so.UID, e.UID)
 			}
 		}

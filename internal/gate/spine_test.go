@@ -3,7 +3,6 @@ package gate
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -121,54 +120,6 @@ func TestArgBoundaries(t *testing.T) {
 	}
 	if err := NeedArgs("g", args, MaxArgs); err != nil {
 		t.Errorf("NeedArgs at MaxArgs: %v", err)
-	}
-}
-
-// TestTraceRingWraparound hammers a small ring from many goroutines (run
-// under -race by scripts/check.sh): every write must land, sequence
-// numbers must stay unique, and the snapshot must hold the ring capacity
-// once the cursor has lapped it.
-func TestTraceRingWraparound(t *testing.T) {
-	ring := trace.NewRing(16)
-	if ring.Cap() != 16 {
-		t.Fatalf("cap = %d", ring.Cap())
-	}
-	const writers = 8
-	const perWriter = 100
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				ring.Record(trace.Event{Stage: trace.StageGate, Name: "hammer", Subject: uint64(w), Arg: uint64(i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := ring.Written(); got != writers*perWriter {
-		t.Fatalf("written = %d, want %d", got, writers*perWriter)
-	}
-	snap := ring.Snapshot()
-	if len(snap) != ring.Cap() {
-		t.Fatalf("snapshot holds %d events, want %d", len(snap), ring.Cap())
-	}
-	seen := make(map[uint64]bool)
-	for _, ev := range snap {
-		if seen[ev.Seq] {
-			t.Fatalf("duplicate sequence %d in snapshot", ev.Seq)
-		}
-		seen[ev.Seq] = true
-		if ev.Seq >= uint64(writers*perWriter) {
-			t.Fatalf("sequence %d beyond cursor", ev.Seq)
-		}
-	}
-	// Disabled rings drop events without advancing the cursor.
-	ring.SetEnabled(false)
-	before := ring.Written()
-	ring.Record(trace.Event{Name: "dropped"})
-	if ring.Written() != before {
-		t.Errorf("disabled ring still recorded")
 	}
 }
 

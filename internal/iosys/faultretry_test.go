@@ -3,7 +3,6 @@ package iosys
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,13 +11,10 @@ import (
 // seqHook returns a scripted error sequence from PageIO, one entry per
 // call, then succeeds forever.
 type seqHook struct {
-	mu   sync.Mutex
 	errs []error
 }
 
 func (h *seqHook) PageIO(op mem.IOOp, pid mem.PageID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if len(h.errs) == 0 {
 		return nil
 	}
@@ -32,11 +28,7 @@ func (h *seqHook) PageIO(op mem.IOOp, pid mem.PageID) error {
 
 func (h *seqHook) PageOut(op mem.IOOp, pid mem.PageID, data []uint64) {}
 
-func (h *seqHook) remaining() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.errs)
-}
+func (h *seqHook) remaining() int { return len(h.errs) }
 
 // repeatErrs builds a script of n copies of err.
 func repeatErrs(err error, n int) []error {
@@ -96,10 +88,7 @@ func TestInfiniteBufferTrimsUnderInjectedErrors(t *testing.T) {
 	// order holds across hundreds of page cycles.
 	s := bufStore(t)
 	var calls int
-	var mu sync.Mutex
 	s.SetFaultHook(hookFunc(func(op mem.IOOp, pid mem.PageID) error {
-		mu.Lock()
-		defer mu.Unlock()
 		calls++
 		if calls%4 == 0 {
 			return fmt.Errorf("every-4th: %w", mem.ErrIO)

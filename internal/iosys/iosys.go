@@ -18,7 +18,6 @@ package iosys
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/mem"
 )
@@ -44,12 +43,7 @@ type Buffer interface {
 // CircularBuffer is the old strategy: a fixed ring reused forever. When the
 // producer laps the consumer, the oldest unconsumed messages are silently
 // overwritten — the failure mode the paper describes.
-//
-// Put, Get, Len and Lost are safe for concurrent use: the network attachment
-// front-end drives one buffer from many goroutines, and the lost count must
-// stay exact (every overwrite counted once) under that load.
 type CircularBuffer struct {
-	mu    sync.Mutex
 	ring  []Message
 	head  int // next slot to write
 	tail  int // next slot to read
@@ -67,8 +61,6 @@ func NewCircularBuffer(n int) (*CircularBuffer, error) {
 
 // Put implements Buffer. A full ring overwrites the oldest message.
 func (c *CircularBuffer) Put(m Message) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.count == len(c.ring) {
 		// Complete circuit: the oldest message is destroyed unread.
 		c.tail = (c.tail + 1) % len(c.ring)
@@ -83,8 +75,6 @@ func (c *CircularBuffer) Put(m Message) error {
 
 // Get implements Buffer.
 func (c *CircularBuffer) Get() (Message, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.count == 0 {
 		return Message{}, false, nil
 	}
@@ -96,15 +86,11 @@ func (c *CircularBuffer) Get() (Message, bool, error) {
 
 // Len implements Buffer.
 func (c *CircularBuffer) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.count
 }
 
 // Lost implements Buffer.
 func (c *CircularBuffer) Lost() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.lost
 }
 
@@ -116,13 +102,7 @@ const wordsPerMessage = 2
 // messages arrive. Consumed pages are truly released back to the standard
 // free pools (mem.Store.Discard) once the logical start passes them, so
 // storage management is exactly the standard page machinery.
-//
-// Put, Get, Len, Lost and PagesUsed are serialized by the buffer's lock,
-// which orders the operations of one buffer. The underlying *mem.Store is
-// itself safe for concurrent use (it has its own lock), so buffers over
-// the same store use private locks.
 type InfiniteBuffer struct {
-	mu    sync.Mutex
 	store *mem.Store
 	uid   uint64
 	head  int // next message index to write
@@ -133,8 +113,7 @@ type InfiniteBuffer struct {
 }
 
 // NewInfiniteBuffer creates the VM-backed buffer over segment uid, which it
-// creates in store. The buffer's private lock serializes its own
-// operations; the store tolerates other concurrent users.
+// creates in store.
 func NewInfiniteBuffer(store *mem.Store, uid uint64) (*InfiniteBuffer, error) {
 	if _, err := store.CreateSegment(uid, 0); err != nil {
 		return nil, fmt.Errorf("iosys: creating buffer segment: %w", err)
@@ -207,8 +186,6 @@ func (b *InfiniteBuffer) readWord(off int) (uint64, error) {
 // Put implements Buffer: grow the segment and append; nothing is ever
 // overwritten.
 func (b *InfiniteBuffer) Put(m Message) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	needWords := b.wordOf(b.head) + wordsPerMessage
 	sp, ok := b.store.Segment(b.uid)
 	if !ok {
@@ -232,8 +209,6 @@ func (b *InfiniteBuffer) Put(m Message) error {
 
 // Get implements Buffer.
 func (b *InfiniteBuffer) Get() (Message, bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.tail == b.head {
 		return Message{}, false, nil
 	}
@@ -254,7 +229,7 @@ func (b *InfiniteBuffer) Get() (Message, bool, error) {
 // trim returns fully-consumed pages to the free pools. When the buffer
 // drains completely it additionally skips the logical cursor forward to the
 // next page boundary so the partially-consumed current page can be released
-// too: an idle buffer holds no storage at all. Called with the lock held.
+// too: an idle buffer holds no storage at all.
 func (b *InfiniteBuffer) trim() {
 	pw := b.store.Config().PageWords
 	if b.tail == b.head && pw%wordsPerMessage == 0 && b.wordOf(b.tail)%pw != 0 {
@@ -271,8 +246,6 @@ func (b *InfiniteBuffer) trim() {
 
 // Len implements Buffer.
 func (b *InfiniteBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.head - b.tail
 }
 
@@ -283,8 +256,6 @@ func (b *InfiniteBuffer) Lost() int64 { return 0 }
 // (logical span minus the consumed pages already returned to the free
 // pools), for the cost side of the comparison.
 func (b *InfiniteBuffer) PagesUsed() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	sp, ok := b.store.Segment(b.uid)
 	if !ok {
 		return 0

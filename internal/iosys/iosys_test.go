@@ -1,8 +1,6 @@
 package iosys
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -173,134 +171,6 @@ func TestInfiniteBufferTrimsConsumedPages(t *testing.T) {
 	}
 	if got := b.PagesUsed(); got != 0 {
 		t.Errorf("idle buffer holds %d pages, want 0", got)
-	}
-}
-
-func TestCircularBufferConcurrentAccounting(t *testing.T) {
-	b, err := NewCircularBuffer(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const producers, perProducer = 8, 500
-	var wg sync.WaitGroup
-	var producing int32 = 1
-	var delivered int64
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				_ = b.Put(Message{Seq: uint64(p*perProducer + i)})
-			}
-		}(p)
-	}
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		for {
-			if _, ok, _ := b.Get(); ok {
-				delivered++
-				continue
-			}
-			if atomic.LoadInt32(&producing) == 0 && b.Len() == 0 {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	atomic.StoreInt32(&producing, 0)
-	<-consumed
-	// The invariant the front-end depends on: every message is accounted
-	// for exactly once — delivered, still buffered, or counted as lost.
-	total := delivered + b.Lost() + int64(b.Len())
-	if total != producers*perProducer {
-		t.Errorf("delivered %d + lost %d + buffered %d = %d, want %d",
-			delivered, b.Lost(), b.Len(), total, producers*perProducer)
-	}
-}
-
-func TestInfiniteBufferConcurrentNoLoss(t *testing.T) {
-	// Size the store for the worst case: producers may enqueue the entire
-	// burst before any consumer runs (8*250 messages / 4 per page).
-	cfg := mem.DefaultConfig()
-	cfg.PageWords = 8
-	cfg.CoreFrames = 1024
-	cfg.BulkBlocks = 64
-	s, err := mem.NewStore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewInfiniteBuffer(s, 503)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const producers, perProducer = 8, 250
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				if err := b.Put(Message{Seq: uint64(p*perProducer + i)}); err != nil {
-					t.Errorf("Put: %v", err)
-					return
-				}
-			}
-		}(p)
-	}
-	seen := make(map[uint64]bool)
-	var mu sync.Mutex
-	var cg sync.WaitGroup
-	stop := make(chan struct{})
-	for c := 0; c < 4; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				m, ok, err := b.Get()
-				if err != nil {
-					t.Errorf("Get: %v", err)
-					return
-				}
-				if ok {
-					mu.Lock()
-					if seen[m.Seq] {
-						t.Errorf("message %d delivered twice", m.Seq)
-					}
-					seen[m.Seq] = true
-					mu.Unlock()
-					continue
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Producers done: drain whatever remains, then stop the consumers.
-	for {
-		m, ok, err := b.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		mu.Lock()
-		seen[m.Seq] = true
-		mu.Unlock()
-	}
-	close(stop)
-	cg.Wait()
-	if len(seen) != producers*perProducer {
-		t.Errorf("delivered %d distinct messages, want %d (infinite buffer loses none)",
-			len(seen), producers*perProducer)
-	}
-	if b.Lost() != 0 {
-		t.Errorf("lost = %d", b.Lost())
 	}
 }
 

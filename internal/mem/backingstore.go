@@ -35,17 +35,15 @@ type BlockWrite struct {
 	Data []uint64
 }
 
-// BackingStore is the durable block layer under the memory hierarchy. All
-// implementations must be safe for concurrent use: Store calls its backing
-// store under the store's lock, but the kernel's checkpoint and restore
-// paths call it directly.
+// BackingStore is the durable block layer under the memory hierarchy.
+// Store calls it during transfers, and the kernel's checkpoint and restore
+// paths call it directly; like the store, it has one driver at a time.
 //
 // WriteBlocks exists for the checkpoint flush (Store.FlushSegment), which
-// writes each segment's materialized pages as one round trip: one lock
-// acquisition for the volatile store, one journal record group for the
-// durable one. ReadBlocks has no caller in the kernel; it stays because
-// the benchmark in perfbench wraps the whole interface. Implementations
-// that have no batching advantage can loop.
+// writes each segment's materialized pages as one round trip: one journal
+// record group for the durable store. ReadBlocks has no caller in the
+// kernel; it stays because the benchmark in perfbench wraps the whole
+// interface. Implementations that have no batching advantage can loop.
 type BackingStore interface {
 	// ReadBlock returns a copy of pid's block and drops the live mapping.
 	// Returns ErrNoBlock if the store holds no block for pid.

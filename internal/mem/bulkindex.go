@@ -13,7 +13,7 @@ const bulkIndexSlack = 4
 // never touch it: every fill stamps its block with the next value of a
 // sequence, the entry carries the same stamp, and an entry whose block
 // has since been freed or refilled no longer matches the block and is
-// dropped when it reaches the top. The store's lock guards it.
+// dropped when it reaches the top.
 type bulkIndex struct {
 	heap  []bulkEntry
 	fills uint64 // the last fill stamp issued
@@ -112,8 +112,6 @@ func (s *Store) rebuildBulkIndex() {
 // the bulk store holds no page. Entries made stale by frees and refills
 // are dropped on the way; the call allocates nothing.
 func (s *Store) LowestBulkPage() (BlockID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	x := &s.bulk
 	for len(x.heap) > 0 {
 		if top := x.heap[0]; s.blockHolds(top) {

@@ -8,7 +8,7 @@ import (
 // Checkpoint support: the kernel's checkpoint flushes every materialized
 // page through the backing store without moving it, and restore re-adopts
 // segments with their pages at the disk level. Both ends live here because
-// they work on the page tables under the store's lock.
+// they work on the store's page tables.
 
 // FlushSegment writes a durable copy of every materialized page of uid
 // through the backing store, leaving live locations untouched, and returns
@@ -16,8 +16,6 @@ import (
 // level are durable by definition and are not rewritten. The caller is
 // responsible for the durability barrier (BackingStore.Sync or Checkpoint).
 func (s *Store) FlushSegment(uid uint64) ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(uid)
 	if err != nil {
 		return nil, err
@@ -79,12 +77,10 @@ func (s *Store) AdoptSegment(uid uint64, length int, pages []int) error {
 			return fmt.Errorf("mem: adopted page %d outside segment %#x (%d pages)", idx, uid, numPages)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.segs[uid]; ok {
 		return fmt.Errorf("mem: segment %#x already exists", uid)
 	}
-	sp := &SegmentPages{UID: uid, store: s, length: length, pages: make(map[int]Location, len(pages))}
+	sp := &SegmentPages{UID: uid, length: length, pages: make(map[int]Location, len(pages))}
 	for _, idx := range pages {
 		sp.pages[idx] = Location{Level: LevelDisk}
 	}

@@ -54,8 +54,8 @@ func (op IOOp) String() string {
 // both do, with bounded attempts.
 var ErrIO = errors.New("mem: backing store I/O error")
 
-// FaultHook interposes on backing-store transfers. The store calls it
-// under the store's lock, so an implementation must not call back into
+// FaultHook interposes on backing-store transfers. The store calls it in
+// the middle of a transfer, so an implementation must not call back into
 // the store.
 type FaultHook interface {
 	// PageIO is consulted before each transfer of pid. A non-nil error
@@ -68,24 +68,15 @@ type FaultHook interface {
 	PageOut(op IOOp, pid PageID, data []uint64)
 }
 
-// faultHookBox wraps the interface so it can sit in an atomic.Pointer.
-type faultHookBox struct{ h FaultHook }
-
 // SetFaultHook installs h as the store's transfer interposer; nil
-// removes it. Safe to call concurrently with transfers, though the
-// usual pattern installs the hook once at kernel construction.
-func (s *Store) SetFaultHook(h FaultHook) {
-	if h == nil {
-		s.hook.Store(nil)
-		return
-	}
-	s.hook.Store(&faultHookBox{h: h})
-}
+// removes it. The usual pattern installs the hook once at kernel
+// construction.
+func (s *Store) SetFaultHook(h FaultHook) { s.hook = h }
 
 // checkIO consults the hook, if any, before a transfer.
 func (s *Store) checkIO(op IOOp, pid PageID) error {
-	if b := s.hook.Load(); b != nil {
-		return b.h.PageIO(op, pid)
+	if s.hook != nil {
+		return s.hook.PageIO(op, pid)
 	}
 	return nil
 }
@@ -93,7 +84,7 @@ func (s *Store) checkIO(op IOOp, pid PageID) error {
 // pageOut shows the hook, if any, the data of a committed write-direction
 // transfer.
 func (s *Store) pageOut(op IOOp, pid PageID, data []uint64) {
-	if b := s.hook.Load(); b != nil {
-		b.h.PageOut(op, pid, data)
+	if s.hook != nil {
+		s.hook.PageOut(op, pid, data)
 	}
 }

@@ -3,14 +3,12 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
 // scriptedHook fails the first n PageIO calls with ErrIO and records
 // every PageOut it observes.
 type scriptedHook struct {
-	mu       sync.Mutex
 	failLeft int
 	ioCalls  int
 	outCalls int
@@ -18,8 +16,6 @@ type scriptedHook struct {
 }
 
 func (h *scriptedHook) PageIO(op IOOp, pid PageID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.ioCalls++
 	if h.failLeft > 0 {
 		h.failLeft--
@@ -29,8 +25,6 @@ func (h *scriptedHook) PageIO(op IOOp, pid PageID) error {
 }
 
 func (h *scriptedHook) PageOut(op IOOp, pid PageID, data []uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.outCalls++
 	if h.tearWord >= 0 && h.tearWord < len(data) {
 		data[h.tearWord] ^= 0xffff

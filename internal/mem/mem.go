@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -185,17 +183,13 @@ func (fb *freeBins) put(id int) {
 }
 
 // Store is the whole simulated memory hierarchy plus the page tables of all
-// segments. It is safe for concurrent use: one mutex guards the frame and
-// block tables, the free lists, the page tables and the bulk index, and
-// every method holds it for its whole body, so a transfer that reads a page
-// table, a frame and a block does so in one critical section. Transfer
-// statistics are metrics counters. Under the store's lock a method may call
-// the backing store and the fault hook, which have their own locks; neither
-// calls back into the store.
+// segments. One goroutine at a time drives it, as it drives the kernel that
+// owns it (DESIGN.md, "One driver per kernel"). Transfer statistics are
+// metrics counters. A method may call the backing store and the fault
+// hook; neither calls back into the store.
 type Store struct {
 	cfg Config
 
-	mu     sync.Mutex
 	frames []frame
 	blocks []block
 	segs   map[uint64]*SegmentPages
@@ -224,30 +218,23 @@ type Store struct {
 
 	// hook, when set, interposes on every backing-store transfer; see
 	// faulthook.go.
-	hook atomic.Pointer[faultHookBox]
+	hook FaultHook
 }
 
 // SegmentPages is the page table of one segment. All access to it goes
-// through the owning Store, under the store's lock.
+// through the owning Store.
 type SegmentPages struct {
 	UID uint64
 
-	store  *Store
 	length int // length in words
 	pages  map[int]Location
 }
 
 // Length returns the segment length in words.
-func (s *SegmentPages) Length() int {
-	s.store.mu.Lock()
-	defer s.store.mu.Unlock()
-	return s.length
-}
+func (s *SegmentPages) Length() int { return s.length }
 
 // NumPages returns how many pages the segment spans.
 func (s *SegmentPages) NumPages(pageWords int) int {
-	s.store.mu.Lock()
-	defer s.store.mu.Unlock()
 	return (s.length + pageWords - 1) / pageWords
 }
 
@@ -311,7 +298,7 @@ func (s *Store) Stats() TransferStats {
 	}
 }
 
-// seg returns the page table for uid. The caller holds the store's lock.
+// seg returns the page table for uid.
 func (s *Store) seg(uid uint64) (*SegmentPages, error) {
 	if sp, ok := s.segs[uid]; ok {
 		return sp, nil
@@ -325,40 +312,32 @@ func (s *Store) CreateSegment(uid uint64, length int) (*SegmentPages, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("mem: negative segment length %d", length)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.segs[uid]; ok {
 		return nil, fmt.Errorf("mem: segment %#x already exists", uid)
 	}
-	sp := &SegmentPages{UID: uid, store: s, length: length, pages: make(map[int]Location)}
+	sp := &SegmentPages{UID: uid, length: length, pages: make(map[int]Location)}
 	s.segs[uid] = sp
 	return sp, nil
 }
 
 // Segment returns the page table for uid.
 func (s *Store) Segment(uid uint64) (*SegmentPages, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, ok := s.segs[uid]
 	return sp, ok
 }
 
 // SegmentUIDs returns the UIDs of all registered segments, sorted.
 func (s *Store) SegmentUIDs() []uint64 {
-	s.mu.Lock()
 	out := make([]uint64, 0, len(s.segs))
 	for uid := range s.segs {
 		out = append(out, uid)
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // DeleteSegment releases every page of uid at every level.
 func (s *Store) DeleteSegment(uid uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(uid)
 	if err != nil {
 		return err
@@ -389,8 +368,6 @@ func (s *Store) releasePage(pid PageID, loc Location) {
 // SetLength grows or shrinks a segment. Shrinking releases pages beyond the
 // new length.
 func (s *Store) SetLength(uid uint64, length int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(uid)
 	if err != nil {
 		return err
@@ -417,8 +394,6 @@ func (s *Store) SetLength(uid uint64, length int) error {
 // fully-consumed pages return their storage to the standard free pools.
 // Discarding an unmaterialized page is a no-op.
 func (s *Store) Discard(pid PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(pid.SegUID)
 	if err != nil {
 		return err
@@ -434,8 +409,6 @@ func (s *Store) Discard(pid PageID) error {
 
 // Locate returns where a page of uid currently lives.
 func (s *Store) Locate(pid PageID) (Location, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(pid.SegUID)
 	if err != nil {
 		return Location{}, err
@@ -449,15 +422,11 @@ func (s *Store) Locate(pid PageID) (Location, error) {
 
 // FreeFrameCount returns the number of free primary-memory frames.
 func (s *Store) FreeFrameCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.freeFrames.count()
 }
 
 // FreeBlockCount returns the number of free bulk-store blocks.
 func (s *Store) FreeBlockCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.freeBlocks.count()
 }
 
@@ -513,8 +482,6 @@ var ErrNoFreeBlock = errors.New("mem: no free bulk store block")
 // consumes a free frame and charges no transfer latency (zero-fill is a
 // core-speed operation).
 func (s *Store) MaterializeZero(pid PageID) (FrameID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(pid.SegUID)
 	if err != nil {
 		return 0, err
@@ -545,8 +512,6 @@ func (s *Store) installFrame(sp *SegmentPages, f FrameID, pid PageID, data []uin
 // PageIn transfers a page from bulk or disk into a free core frame and
 // returns the frame plus the transfer latency charged to whoever waited.
 func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, err := s.seg(pid.SegUID)
 	if err != nil {
 		return 0, 0, err
@@ -614,8 +579,6 @@ func (s *Store) evictable(f FrameID) (*SegmentPages, PageID, error) {
 // EvictToBulk moves the page in frame f to a free bulk-store block,
 // returning the block and the latency.
 func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, pid, err := s.evictable(f)
 	if err != nil {
 		return 0, 0, err
@@ -637,8 +600,6 @@ func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
 
 // EvictToDisk moves the page in frame f directly to disk.
 func (s *Store) EvictToDisk(f FrameID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sp, pid, err := s.evictable(f)
 	if err != nil {
 		return 0, err
@@ -657,8 +618,6 @@ func (s *Store) EvictToDisk(f FrameID) (int64, error) {
 // this passed through primary memory; the latency charged reflects a bulk
 // read plus a disk write.
 func (s *Store) BulkToDisk(b BlockID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if int(b) < 0 || int(b) >= len(s.blocks) {
 		return 0, fmt.Errorf("mem: block %d out of range", b)
 	}
@@ -725,16 +684,12 @@ func (s *Store) FrameInfo(f FrameID) (Frame, error) {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return Frame{}, fmt.Errorf("mem: frame %d out of range", f)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.frameInfo(f), nil
 }
 
 // Frames returns a copy of every frame's metadata. It allocates, so victim
 // decisions read FrameInfo instead.
 func (s *Store) Frames() []Frame {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Frame, len(s.frames))
 	for i := range s.frames {
 		out[i] = s.frameInfo(FrameID(i))
@@ -752,8 +707,6 @@ type Block struct {
 // Blocks returns a copy of every bulk-store block's metadata. It
 // allocates, so victim decisions read LowestBulkPage instead.
 func (s *Store) Blocks() []Block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Block, len(s.blocks))
 	for i := range s.blocks {
 		bl := &s.blocks[i]
@@ -767,9 +720,7 @@ func (s *Store) ResetUsage(f FrameID) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: frame %d out of range", f)
 	}
-	s.mu.Lock()
 	s.frames[f].used = false
-	s.mu.Unlock()
 	return nil
 }
 
@@ -778,8 +729,6 @@ func (s *Store) Wire(f FrameID, wired bool) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: frame %d out of range", f)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.frames[f].free {
 		return fmt.Errorf("mem: cannot wire free frame %d", f)
 	}
@@ -792,8 +741,6 @@ func (s *Store) ReadWord(f FrameID, off int) (uint64, error) {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return 0, fmt.Errorf("mem: read of invalid frame %d", f)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fr := &s.frames[f]
 	if fr.free {
 		return 0, fmt.Errorf("mem: read of invalid frame %d", f)
@@ -810,8 +757,6 @@ func (s *Store) WriteWord(f FrameID, off int, val uint64) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: write of invalid frame %d", f)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fr := &s.frames[f]
 	if fr.free {
 		return fmt.Errorf("mem: write of invalid frame %d", f)

@@ -3,20 +3,18 @@ package mem
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // MemStore is the default BackingStore: the volatile in-process map the
 // disk level has always been, now behind the interface. It exists so every
 // kernel that does not opt into durability pays exactly what it used to —
-// a mutex and a map — and so tests have a trivially correct reference
+// a map — and so tests have a trivially correct reference
 // implementation to compare the journaled store against.
 //
 // Slices held in the map are never mutated while mapped: WriteBlock takes
 // ownership and ReadBlock hands out copies, so Checkpoint can snapshot the
 // map shallowly.
 type MemStore struct {
-	mu       sync.Mutex
 	blocks   map[PageID][]uint64
 	ckpt     map[PageID][]uint64 // nil until the first Checkpoint
 	manifest []byte
@@ -31,8 +29,6 @@ func NewMemStore() *MemStore {
 
 // ReadBlock implements BackingStore.
 func (m *MemStore) ReadBlock(pid PageID) ([]uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	data, ok := m.blocks[pid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNoBlock, pid)
@@ -45,18 +41,13 @@ func (m *MemStore) ReadBlock(pid PageID) ([]uint64, error) {
 
 // WriteBlock implements BackingStore.
 func (m *MemStore) WriteBlock(pid PageID, data []uint64) error {
-	m.mu.Lock()
 	m.blocks[pid] = data
-	m.mu.Unlock()
 	return nil
 }
 
-// ReadBlocks implements BackingStore natively: one lock acquisition
-// covers the whole batch, and the all-or-nothing check runs before any
-// mapping is dropped.
+// ReadBlocks implements BackingStore natively: the all-or-nothing check
+// runs before any mapping is dropped.
 func (m *MemStore) ReadBlocks(pids []PageID) ([][]uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, pid := range pids {
 		if _, ok := m.blocks[pid]; !ok {
 			return nil, fmt.Errorf("%w: %v", ErrNoBlock, pid)
@@ -73,34 +64,27 @@ func (m *MemStore) ReadBlocks(pids []PageID) ([][]uint64, error) {
 	return out, nil
 }
 
-// WriteBlocks implements BackingStore natively: one lock acquisition
-// records the whole batch. The volatile map cannot fail mid-batch, so
+// WriteBlocks implements BackingStore natively. The volatile map cannot fail mid-batch, so
 // the all-or-nothing contract is trivial.
 func (m *MemStore) WriteBlocks(writes []BlockWrite) error {
-	m.mu.Lock()
 	for _, w := range writes {
 		m.blocks[w.PID] = w.Data
 	}
-	m.mu.Unlock()
 	return nil
 }
 
 // FreeBlock implements BackingStore.
 func (m *MemStore) FreeBlock(pid PageID) error {
-	m.mu.Lock()
 	delete(m.blocks, pid)
-	m.mu.Unlock()
 	return nil
 }
 
 // BlockIDs implements BackingStore.
 func (m *MemStore) BlockIDs() []PageID {
-	m.mu.Lock()
 	out := make([]PageID, 0, len(m.blocks))
 	for pid := range m.blocks {
 		out = append(out, pid)
 	}
-	m.mu.Unlock()
 	sortPageIDs(out)
 	return out
 }
@@ -110,8 +94,6 @@ func (m *MemStore) Sync() error { return nil }
 
 // Checkpoint implements BackingStore.
 func (m *MemStore) Checkpoint(manifest []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	snap := make(map[PageID][]uint64, len(m.blocks))
 	for pid, data := range m.blocks {
 		snap[pid] = data
@@ -123,8 +105,6 @@ func (m *MemStore) Checkpoint(manifest []byte) error {
 
 // Manifest implements BackingStore.
 func (m *MemStore) Manifest() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.ckpt == nil {
 		return nil, ErrNoCheckpoint
 	}
@@ -133,8 +113,6 @@ func (m *MemStore) Manifest() ([]byte, error) {
 
 // CheckpointBlock implements BackingStore.
 func (m *MemStore) CheckpointBlock(pid PageID) ([]uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.ckpt == nil {
 		return nil, ErrNoCheckpoint
 	}
@@ -149,8 +127,6 @@ func (m *MemStore) CheckpointBlock(pid PageID) ([]uint64, error) {
 
 // RevertToCheckpoint implements BackingStore.
 func (m *MemStore) RevertToCheckpoint() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.ckpt == nil {
 		return ErrNoCheckpoint
 	}

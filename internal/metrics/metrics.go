@@ -7,40 +7,32 @@
 // and simplification with measured consequences; a uniform way to observe
 // the kernel is what makes that auditing activity repeatable.
 //
-// The hot path takes no lock: the instrument table is one map under one
-// lock that only registration and snapshotting take, and instruments are
-// pre-resolved handles over atomics. Recording charges no virtual cycles —
+// Instruments are pre-resolved handles over plain integers: like the
+// kernel that owns it, a registry has one driver at a time (DESIGN.md,
+// "One driver per kernel"). Recording charges no virtual cycles —
 // observation must not perturb the virtual-time results it reports (the
 // gate spine set that precedent with its zero-vcycle middleware budget).
 //
-// Determinism: every aggregate is a commutative sum, so a deterministic
-// workload yields the same exported aggregate no matter how many real
-// worker goroutines recorded into the registry — the property Aviram et
-// al. (arXiv:1005.3450) motivate for measurements that must survive
-// parallel execution. Snapshot orders instruments by name, so the JSON
-// export of the same aggregate is byte-identical across runs.
+// Determinism: a deterministic workload yields the same aggregate on
+// every run, and Snapshot orders instruments by name, so the JSON export
+// of the same aggregate is byte-identical across runs.
 package metrics
 
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Registry holds the instruments of one system. The zero value is not
 // usable; call New.
 type Registry struct {
 	// enabled gates every recording; instruments hold a pointer to it so
-	// a disabled registry drops recordings at the cost of one atomic
-	// load. Benchmarks measure the metrics-off floor this way.
-	enabled atomic.Bool
+	// a disabled registry drops recordings at the cost of one load.
+	// Benchmarks measure the metrics-off floor this way.
+	enabled bool
 	// now, when set, stamps snapshots with the current virtual cycle.
-	now atomic.Pointer[func() int64]
+	now func() int64
 
-	// mu guards insts. Only registration and snapshotting take it;
-	// recording goes through handles.
-	mu    sync.Mutex
 	insts map[string]instrument
 }
 
@@ -51,34 +43,26 @@ type instrument interface {
 
 // New returns an empty, enabled registry.
 func New() *Registry {
-	r := &Registry{insts: make(map[string]instrument)}
-	r.enabled.Store(true)
-	return r
+	return &Registry{enabled: true, insts: make(map[string]instrument)}
 }
 
 // SetNow installs the virtual-clock reading used to stamp snapshots; nil
 // clears it (snapshots stamp zero).
-func (r *Registry) SetNow(fn func() int64) {
-	if fn == nil {
-		r.now.Store(nil)
-		return
-	}
-	r.now.Store(&fn)
-}
+func (r *Registry) SetNow(fn func() int64) { r.now = fn }
 
 // SetEnabled turns recording on or off. Handles stay valid; a disabled
 // registry drops every Add/Set/Observe.
-func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
+func (r *Registry) SetEnabled(on bool) { r.enabled = on }
 
 // Enabled reports whether recordings are being accepted.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
+func (r *Registry) Enabled() bool { return r.enabled }
 
 // Counter is a monotonically increasing event count. Handles are cheap
-// to hold and safe for concurrent use.
+// to hold.
 type Counter struct {
 	name string
-	on   *atomic.Bool
-	v    atomic.Int64
+	on   *bool
+	v    int64
 }
 
 func (c *Counter) instName() string { return c.name }
@@ -88,24 +72,23 @@ func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by d (no-op when the registry is disabled).
 func (c *Counter) Add(d int64) {
-	if !c.on.Load() {
-		return
+	if *c.on {
+		c.v += d
 	}
-	c.v.Add(d)
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is a level that can move both ways (current connections, pages
 // resident, ...).
 type Gauge struct {
 	name string
-	on   *atomic.Bool
-	v    atomic.Int64
+	on   *bool
+	v    int64
 }
 
 func (g *Gauge) instName() string { return g.name }
@@ -115,33 +98,31 @@ func (g *Gauge) Name() string { return g.name }
 
 // Set stores the level.
 func (g *Gauge) Set(v int64) {
-	if !g.on.Load() {
-		return
+	if *g.on {
+		g.v = v
 	}
-	g.v.Store(v)
 }
 
 // Add moves the level by d (negative to decrease).
 func (g *Gauge) Add(d int64) {
-	if !g.on.Load() {
-		return
+	if *g.on {
+		g.v += d
 	}
-	g.v.Add(d)
 }
 
 // Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 { return g.v }
 
 // Histogram is a fixed-bucket distribution. Bounds are ascending
 // inclusive upper bounds; observations above the last bound land in an
 // implicit overflow bucket.
 type Histogram struct {
 	name   string
-	on     *atomic.Bool
+	on     *bool
 	bounds []int64
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	sum    atomic.Int64
-	count  atomic.Int64
+	counts []int64 // len(bounds)+1; last is overflow
+	sum    int64
+	count  int64
 }
 
 func (h *Histogram) instName() string { return h.name }
@@ -154,7 +135,7 @@ func (h *Histogram) Bounds() []int64 { return h.bounds }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if !h.on.Load() {
+	if !*h.on {
 		return
 	}
 	// Linear scan: bucket lists are short (a dozen bounds) and the scan
@@ -166,18 +147,9 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
-	h.counts[idx].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// load reads the bucket counts, sum and count.
-func (h *Histogram) load() (counts []int64, sum, count int64) {
-	counts = make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return counts, h.sum.Load(), h.count.Load()
+	h.counts[idx]++
+	h.sum += v
+	h.count++
 }
 
 // Counter returns the named counter, creating it on first use. The same
@@ -185,13 +157,11 @@ func (h *Histogram) load() (counts []int64, sum, count int64) {
 // names a different instrument kind panics (a malformed instrument table
 // is a programming error, like a malformed gate table).
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
 	in, ok := r.insts[name]
 	if !ok {
 		in = &Counter{name: name, on: &r.enabled}
 		r.insts[name] = in
 	}
-	r.mu.Unlock()
 	c, ok := in.(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as %T, not a counter", name, in))
@@ -201,13 +171,11 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
 	in, ok := r.insts[name]
 	if !ok {
 		in = &Gauge{name: name, on: &r.enabled}
 		r.insts[name] = in
 	}
-	r.mu.Unlock()
 	g, ok := in.(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as %T, not a gauge", name, in))
@@ -224,22 +192,19 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram %q bounds not ascending: %v", name, bounds))
 		}
 	}
-	r.mu.Lock()
 	in, ok := r.insts[name]
 	if !ok {
 		if len(bounds) == 0 {
-			r.mu.Unlock()
 			panic(fmt.Sprintf("metrics: histogram %q needs bounds on first registration", name))
 		}
 		in = &Histogram{
 			name:   name,
 			on:     &r.enabled,
 			bounds: append([]int64(nil), bounds...),
-			counts: make([]atomic.Int64, len(bounds)+1),
+			counts: make([]int64, len(bounds)+1),
 		}
 		r.insts[name] = in
 	}
-	r.mu.Unlock()
 	h, ok := in.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as %T, not a histogram", name, in))

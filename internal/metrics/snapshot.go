@@ -43,10 +43,9 @@ type Snapshot struct {
 // Snapshot collects every instrument into a sorted, stamped view.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	if fn := r.now.Load(); fn != nil {
-		s.At = (*fn)()
+	if r.now != nil {
+		s.At = r.now()
 	}
-	r.mu.Lock()
 	for _, in := range r.insts {
 		switch v := in.(type) {
 		case *Counter:
@@ -54,17 +53,15 @@ func (r *Registry) Snapshot() Snapshot {
 		case *Gauge:
 			s.Gauges = append(s.Gauges, GaugeValue{Name: v.name, Value: v.Value()})
 		case *Histogram:
-			counts, sum, count := v.load()
 			s.Histograms = append(s.Histograms, HistogramValue{
 				Name:   v.name,
 				Bounds: append([]int64(nil), v.bounds...),
-				Counts: counts,
-				Sum:    sum,
-				Count:  count,
+				Counts: append([]int64(nil), v.counts...),
+				Sum:    v.sum,
+				Count:  v.count,
 			})
 		}
 	}
-	r.mu.Unlock()
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })

@@ -43,8 +43,7 @@ func (s State) String() string {
 	}
 }
 
-// Conn is one entry in the connection table. All methods go through the
-// front-end's lock, so a Conn may be driven from any goroutine.
+// Conn is one entry in the connection table.
 type Conn struct {
 	fe *Frontend
 	id uint64
@@ -77,42 +76,22 @@ type Conn struct {
 func (c *Conn) ID() uint64 { return c.id }
 
 // State returns the connection's lifecycle state.
-func (c *Conn) State() State {
-	c.fe.mu.Lock()
-	defer c.fe.mu.Unlock()
-	return c.state
-}
+func (c *Conn) State() State { return c.state }
 
 // Err returns why the connection failed (nil otherwise).
-func (c *Conn) Err() error {
-	c.fe.mu.Lock()
-	defer c.fe.mu.Unlock()
-	return c.err
-}
+func (c *Conn) Err() error { return c.err }
 
 // AttachLatency returns the virtual cycles from dial to attached (zero
 // until attached).
-func (c *Conn) AttachLatency() int64 {
-	c.fe.mu.Lock()
-	defer c.fe.mu.Unlock()
-	return c.attachLat
-}
+func (c *Conn) AttachLatency() int64 { return c.attachLat }
 
 // Proc returns the connection's logged-in process (nil until attached).
-func (c *Conn) Proc() *core.Proc {
-	c.fe.mu.Lock()
-	defer c.fe.mu.Unlock()
-	return c.proc
-}
+func (c *Conn) Proc() *core.Proc { return c.proc }
 
 // Device returns the kernel attachment id (zero until attached).
-func (c *Conn) Device() uint64 {
-	c.fe.mu.Lock()
-	defer c.fe.mu.Unlock()
-	return c.dev
-}
+func (c *Conn) Device() uint64 { return c.dev }
 
-// fail marks the connection failed. Caller holds fe.mu.
+// fail marks the connection failed.
 func (c *Conn) fail(err error) {
 	c.state = StateFailed
 	c.err = err
@@ -126,8 +105,6 @@ func (c *Conn) fail(err error) {
 // overwrite — that loss is counted by the kernel buffer itself.
 func (c *Conn) Send(op Op, payload uint64) error {
 	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if fe.closed {
 		return ErrFrontendClosed
 	}
@@ -158,8 +135,6 @@ func (c *Conn) Send(op Op, payload uint64) error {
 // undelivered reply. ok is false when no reply is pending.
 func (c *Conn) Recv() (uint64, bool, error) {
 	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if c.out == nil {
 		return 0, false, fmt.Errorf("%w: connection %d is %v", ErrNotAttached, c.id, c.state)
 	}
@@ -170,9 +145,6 @@ func (c *Conn) Recv() (uint64, bool, error) {
 
 // TryRecv is Recv without running the system first.
 func (c *Conn) TryRecv() (uint64, bool, error) {
-	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if c.out == nil {
 		return 0, false, fmt.Errorf("%w: connection %d is %v", ErrNotAttached, c.id, c.state)
 	}
@@ -183,8 +155,6 @@ func (c *Conn) TryRecv() (uint64, bool, error) {
 // Pending returns (input queued, replies queued).
 func (c *Conn) Pending() (int, int) {
 	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	var in int
 	if c.state == StateAttached || c.state == StateDraining {
 		in, _ = fe.k.DeviceQueue(c.dev)
@@ -198,20 +168,13 @@ func (c *Conn) Pending() (int, int) {
 
 // Drain runs the system until the connection's input queue is fully
 // delivered.
-func (c *Conn) Drain() error {
-	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	return fe.drainLocked(c)
-}
+func (c *Conn) Drain() error { return c.fe.drain(c) }
 
 // Close drains queued input, detaches the connection through the kernel
 // gate, folds its counters into the front-end totals, and removes it from
 // the connection table.
 func (c *Conn) Close() error {
 	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	switch c.state {
 	case StateClosed:
 		return nil
@@ -233,7 +196,7 @@ func (c *Conn) Close() error {
 	}
 	c.state = StateDraining
 	fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: trace.ClassOK})
-	if err := fe.drainLocked(c); err != nil {
+	if err := fe.drain(c); err != nil {
 		return err
 	}
 	return fe.finishClose(c)

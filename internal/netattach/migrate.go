@@ -67,8 +67,6 @@ type SessionState struct {
 // stays attached: snapshotting is read-only.
 func (c *Conn) Snapshot() (*SessionState, error) {
 	fe := c.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if c.state != StateAttached {
 		return nil, fmt.Errorf("%w: connection %d is %v", ErrNotAttached, c.id, c.state)
 	}
@@ -110,9 +108,7 @@ func (fe *Frontend) AttachMigrated(person, project, password string, level mls.L
 	if err != nil {
 		return nil, err
 	}
-	fe.mu.Lock()
 	if got := c.proc.KST.Len(); got != st.KnownSegs {
-		fe.mu.Unlock()
 		_ = c.Close()
 		return nil, fmt.Errorf("%w: replay knows %d segments, snapshot knew %d",
 			ErrReplayMismatch, got, st.KnownSegs)
@@ -123,6 +119,5 @@ func (fe *Frontend) AttachMigrated(person, project, password string, level mls.L
 	c.processed = st.Processed
 	fe.emit(trace.Event{Name: "migrate_in", Subject: c.id,
 		Arg: uint64(st.KnownSegs), Outcome: trace.ClassOK})
-	fe.mu.Unlock()
 	return c, nil
 }

@@ -1,6 +1,7 @@
 // Package netattach is the network attachment front-end: the serving layer
 // that turns the paper's S5 consolidation — "a single network attachment
-// path" in place of per-device drivers — into a concurrent traffic path.
+// path" in place of per-device drivers — into a multi-connection traffic
+// path.
 //
 // The structure follows the paper's process architecture:
 //
@@ -28,19 +29,16 @@
 // the buffers themselves and surfaces in Stats, demonstrating exactly the
 // failure mode the consolidation removed.
 //
-// The front-end's public API is serialized by one lock, and the simulation
-// is only advanced under that lock, so many goroutines may drive
-// connections concurrently and every reply stays a pure function of its
-// connection's requests. Virtual time then depends on how the goroutines
-// interleave, which is why the traffic engines (internal/workload and
-// internal/fleet) replay every connection from one goroutine.
+// One goroutine at a time drives a front-end, as it drives the kernel
+// under it (DESIGN.md, "One driver per kernel"); the traffic engines
+// (internal/workload and internal/fleet) replay every connection from one
+// goroutine, so every reply and every virtual cycle repeats run to run.
 package netattach
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gate"
@@ -162,7 +160,6 @@ type Stats struct {
 
 // Frontend is the network attachment front-end over one kernel.
 type Frontend struct {
-	mu    sync.Mutex
 	k     *core.Kernel
 	svc   core.Services
 	cfg   Config
@@ -177,10 +174,7 @@ type Frontend struct {
 	acceptq []*Conn
 	runq    []*Conn
 
-	// outStore (S5+) is the private store behind the reply buffers. The
-	// store has its own lock and is safe for concurrent use, so each
-	// buffer carries its own private lock — two connections' reply
-	// streams never contend on a shared buffer lock.
+	// outStore (S5+) is the private store behind the reply buffers.
 	outStore   *mem.Store
 	nextOutUID uint64
 
@@ -298,8 +292,7 @@ func (fe *Frontend) Kernel() *core.Kernel { return fe.k }
 
 // FaultPlane decides injected connection faults; the deterministic
 // implementation is the fault plane's injector (internal/faults). The
-// front-end calls the methods from inside the simulation, serialized
-// under its lock; a true return means the current service pass backs
+// front-end calls the methods from inside the simulation; a true return means the current service pass backs
 // off and the connection is requeued with its input intact — the
 // drain-and-requeue recovery path. Implementations must be
 // deterministic per connection, never dependent on scheduling.
@@ -316,14 +309,11 @@ type FaultPlane interface {
 // ring regardless. This is the uniform spine hookup shared with
 // machine.Processor.SetSink and sched.Scheduler.SetSink.
 func (fe *Frontend) SetSink(sink trace.Sink) {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	fe.sink = sink
 }
 
 // emit records one StageNet lifecycle event into the kernel-crossing
-// trace spine and the optional sink. Caller holds fe.mu (directly or by
-// running inside the simulation under pump).
+// trace spine and the optional sink.
 func (fe *Frontend) emit(ev trace.Event) {
 	ev.Stage = trace.StageNet
 	fe.svc.Trace.Record(ev)
@@ -332,7 +322,7 @@ func (fe *Frontend) emit(ev trace.Event) {
 	}
 }
 
-// pump advances the simulation until quiescent. Caller holds fe.mu.
+// pump advances the simulation until quiescent.
 func (fe *Frontend) pump() { fe.sch.Run(0) }
 
 // DialAsync enters a connection into the table and signals the listener's
@@ -340,8 +330,6 @@ func (fe *Frontend) pump() { fe.sch.Run(0) }
 // listener process the next time the simulation runs; use Flush or Dial to
 // drive it.
 func (fe *Frontend) DialAsync(person, project, password string, level mls.Level) (*Conn, error) {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if fe.closed {
 		return nil, ErrFrontendClosed
 	}
@@ -372,16 +360,13 @@ func (fe *Frontend) Dial(person, project, password string, level mls.Level) (*Co
 	if err != nil {
 		return nil, err
 	}
-	fe.mu.Lock()
 	fe.pump()
-	state, cerr := c.state, c.err
-	fe.mu.Unlock()
-	if state == StateFailed {
+	if c.state == StateFailed {
 		_ = c.Close()
-		return nil, cerr
+		return nil, c.err
 	}
-	if state != StateAttached {
-		return nil, fmt.Errorf("netattach: connection %d stuck %v after accept", c.id, state)
+	if c.state != StateAttached {
+		return nil, fmt.Errorf("netattach: connection %d stuck %v after accept", c.id, c.state)
 	}
 	return c, nil
 }
@@ -389,8 +374,6 @@ func (fe *Frontend) Dial(person, project, password string, level mls.Level) (*Co
 // Flush runs the simulation until quiescent: accepts complete and queued
 // input is delivered and processed.
 func (fe *Frontend) Flush() {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	fe.pump()
 }
 
@@ -453,7 +436,7 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 	fe.emit(trace.Event{Name: "attach", Subject: c.id, Cost: c.attachLat, Outcome: trace.ClassOK})
 }
 
-// reject records a failed accept. Caller holds fe.mu via the simulation.
+// reject records a failed accept.
 func (fe *Frontend) reject(c *Conn, err error) {
 	fe.rejected++
 	fe.nm.rejected.Inc()
@@ -462,7 +445,7 @@ func (fe *Frontend) reject(c *Conn, err error) {
 }
 
 // markRunnable queues the connection for the worker pool (idempotent) and
-// wakes a worker. Caller holds fe.mu or runs inside the simulation.
+// wakes a worker.
 func (fe *Frontend) markRunnable(c *Conn) {
 	if c.queued || (c.state != StateAttached && c.state != StateDraining) {
 		return
@@ -635,9 +618,8 @@ func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 	}
 }
 
-// drainLocked runs the system until c's input queue is empty. Caller holds
-// fe.mu.
-func (fe *Frontend) drainLocked(c *Conn) error {
+// drain runs the system until c's input queue is empty.
+func (fe *Frontend) drain(c *Conn) error {
 	for {
 		if c.state != StateAttached && c.state != StateDraining {
 			return nil // failed or closed along the way
@@ -655,7 +637,7 @@ func (fe *Frontend) drainLocked(c *Conn) error {
 }
 
 // finishClose detaches c and folds its accounting into the front-end
-// totals. Caller holds fe.mu; input must already be drained.
+// totals. Input must already be drained.
 func (fe *Frontend) finishClose(c *Conn) error {
 	if c.state == StateAttached || c.state == StateDraining {
 		lost, err := fe.k.DeviceLost(c.dev)
@@ -685,8 +667,6 @@ func (fe *Frontend) finishClose(c *Conn) error {
 // Close drains and closes every connection, shuts the listener and worker
 // processes down, and refuses further dials.
 func (fe *Frontend) Close() error {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if fe.closed {
 		return nil
 	}
@@ -697,7 +677,7 @@ func (fe *Frontend) Close() error {
 		case StateAttached, StateDraining:
 			c.state = StateDraining
 			fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: trace.ClassOK})
-			if err := fe.drainLocked(c); err != nil && firstErr == nil {
+			if err := fe.drain(c); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			if err := fe.finishClose(c); err != nil && firstErr == nil {
@@ -729,8 +709,6 @@ func (fe *Frontend) connsByID() []*Conn {
 // Stats snapshots the front-end counters, including loss still sitting in
 // open connections' buffers.
 func (fe *Frontend) Stats() Stats {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	st := Stats{
 		Accepted: fe.accepted, Rejected: fe.rejected, Active: len(fe.conns),
 		Delivered: fe.delivered, Processed: fe.processed, Replies: fe.replies,
@@ -762,8 +740,6 @@ func (fe *Frontend) Stats() Stats {
 // the private store (S5+ only; zero on the legacy path) — the cost side of
 // the infinite-buffer strategy.
 func (fe *Frontend) ReplyPages() int {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	if fe.outStore == nil {
 		return 0
 	}

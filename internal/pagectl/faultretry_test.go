@@ -2,7 +2,6 @@ package pagectl
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -13,13 +12,10 @@ import (
 // flakyHook fails the first n PageIO calls with mem.ErrIO, then passes
 // everything.
 type flakyHook struct {
-	mu       sync.Mutex
 	failLeft int
 }
 
 func (h *flakyHook) PageIO(op mem.IOOp, pid mem.PageID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.failLeft > 0 {
 		h.failLeft--
 		return fmt.Errorf("%w: flaky %v on %v", mem.ErrIO, op, pid)

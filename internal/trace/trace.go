@@ -13,11 +13,6 @@
 // (enforced by the scripts/check.sh lint).
 package trace
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Stage identifies which layer of the kernel-crossing pipeline emitted a
 // trace event.
 type Stage int
@@ -138,11 +133,9 @@ type Event struct {
 	Detail string
 }
 
-// Sink receives trace events. Implementations must be safe for
-// concurrent use; the spine calls Record from every worker. This is the
-// one interface accepted uniformly by machine.Processor.SetSink,
-// sched.Scheduler.SetSink, netattach.Frontend.SetSink, and
-// faults.NewInjector.
+// Sink receives trace events. This is the one interface accepted
+// uniformly by machine.Processor.SetSink, sched.Scheduler.SetSink,
+// netattach.Frontend.SetSink, and faults.NewInjector.
 type Sink interface {
 	Record(ev Event)
 }
@@ -153,12 +146,13 @@ type SinkFunc func(ev Event)
 // Record calls f(ev).
 func (f SinkFunc) Record(ev Event) { f(ev) }
 
-// Ring is a fixed-size ring buffer of trace events. One mutex orders
-// the writers: Record stores the event VALUE in the next slot under it,
-// so no event costs a heap allocation, which keeps Record off the
-// garbage collector's books on the gate-dispatch hot path. Old events are
-// overwritten once the ring wraps. A disabled ring drops events at the
-// cost of one atomic load.
+// Ring is a fixed-size ring buffer of trace events. Record stores the
+// event VALUE in the next slot, so no event costs a heap allocation,
+// which keeps Record off the garbage collector's books on the
+// gate-dispatch hot path. Old events are overwritten once the ring wraps.
+// A disabled ring drops events at the cost of one load. Like the kernel
+// that owns it, a ring has one driver at a time (DESIGN.md, "One driver
+// per kernel").
 // The slot array is allocated lazily on the first Record: a kernel
 // boots one ring per instance, and inventory-style workloads that boot
 // many kernels but trace little would otherwise pay the full slot
@@ -166,9 +160,8 @@ func (f SinkFunc) Record(ev Event) { f(ev) }
 type Ring struct {
 	size    int // capacity (power of two)
 	mask    uint64
-	enabled atomic.Bool
+	enabled bool
 
-	mu      sync.Mutex
 	events  []Event // nil until the first Record
 	written uint64  // events recorded so far; the next Seq
 }
@@ -180,37 +173,32 @@ func NewRing(size int) *Ring {
 	for n < size {
 		n <<= 1
 	}
-	r := &Ring{size: n, mask: uint64(n - 1)}
-	r.enabled.Store(true)
-	return r
+	return &Ring{size: n, mask: uint64(n - 1), enabled: true}
 }
 
 // SetEnabled turns recording on or off. Disabling is how benchmarks
 // measure the spine's overhead floor.
 func (r *Ring) SetEnabled(on bool) {
 	if r != nil {
-		r.enabled.Store(on)
+		r.enabled = on
 	}
 }
 
 // Enabled reports whether the ring is recording.
-func (r *Ring) Enabled() bool { return r != nil && r.enabled.Load() }
+func (r *Ring) Enabled() bool { return r != nil && r.enabled }
 
 // Record stamps ev with the next sequence number and stores it in the
-// next slot. Safe for concurrent writers; a nil or disabled ring drops
-// the event.
+// next slot. A nil or disabled ring drops the event.
 func (r *Ring) Record(ev Event) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil || !r.enabled {
 		return
 	}
-	r.mu.Lock()
 	if r.events == nil {
 		r.events = make([]Event, r.size)
 	}
 	ev.Seq = r.written
 	r.events[r.written&r.mask] = ev
 	r.written++
-	r.mu.Unlock()
 }
 
 // Written returns the number of events recorded since creation,
@@ -219,8 +207,6 @@ func (r *Ring) Written() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.written
 }
 
@@ -238,8 +224,6 @@ func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.written == 0 {
 		return nil
 	}

@@ -430,9 +430,8 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 
 // traceCollector is the engine's canonical trace consumer: it hashes
 // the front-end's lifecycle events in arrival order and optionally tees
-// the raw stream to a caller-supplied sink. The front-end emits under
-// its own lock, and one goroutine drives the replay, so the arrival
-// order is a function of the plan.
+// the raw stream to a caller-supplied sink. One goroutine drives the
+// replay, so the arrival order is a function of the plan.
 type traceCollector struct {
 	h   hash.Hash
 	tee trace.Sink
