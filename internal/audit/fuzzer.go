@@ -64,7 +64,6 @@ type FuzzReport struct {
 	OK           int64    `json:"ok"`
 	Rejected     int64    `json:"rejected"`
 	Denied       int64    `json:"denied"`
-	Busy         int64    `json:"busy"`
 	Failed       int64    `json:"failed"`
 	Malfunctions int64    `json:"malfunctions"`
 	LabelFlips   int64    `json:"label_flips"`
@@ -76,8 +75,8 @@ type FuzzReport struct {
 // Format renders the report as a short table.
 func (r *FuzzReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fuzz: %d calls  ok %d  rejected %d  denied %d  busy %d  failed %d  malfunctions %d\n",
-		r.Calls, r.OK, r.Rejected, r.Denied, r.Busy, r.Failed, r.Malfunctions)
+	fmt.Fprintf(&b, "fuzz: %d calls  ok %d  rejected %d  denied %d  failed %d  malfunctions %d\n",
+		r.Calls, r.OK, r.Rejected, r.Denied, r.Failed, r.Malfunctions)
 	fmt.Fprintf(&b, "fuzz: %d label flips, %d canary probes, %d violations\n",
 		r.LabelFlips, r.CanaryProbes, len(r.Violations))
 	for _, v := range r.Violations {
@@ -217,8 +216,6 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 			rep.Rejected++
 		case trace.ClassAccessDenied:
 			rep.Denied++
-		case trace.ClassBusy:
-			rep.Busy++
 		default:
 			rep.Failed++
 		}
@@ -359,8 +356,8 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		violate("canary vanished from the hierarchy: %v", err)
 	}
 
-	fmt.Fprintf(h, "calls %d ok %d rejected %d denied %d busy %d failed %d flips %d violations %d\n",
-		rep.Calls, rep.OK, rep.Rejected, rep.Denied, rep.Busy, rep.Failed, rep.LabelFlips, len(rep.Violations))
+	fmt.Fprintf(h, "calls %d ok %d rejected %d denied %d failed %d flips %d violations %d\n",
+		rep.Calls, rep.OK, rep.Rejected, rep.Denied, rep.Failed, rep.LabelFlips, len(rep.Violations))
 	rep.Digest = fmt.Sprintf("%x", h.Sum(nil))
 	return rep, nil
 }

@@ -19,7 +19,6 @@ func TestClassify(t *testing.T) {
 		{BadArgs("g", errors.New("x")), trace.ClassBadArgs},
 		{AccessDenied("g", errors.New("x")), trace.ClassAccessDenied},
 		{Malfunction("g", errors.New("x")), trace.ClassMalfunction},
-		{Busy("g", errors.New("x")), trace.ClassBusy},
 		{fmt.Errorf("wrapped: %w", Malfunction("g", errors.New("x"))), trace.ClassMalfunction},
 		{&machine.Fault{Class: machine.FaultRing}, trace.ClassAccessDenied},
 		{&machine.Fault{Class: machine.FaultGate}, trace.ClassAccessDenied},

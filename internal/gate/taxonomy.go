@@ -40,11 +40,6 @@ func Malfunction(gate string, err error) error {
 	return &Error{Gate: gate, Class: trace.ClassMalfunction, Err: err}
 }
 
-// Busy wraps err as a transient resource-busy condition.
-func Busy(gate string, err error) error {
-	return &Error{Gate: gate, Class: trace.ClassBusy, Err: err}
-}
-
 // Classify maps an arbitrary error from a gate call into the spine's
 // trace.Class taxonomy. The vocabulary lives in the leaf trace package;
 // the classifier lives here because it knows the machine and mem error

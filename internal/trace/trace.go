@@ -76,12 +76,10 @@ const (
 	// ClassMalfunction: the supervisor itself failed — the condition the
 	// paper's review activity calls a "supervisor malfunction".
 	ClassMalfunction
-	// ClassBusy: a resource was transiently unavailable; the caller may
-	// retry.
-	ClassBusy
 	// ClassFailed: any other failure (no such entry, bad mode, quota
-	// exceeded, ...).
-	ClassFailed
+	// exceeded, ...). Its number stays 5 after the retired resource-busy
+	// class 4: digests fold class numbers.
+	ClassFailed Class = 5
 )
 
 // String names the class for traces and reports.
@@ -95,8 +93,6 @@ func (c Class) String() string {
 		return "access-denied"
 	case ClassMalfunction:
 		return "kernel-malfunction"
-	case ClassBusy:
-		return "resource-busy"
 	case ClassFailed:
 		return "failed"
 	default:
