@@ -98,11 +98,12 @@ func runStorm(stage multics.Stage) {
 	}
 
 	st := sys.Kernel.Services().Pager.Stats()
-	ts := sys.Kernel.Services().Store.Stats()
+	transfers := sys.Kernel.Services().Store.Config().Metrics
 	fmt.Printf("  faults: %d, faulter ops: %d, faulter evictions: %d, max cascade: %d\n",
 		st.Faults, st.FaulterSteps, st.FaulterEvictions, st.MaxCascade)
 	fmt.Printf("  transfers: core->bulk %d, bulk->disk %d, bulk->core %d, disk->core %d\n",
-		ts.CoreToBulk, ts.BulkToDisk, ts.BulkToCore, ts.DiskToCore)
+		transfers.Counter("mem.core_to_bulk").Value(), transfers.Counter("mem.bulk_to_disk").Value(),
+		transfers.Counter("mem.bulk_to_core").Value(), transfers.Counter("mem.disk_to_core").Value())
 	fmt.Printf("  mean fault wait: %d vcycles; total virtual time: %d\n",
 		st.WaitCycles/max64(st.Faults, 1), sys.Kernel.Services().Clock.Now())
 	for _, vp := range sys.Kernel.Services().Scheduler.VPs() {

@@ -116,17 +116,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// TransferStats counts page movements between levels.
-type TransferStats struct {
-	BulkToCore int64 `json:"bulk_to_core"`
-	DiskToCore int64 `json:"disk_to_core"`
-	CoreToBulk int64 `json:"core_to_bulk"`
-	CoreToDisk int64 `json:"core_to_disk"`
-	BulkToDisk int64 `json:"bulk_to_disk"`
-	DiskToBulk int64 `json:"disk_to_bulk"`
-	ZeroFills  int64 `json:"zero_fills"`
-}
-
 type frame struct {
 	free     bool
 	pid      PageID
@@ -284,19 +273,6 @@ func (s *Store) Config() Config { return s.cfg }
 
 // Backing returns the durable block layer serving the disk level.
 func (s *Store) Backing() BackingStore { return s.backing }
-
-// Stats returns the transfer counts so far.
-func (s *Store) Stats() TransferStats {
-	return TransferStats{
-		BulkToCore: s.bulkToCore.Value(),
-		DiskToCore: s.diskToCore.Value(),
-		CoreToBulk: s.coreToBulk.Value(),
-		CoreToDisk: s.coreToDisk.Value(),
-		BulkToDisk: s.bulkToDisk.Value(),
-		DiskToBulk: s.diskToBulk.Value(),
-		ZeroFills:  s.zeroFills.Value(),
-	}
-}
 
 // seg returns the page table for uid.
 func (s *Store) seg(uid uint64) (*SegmentPages, error) {

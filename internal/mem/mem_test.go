@@ -75,8 +75,8 @@ func TestZeroFillMaterialization(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Errorf("zero-filled page read = %d, %v", v, err)
 	}
-	if s.Stats().ZeroFills != 1 {
-		t.Errorf("zero fills = %d, want 1", s.Stats().ZeroFills)
+	if n := s.zeroFills.Value(); n != 1 {
+		t.Errorf("zero fills = %d, want 1", n)
 	}
 	// Double materialization must fail.
 	if _, err := s.MaterializeZero(pid); err == nil {
@@ -132,9 +132,8 @@ func TestEvictionRoundTrip(t *testing.T) {
 	if err != nil || v != 77 {
 		t.Errorf("data after round trip = %d, %v; want 77", v, err)
 	}
-	st := s.Stats()
-	if st.CoreToBulk != 1 || st.BulkToDisk != 1 || st.DiskToCore != 1 {
-		t.Errorf("stats = %+v", st)
+	if c2b, b2d, d2c := s.coreToBulk.Value(), s.bulkToDisk.Value(), s.diskToCore.Value(); c2b != 1 || b2d != 1 || d2c != 1 {
+		t.Errorf("transfers core->bulk %d, bulk->disk %d, disk->core %d; want 1 each", c2b, b2d, d2c)
 	}
 }
 

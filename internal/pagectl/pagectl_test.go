@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -14,11 +15,17 @@ func tinyMem(t *testing.T, coreFrames, bulkBlocks int) *mem.Store {
 	cfg.PageWords = 4
 	cfg.CoreFrames = coreFrames
 	cfg.BulkBlocks = bulkBlocks
+	cfg.Metrics = metrics.New()
 	s, err := mem.NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// transfers reads one of the store's mem.* transfer counters.
+func transfers(store *mem.Store, name string) int64 {
+	return store.Config().Metrics.Counter(name).Value()
 }
 
 func fault(uid uint64, page int) *machine.PageFault {
@@ -87,7 +94,7 @@ func TestSequentialPagerCascades(t *testing.T) {
 	if st.FaulterEvictions == 0 {
 		t.Error("cascade should have forced evictions in the faulting process")
 	}
-	if store.Stats().BulkToDisk == 0 {
+	if transfers(store, "mem.bulk_to_disk") == 0 {
 		t.Error("bulk->disk transfers expected once bulk filled")
 	}
 	if st.MaxCascade == 0 {
@@ -111,7 +118,7 @@ func TestSequentialPagerRefetch(t *testing.T) {
 	if got := p.Stats().Faults; got != 6 {
 		t.Errorf("faults = %d, want 6", got)
 	}
-	if store.Stats().BulkToCore == 0 {
+	if transfers(store, "mem.bulk_to_core") == 0 {
 		t.Error("refetch from bulk expected")
 	}
 }
@@ -169,7 +176,7 @@ func TestParallelPagerUnderPressure(t *testing.T) {
 	if p.KernelEvictions == 0 {
 		t.Error("dedicated processes should have performed the evictions")
 	}
-	if store.Stats().BulkToDisk == 0 {
+	if transfers(store, "mem.bulk_to_disk") == 0 {
 		t.Error("bulk-store freeing process should have pushed pages to disk")
 	}
 }
