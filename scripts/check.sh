@@ -53,33 +53,19 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-echo "== atomic-counter lint"
-# Counters live in the unified metrics plane (internal/metrics): no other
-# package may grow private sync/atomic counter fields — that is how the
-# four ad-hoc stats surfaces accreted in the first place. Allowlisted
-# survivors: the trace ring's enabled flag, an atomic.Bool and nothing
-# else (internal/trace/trace.go is the leaf the metrics plane itself
-# publishes through; its cursor moves under the ring's mutex), and the
-# fault injector's tallies (internal/faults/inject.go predates the plane
-# and is scheduled to migrate). atomic.Pointer is not a counter and is
-# exempt.
-any='atomic\.\(Int32\|Int64\|Uint32\|Uint64\|Bool\)'
-ints='atomic\.\(Int32\|Int64\|Uint32\|Uint64\)'
-bad=""
-for f in $(grep -rl "$any" --include='*.go' internal/ cmd/ multics/ examples/ ./*.go 2>/dev/null |
-	grep -v '^internal/metrics/' | grep -v '^internal/faults/inject\.go$' || true); do
-	pat="$any"
-	if [ "$f" = internal/trace/trace.go ]; then
-		pat="$ints"
-	fi
-	hits=$(grep -n "$pat" "$f" || true)
-	if [ -n "$hits" ]; then
-		bad="$bad
-$(printf '%s' "$hits" | sed "s|^|$f:|")"
-	fi
-done
+echo "== single-driver lint"
+# One goroutine at a time drives a kernel — a multics.System and
+# everything it owns — and the scheduler's channel handoff is the only
+# synchronisation inside it (DESIGN.md, "One driver per kernel").
+# Parallelism comes from running separate kernels, which share nothing.
+# So no non-test source imports sync or sync/atomic; go test -race
+# checks the same contract at run time. There is no allowlist.
+bad=$(grep -rnE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"sync(/atomic)?"' \
+	--include='*.go' internal/ cmd/ multics/ examples/ ./*.go 2>/dev/null |
+	grep -v '_test\.go:' || true)
 if [ -n "$bad" ]; then
-	echo "sync/atomic counters outside internal/metrics (use Services().Metrics):$bad" >&2
+	echo "sync or sync/atomic imported outside tests (one driver per kernel; see DESIGN.md):" >&2
+	echo "$bad" >&2
 	exit 1
 fi
 
