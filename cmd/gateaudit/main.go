@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -24,53 +26,69 @@ import (
 	"repro/multics"
 )
 
-func main() {
-	stage := flag.Int("stage", -1, "stage number 0..6 for a detailed listing; -1 for the summary")
-	stats := flag.Bool("stats", false, "boot a kernel, replay a seeded workload, and print per-gate runtime counters")
-	top := flag.Int("top", 20, "with -stats: show the top N gates by virtual-cycle cost (0 = all)")
-	seed := flag.Int64("seed", 75, "with -stats: workload seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args and prints the requested listing to stdout. It returns
+// the exit status: 2 for a usage error, 1 for a failed boot or replay.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("gateaudit", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	stage := fl.Int("stage", -1, "stage number 0..6 for a detailed listing; -1 for the summary")
+	stats := fl.Bool("stats", false, "boot a kernel, replay a seeded workload, and print per-gate runtime counters")
+	top := fl.Int("top", 20, "with -stats: show the top N gates by virtual-cycle cost (0 = all)")
+	seed := fl.Int64("seed", 75, "with -stats: workload seed")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *stage >= 0 {
 		if err := cliutil.FirstError(
 			cliutil.InRange("stage", *stage, 0, int(core.NumStages)-1),
 		); err != nil {
-			cliutil.Exit2("gateaudit", err)
+			fmt.Fprintf(stderr, "gateaudit: %v\n", err)
+			fl.Usage()
+			return 2
 		}
 	}
-	if *stats {
+	var err error
+	switch {
+	case *stats:
 		s := multics.StageRestructured
 		if *stage >= 0 {
 			s = multics.Stage(*stage)
 		}
-		runtimeStats(s, *top, *seed)
-		return
+		err = runtimeStats(stdout, s, *top, *seed)
+	case *stage >= 0:
+		err = detail(stdout, core.Stage(*stage))
+	default:
+		err = summary(stdout)
 	}
-	if *stage >= 0 {
-		detail(core.Stage(*stage))
-		return
+	if err != nil {
+		fmt.Fprintf(stderr, "gateaudit: %v\n", err)
+		return 1
 	}
-	summary()
+	return 0
 }
 
 // runtimeStats boots a system, replays the seeded workload through the
 // network attachment front-end, and prints the gate spine's per-gate
 // counters: calls, errors, rejected argument lists, and virtual cycles
 // charged, sorted by cost.
-func runtimeStats(s multics.Stage, top int, seed int64) {
+func runtimeStats(w io.Writer, s multics.Stage, top int, seed int64) error {
 	sc := workload.NewScenario("gateaudit", seed).
 		Mix(workload.Stormer(16, 8, 0), 1).
 		Sessions(32)
 	sys, err := workload.Boot(s, sc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gateaudit: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	defer sys.Shutdown()
 	rep, err := workload.Run(sys, sc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gateaudit: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
 	svc := sys.Kernel.Services()
@@ -87,9 +105,9 @@ func runtimeStats(s multics.Stage, top int, seed int64) {
 		shown = shown[:top]
 	}
 
-	fmt.Printf("gate runtime stats at %v (seed %d: %d conns x %d steps, %d requests processed)\n\n",
+	fmt.Fprintf(w, "gate runtime stats at %v (seed %d: %d conns x %d steps, %d requests processed)\n\n",
 		s, seed, rep.Conns, rep.Steps, rep.Stats.Processed)
-	fmt.Printf("%-28s %-16s %9s %7s %9s %12s %9s\n",
+	fmt.Fprintf(w, "%-28s %-16s %9s %7s %9s %12s %9s\n",
 		"gate", "category", "calls", "errors", "rejected", "vcycles", "vcy/call")
 	var calls, errs, rejected, vcycles int64
 	for _, st := range used {
@@ -100,72 +118,72 @@ func runtimeStats(s multics.Stage, top int, seed int64) {
 	}
 	for _, st := range shown {
 		perCall := float64(st.VCycles) / float64(st.Calls)
-		fmt.Printf("%-28s %-16s %9d %7d %9d %12d %9.1f\n",
+		fmt.Fprintf(w, "%-28s %-16s %9d %7d %9d %12d %9.1f\n",
 			st.Name, st.Category, st.Calls, st.Errors, st.Rejected, st.VCycles, perCall)
 	}
 	if len(shown) < len(used) {
-		fmt.Printf("... %d more gates with calls > 0 (use -top 0 for all)\n", len(used)-len(shown))
+		fmt.Fprintf(w, "... %d more gates with calls > 0 (use -top 0 for all)\n", len(used)-len(shown))
 	}
-	fmt.Printf("\ntotals: %d gates exercised, %d calls, %d errors, %d rejected, %d vcycles\n",
+	fmt.Fprintf(w, "\ntotals: %d gates exercised, %d calls, %d errors, %d rejected, %d vcycles\n",
 		len(used), calls, errs, rejected, vcycles)
-	fmt.Printf("trace ring: %d events recorded (capacity %d)\n",
+	fmt.Fprintf(w, "trace ring: %d events recorded (capacity %d)\n",
 		sys.Kernel.Services().Trace.Written(), sys.Kernel.Services().Trace.Cap())
+	return nil
 }
 
-func newKernel(s core.Stage) *core.Kernel {
-	k, err := core.New(core.Config{Stage: s})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gateaudit: %v\n", err)
-		os.Exit(1)
-	}
-	return k
-}
-
-func summary() {
-	fmt.Printf("%-24s %7s %7s %7s %10s %10s %10s\n",
+func summary(w io.Writer) error {
+	fmt.Fprintf(w, "%-24s %7s %7s %7s %10s %10s %10s\n",
 		"stage", "gates", "user", "priv", "gate-u", "module-u", "total-u")
 	for s := core.S0Baseline; s < core.NumStages; s++ {
-		k := newKernel(s)
+		k, err := core.New(core.Config{Stage: s})
+		if err != nil {
+			return err
+		}
 		inv := k.Inventory()
-		fmt.Printf("%-24s %7d %7d %7d %10d %10d %10d\n",
+		fmt.Fprintf(w, "%-24s %7d %7d %7d %10d %10d %10d\n",
 			inv.Stage, inv.Gates, inv.UserGates, inv.Gates-inv.UserGates,
 			inv.GateUnits, inv.ModuleUnits, inv.TotalUnits)
 		k.Shutdown()
 	}
+	return nil
 }
 
-func detail(s core.Stage) {
-	k := newKernel(s)
+func detail(w io.Writer, s core.Stage) error {
+	k, err := core.New(core.Config{Stage: s})
+	if err != nil {
+		return err
+	}
 	defer k.Shutdown()
 	inv := k.Inventory()
-	fmt.Printf("kernel inventory for %v\n\n", inv.Stage)
+	fmt.Fprintf(w, "kernel inventory for %v\n\n", inv.Stage)
 
-	fmt.Println("user-available gates (hcs_):")
-	printGates(k.Services().UserGates)
-	fmt.Println("\nprivileged gates (phcs_, rings <= 2 only):")
-	printGates(k.Services().PrivGates)
+	fmt.Fprintln(w, "user-available gates (hcs_):")
+	printGates(w, k.Services().UserGates)
+	fmt.Fprintln(w, "\nprivileged gates (phcs_, rings <= 2 only):")
+	printGates(w, k.Services().PrivGates)
 
-	fmt.Println("\nnon-gate kernel modules:")
+	fmt.Fprintln(w, "\nnon-gate kernel modules:")
 	for _, m := range inv.Modules {
-		fmt.Printf("  %-48s %6d units\n", m.Name, m.Units)
+		fmt.Fprintf(w, "  %-48s %6d units\n", m.Name, m.Units)
 	}
 
-	fmt.Println("\nby category:")
+	fmt.Fprintln(w, "\nby category:")
 	for _, c := range inv.Categories {
-		fmt.Printf("  %-20s %4d gates %6d units\n", c.Category, c.Gates, c.Units)
+		fmt.Fprintf(w, "  %-20s %4d gates %6d units\n", c.Category, c.Gates, c.Units)
 	}
-	fmt.Printf("\ntotals: %d gates (%d user-available), %d code units (%d gate + %d module)\n",
+	fmt.Fprintf(w, "\ntotals: %d gates (%d user-available), %d code units (%d gate + %d module)\n",
 		inv.Gates, inv.UserGates, inv.TotalUnits, inv.GateUnits, inv.ModuleUnits)
-	fmt.Printf("address-space management: %d units\n", inv.AddressSpaceUnits)
-	fmt.Printf("boot pattern: %s (%d privileged steps)\n", k.BootReport, k.PrivilegedBootSteps)
+	fmt.Fprintf(w, "address-space management: %d units\n", inv.AddressSpaceUnits)
+	fmt.Fprintf(w, "boot pattern: %s (%d privileged steps)\n", k.BootReport, k.PrivilegedBootSteps)
+	return nil
 }
 
-func printGates(r *gate.Registry) {
+func printGates(w io.Writer, r *gate.Registry) {
 	for _, d := range r.Defs() {
 		avail := " "
 		if d.UserAvailable {
 			avail = "u"
 		}
-		fmt.Printf("  %s %-28s %-16s %3d units\n", avail, d.Name, d.Category, d.CodeUnits)
+		fmt.Fprintf(w, "  %s %-28s %-16s %3d units\n", avail, d.Name, d.Category, d.CodeUnits)
 	}
 }

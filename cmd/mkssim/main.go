@@ -12,43 +12,63 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/audit"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/linker"
 	"repro/internal/machine"
 	"repro/multics"
 )
 
-func main() {
-	stage := flag.Int("stage", int(multics.StageRestructured), "kernel stage 0..6")
-	pentest := flag.Bool("pentest", false, "run the penetration suite after the scenario")
-	flag.Parse()
-	if *stage < 0 || *stage >= int(core.NumStages) {
-		fmt.Fprintf(os.Stderr, "mkssim: stage must be 0..%d\n", int(core.NumStages)-1)
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args and runs the scenario, writing its report to stdout. It
+// returns the exit status: 2 for a usage error, 1 for a failed scenario.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("mkssim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	stage := fl.Int("stage", int(multics.StageRestructured), "kernel stage 0..6")
+	pentest := fl.Bool("pentest", false, "run the penetration suite after the scenario")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if err := run(core.Stage(*stage), *pentest); err != nil {
-		fmt.Fprintf(os.Stderr, "mkssim: %v\n", err)
-		os.Exit(1)
+	if err := cliutil.FirstError(
+		cliutil.InRange("stage", *stage, 0, int(core.NumStages)-1),
+	); err != nil {
+		fmt.Fprintf(stderr, "mkssim: %v\n", err)
+		fl.Usage()
+		return 2
 	}
+	if err := scenario(stdout, core.Stage(*stage), *pentest); err != nil {
+		fmt.Fprintf(stderr, "mkssim: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func run(stage core.Stage, pentest bool) error {
-	fmt.Printf("booting Multics at %v ...\n", stage)
+// scenario boots a system at stage and drives the scripted multi-user
+// session through its public surface, reporting each step to w.
+func scenario(w io.Writer, stage core.Stage, pentest bool) error {
+	fmt.Fprintf(w, "booting Multics at %v ...\n", stage)
 	sys, err := multics.New(stage)
 	if err != nil {
 		return err
 	}
 	defer sys.Shutdown()
 	k := sys.Kernel
-	fmt.Printf("  boot pattern: %s (%d privileged steps), machine: %s\n",
+	fmt.Fprintf(w, "  boot pattern: %s (%d privileged steps), machine: %s\n",
 		k.BootReport, k.PrivilegedBootSteps, k.Services().Cost.Name)
 	inv := k.Inventory()
-	fmt.Printf("  kernel: %d gates (%d user-available), %d code units\n\n",
+	fmt.Fprintf(w, "  kernel: %d gates (%d user-available), %d code units\n\n",
 		inv.Gates, inv.UserGates, inv.TotalUnits)
 
 	// Register and log in two users.
@@ -66,7 +86,7 @@ func run(stage core.Stage, pentest bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("logged in: %s and %s\n", mike.Principal(), phil.Principal())
+	fmt.Fprintf(w, "logged in: %s and %s\n", mike.Principal(), phil.Principal())
 
 	// Build a little hierarchy.
 	for _, dir := range []string{">udd", ">udd>CSR", ">lib"} {
@@ -86,7 +106,7 @@ func run(stage core.Stage, pentest bool) error {
 			return err
 		}
 	}
-	fmt.Println("created >udd>CSR>draft and wrote 32 words through the SDW")
+	fmt.Fprintln(w, "created >udd>CSR>draft and wrote 32 words through the SDW")
 
 	// Sharing: Janson cannot read it until Schroeder grants access.
 	if err := mike.SetACL(">udd", "Janson.*.*", "s"); err != nil {
@@ -98,7 +118,7 @@ func run(stage core.Stage, pentest bool) error {
 	if _, err := phil.Open(">udd>CSR>draft", ""); err == nil {
 		return fmt.Errorf("protection failure: access before grant")
 	}
-	fmt.Println("Janson denied before grant (ACL enforced)")
+	fmt.Fprintln(w, "Janson denied before grant (ACL enforced)")
 	if err := mike.SetACL(">udd>CSR>draft", "Janson.*.*", "r"); err != nil {
 		return err
 	}
@@ -110,9 +130,9 @@ func run(stage core.Stage, pentest bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after grant Janson reads word 5 = %d; write attempt: ", v)
+	fmt.Fprintf(w, "after grant Janson reads word 5 = %d; write attempt: ", v)
 	if werr := shared.WriteWord(0, 1); werr != nil {
-		fmt.Println("denied (r-only SDW)")
+		fmt.Fprintln(w, "denied (r-only SDW)")
 	} else {
 		return fmt.Errorf("protection failure: write through r-only grant")
 	}
@@ -143,7 +163,7 @@ func run(stage core.Stage, pentest bool) error {
 	if stage < multics.StageLinkerRemoved {
 		where = "ring 0 (kernel linker)"
 	}
-	fmt.Printf("dynamic link math_utils$isqrt snapped in the %s; isqrt(1764) = %d\n", where, out[0])
+	fmt.Fprintf(w, "dynamic link math_utils$isqrt snapped in the %s; isqrt(1764) = %d\n", where, out[0])
 
 	// A secret session demonstrates the mandatory rules.
 	spy, err := sys.Login("Schroeder", "CSR", "multics75", multics.Secret)
@@ -163,23 +183,23 @@ func run(stage core.Stage, pentest bool) error {
 	if err := sseg.WriteWord(0, 7); err == nil {
 		return fmt.Errorf("protection failure: *-property write-down permitted")
 	}
-	fmt.Println("secret session: read down allowed, write down denied (*-property)")
+	fmt.Fprintln(w, "secret session: read down allowed, write down denied (*-property)")
 
-	fmt.Printf("\nvirtual time elapsed: %d cycles; page faults handled: %d\n",
+	fmt.Fprintf(w, "\nvirtual time elapsed: %d cycles; page faults handled: %d\n",
 		k.Services().Clock.Now(), k.Services().Pager.Stats().Faults)
 
 	if pentest {
-		fmt.Println("\npenetration suite:")
+		fmt.Fprintln(w, "\npenetration suite:")
 		suite, err := audit.NewSuite(k)
 		if err != nil {
 			return err
 		}
 		results := suite.Run()
-		fmt.Print(audit.Format(results))
+		fmt.Fprint(w, audit.Format(results))
 		sum := audit.Summary(results)
-		fmt.Printf("summary: %d blocked, %d contained, %d supervisor compromises, %d authorized leaks\n",
+		fmt.Fprintf(w, "summary: %d blocked, %d contained, %d supervisor compromises, %d authorized leaks\n",
 			sum[audit.Blocked], sum[audit.Contained], sum[audit.SupervisorCompromise], sum[audit.AuthorizedLeak])
 	}
-	fmt.Println("\nscenario complete")
+	fmt.Fprintln(w, "\nscenario complete")
 	return nil
 }
