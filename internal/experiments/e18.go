@@ -17,8 +17,8 @@ import (
 
 // E18 measures the hierarchy at the ROADMAP's target scale: a tree of a
 // million-plus segments where tree-name resolution is served by the
-// revocation-safe path-prefix and ACL decision caches, against the
-// uncached per-component walk the paper's design pays on every access.
+// revocation-safe path-prefix cache, against the uncached per-component
+// walk the paper's design pays on every access.
 //
 // It measures wall-clock on real data structures, so it is
 // registered in cmd/experiments only, not in the deterministic RunAll set.
@@ -177,7 +177,7 @@ func e18RevocationSweep(h *fs.Hierarchy, dirs, segsPerDir int) e18SweepResult {
 			_, err = h.CheckSegmentAccess(reader, e18Self, uid, acl.ModeRead)
 			return err == nil
 		}
-		// Warm both caches, twice, so the second pass is served from them.
+		// Warm the path cache, twice, so the second pass is served from it.
 		note("warm1", check())
 		note("warm2", check())
 		// Revoke: the very next access must deny. A stale allow is the
@@ -243,7 +243,7 @@ func E18Fixture() (*fs.Hierarchy, []string, int) {
 
 // E18HierarchyScale regenerates the ROADMAP item-4 claim: at a
 // million-plus segments, cached tree-name resolution beats the paper's
-// per-component walk by an order of magnitude, while the caches remain
+// per-component walk by an order of magnitude, while the path cache remains
 // incapable of serving revoked authority, with a transcript digest
 // identical to an uncached run's.
 func E18HierarchyScale() Report {
@@ -271,7 +271,7 @@ func E18HierarchyScale() Report {
 		if d := e18ResolveAll(h, paths); d < uncached {
 			uncached = d
 		}
-		// Disabling flushed the caches; re-warm (untimed), then measure.
+		// Disabling flushed the cache; re-warm (untimed), then measure.
 		h.SetCacheEnabled(true)
 		e18ResolveAll(h, paths)
 		if d := e18ResolveAll(h, paths); d < cached {
@@ -296,11 +296,11 @@ func E18HierarchyScale() Report {
 	fmt.Fprintf(&b, "%-40s %12s %14s\n", "resolution of "+fmt.Sprint(len(paths))+" deep paths", "total", "per resolve")
 	fmt.Fprintf(&b, "%-40s %12v %14v\n", "uncached per-component walk", uncached.Round(time.Millisecond),
 		(uncached / time.Duration(len(paths))).Round(time.Nanosecond))
-	fmt.Fprintf(&b, "%-40s %12v %14v\n", "cached (warm prefix + decision cache)", cached.Round(time.Millisecond),
+	fmt.Fprintf(&b, "%-40s %12v %14v\n", "cached (warm path prefix)", cached.Round(time.Millisecond),
 		(cached / time.Duration(len(paths))).Round(time.Nanosecond))
 	fmt.Fprintf(&b, "speedup: %.1fx (must be >= 10)\n", ratio)
-	fmt.Fprintf(&b, "path cache: %d hits / %d misses / %d fills; acl cache: %d hits / %d misses\n",
-		cs.PathHits, cs.PathMisses, cs.PathFills, cs.ACLHits, cs.ACLMisses)
+	fmt.Fprintf(&b, "path cache: %d hits / %d misses / %d fills\n",
+		cs.PathHits, cs.PathMisses, cs.PathFills)
 	fmt.Fprintf(&b, "revocation sweep (%d targets): stale decisions cached=%d uncached=%d\n",
 		swCached.Targets, swCached.Mismatches, swUncached.Mismatches)
 	fmt.Fprintf(&b, "sweep digests identical, cached and uncached: %v (%s)\n",

@@ -23,12 +23,13 @@
 //
 // One goroutine at a time drives a hierarchy, as it drives the kernel that
 // owns it (DESIGN.md, "One driver per kernel"), so nothing here locks.
-// Hot-path access checks and tree-name walks are memoized by the
-// revocation-safe caches in cache.go and pathcache.go: every mutation of an
-// ACL, label, or directory entry bumps the owning object's generation
-// counter in the mutating function, which kills every cached decision
-// derived from the old state (the same discipline the machine's SDW
-// associative memory enforces from DescriptorSegment.Set).
+// Tree-name walks are memoized by the revocation-safe path cache in
+// pathcache.go: every mutation of an ACL, label, or directory entry bumps
+// the owning object's generation counter in the mutating function, which
+// kills every cached path prefix derived from the old state (the same
+// discipline the machine's SDW associative memory enforces from
+// DescriptorSegment.Set). Access checks are not cached: each one runs the
+// ACL check plus the mandatory checks.
 package fs
 
 import (
@@ -74,7 +75,7 @@ const RootUID uint64 = 1
 // UID, Kind, Author, Brackets and Gates are immutable after creation. The
 // remaining attributes are read through the accessor methods; they are
 // mutated only by Hierarchy methods, which bump the generation counters so
-// the decision and path caches never honor state from before the mutation.
+// the path cache never honors state from before the mutation.
 type Object struct {
 	// aclGen counts ACL and label changes; entGen counts directory-entry
 	// changes (create/delete/link). They are invalidation generations,
@@ -170,7 +171,6 @@ type Hierarchy struct {
 	mutEpoch uint64
 
 	ops   opCounters
-	dec   *decisionCache
 	paths *pathCache
 }
 
@@ -228,11 +228,9 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 // earlier keep their counts in the old registry.
 func (h *Hierarchy) SetMetrics(reg *metrics.Registry) {
 	h.ops.bind(reg)
-	if h.dec == nil {
-		h.dec = newDecisionCache()
+	if h.paths == nil {
 		h.paths = newPathCache()
 	}
-	h.dec.bind(reg)
 	h.paths.bind(reg)
 }
 
@@ -292,10 +290,10 @@ func (h *Hierarchy) directory(uid uint64) (*Object, error) {
 	return o, nil
 }
 
-// checkDirSlow verifies discretionary directory access plus the
-// mandatory checks: observing a directory requires reading it, changing it
-// requires writing it.
-func checkDirSlow(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
+// checkDir verifies discretionary directory access plus the mandatory
+// checks: observing a directory requires reading it, changing it requires
+// writing it.
+func checkDir(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
 	if err := dir.dacl.Check(who, want); err != nil {
 		return err
 	}
@@ -312,31 +310,11 @@ func checkDirSlow(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode)
 	return nil
 }
 
-// checkDir is the cached directory access check: a memoized positive
-// verdict is honored only while the directory's ACL generation is
-// unchanged, so a revoked decision is never served (see cache.go).
-func (h *Hierarchy) checkDir(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
-	if !h.dec.enabled {
-		return checkDirSlow(dir, who, subj, want)
-	}
-	key := decisionKey{uid: dir.UID, who: who, label: subj.CacheKey(), want: want}
-	gen := dir.aclGen
-	if h.dec.lookup(key, gen) {
-		return nil
-	}
-	if err := checkDirSlow(dir, who, subj, want); err != nil {
-		return err
-	}
-	h.dec.store(key, gen)
-	return nil
-}
-
-// bumpACLGen invalidates every cached decision derived from o's ACL or
-// label. Call from the function that mutates them.
+// bumpACLGen invalidates every cached path prefix whose walk checked o's
+// ACL or label. Call from the function that mutates them.
 func (h *Hierarchy) bumpACLGen(o *Object) {
 	o.aclGen++
 	h.mutEpoch++
-	h.dec.invalidations.Inc()
 }
 
 // bumpEntGen invalidates every cached path prefix that walked through o's
@@ -373,7 +351,7 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	if err := h.checkDir(dir, who, subj, acl.ModeAppend); err != nil {
+	if err := checkDir(dir, who, subj, acl.ModeAppend); err != nil {
 		return 0, err
 	}
 	a := opts.ACL
@@ -438,7 +416,7 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 	if err := validName(name); err != nil {
 		return err
 	}
-	if err := h.checkDir(dir, who, subj, acl.ModeAppend); err != nil {
+	if err := checkDir(dir, who, subj, acl.ModeAppend); err != nil {
 		return err
 	}
 	if dir.dead {
@@ -456,7 +434,7 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 // lookupEntry returns a copy of the entry name in dir, holding the checks
 // the public Lookup performs. Shared by Lookup and the path walker.
 func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, name string) (*DirEntry, error) {
-	if err := h.checkDir(dir, who, subj, acl.ModeStatus); err != nil {
+	if err := checkDir(dir, who, subj, acl.ModeStatus); err != nil {
 		return nil, err
 	}
 	h.ops.lookups.Inc()
@@ -485,7 +463,7 @@ func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64) ([]Di
 	if err != nil {
 		return nil, err
 	}
-	if err := h.checkDir(dir, who, subj, acl.ModeStatus); err != nil {
+	if err := checkDir(dir, who, subj, acl.ModeStatus); err != nil {
 		return nil, err
 	}
 	h.ops.lookups.Inc()
@@ -504,7 +482,7 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if err != nil {
 		return err
 	}
-	if err := h.checkDir(dir, who, subj, acl.ModeModify); err != nil {
+	if err := checkDir(dir, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
 	e, ok := dir.entries[name]
@@ -523,8 +501,8 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 			return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 		}
 		obj.dead = true
-		// Kill both decision and path cache entries derived from the
-		// object before it disappears from the table.
+		// Kill every cached path prefix that walked through the object
+		// before it disappears from the table.
 		h.bumpACLGen(obj)
 		h.bumpEntGen(obj)
 		if err := h.store.DeleteSegment(obj.UID); err != nil {
@@ -550,7 +528,7 @@ func (h *Hierarchy) SetACL(who acl.Principal, subj mls.Label, uid uint64, patter
 	if err != nil {
 		return err
 	}
-	if err := h.checkDir(parent, who, subj, acl.ModeModify); err != nil {
+	if err := checkDir(parent, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
 	obj.dacl.Set(pattern, mode)
@@ -569,7 +547,7 @@ func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pat
 	if err != nil {
 		return err
 	}
-	if err := h.checkDir(parent, who, subj, acl.ModeModify); err != nil {
+	if err := checkDir(parent, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
 	if !obj.dacl.Remove(pattern) {
@@ -582,7 +560,7 @@ func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pat
 
 // Reclassify changes the mandatory label of object uid. It is a privileged
 // operation (reached through the phcs_ gate only); the label change kills
-// every cached access decision computed under the old label.
+// every cached path prefix whose walk checked the old label.
 func (h *Hierarchy) Reclassify(uid uint64, label mls.Label) error {
 	obj, err := h.Object(uid)
 	if err != nil {
@@ -606,30 +584,10 @@ func (h *Hierarchy) SetBitCount(uid uint64, bc int) error {
 	return nil
 }
 
-// checkSegSlow is the slow-path segment access computation.
-func checkSegSlow(obj *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
-	if err := obj.dacl.Check(who, want); err != nil {
-		return err
-	}
-	if want&(acl.ModeRead|acl.ModeExecute) != 0 {
-		if err := mls.CheckRead(subj, obj.label); err != nil {
-			return err
-		}
-	}
-	if want&acl.ModeWrite != 0 {
-		if err := mls.CheckWrite(subj, obj.label); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CheckSegmentAccess performs the full kernel access computation for
 // mapping segment uid with the wanted discretionary mode: the branch ACL
 // check plus the mandatory checks (read implies simple security; write
-// implies the *-property). Positive verdicts are memoized per
-// (uid, principal, label, mode) and honored only while the segment's ACL
-// generation is unchanged.
+// implies the *-property).
 func (h *Hierarchy) CheckSegmentAccess(who acl.Principal, subj mls.Label, uid uint64, want acl.Mode) (*Object, error) {
 	obj, err := h.Object(uid)
 	if err != nil {
@@ -638,21 +596,19 @@ func (h *Hierarchy) CheckSegmentAccess(who acl.Principal, subj mls.Label, uid ui
 	if obj.Kind != KindSegment {
 		return nil, fmt.Errorf("%w: %#x", ErrNotSegment, uid)
 	}
-	if !h.dec.enabled {
-		if err := checkSegSlow(obj, who, subj, want); err != nil {
-			return nil, err
-		}
-		return obj, nil
-	}
-	key := decisionKey{uid: uid, who: who, label: subj.CacheKey(), want: want}
-	gen := obj.aclGen
-	if h.dec.lookup(key, gen) {
-		return obj, nil
-	}
-	if err := checkSegSlow(obj, who, subj, want); err != nil {
+	if err := obj.dacl.Check(who, want); err != nil {
 		return nil, err
 	}
-	h.dec.store(key, gen)
+	if want&(acl.ModeRead|acl.ModeExecute) != 0 {
+		if err := mls.CheckRead(subj, obj.label); err != nil {
+			return nil, err
+		}
+	}
+	if want&acl.ModeWrite != 0 {
+		if err := mls.CheckWrite(subj, obj.label); err != nil {
+			return nil, err
+		}
+	}
 	return obj, nil
 }
 

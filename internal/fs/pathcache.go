@@ -1,7 +1,7 @@
 // Path-prefix resolution cache.
 //
-// ResolvePath on a deep tree pays one directory lookup plus one cached (or
-// full) access check per component. The path cache memoizes resolved
+// ResolvePath on a deep tree pays one directory lookup plus one access
+// check per component. The path cache memoizes resolved
 // prefixes per (path, principal, subject-label): resolving >udd>a>b>c after
 // >udd>a>b>d finds the >udd>a>b prefix cached and walks one component
 // instead of four.
@@ -160,4 +160,34 @@ func (c *pathCache) store(sp *subjPaths, path string, e *pathEntry) {
 	}
 	sp.m[path] = e
 	c.fills.Inc()
+}
+
+// CacheStats is a point-in-time snapshot of the path cache's counters.
+type CacheStats struct {
+	PathHits, PathMisses, PathFills, PathInvalidations, PathEvicts int64
+}
+
+// CacheStats snapshots the path-cache counters.
+func (h *Hierarchy) CacheStats() CacheStats {
+	return CacheStats{
+		PathHits:          h.paths.hits.Value(),
+		PathMisses:        h.paths.misses.Value(),
+		PathFills:         h.paths.fills.Value(),
+		PathInvalidations: h.paths.invalidations.Value(),
+		PathEvicts:        h.paths.evictions.Value(),
+	}
+}
+
+// SetCacheEnabled turns the path cache on or off. Disabling flushes it, so
+// re-enabling starts cold; the uncached mode exists for the E-series
+// baseline measurements and for salvage of damaged hierarchies.
+func (h *Hierarchy) SetCacheEnabled(on bool) {
+	h.paths.setEnabled(on)
+}
+
+// FlushCaches drops every cached path prefix. The salvager calls this
+// after repairing structures out from under the generation discipline;
+// tests use it to force cold starts.
+func (h *Hierarchy) FlushCaches() {
+	h.paths.flush()
 }

@@ -16,9 +16,8 @@ import (
 // bootstrap, or after the fault plane simulates a crash) — it reaches
 // directly into object state rather than going through the access-checked
 // interfaces. Because its repairs and the fault plane's injected damage
-// bypass the generation counters that keep the decision and path caches
-// honest, both Salvage and CorruptForTesting end by flushing the caches
-// wholesale.
+// bypass the generation counters that keep the path cache honest, both
+// Salvage and CorruptForTesting end by flushing it wholesale.
 
 // ProblemKind classifies a salvager finding.
 type ProblemKind int
@@ -309,8 +308,8 @@ func (h *Hierarchy) CorruptForTesting(kind ProblemKind, uid uint64) error {
 }
 
 // RelabelForTesting sets an object's label directly, bypassing policy —
-// salvager tests use it to manufacture label inversions. Caches are
-// flushed via the normal reclassification bump.
+// salvager tests use it to manufacture label inversions. The path cache
+// is invalidated via the normal reclassification bump.
 func (h *Hierarchy) RelabelForTesting(uid uint64, label Label) error {
 	return h.Reclassify(uid, label)
 }

@@ -101,10 +101,11 @@ func (l Label) String() string {
 }
 
 // CacheKey returns a canonical string form of the label suitable as a map
-// key in access-decision caches. Two labels are Equal exactly when their
-// CacheKeys are identical. For the common compartment-free label this is
-// the level's constant name — no allocation on the hot path; compartmented
-// labels fall back to the full String rendering (sorted, so canonical).
+// key; the hierarchy's path cache keys each subject's view by it. Two
+// labels are Equal exactly when their CacheKeys are identical. For the
+// common compartment-free label this is the level's constant name — no
+// allocation on the hot path; compartmented labels fall back to the full
+// String rendering (sorted, so canonical).
 func (l Label) CacheKey() string {
 	if len(l.compartments) == 0 {
 		return l.Level.String()

@@ -101,9 +101,9 @@ if [ -n "$bad" ]; then
 fi
 
 echo "== hierarchy cache-invalidation lint"
-# Every hierarchy mutation that changes what a cached decision or cached
-# path prefix was derived from must bump the owning object's generation
-# counter inside the mutating function — that is the entire revocation-
+# Every hierarchy mutation that changes what a cached path prefix was
+# derived from must bump the owning object's generation counter inside
+# the mutating function — that is the path cache's entire revocation-
 # safety argument (DESIGN.md "Hierarchy caches"). ACL/label mutators must
 # call bumpACLGen; entry-map mutators must call bumpEntGen. The lint
 # extracts each mutator's body from internal/fs/fs.go and fails if the
@@ -209,7 +209,7 @@ go test -race ./...
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 
-echo "== experiments (E1..E21 must all match the paper's shapes)"
+echo "== experiments (E1..E21, A1 and A2 must all match the paper's shapes)"
 # The command exits 1 when any report's Pass is false. Each Pass already
 # includes that experiment's digest-identity, determinism and survival
 # conditions, so nothing here greps the printed text.
