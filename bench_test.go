@@ -461,11 +461,11 @@ func BenchmarkAblationPolicyInRing(b *testing.B) {
 }
 
 // benchGateDispatch drives one niladic user gate through the full spine
-// — counter, trace, validation, classification middleware, then the ring
-// crossing — on the cached-SDW hit path, and returns virtual cycles per
-// call and heap allocations per call (by testing.AllocsPerRun). Only the
-// machine's ring-crossing cost model advances the clock; the middleware
-// itself charges nothing, so trace-on and trace-off must report the same
+// — the gatekeeper's counting, validation, classification and tracing,
+// then the ring crossing — on the cached-SDW hit path, and returns virtual
+// cycles per call and heap allocations per call (by testing.AllocsPerRun).
+// Only the machine's ring-crossing cost model advances the clock; the
+// gatekeeper itself charges nothing, so trace-on and trace-off must report the same
 // vcycles/call (the ≤1-vcycle overhead budget on the 6180 fast path holds
 // with margin zero).
 func benchGateDispatch(b *testing.B, traceOn bool) (vcycles, allocs float64) {

@@ -15,7 +15,7 @@ import (
 // call allocates no heap object and charges the same virtual cycles as
 // an untraced one. The processor reuses a depth-indexed ExecContext
 // cache and result arena, the trace ring publishes event values into
-// pre-allocated slots, and the middleware never advances the clock.
+// pre-allocated slots, and the gatekeeper never advances the clock.
 const e20Calls = 2000
 
 // e20Arm is one arm's measurement over e20Calls calls.

@@ -68,7 +68,6 @@ type Registry struct {
 	byName   map[string]int // name -> entry index
 	counters []*counters    // parallel to defs
 	ring     *trace.Ring    // trace spine destination, nil = off
-	extra    []Middleware   // extra links installed with Use
 	// metrics is where the spine publishes per-gate accounting
 	// (gate.<name>.calls/errors/rejected/vcycles). NewRegistry starts
 	// with a private registry so Stats works standalone; SetMetrics
@@ -186,28 +185,13 @@ func (r *Registry) Defs() []Def {
 }
 
 // BuildProcedure compiles the registry into the kernel's gate segment: a
-// machine.Procedure whose entry i is gate i, wrapped in the gatekeeper's
-// middleware spine. Every entry is a declared gate (machine.SDW.Gates
-// should be set to Count()).
-//
-// The spine, outermost first:
-//
-//	counters → trace → extra (Use) → validation → classification → body
-//
-// Counters and trace sit outside validation deliberately: a rejected
-// argument list must still be counted and traced — the paper's review
-// activity started from exactly such invisible malformed calls.
+// machine.Procedure whose entry i is gate i behind its gatekeeper (see
+// gatekeeper in spine.go). Every entry is a declared gate
+// (machine.SDW.Gates should be set to Count()).
 func (r *Registry) BuildProcedure() *machine.Procedure {
 	entries := make([]machine.EntryFunc, len(r.defs))
 	for i, d := range r.defs {
-		fn := classifyMW(d, d.Impl)
-		fn = validateMW(d, fn)
-		for j := len(r.extra) - 1; j >= 0; j-- {
-			fn = r.extra[j](d, fn)
-		}
-		fn = traceMW(r)(d, fn)
-		fn = countMW(r.counters[i])(d, fn)
-		entries[i] = fn
+		entries[i] = r.gatekeeper(d, r.counters[i])
 	}
 	return &machine.Procedure{Name: "kernel_gates", Entries: entries}
 }

@@ -122,8 +122,8 @@ func TestArgBoundaries(t *testing.T) {
 	}
 }
 
-// TestTraceMW verifies the trace link records one event per crossing with
-// the right outcome, and that a nil or disabled ring costs nothing.
+// TestTraceMW verifies the gatekeeper records one trace event per crossing
+// with the right outcome, rejected argument lists included.
 func TestTraceMW(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(Def{Name: "strict", Category: CatMisc, CodeUnits: 1, Arity: 1, Impl: echo})

@@ -11,7 +11,7 @@
 // kernel that owns it, a registry has one driver at a time (DESIGN.md,
 // "One driver per kernel"). Recording charges no virtual cycles —
 // observation must not perturb the virtual-time results it reports (the
-// gate spine set that precedent with its zero-vcycle middleware budget).
+// gate spine set that precedent with its zero-vcycle gatekeeper budget).
 //
 // Determinism: a deterministic workload yields the same aggregate on
 // every run, and Snapshot orders instruments by name, so the JSON export
