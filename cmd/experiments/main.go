@@ -3,10 +3,9 @@
 //
 // Usage:
 //
-//	experiments             # run E1..E21; exit 1 if any does not match
-//	experiments -ablations  # also run the A1/A2 ablations
-//	experiments -run E5     # run one experiment
-//	experiments -list       # list experiment IDs and titles
+//	experiments          # run E1..E21, A1 and A2; exit 1 if any does not match
+//	experiments -run E5  # run one experiment
+//	experiments -list    # list experiment IDs and titles
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 func main() {
 	run := flag.String("run", "", "run only the experiment with this ID (see -list)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	ablations := flag.Bool("ablations", false, "also run the A1/A2 ablations in the full sweep")
 	flag.Parse()
 
 	all := experiments.All()
@@ -48,9 +46,6 @@ func main() {
 
 	ran, failures := 0, 0
 	for _, e := range all {
-		if e.Ablation && !*ablations {
-			continue
-		}
 		rep := e.Run()
 		fmt.Println(rep.Format())
 		ran++

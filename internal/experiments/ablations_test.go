@@ -21,13 +21,6 @@ func TestA1SecurityCostShape(t *testing.T) {
 	}
 }
 
-func TestA2WaterMarksShape(t *testing.T) {
-	rep := A2WaterMarks()
-	if !rep.Pass {
-		t.Errorf("A2 mismatch: %s\n%s", rep.Measured, rep.Table)
-	}
-}
-
 func TestWaterMarkWorkloadEvictionFree(t *testing.T) {
 	for _, wm := range []struct{ low, target int }{{1, 1}, {2, 4}, {4, 8}} {
 		stats, total, kev := pageFaultWorkloadWith(wm.low, wm.target)

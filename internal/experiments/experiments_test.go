@@ -10,17 +10,24 @@ import (
 
 func newCircular(n int) (*iosys.CircularBuffer, error) { return iosys.NewCircularBuffer(n) }
 
-// TestAllExperimentsMatchPaperShapes is the reproduction's acceptance test:
-// every regenerated result must land in the band the paper claims.
-func TestAllExperimentsMatchPaperShapes(t *testing.T) {
-	for _, rep := range RunAll() {
-		if !rep.Pass {
-			t.Errorf("%s (%s): MISMATCH — measured %s\n%s", rep.ID, rep.Title, rep.Measured, rep.Table)
+// TestRunAll is the reproduction's acceptance test. It runs RunAll once
+// and checks the reports three ways: every regenerated result lands in
+// the band the paper claims, RunAll returns what the registry says it
+// runs, and the formatted text matches testdata/golden.txt.
+func TestRunAll(t *testing.T) {
+	reps := RunAll()
+	t.Run("MatchPaperShapes", func(t *testing.T) {
+		for _, rep := range reps {
+			if !rep.Pass {
+				t.Errorf("%s (%s): MISMATCH — measured %s\n%s", rep.ID, rep.Title, rep.Measured, rep.Table)
+			}
+			if rep.ID == "" || rep.Title == "" || rep.PaperClaim == "" || rep.Measured == "" {
+				t.Errorf("%s: incomplete report %+v", rep.ID, rep)
+			}
 		}
-		if rep.ID == "" || rep.Title == "" || rep.PaperClaim == "" || rep.Measured == "" {
-			t.Errorf("%s: incomplete report %+v", rep.ID, rep)
-		}
-	}
+	})
+	t.Run("ExperimentCount", func(t *testing.T) { checkExperimentCount(t, reps) })
+	t.Run("Golden", func(t *testing.T) { checkGolden(t, reps) })
 }
 
 func TestReportFormat(t *testing.T) {
@@ -37,10 +44,11 @@ func TestReportFormat(t *testing.T) {
 	}
 }
 
-// TestExperimentCount checks the registry cmd/experiments and RunAll
+// checkExperimentCount checks the registry cmd/experiments and RunAll
 // share: E1..E21 in order then the two ablations, unique IDs with titles,
-// and RunAll returning exactly the InRunAll entries, in registry order.
-func TestExperimentCount(t *testing.T) {
+// E18 alone host-timed, and reps (RunAll's output) holding the other 22
+// in registry order.
+func checkExperimentCount(t *testing.T, reps []Report) {
 	exps := All()
 	if len(exps) != 23 {
 		t.Fatalf("registered experiments = %d, want 23", len(exps))
@@ -54,16 +62,15 @@ func TestExperimentCount(t *testing.T) {
 		if e.ID != want || e.Title == "" || e.run == nil {
 			t.Errorf("registry[%d] = %s %q, want %s with a title and a run function", i, e.ID, e.Title, want)
 		}
-		if e.Ablation != (i >= 21) || (e.Ablation && e.InRunAll) {
-			t.Errorf("%s: ablation %v, in RunAll %v", e.ID, e.Ablation, e.InRunAll)
+		if e.HostTimed != (e.ID == "E18") {
+			t.Errorf("%s: host-timed %v", e.ID, e.HostTimed)
 		}
-		if e.InRunAll {
+		if !e.HostTimed {
 			inRunAll = append(inRunAll, e.ID)
 		}
 	}
-	reps := RunAll()
-	if len(reps) != 18 || len(reps) != len(inRunAll) {
-		t.Fatalf("RunAll = %d reports, want 18 (the %d InRunAll entries)", len(reps), len(inRunAll))
+	if len(reps) != 22 || len(reps) != len(inRunAll) {
+		t.Fatalf("RunAll = %d reports, want 22 (every entry but the %d host-timed)", len(reps), len(exps)-len(inRunAll))
 	}
 	for i, r := range reps {
 		if r.ID != inRunAll[i] {

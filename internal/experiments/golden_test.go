@@ -11,13 +11,13 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from a fres
 
 const goldenPath = "testdata/golden.txt"
 
-// TestRunAllGolden pins the formatted text of every RunAll report: each
+// checkGolden pins the formatted text of every RunAll report in reps: each
 // digest, count and virtual-cycle figure. A change that keeps every
 // report's shape but moves one number fails here, naming the experiment.
-// Rewrite the file with: go test ./internal/experiments -run Golden -update
-func TestRunAllGolden(t *testing.T) {
+// Rewrite the file with: go test ./internal/experiments -run RunAll/Golden -update
+func checkGolden(t *testing.T, reps []Report) {
 	var b strings.Builder
-	for _, rep := range RunAll() {
+	for _, rep := range reps {
 		b.WriteString(rep.Format())
 	}
 	got := b.String()

@@ -7,13 +7,11 @@ type Experiment struct {
 	ID string
 	// Title summarizes the experiment.
 	Title string
-	// InRunAll marks the experiments RunAll executes. E18 builds a
-	// million-segment tree and E19 writes real journal bytes, so only
-	// cmd/experiments runs them; it also runs E14, which RunAll omits.
-	InRunAll bool
-	// Ablation marks A1 and A2, which cmd/experiments sweeps only under
-	// -ablations.
-	Ablation bool
+	// HostTimed marks an experiment whose report reads the host's clock,
+	// so its text differs from run to run. RunAll, and with it the golden
+	// file, omits it; cmd/experiments runs it. Only E18 is host-timed: it
+	// times resolutions over a million-segment tree.
+	HostTimed bool
 
 	run func() Report
 }
@@ -28,39 +26,39 @@ func (e Experiment) Run() Report {
 
 // registry lists every experiment in presentation order.
 var registry = []Experiment{
-	{ID: "E1", Title: "gate entry points eliminated by the linker removal", InRunAll: true, run: E1GateCount},
-	{ID: "E2", Title: "protected address-space-management code after the reference-name removal", InRunAll: true, run: E2AddressSpaceCode},
-	{ID: "E3", Title: "user-available supervisor entries after linker+refname removals", InRunAll: true, run: E3SupervisorEntries},
-	{ID: "E4", Title: "cross-ring vs intra-ring call cost, 645 vs 6180", InRunAll: true, run: E4CrossRingCall},
-	{ID: "E5", Title: "page-fault path: sequential cascade vs dedicated kernel processes", InRunAll: true, run: E5PageFaultPath},
-	{ID: "E6", Title: "network input buffering: circular reuse vs infinite VM-backed buffer", InRunAll: true, run: E6NetworkBuffer},
-	{ID: "E7", Title: "fault injection: adversarial page-replacement policy in the policy ring", InRunAll: true, run: E7PolicyFaultInjection},
-	{ID: "E8", Title: "interrupt handling: borrowed process vs dedicated handler processes", InRunAll: true, run: E8InterruptHandling},
-	{ID: "E9", Title: "kernel inventory across the reduction programme", InRunAll: true, run: E9KernelInventory},
-	{ID: "E10", Title: "penetration suite: supervisor compromises before and after the removals", InRunAll: true, run: E10Penetration},
-	{ID: "E11", Title: "compartmentalization at the bottom layer; sharing common only within compartments", InRunAll: true, run: E11MLSPartitioning},
-	{ID: "E12", Title: "boot-time privilege: bootstrap vs generated memory image", InRunAll: true, run: E12BootComplexity},
-	{ID: "E13", Title: "network attachment under storm: borrowed processes vs dedicated front-end", InRunAll: true, run: E13NetAttach},
+	{ID: "E1", Title: "gate entry points eliminated by the linker removal", run: E1GateCount},
+	{ID: "E2", Title: "protected address-space-management code after the reference-name removal", run: E2AddressSpaceCode},
+	{ID: "E3", Title: "user-available supervisor entries after linker+refname removals", run: E3SupervisorEntries},
+	{ID: "E4", Title: "cross-ring vs intra-ring call cost, 645 vs 6180", run: E4CrossRingCall},
+	{ID: "E5", Title: "page-fault path: sequential cascade vs dedicated kernel processes", run: E5PageFaultPath},
+	{ID: "E6", Title: "network input buffering: circular reuse vs infinite VM-backed buffer", run: E6NetworkBuffer},
+	{ID: "E7", Title: "fault injection: adversarial page-replacement policy in the policy ring", run: E7PolicyFaultInjection},
+	{ID: "E8", Title: "interrupt handling: borrowed process vs dedicated handler processes", run: E8InterruptHandling},
+	{ID: "E9", Title: "kernel inventory across the reduction programme", run: E9KernelInventory},
+	{ID: "E10", Title: "penetration suite: supervisor compromises before and after the removals", run: E10Penetration},
+	{ID: "E11", Title: "compartmentalization at the bottom layer; sharing common only within compartments", run: E11MLSPartitioning},
+	{ID: "E12", Title: "boot-time privilege: bootstrap vs generated memory image", run: E12BootComplexity},
+	{ID: "E13", Title: "network attachment under storm: borrowed processes vs dedicated front-end", run: E13NetAttach},
 	{ID: "E14", Title: "hot-path performance: the associative memory", run: E14HotPathPerformance},
-	{ID: "E15", Title: "fault storm: deterministic injection + self-healing recovery paths", InRunAll: true, run: E15FaultStorm},
-	{ID: "E16", Title: "metrics plane: one registry, zero overhead, sampler-invariant export", InRunAll: true, run: E16MetricsPlane},
-	{ID: "E17", Title: "fleet: consistent-hash sharding and live migration across kernels", InRunAll: true, run: E17FleetScaling},
-	{ID: "E18", Title: "hierarchy at scale: revocation-safe resolution caches over a million segments", run: E18HierarchyScale},
+	{ID: "E15", Title: "fault storm: deterministic injection + self-healing recovery paths", run: E15FaultStorm},
+	{ID: "E16", Title: "metrics plane: one registry, zero overhead, sampler-invariant export", run: E16MetricsPlane},
+	{ID: "E17", Title: "fleet: consistent-hash sharding and live migration across kernels", run: E17FleetScaling},
+	{ID: "E18", Title: "hierarchy at scale: revocation-safe resolution cache over a million segments", HostTimed: true, run: E18HierarchyScale},
 	{ID: "E19", Title: "Checkpoint, torn-write crash, restore", run: E19CheckpointRestore},
-	{ID: "E20", Title: "traced gate dispatch: zero allocations, zero added vcycles", InRunAll: true, run: E20TracedGateDispatch},
-	{ID: "E21", Title: "Persona workloads and adversarial fuzzing", InRunAll: true, run: E21PersonaWorkloads},
-	{ID: "A1", Title: "ablation: performance cost of the policy/mechanism ring split", Ablation: true, run: A1SecurityCost},
-	{ID: "A2", Title: "ablation: free-pool water marks of the parallel page control", Ablation: true, run: A2WaterMarks},
+	{ID: "E20", Title: "traced gate dispatch: zero allocations, zero added vcycles", run: E20TracedGateDispatch},
+	{ID: "E21", Title: "Persona workloads and adversarial fuzzing", run: E21PersonaWorkloads},
+	{ID: "A1", Title: "ablation: performance cost of the policy/mechanism ring split", run: A1SecurityCost},
+	{ID: "A2", Title: "ablation: free-pool water marks of the parallel page control", run: A2WaterMarks},
 }
 
 // All returns every registered experiment in presentation order.
 func All() []Experiment { return append([]Experiment(nil), registry...) }
 
-// RunAll executes the InRunAll experiments in order.
+// RunAll executes every experiment except the host-timed ones, in order.
 func RunAll() []Report {
 	var reps []Report
 	for _, e := range registry {
-		if e.InRunAll {
+		if !e.HostTimed {
 			reps = append(reps, e.Run())
 		}
 	}
