@@ -4,8 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/pagectl"
 )
 
 // ErrNoChoice is returned by policy code that finds no evictable frame.
@@ -164,35 +162,4 @@ func AdversarialPolicyCode(log *AttackLog) *machine.Procedure {
 			return nil, ErrNoChoice
 		}},
 	}
-}
-
-// RingPolicy adapts a policy Domain to pagectl.VictimPolicy, so a kernel
-// pager can delegate victim selection to ring-separated policy code. A
-// policy failure or an illegal choice falls back to FIFO — the kernel
-// treats a misbehaving policy as a denial-of-service, never as a reason to
-// bypass protection.
-type RingPolicy struct {
-	Domain *Domain
-	// Fallbacks counts decisions the kernel had to make itself because the
-	// policy failed or chose an invalid victim.
-	Fallbacks int64
-	fallback  pagectl.FIFOPolicy
-}
-
-var _ pagectl.VictimPolicy = (*RingPolicy)(nil)
-
-// NewRingPolicy returns the adapter.
-func NewRingPolicy(d *Domain) *RingPolicy { return &RingPolicy{Domain: d} }
-
-// ChooseVictim implements pagectl.VictimPolicy. The policy's choice is
-// checked against live frame state: it must name a frame in range that is
-// occupied and unwired, whatever the policy claims.
-func (r *RingPolicy) ChooseVictim(store *mem.Store) (mem.FrameID, error) {
-	if choice, err := r.Domain.Choose(); err == nil {
-		if info, err := store.FrameInfo(choice); err == nil && info.Evictable() {
-			return choice, nil
-		}
-	}
-	r.Fallbacks++
-	return r.fallback.ChooseVictim(store)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/pagectl"
 )
 
 func testStore(t *testing.T, frames int) *mem.Store {
@@ -215,81 +214,5 @@ func TestAdversarialPolicyBlocked(t *testing.T) {
 	}
 	if log.DenialMoves != 1 {
 		t.Errorf("denial moves = %d, want 1", log.DenialMoves)
-	}
-}
-
-func TestRingPolicyAdapter(t *testing.T) {
-	s := testStore(t, 4)
-	populate(t, s, 1, 3)
-	d := newDomain(t, s, ClockPolicyCode())
-	rp := NewRingPolicy(d)
-	v, err := rp.ChooseVictim(s)
-	if err != nil {
-		t.Fatalf("ChooseVictim: %v", err)
-	}
-	if info, err := s.FrameInfo(v); err != nil || info.Free || info.Wired {
-		t.Errorf("choice %d is not an occupied, unwired frame (%+v, %v)", v, info, err)
-	}
-	if rp.Fallbacks != 0 {
-		t.Errorf("fallbacks = %d", rp.Fallbacks)
-	}
-	if _, err := rp.ChooseVictim(testStore(t, 4)); err != pagectl.ErrNoVictim {
-		t.Errorf("empty candidates = %v", err)
-	}
-}
-
-func TestRingPolicyFallsBackOnBadChoice(t *testing.T) {
-	s := testStore(t, 4)
-	frames := populate(t, s, 1, 3)
-	// A policy that always answers with an absurd frame number.
-	bad := &machine.Procedure{
-		Name: "bad_policy",
-		Entries: []machine.EntryFunc{func(_ *machine.ExecContext, _ []uint64) ([]uint64, error) {
-			return []uint64{9999}, nil
-		}},
-	}
-	d := newDomain(t, s, bad)
-	rp := NewRingPolicy(d)
-	v, err := rp.ChooseVictim(s)
-	if err != nil {
-		t.Fatalf("fallback ChooseVictim: %v", err)
-	}
-	if rp.Fallbacks != 1 {
-		t.Errorf("fallbacks = %d, want 1", rp.Fallbacks)
-	}
-	info, _ := s.FrameInfo(v)
-	if info.Free {
-		t.Error("fallback chose a free frame")
-	}
-
-	// In range but illegal: a wired frame and a free frame are refused
-	// against live state, and FIFO decides instead.
-	if err := s.Wire(frames[0], true); err != nil {
-		t.Fatal(err)
-	}
-	var free mem.FrameID = -1
-	for f := mem.FrameID(0); f < 4; f++ {
-		if info, _ := s.FrameInfo(f); info.Free {
-			free = f
-		}
-	}
-	for i, choice := range []mem.FrameID{frames[0], free} {
-		d := newDomain(t, s, &machine.Procedure{
-			Name: "illegal_policy",
-			Entries: []machine.EntryFunc{func(_ *machine.ExecContext, _ []uint64) ([]uint64, error) {
-				return []uint64{uint64(choice)}, nil
-			}},
-		})
-		rp := NewRingPolicy(d)
-		v, err := rp.ChooseVictim(s)
-		if err != nil {
-			t.Fatalf("case %d: fallback ChooseVictim: %v", i, err)
-		}
-		if v == choice || rp.Fallbacks != 1 {
-			t.Errorf("case %d: illegal choice %d honoured (victim %d, fallbacks %d)", i, choice, v, rp.Fallbacks)
-		}
-		if info, _ := s.FrameInfo(v); info.Free || info.Wired {
-			t.Errorf("case %d: fallback chose frame %d (%+v)", i, v, info)
-		}
 	}
 }
