@@ -386,25 +386,44 @@ func (b *faultingBacking) WriteWord(off int, val uint64) error {
 }
 func (b *faultingBacking) Length() int { return b.inner.Length() }
 
+// TestPageFaultRetry stores into a non-resident page: the processor takes
+// the page fault, the pager makes the page resident, and the store is
+// retried. The store's cost is pinned exactly, because no report in the
+// experiments' golden file depends on the processor's fault-delivery
+// cost: the descriptor walk, the faulting store, FaultOverhead, and the
+// retried store through the associative memory.
 func TestPageFaultRetry(t *testing.T) {
-	p, ds, _ := newTestProc(UserRing, Model6180())
-	fb := &faultingBacking{inner: NewCoreBacking(16), resident: map[int]bool{}, pageSize: 4, tag: 0xabc}
-	mustSet(t, ds, 1, SDW{Backing: fb, Mode: ModeRead | ModeWrite, Brackets: UserBrackets(UserRing)})
-	handled := 0
-	p.Pager = PageFaultHandlerFunc(func(pf *PageFault) error {
-		handled++
-		fb.resident[pf.Page] = true
-		return nil
-	})
-	if err := p.Store(1, 6, 11); err != nil {
-		t.Fatalf("store with pager: %v", err)
-	}
-	if handled != 1 {
-		t.Errorf("pager invoked %d times, want 1", handled)
-	}
-	got, err := p.Load(1, 6)
-	if err != nil || got != 11 {
-		t.Errorf("load after page-in = %d, %v; want 11, nil", got, err)
+	for _, tc := range []struct {
+		cost CostModel
+		want int64
+	}{
+		// descriptor walk + store + FaultOverhead + assoc search + store
+		{Model6180(), 56}, // 4 + 1 + 50 + 0 + 1
+		{Model645(), 59},  // 6 + 1 + 50 + 1 + 1
+	} {
+		p, ds, clk := newTestProc(UserRing, tc.cost)
+		fb := &faultingBacking{inner: NewCoreBacking(16), resident: map[int]bool{}, pageSize: 4, tag: 0xabc}
+		mustSet(t, ds, 1, SDW{Backing: fb, Mode: ModeRead | ModeWrite, Brackets: UserBrackets(UserRing)})
+		handled := 0
+		p.Pager = PageFaultHandlerFunc(func(pf *PageFault) error {
+			handled++
+			fb.resident[pf.Page] = true
+			return nil
+		})
+		before := clk.Now()
+		if err := p.Store(1, 6, 11); err != nil {
+			t.Fatalf("%s: store with pager: %v", tc.cost.Name, err)
+		}
+		if got := clk.Now() - before; got != tc.want {
+			t.Errorf("%s: faulting store cost %d vcycles, want %d", tc.cost.Name, got, tc.want)
+		}
+		if handled != 1 {
+			t.Errorf("%s: pager invoked %d times, want 1", tc.cost.Name, handled)
+		}
+		got, err := p.Load(1, 6)
+		if err != nil || got != 11 {
+			t.Errorf("%s: load after page-in = %d, %v; want 11, nil", tc.cost.Name, got, err)
+		}
 	}
 }
 
