@@ -28,6 +28,7 @@ import (
 	"repro/internal/mls"
 	"repro/internal/pagectl"
 	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/workload"
 	"repro/multics"
 )
@@ -520,6 +521,24 @@ func BenchmarkGateDispatch(b *testing.B) {
 	}
 	if onAllocs != 0 {
 		b.Fatalf("traced gate dispatch allocates %.1f objects/call, want 0", onAllocs)
+	}
+}
+
+// BenchmarkSchedSwitch times one process switch: each iteration is one
+// scheduler step that resumes a process, which yields straight back, so
+// ns/op is one resume/yield round trip through dispatch.
+func BenchmarkSchedSwitch(b *testing.B) {
+	s := sched.New(machine.NewClock())
+	b.Cleanup(s.Shutdown)
+	s.AddVP("cpu", false)
+	s.Spawn("yielder", func(pc *sched.ProcCtx) {
+		for {
+			pc.Yield()
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
 

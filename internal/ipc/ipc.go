@@ -62,8 +62,11 @@ type Channel struct {
 	sch     *sched.Scheduler
 	guard   Guard
 	pending []Event
+	head    int // pending[head:] are the queued events
 	waiters []*sched.Process
 	closed  bool
+	// awaitReason is the block reason Await reports, built once.
+	awaitReason string
 
 	// Signals and Waits count uses, for the experiment reports.
 	Signals int64
@@ -73,7 +76,7 @@ type Channel struct {
 // NewChannel creates an event channel. A nil guard permits every use (the
 // unprotected configuration).
 func NewChannel(name string, sch *sched.Scheduler, guard Guard) *Channel {
-	return &Channel{Name: name, sch: sch, guard: guard}
+	return &Channel{Name: name, sch: sch, guard: guard, awaitReason: "await " + name}
 }
 
 // Signal appends an event and wakes the first waiter, if any. It may be
@@ -96,7 +99,7 @@ func (c *Channel) Signal(p *sched.Process, ev Event) error {
 	c.pending = append(c.pending, ev)
 	if len(c.waiters) > 0 {
 		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		c.waiters = c.waiters[:copy(c.waiters, c.waiters[1:])]
 		c.sch.Unblock(w)
 	}
 	return nil
@@ -111,16 +114,14 @@ func (c *Channel) Await(pc *sched.ProcCtx) (Event, error) {
 		}
 	}
 	c.Waits++
-	for len(c.pending) == 0 {
+	for c.Pending() == 0 {
 		if c.closed {
 			return Event{}, ErrChannelClosed
 		}
 		c.waiters = append(c.waiters, pc.Process())
-		pc.Block("await " + c.Name)
+		pc.Block(c.awaitReason)
 	}
-	ev := c.pending[0]
-	c.pending = c.pending[1:]
-	return ev, nil
+	return c.pop(), nil
 }
 
 // TryAwait removes and returns a pending event without blocking.
@@ -130,17 +131,28 @@ func (c *Channel) TryAwait(pc *sched.ProcCtx) (Event, bool, error) {
 			return Event{}, false, fmt.Errorf("ipc: await on %q denied: %w", c.Name, err)
 		}
 	}
-	if len(c.pending) == 0 {
+	if c.Pending() == 0 {
 		return Event{}, false, nil
 	}
 	c.Waits++
-	ev := c.pending[0]
-	c.pending = c.pending[1:]
-	return ev, true, nil
+	return c.pop(), true, nil
+}
+
+// pop removes the oldest pending event. It moves the queue down only once
+// the popped prefix is half the slice, so an event costs O(1) however many
+// pile up, and later appends reuse the array.
+func (c *Channel) pop() Event {
+	ev := c.pending[c.head]
+	c.head++
+	if 2*c.head >= len(c.pending) {
+		c.pending = c.pending[:copy(c.pending, c.pending[c.head:])]
+		c.head = 0
+	}
+	return ev
 }
 
 // Pending returns the number of queued events.
-func (c *Channel) Pending() int { return len(c.pending) }
+func (c *Channel) Pending() int { return len(c.pending) - c.head }
 
 // Close marks the channel closed and wakes all waiters, which will observe
 // ErrChannelClosed once the pending queue drains.

@@ -116,6 +116,53 @@ func TestTryAwait(t *testing.T) {
 	s.Run(0)
 }
 
+func TestPendingQueuePopsInPlace(t *testing.T) {
+	s := newSched()
+	defer s.Shutdown()
+	ch := NewChannel("ev", s, nil)
+	pc := s.NewDirectCtx("driver")
+	signalled, taken := uint64(0), uint64(0)
+	// Uneven bursts of signals and takes move the queue's head past half
+	// its slice many times; the order must stay FIFO throughout.
+	for round := 1; round <= 20; round++ {
+		for i := 0; i < round%7+1; i++ {
+			signalled++
+			if err := ch.Signal(nil, Event{Data: signalled}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < round%5+1 && ch.Pending() > 0; i++ {
+			ev, ok, err := ch.TryAwait(pc)
+			if !ok || err != nil {
+				t.Fatalf("round %d: TryAwait = %v, %v", round, ok, err)
+			}
+			taken++
+			if ev.Data != taken {
+				t.Fatalf("round %d: took event %d, want %d", round, ev.Data, taken)
+			}
+		}
+		if got, want := ch.Pending(), int(signalled-taken); got != want {
+			t.Fatalf("round %d: pending = %d, want %d", round, got, want)
+		}
+	}
+	for ch.Pending() > 0 {
+		if ev, _, _ := ch.TryAwait(pc); ev.Data != taken+1 {
+			t.Fatalf("draining: took event %d, want %d", ev.Data, taken+1)
+		}
+		taken++
+	}
+	// Events signalled and taken one at a time reuse the array.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			_ = ch.Signal(nil, Event{})
+			_, _, _ = ch.TryAwait(pc)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("8 signals and takes allocate %.0f times, want 0", allocs)
+	}
+}
+
 func TestGuardDeniesUse(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()

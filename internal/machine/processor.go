@@ -301,7 +301,9 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 			p.mFaults.Inc()
 		}
 		p.Clock.Advance(p.Cost.FaultOverhead)
-		p.emitFault(&Fault{Class: FaultPage, Seg: seg, Offset: off, Ring: p.ring, Wanted: want, Detail: pf.Error()})
+		// The event carries the segment and offset, which name the page;
+		// its text is formatted only if the fault goes unhandled.
+		p.emitFault(&Fault{Class: FaultPage, Seg: seg, Offset: off, Ring: p.ring, Wanted: want})
 		if p.Pager == nil || attempt > 0 {
 			return 0, &Fault{Class: FaultPage, Seg: seg, Offset: off, Ring: p.ring, Wanted: want, Detail: pf.Error()}
 		}

@@ -21,6 +21,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -56,8 +57,8 @@ func (s ProcState) String() string {
 // ProcFunc is the body of a simulated process.
 type ProcFunc func(pc *ProcCtx)
 
-// errKilled is panicked inside a simulated process goroutine when the
-// scheduler shuts down; the goroutine wrapper recovers it.
+// errKilled is panicked inside a simulated process when Shutdown stops
+// its coroutine; the coroutine's body wrapper recovers it.
 var errKilled = errors.New("sched: process killed by scheduler shutdown")
 
 // VP is a layer-1 virtual processor. Dedicated VPs are permanently bound to
@@ -85,8 +86,10 @@ type Process struct {
 	state ProcState
 	vp    *VP // non-nil while bound to a virtual processor
 
-	resume chan bool // scheduler -> process; false means "killed"
-	yield  chan struct{}
+	// next resumes the process's coroutine until it yields, and reports
+	// false once the body has returned; stop kills the coroutine.
+	next func() (struct{}, bool)
+	stop func()
 
 	blockReason string
 	// sleepFor is the length of the Sleep the process is blocked in, or 0;
@@ -201,34 +204,36 @@ func (s *Scheduler) VPs() []*VP { return s.vps }
 // Processes returns all processes ever spawned.
 func (s *Scheduler) Processes() []*Process { return s.procs }
 
+// newProcess runs body as an iter.Pull coroutine, so one process switch is
+// one coroutine switch and only one of the scheduler and its processes
+// runs at a time, by construction. dispatch calls next, which reports
+// false once the body has returned. stop runs nothing for a process that
+// never started; for a suspended one it makes yield return false, so the
+// body unwinds through errKilled and its deferred calls still run. Any
+// other panic in a body reaches the caller of Run, on the driver's
+// goroutine. A body must never call runtime.Goexit: iter.Pull passes it
+// on to the driver too.
 func (s *Scheduler) newProcess(name string, body ProcFunc) *Process {
-	p := &Process{
-		Name:   name,
-		state:  StateReady,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-	}
+	p := &Process{Name: name, state: StateReady}
 	s.procs = append(s.procs, p)
-	go func() {
-		alive := <-p.resume
-		if alive {
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != errKilled {
-						panic(r)
-					}
-				}()
-				body(&ProcCtx{s: s, p: p})
-			}()
-		}
-		p.state = StateDone
-		if p.vp != nil {
-			p.vp.current = nil
-			p.vp = nil
-		}
-		p.yield <- struct{}{}
-	}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != errKilled {
+				panic(r)
+			}
+		}()
+		body(&ProcCtx{s: s, p: p, yield: yield})
+	})
 	return p
+}
+
+// finish marks p done and releases its virtual processor.
+func (p *Process) finish() {
+	p.state = StateDone
+	if p.vp != nil {
+		p.vp.current = nil
+		p.vp = nil
+	}
 }
 
 // SpawnDedicated creates a kernel process permanently bound to the dedicated
@@ -296,22 +301,21 @@ func (s *Scheduler) nextRunnable() *Process {
 	}
 	for len(s.ready) > 0 {
 		p := s.ready[0]
-		s.ready = s.ready[1:]
-		if p.state != StateReady {
-			continue
-		}
-		if p.vp == nil {
+		if p.state == StateReady && p.vp == nil {
 			vp := s.idlePooledVP()
 			if vp == nil {
-				// No pooled VP free: requeue and report none runnable now.
-				s.ready = append([]*Process{p}, s.ready...)
-				return nil
+				return nil // no pooled VP free: p stays at the head
 			}
 			p.vp = vp
 			vp.current = p
 			p.Bindings++
 		}
-		return p
+		// Pop by shifting down, so appends reuse the array; the queue
+		// holds each process at most once.
+		s.ready = s.ready[:copy(s.ready, s.ready[1:])]
+		if p.state == StateReady {
+			return p
+		}
 	}
 	return nil
 }
@@ -329,15 +333,14 @@ func (s *Scheduler) idlePooledVP() *VP {
 func (s *Scheduler) dispatch(p *Process) {
 	p.state = StateRunning
 	s.running = p
-	vp := p.vp
+	vp := p.vp // nextRunnable bound one
 	before := s.Clock.Now()
-	p.resume <- true
-	<-p.yield
+	if _, alive := p.next(); !alive {
+		p.finish()
+	}
 	elapsed := s.Clock.Now() - before
 	p.CPUCycles += elapsed
-	if vp != nil {
-		vp.busyCycles += elapsed
-	}
+	vp.busyCycles += elapsed
 	if s.mDispatches != nil {
 		s.mDispatches.Inc()
 		s.mDispatchCycles.Add(elapsed)
@@ -346,27 +349,19 @@ func (s *Scheduler) dispatch(p *Process) {
 		s.sink.Record(trace.Event{Stage: trace.StageSched, Name: p.Name, Cost: elapsed, At: s.Clock.Now()})
 	}
 	s.running = nil
-	switch p.state {
-	case StateBlocked:
-		// A layer-2 process that blocked releases its VP for others.
-		if vp != nil && !vp.Dedicated {
-			vp.current = nil
-			p.vp = nil
-		}
-	case StateRunning:
-		// The process yielded voluntarily: it is still ready. A layer-2
-		// process gives up its VP (end of time slice); a dedicated kernel
-		// process stays bound and is found by the dedicated-VP scan.
+	if p.state == StateRunning {
+		// The process yielded voluntarily: it is still ready. A dedicated
+		// kernel process stays bound and is found by the dedicated-VP scan.
 		p.state = StateReady
-		if vp != nil && !vp.Dedicated {
-			vp.current = nil
-			p.vp = nil
-		}
-		if vp == nil || !vp.Dedicated {
+		if !vp.Dedicated {
 			s.ready = append(s.ready, p)
 		}
-	case StateDone:
-		// The goroutine wrapper already released the binding.
+	}
+	if !vp.Dedicated {
+		// A layer-2 process that yielded (end of time slice), blocked or
+		// finished gives up its VP to others.
+		vp.current = nil
+		p.vp = nil
 	}
 }
 
@@ -420,9 +415,9 @@ func (s *Scheduler) BlockedProcesses() []*Process {
 	return out
 }
 
-// Shutdown kills every live process goroutine. The scheduler is unusable
-// afterwards. It exists so tests and benchmarks do not leak goroutines from
-// dedicated kernel processes that loop forever.
+// Shutdown stops every live process's coroutine. The scheduler is unusable
+// afterwards. It exists so tests and benchmarks do not leak the coroutines
+// of dedicated kernel processes that loop forever.
 func (s *Scheduler) Shutdown() {
 	if s.shutdown {
 		return
@@ -432,8 +427,8 @@ func (s *Scheduler) Shutdown() {
 		if p.state == StateDone || p.state == StateRunning {
 			continue
 		}
-		p.resume <- false
-		<-p.yield
+		p.stop()
+		p.finish()
 	}
 }
 
@@ -444,16 +439,17 @@ func (s *Scheduler) Shutdown() {
 // a process context without standing up a full scheduled process.
 func (s *Scheduler) NewDirectCtx(name string) *ProcCtx {
 	p := &Process{Name: name, state: StateRunning}
-	return &ProcCtx{s: s, p: p, direct: true}
+	return &ProcCtx{s: s, p: p}
 }
 
 // ProcCtx is the interface a simulated process body uses to interact with
 // the scheduler. Every method must be called from within the process's own
 // body function.
 type ProcCtx struct {
-	s      *Scheduler
-	p      *Process
-	direct bool
+	s *Scheduler
+	p *Process
+	// yield is the process coroutine's yield; nil marks a direct context.
+	yield func(struct{}) bool
 }
 
 // Process returns the process this context belongs to.
@@ -470,17 +466,17 @@ func (pc *ProcCtx) Consume(cycles int64) {
 	pc.s.Clock.Advance(cycles)
 }
 
-// yieldToScheduler hands control back and waits to be resumed.
+// yieldToScheduler hands control back and waits to be resumed. yield
+// returns false when Shutdown stops the coroutine instead.
 func (pc *ProcCtx) yieldToScheduler() {
-	pc.p.yield <- struct{}{}
-	if alive := <-pc.p.resume; !alive {
+	if !pc.yield(struct{}{}) {
 		panic(errKilled)
 	}
 }
 
 // Yield gives up the processor but remains ready.
 func (pc *ProcCtx) Yield() {
-	if pc.direct {
+	if pc.yield == nil {
 		return
 	}
 	pc.yieldToScheduler()
@@ -489,7 +485,7 @@ func (pc *ProcCtx) Yield() {
 // Block suspends the process until another process (or a timer/interrupt)
 // calls Unblock on it. The reason string aids deadlock diagnosis.
 func (pc *ProcCtx) Block(reason string) {
-	if pc.direct {
+	if pc.yield == nil {
 		panic(fmt.Sprintf("sched: direct context %q cannot block (%s)", pc.p.Name, reason))
 	}
 	pc.block(reason, 0)
@@ -507,7 +503,7 @@ func (pc *ProcCtx) block(reason string, sleepFor int64) {
 // Sleep blocks the process for d virtual cycles — the primitive used to
 // model waiting for a device transfer.
 func (pc *ProcCtx) Sleep(d int64) {
-	if pc.direct {
+	if pc.yield == nil {
 		if d > 0 {
 			pc.s.Clock.Advance(d)
 		}

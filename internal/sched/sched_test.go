@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -309,21 +310,93 @@ func TestUnblockIdempotent(t *testing.T) {
 }
 
 func TestShutdownKillsBlockedProcesses(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	s := newSched()
 	s.AddVP("cpu-a", false)
 	kvp := s.AddVP("kvp", true)
-	if _, err := s.SpawnDedicated(kvp, "kernel-loop", func(pc *ProcCtx) {
+	unwound := map[string]bool{}
+	body := func(name string, wait func(pc *ProcCtx)) ProcFunc {
+		return func(pc *ProcCtx) {
+			defer func() { unwound[name] = true }()
+			wait(pc)
+			t.Errorf("%s ran past its wait", name)
+		}
+	}
+	dedicated, err := s.SpawnDedicated(kvp, "dedicated", body("dedicated", func(pc *ProcCtx) {
 		for {
 			pc.Block("forever")
 		}
-	}); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Spawn("never-started", func(pc *ProcCtx) {})
-	s.Spawn("blocked", func(pc *ProcCtx) { pc.Block("x") })
-	s.Run(3) // tiny budget: some processes may never run
+	blocked := s.Spawn("blocked", body("blocked", func(pc *ProcCtx) { pc.Block("x") }))
+	sleeping := s.Spawn("sleeping", body("sleeping", func(pc *ProcCtx) { pc.Sleep(1000) }))
+	never := s.Spawn("never-started", func(pc *ProcCtx) { t.Error("never-started ran") })
+	// Three dispatches: the dedicated process first, then the ready queue
+	// in order. never-started is left at the head of the queue.
+	for i := 0; i < 3; i++ {
+		s.Step()
+	}
+	procs := []*Process{dedicated, blocked, sleeping, never}
+	for _, p := range procs[:3] {
+		if p.State() != StateBlocked {
+			t.Fatalf("%s: state = %v before shutdown, want blocked", p.Name, p.State())
+		}
+	}
+	if got := runtime.NumGoroutine(); got <= baseline {
+		t.Fatalf("goroutines = %d with four live processes, baseline %d", got, baseline)
+	}
 	s.Shutdown()
 	s.Shutdown() // idempotent
+	for _, p := range procs {
+		if p.State() != StateDone {
+			t.Errorf("%s: state = %v after shutdown, want done", p.Name, p.State())
+		}
+	}
+	for _, name := range []string{"dedicated", "blocked", "sleeping"} {
+		if !unwound[name] {
+			t.Errorf("%s: deferred call did not run on the kill", name)
+		}
+	}
+	if kvp.Current() != nil {
+		t.Errorf("dedicated VP still bound to %s", kvp.Current().Name)
+	}
+	if got := runtime.NumGoroutine(); got != baseline {
+		t.Errorf("goroutines = %d after shutdown, want baseline %d", got, baseline)
+	}
+}
+
+func TestBodyPanicReachesRun(t *testing.T) {
+	s := newSched()
+	defer s.Shutdown()
+	s.AddVP("cpu-a", false)
+	s.Spawn("crasher", func(pc *ProcCtx) {
+		pc.Yield()
+		panic("crasher: boom")
+	})
+	defer func() {
+		if r := recover(); r != "crasher: boom" {
+			t.Errorf("Run's caller recovered %v, want the body's panic value", r)
+		}
+	}()
+	s.Run(0)
+	t.Error("Run returned after a body panicked")
+}
+
+func TestDispatchDoesNotAllocate(t *testing.T) {
+	s := newSched()
+	defer s.Shutdown()
+	s.AddVP("cpu-a", false)
+	s.Spawn("yielder", func(pc *ProcCtx) {
+		for {
+			pc.Consume(1)
+			pc.Yield()
+		}
+	})
+	if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs != 0 {
+		t.Errorf("one dispatch of a yielding process allocates %.1f times, want 0", allocs)
+	}
 }
 
 func TestVPUtilizationAccounting(t *testing.T) {

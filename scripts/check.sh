@@ -55,7 +55,7 @@ fi
 
 echo "== single-driver lint"
 # One goroutine at a time drives a kernel — a multics.System and
-# everything it owns — and the scheduler's channel handoff is the only
+# everything it owns — and the scheduler's coroutine switch is the only
 # synchronisation inside it (DESIGN.md, "One driver per kernel").
 # Parallelism comes from running separate kernels, which share nothing.
 # So no non-test source imports sync or sync/atomic; go test -race
