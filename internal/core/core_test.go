@@ -235,6 +235,80 @@ func TestACLEnforcedThroughGates(t *testing.T) {
 	}
 }
 
+// TestKernelPathRevocationThroughGates drives the S0/S1 kernel path
+// service, where hcs_$get_uid and hcs_$initiate resolve a tree name inside
+// ring 0, through a revocation and a re-grant on an interior directory.
+// The very next call after each change must see it.
+func TestKernelPathRevocationThroughGates(t *testing.T) {
+	for _, stage := range []Stage{S0Baseline, S1LinkerRemoved} {
+		t.Run(stage.String(), func(t *testing.T) {
+			k := newKernel(t, stage)
+			mkdir(t, k, alice, "udd")
+			pa := userProc(t, k, alice, unc)
+			pb := userProc(t, k, bob, unc)
+			str := func(p *Proc, s string) (uint64, uint64) {
+				t.Helper()
+				off, n, err := p.GateString(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return off, n
+			}
+			call := func(p *Proc, name string, args ...uint64) []uint64 {
+				t.Helper()
+				out, err := p.CallGate(name, args...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return out
+			}
+			dOff, dLen := str(pa, ">udd")
+			nOff, nLen := str(pa, "doc")
+			uid := call(pa, "hcs_$append_branch", dOff, dLen, nOff, nLen, 0)[0]
+			docOff, docLen := str(pa, ">udd>doc")
+			patOff, patLen := str(pa, "Bob.*.*")
+			call(pa, "hcs_$add_acl_entry", docOff, docLen, patOff, patLen, uint64(acl.ModeRead))
+			setBobOnUdd := func(mode acl.Mode) {
+				t.Helper()
+				call(pa, "hcs_$add_acl_entry", dOff, dLen, patOff, patLen, uint64(mode))
+			}
+
+			bOff, bLen := str(pb, ">udd>doc")
+			var seg uint64
+			allowed := func(when string) {
+				t.Helper()
+				if got := call(pb, "hcs_$get_uid", bOff, bLen)[0]; got != uid {
+					t.Errorf("%s: get_uid = %#x, want %#x", when, got, uid)
+				}
+				s := call(pb, "hcs_$initiate", bOff, bLen, 0, 0)[0]
+				if seg != 0 && s != seg {
+					t.Errorf("%s: initiate = segment %d, want %d", when, s, seg)
+				}
+				seg = s
+			}
+			denied := func(when string) {
+				t.Helper()
+				var de *acl.DeniedError
+				if _, err := pb.CallGate("hcs_$get_uid", bOff, bLen); !errors.As(err, &de) {
+					t.Errorf("%s: get_uid = %v, want ACL denial", when, err)
+				}
+				if _, err := pb.CallGate("hcs_$initiate", bOff, bLen, 0, 0); !errors.As(err, &de) {
+					t.Errorf("%s: initiate = %v, want ACL denial", when, err)
+				}
+			}
+
+			allowed("first resolve")
+			allowed("second resolve")
+			// A null entry for Bob on >udd outranks the *.*.* status
+			// grant: Bob may no longer search the directory.
+			setBobOnUdd(0)
+			denied("after revoke")
+			setBobOnUdd(acl.ModeStatus)
+			allowed("after re-grant")
+		})
+	}
+}
+
 func TestMLSEnforcedThroughGates(t *testing.T) {
 	k := newKernel(t, S0Baseline)
 	mkdir(t, k, alice, "udd")

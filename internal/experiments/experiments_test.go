@@ -46,14 +46,12 @@ func TestReportFormat(t *testing.T) {
 
 // checkExperimentCount checks the registry cmd/experiments and RunAll
 // share: E1..E21 in order then the two ablations, unique IDs with titles,
-// E18 alone host-timed, and reps (RunAll's output) holding the other 22
-// in registry order.
+// and reps (RunAll's output) holding all 23 in registry order.
 func checkExperimentCount(t *testing.T, reps []Report) {
 	exps := All()
 	if len(exps) != 23 {
 		t.Fatalf("registered experiments = %d, want 23", len(exps))
 	}
-	var inRunAll []string
 	for i, e := range exps {
 		want := fmt.Sprintf("E%d", i+1)
 		if i >= 21 {
@@ -62,19 +60,13 @@ func checkExperimentCount(t *testing.T, reps []Report) {
 		if e.ID != want || e.Title == "" || e.run == nil {
 			t.Errorf("registry[%d] = %s %q, want %s with a title and a run function", i, e.ID, e.Title, want)
 		}
-		if e.HostTimed != (e.ID == "E18") {
-			t.Errorf("%s: host-timed %v", e.ID, e.HostTimed)
-		}
-		if !e.HostTimed {
-			inRunAll = append(inRunAll, e.ID)
-		}
 	}
-	if len(reps) != 22 || len(reps) != len(inRunAll) {
-		t.Fatalf("RunAll = %d reports, want 22 (every entry but the %d host-timed)", len(reps), len(exps)-len(inRunAll))
+	if len(reps) != len(exps) {
+		t.Fatalf("RunAll = %d reports, want %d", len(reps), len(exps))
 	}
 	for i, r := range reps {
-		if r.ID != inRunAll[i] {
-			t.Errorf("RunAll[%d] = %s, want %s", i, r.ID, inRunAll[i])
+		if r.ID != exps[i].ID {
+			t.Errorf("RunAll[%d] = %s, want %s", i, r.ID, exps[i].ID)
 		}
 	}
 }

@@ -7,11 +7,6 @@ type Experiment struct {
 	ID string
 	// Title summarizes the experiment.
 	Title string
-	// HostTimed marks an experiment whose report reads the host's clock,
-	// so its text differs from run to run. RunAll, and with it the golden
-	// file, omits it; cmd/experiments runs it. Only E18 is host-timed: it
-	// times resolutions over a million-segment tree.
-	HostTimed bool
 
 	run func() Report
 }
@@ -43,7 +38,7 @@ var registry = []Experiment{
 	{ID: "E15", Title: "fault storm: deterministic injection + self-healing recovery paths", run: E15FaultStorm},
 	{ID: "E16", Title: "metrics plane: one registry, zero overhead, sampler-invariant export", run: E16MetricsPlane},
 	{ID: "E17", Title: "fleet: consistent-hash sharding and live migration across kernels", run: E17FleetScaling},
-	{ID: "E18", Title: "hierarchy at scale: revocation-safe resolution cache over a million segments", HostTimed: true, run: E18HierarchyScale},
+	{ID: "E18", Title: "hierarchy at scale: every name walked, revocation immediate, over a million segments", run: E18HierarchyScale},
 	{ID: "E19", Title: "Checkpoint, torn-write crash, restore", run: E19CheckpointRestore},
 	{ID: "E20", Title: "traced gate dispatch: zero allocations, zero added vcycles", run: E20TracedGateDispatch},
 	{ID: "E21", Title: "Persona workloads and adversarial fuzzing", run: E21PersonaWorkloads},
@@ -54,13 +49,11 @@ var registry = []Experiment{
 // All returns every registered experiment in presentation order.
 func All() []Experiment { return append([]Experiment(nil), registry...) }
 
-// RunAll executes every experiment except the host-timed ones, in order.
+// RunAll executes every experiment in order.
 func RunAll() []Report {
-	var reps []Report
-	for _, e := range registry {
-		if !e.HostTimed {
-			reps = append(reps, e.Run())
-		}
+	reps := make([]Report, len(registry))
+	for i, e := range registry {
+		reps[i] = e.Run()
 	}
 	return reps
 }

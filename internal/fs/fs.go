@@ -23,13 +23,10 @@
 //
 // One goroutine at a time drives a hierarchy, as it drives the kernel that
 // owns it (DESIGN.md, "One driver per kernel"), so nothing here locks.
-// Tree-name walks are memoized by the revocation-safe path cache in
-// pathcache.go: every mutation of an ACL, label, or directory entry bumps
-// the owning object's generation counter in the mutating function, which
-// kills every cached path prefix derived from the old state (the same
-// discipline the machine's SDW associative memory enforces from
-// DescriptorSegment.Set). Access checks are not cached: each one runs the
-// ACL check plus the mandatory checks.
+// Nothing here caches either: every tree-name walk looks up and checks
+// each directory on its way, and every access check runs the ACL check
+// plus the mandatory checks, so a mutation needs no invalidation step and
+// a revocation takes effect on the very next check.
 package fs
 
 import (
@@ -73,17 +70,9 @@ const RootUID uint64 = 1
 // carries: the ACL, ring brackets, and (for directories) the entry map.
 //
 // UID, Kind, Author, Brackets and Gates are immutable after creation. The
-// remaining attributes are read through the accessor methods; they are
-// mutated only by Hierarchy methods, which bump the generation counters so
-// the path cache never honors state from before the mutation.
+// remaining attributes are read through the accessor methods and mutated
+// only by Hierarchy methods.
 type Object struct {
-	// aclGen counts ACL and label changes; entGen counts directory-entry
-	// changes (create/delete/link). They are invalidation generations,
-	// not statistics (the op and cache statistics live in the metrics
-	// registry).
-	aclGen uint64
-	entGen uint64
-
 	UID    uint64
 	Kind   Kind
 	Author acl.Principal
@@ -164,14 +153,7 @@ type Hierarchy struct {
 	objects map[uint64]*Object
 	nextUID uint64
 
-	// mutEpoch advances on every generation bump anywhere in the
-	// hierarchy. Path-cache entries filled under the current epoch
-	// validate with a single load instead of a per-step generation scan;
-	// see pathcache.go.
-	mutEpoch uint64
-
-	ops   opCounters
-	paths *pathCache
+	ops opCounters
 }
 
 // OpStats counts hierarchy operations.
@@ -223,15 +205,11 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 	return h, nil
 }
 
-// SetMetrics rebinds the hierarchy's operation and cache counters into reg
-// (the kernel's unified registry). Call before traffic; handles registered
+// SetMetrics rebinds the hierarchy's operation counters into reg (the
+// kernel's unified registry). Call before traffic; handles registered
 // earlier keep their counts in the old registry.
 func (h *Hierarchy) SetMetrics(reg *metrics.Registry) {
 	h.ops.bind(reg)
-	if h.paths == nil {
-		h.paths = newPathCache()
-	}
-	h.paths.bind(reg)
 }
 
 // Store returns the underlying memory hierarchy.
@@ -308,21 +286,6 @@ func checkDir(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) err
 		}
 	}
 	return nil
-}
-
-// bumpACLGen invalidates every cached path prefix whose walk checked o's
-// ACL or label. Call from the function that mutates them.
-func (h *Hierarchy) bumpACLGen(o *Object) {
-	o.aclGen++
-	h.mutEpoch++
-}
-
-// bumpEntGen invalidates every cached path prefix that walked through o's
-// entry map. Call from the function that mutates it.
-func (h *Hierarchy) bumpEntGen(o *Object) {
-	o.entGen++
-	h.mutEpoch++
-	h.paths.invalidations.Inc()
 }
 
 // CreateOptions parameterizes Create.
@@ -402,7 +365,6 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	}
 	h.objects[uid] = o
 	dir.entries[name] = &DirEntry{Name: name, UID: uid}
-	h.bumpEntGen(dir)
 	h.ops.creates.Inc()
 	return uid, nil
 }
@@ -426,7 +388,6 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 		return fmt.Errorf("%w: %q in %#x", ErrExists, name, dirUID)
 	}
 	dir.entries[name] = &DirEntry{Name: name, LinkTo: target}
-	h.bumpEntGen(dir)
 	h.ops.creates.Inc()
 	return nil
 }
@@ -501,17 +462,12 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 			return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 		}
 		obj.dead = true
-		// Kill every cached path prefix that walked through the object
-		// before it disappears from the table.
-		h.bumpACLGen(obj)
-		h.bumpEntGen(obj)
 		if err := h.store.DeleteSegment(obj.UID); err != nil {
 			return fmt.Errorf("fs: releasing storage of %q: %w", name, err)
 		}
 		delete(h.objects, obj.UID)
 	}
 	delete(dir.entries, name)
-	h.bumpEntGen(dir)
 	h.ops.deletes.Inc()
 	return nil
 }
@@ -532,7 +488,6 @@ func (h *Hierarchy) SetACL(who acl.Principal, subj mls.Label, uid uint64, patter
 		return err
 	}
 	obj.dacl.Set(pattern, mode)
-	h.bumpACLGen(obj)
 	h.ops.aclChanges.Inc()
 	return nil
 }
@@ -553,21 +508,19 @@ func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pat
 	if !obj.dacl.Remove(pattern) {
 		return fmt.Errorf("%w: no ACL entry %v", ErrNotFound, pattern)
 	}
-	h.bumpACLGen(obj)
 	h.ops.aclChanges.Inc()
 	return nil
 }
 
 // Reclassify changes the mandatory label of object uid. It is a privileged
-// operation (reached through the phcs_ gate only); the label change kills
-// every cached path prefix whose walk checked the old label.
+// operation (reached through the phcs_ gate only); the next walk or access
+// check reads the new label.
 func (h *Hierarchy) Reclassify(uid uint64, label mls.Label) error {
 	obj, err := h.Object(uid)
 	if err != nil {
 		return err
 	}
 	obj.label = label
-	h.bumpACLGen(obj)
 	h.ops.aclChanges.Inc()
 	return nil
 }

@@ -50,50 +50,16 @@ func JoinPath(parts ...string) string {
 // After the reference-name removal this algorithm runs in the user ring,
 // implemented with Lookup calls through the per-directory gate interface.
 //
-// Resolution is memoized per (path prefix, principal, label) by the path
-// cache; a repeat resolution of a cached name costs one probe plus a
-// generation check of every object the original walk relied on, instead of
-// the full per-component walk. See pathcache.go for the safety argument.
+// Every call walks every component: one directory lookup and one access
+// check per directory, including directories reached through links. No
+// name is cached, so a revocation takes effect on the very next walk.
 func (h *Hierarchy) ResolvePath(who Principal, subj Label, path string) (uint64, error) {
 	h.ops.resolves.Inc()
-	// Entries filled under this epoch stay on the O(1) validation path
-	// until the next mutation anywhere (see pathcache.go).
-	ep := h.mutEpoch
-	if h.paths.enabled {
-		// Fast path: the exact name was resolved before for this subject
-		// and nothing along its walk has changed. No parsing needed — a
-		// cache key can only exist if this identical string resolved.
-		sp := h.paths.subjs[subjKey{who: who, label: subj.CacheKey()}]
-		if e := h.paths.lookup(sp, path, ep); e != nil {
-			return e.uid, nil
-		}
-	}
-	var steps []pathStep
-	return h.resolve(who, subj, path, 0, ep, &steps, false)
+	return h.resolve(who, subj, path, 0)
 }
 
-// componentEnds returns, for each path component, the byte offset just past
-// it, so path[:ends[i]] is the canonical prefix naming components 0..i.
-func componentEnds(path string) []int {
-	var ends []int
-	for i := 1; i < len(path); i++ {
-		if path[i] == '>' {
-			ends = append(ends, i)
-		}
-	}
-	return append(ends, len(path))
-}
-
-// resolve walks path from the root. acc accumulates the validation chain:
-// one pathStep per directory whose ACL was checked and entry map read,
-// including directories reached while chasing interior links (a sub-walk's
-// dependencies are the caller's dependencies too — a revocation inside a
-// link target must invalidate every cached prefix that chased the link).
-// probeFull controls whether the full-path cache entry is probed here;
-// ResolvePath already probed it for the top-level call. ep is the mutation
-// epoch when the outermost walk began; entries filled with it are
-// trivially valid while it stays current.
-func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, ep uint64, acc *[]pathStep, probeFull bool) (uint64, error) {
+// resolve walks path from the root; depth counts the links chased so far.
+func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int) (uint64, error) {
 	if depth > maxLinkDepth {
 		return 0, fmt.Errorf("%w: %q", ErrLinkLoop, path)
 	}
@@ -101,46 +67,8 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 	if err != nil {
 		return 0, err
 	}
-	if len(parts) == 0 {
-		return RootUID, nil
-	}
-
-	caching := h.paths.enabled
-	var sp *subjPaths
-	var ends []int
 	cur := uint64(RootUID)
-	start := 0 // first component not satisfied from cache
-	base := 0  // acc length at frame entry; this frame's fills snapshot acc[base:]
-	if caching {
-		// One subject-view fetch serves every prefix probe and fill of
-		// this walk; the per-prefix key is then just the path string.
-		sp = h.paths.viewOrCreate(subjKey{who: who, label: subj.CacheKey()})
-		ends = componentEnds(path)
-		base = len(*acc)
-		// Probe cached prefixes, longest first: a hit at k components
-		// means the walk restarts at component k with the hit's
-		// validation chain adopted as our own.
-		top := len(parts)
-		if !probeFull {
-			top--
-		}
-		for k := top; k >= 1; k-- {
-			e := h.paths.lookup(sp, path[:ends[k-1]], ep)
-			if e == nil {
-				continue
-			}
-			*acc = append(*acc, e.steps...)
-			cur = e.uid
-			start = k
-			break
-		}
-		if start == len(parts) {
-			return cur, nil
-		}
-	}
-
-	for i := start; i < len(parts); i++ {
-		name := parts[i]
+	for i, name := range parts {
 		dir, err := h.directory(cur)
 		if err != nil {
 			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
@@ -149,38 +77,27 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 		if err != nil {
 			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}
-		if caching {
-			*acc = append(*acc, pathStep{obj: dir, aclGen: dir.aclGen, entGen: dir.entGen})
-		}
 		if entry.IsLink() {
 			// Chase the link, then continue with the remaining components.
-			target, err := h.resolve(who, subj, entry.LinkTo, depth+1, ep, acc, true)
+			target, err := h.resolve(who, subj, entry.LinkTo, depth+1)
 			if err != nil {
 				return 0, fmt.Errorf("chasing link %q -> %q: %w", name, entry.LinkTo, err)
 			}
 			cur = target
-		} else {
-			if i < len(parts)-1 {
-				// Interior components must be directories; the next
-				// iteration verifies this, but fail early with a clear error.
-				obj, err := h.Object(entry.UID)
-				if err != nil {
-					return 0, err
-				}
-				if obj.Kind != KindDirectory {
-					return 0, fmt.Errorf("%w: %q in %q", ErrNotDirectory, name, path)
-				}
+			continue
+		}
+		if i < len(parts)-1 {
+			// Interior components must be directories; the next
+			// iteration verifies this, but fail early with a clear error.
+			obj, err := h.Object(entry.UID)
+			if err != nil {
+				return 0, err
 			}
-			cur = entry.UID
+			if obj.Kind != KindDirectory {
+				return 0, fmt.Errorf("%w: %q in %q", ErrNotDirectory, name, path)
+			}
 		}
-		if caching {
-			// Fill the prefix ending at this component. The chain is
-			// snapshot-copied: acc keeps growing and entries are immutable.
-			chain := make([]pathStep, len(*acc)-base)
-			copy(chain, (*acc)[base:])
-			h.paths.store(sp, path[:ends[i]],
-				&pathEntry{uid: cur, epoch: ep, steps: chain})
-		}
+		cur = entry.UID
 	}
 	return cur, nil
 }

@@ -9,11 +9,11 @@ import (
 	"repro/internal/mls"
 )
 
-// The cache tests mirror the SDW associative-memory suite in
-// internal/machine: warm the path cache, mutate the authority a cached walk
-// was derived from, and prove the stale walk or access is never honored —
-// then the inverse, proving unrelated mutations do NOT flush (the cache
-// actually caches).
+// The revocation tests mirror the SDW associative-memory suite in
+// internal/machine: resolve and check a path until it is in steady use,
+// mutate the authority the walk depends on, and prove the stale walk or
+// access is never honored — then the inverse, proving unrelated mutations
+// leave a granted walk working.
 
 func bobPat() acl.Pattern {
 	return acl.Pattern{Person: "Bob", Project: "SDC", Tag: acl.Wildcard}
@@ -32,8 +32,8 @@ func grantStatus(t *testing.T, h *Hierarchy, dir uint64) {
 	}
 }
 
-// warmSeg resolves and checks until the path cache holds bob's walk of
-// path and the segment check has passed.
+// warmSeg resolves path as bob and checks the segment twice; both must
+// succeed.
 func warmSeg(t *testing.T, h *Hierarchy, path string, seg uint64) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
@@ -43,9 +43,6 @@ func warmSeg(t *testing.T, h *Hierarchy, path string, seg uint64) {
 		if _, err := h.CheckSegmentAccess(bob, unc, seg, acl.ModeRead); err != nil {
 			t.Fatalf("warm check: %v", err)
 		}
-	}
-	if st := h.CacheStats(); st.PathHits == 0 {
-		t.Fatalf("cache not warm: %+v", st)
 	}
 }
 
@@ -136,7 +133,7 @@ func TestRevokedDirectoryNeverServedFromPathCache(t *testing.T) {
 			tc.mutate(t, h, uids)
 			uid, err := h.ResolvePath(bob, unc, ">udd>doc")
 			if tc.wantErr && err == nil {
-				t.Fatalf("stale path served from cache: resolved to %#x", uid)
+				t.Fatalf("stale path served: resolved to %#x", uid)
 			}
 		})
 	}
@@ -156,26 +153,21 @@ func TestUnrelatedMutationKeepsEntriesCached(t *testing.T) {
 
 	// Mutations in a *different* subtree: ACL churn on the sibling
 	// segment and a create inside the sibling directory. Neither touches
-	// any object on the cached >udd>doc walk.
+	// any object on the >udd>doc walk.
 	if err := h.SetACL(alice, unc, sib, bobPat(), acl.ModeRead); err != nil {
 		t.Fatal(err)
 	}
 	mustCreate(t, h, alice, other, "sib2", CreateOptions{Kind: KindSegment})
 
-	before := h.CacheStats()
 	if uid, err := h.ResolvePath(bob, unc, ">udd>doc"); err != nil || uid != doc {
 		t.Fatalf("resolve after unrelated churn: %#x, %v", uid, err)
 	}
 	if _, err := h.CheckSegmentAccess(bob, unc, doc, acl.ModeRead); err != nil {
 		t.Fatalf("check after unrelated churn: %v", err)
 	}
-	after := h.CacheStats()
-	if after.PathHits != before.PathHits+1 {
-		t.Errorf("path hit not served from cache: %+v -> %+v", before, after)
-	}
 }
 
-func TestPathPrefixReusedAcrossSiblings(t *testing.T) {
+func TestSiblingResolveWalksEveryComponent(t *testing.T) {
 	h := newHier(t)
 	cur := RootUID
 	for _, name := range []string{"udd", "a", "b"} {
@@ -191,17 +183,18 @@ func TestPathPrefixReusedAcrossSiblings(t *testing.T) {
 	if uid, err := h.ResolvePath(alice, unc, ">udd>a>b>d"); err != nil || uid != d {
 		t.Fatalf("sibling resolve: %#x, %v", uid, err)
 	}
-	// The >udd>a>b prefix was cached by the first walk, so the sibling
-	// resolution performs exactly one directory lookup, not four.
-	if got := h.OpStats().Lookups - st.Lookups; got != 1 {
-		t.Errorf("sibling resolve did %d lookups, want 1", got)
+	// The kernel keeps no name cache: the sibling resolution walks all
+	// four components again, even though the first walk just passed
+	// through >udd>a>b.
+	if got := h.OpStats().Lookups - st.Lookups; got != 4 {
+		t.Errorf("sibling resolve did %d lookups, want 4", got)
 	}
 }
 
 func TestInteriorLinkRevocationInvalidatesCachedPath(t *testing.T) {
-	// >short is a link to >real; >real>doc is cached via >short>doc. A
-	// revocation on >real (inside the link target) must invalidate the
-	// cached >short>doc walk even though the mutation never names >short.
+	// >short is a link to >real; bob reaches >real>doc via >short>doc. A
+	// revocation on >real (inside the link target) must deny the
+	// >short>doc walk even though the mutation never names >short.
 	h := newHier(t)
 	real := mustCreate(t, h, alice, RootUID, "real", CreateOptions{Kind: KindDirectory})
 	grantStatus(t, h, real)
@@ -217,7 +210,7 @@ func TestInteriorLinkRevocationInvalidatesCachedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if uid, err := h.ResolvePath(bob, unc, ">short>doc"); err == nil {
-		t.Fatalf("revoked interior dir served via cached link path: %#x", uid)
+		t.Fatalf("revoked interior dir served via link path: %#x", uid)
 	}
 }
 
@@ -228,11 +221,10 @@ func TestLinkTargetDeleteAndRecreate(t *testing.T) {
 	if err := h.AddLink(alice, unc, RootUID, "ln", ">d>t"); err != nil {
 		t.Fatal(err)
 	}
-	if uid, err := h.ResolvePath(alice, unc, ">ln"); err != nil || uid != old {
-		t.Fatalf("resolve old target: %#x, %v", uid, err)
-	}
-	if uid, err := h.ResolvePath(alice, unc, ">ln"); err != nil || uid != old {
-		t.Fatalf("cached resolve old target: %#x, %v", uid, err)
+	for i := 0; i < 2; i++ {
+		if uid, err := h.ResolvePath(alice, unc, ">ln"); err != nil || uid != old {
+			t.Fatalf("resolve old target (pass %d): %#x, %v", i, uid, err)
+		}
 	}
 	if err := h.Delete(alice, unc, dir, "t"); err != nil {
 		t.Fatal(err)
@@ -243,7 +235,7 @@ func TestLinkTargetDeleteAndRecreate(t *testing.T) {
 	}
 	uid, err := h.ResolvePath(alice, unc, ">ln")
 	if err != nil || uid != fresh {
-		t.Fatalf("resolve after recreate = %#x, %v; want fresh %#x (stale cache?)", uid, err, fresh)
+		t.Fatalf("resolve after recreate = %#x, %v; want fresh %#x", uid, err, fresh)
 	}
 }
 
@@ -259,7 +251,7 @@ func TestLinkChainsUpToMaxDepth(t *testing.T) {
 		}
 		prev = ">" + name
 	}
-	// A chain of exactly maxLinkDepth links resolves (twice: cold and cached)...
+	// A chain of exactly maxLinkDepth links resolves, on every pass...
 	for i := 0; i < 2; i++ {
 		uid, err := h.ResolvePath(alice, unc, fmt.Sprintf(">l%d", maxLinkDepth))
 		if err != nil || uid != seg {
@@ -288,40 +280,9 @@ func TestPathOfBoundedOnLongParentCycle(t *testing.T) {
 	}
 }
 
-func TestCacheDisableFlushesAndBypasses(t *testing.T) {
-	h := newHier(t)
-	dir := mustCreate(t, h, alice, RootUID, "udd", CreateOptions{Kind: KindDirectory})
-	grantStatus(t, h, dir)
-	seg := mustCreate(t, h, alice, dir, "doc", CreateOptions{Kind: KindSegment})
-	if err := h.SetACL(alice, unc, seg, bobPat(), acl.ModeRead); err != nil {
-		t.Fatal(err)
-	}
-	warmSeg(t, h, ">udd>doc", seg)
-	h.SetCacheEnabled(false)
-	st := h.CacheStats()
-	if uid, err := h.ResolvePath(bob, unc, ">udd>doc"); err != nil || uid != seg {
-		t.Fatalf("uncached resolve: %#x, %v", uid, err)
-	}
-	if _, err := h.CheckSegmentAccess(bob, unc, seg, acl.ModeRead); err != nil {
-		t.Fatalf("uncached check: %v", err)
-	}
-	after := h.CacheStats()
-	if after.PathHits != st.PathHits || after.PathFills != st.PathFills {
-		t.Errorf("disabled cache still active: %+v -> %+v", st, after)
-	}
-	h.SetCacheEnabled(true)
-	// The re-enabled cache starts cold but works again.
-	if uid, err := h.ResolvePath(bob, unc, ">udd>doc"); err != nil || uid != seg {
-		t.Fatalf("re-enabled resolve: %#x, %v", uid, err)
-	}
-	if h.CacheStats().PathFills == after.PathFills {
-		t.Error("re-enabled cache did not fill")
-	}
-}
-
-// TestInterleavedResolveAndRevoke interleaves cached resolutions with
-// ACL churn: every revoke must be denied on the very next check, and
-// every re-grant allowed, with the path cache warm from the rounds before.
+// TestInterleavedResolveAndRevoke interleaves resolutions with ACL churn:
+// every revoke must be denied on the very next check, and every re-grant
+// allowed, with the same paths resolved in every round before.
 func TestInterleavedResolveAndRevoke(t *testing.T) {
 	h := newHier(t)
 	const dirs = 8
@@ -360,9 +321,6 @@ func TestInterleavedResolveAndRevoke(t *testing.T) {
 		if err := h.SetACL(alice, unc, segUIDs[i], bobPat(), acl.ModeRead); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := h.CacheStats(); st.PathHits == 0 {
-		t.Fatalf("churn never hit the path cache: %+v", st)
 	}
 	for i, seg := range segUIDs {
 		if err := h.SetACL(alice, unc, seg, bobPat(), 0); err != nil {

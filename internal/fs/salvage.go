@@ -15,9 +15,8 @@ import (
 // The salvager runs with kernel authority on a quiescent hierarchy (at
 // bootstrap, or after the fault plane simulates a crash) — it reaches
 // directly into object state rather than going through the access-checked
-// interfaces. Because its repairs and the fault plane's injected damage
-// bypass the generation counters that keep the path cache honest, both
-// Salvage and CorruptForTesting end by flushing it wholesale.
+// interfaces. The hierarchy keeps no cache of names or decisions, so a
+// repair or an injected fault is seen by the very next walk or check.
 
 // ProblemKind classifies a salvager finding.
 type ProblemKind int
@@ -135,9 +134,6 @@ func (r *SalvageReport) Format() string {
 // security decision the salvager must not make.
 func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 	rep := &SalvageReport{}
-	// Repairs mutate structures without the per-mutation generation
-	// bumps; drop every memoized decision and prefix when done.
-	defer h.FlushCaches()
 
 	// Pass 1: walk from the root, recording reachability and checking
 	// per-entry invariants.
@@ -274,8 +270,6 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 // tests and failure-injection experiments can exercise each problem class.
 // It is exported for tests only and performs no access checks.
 func (h *Hierarchy) CorruptForTesting(kind ProblemKind, uid uint64) error {
-	// Injected damage bypasses the generation discipline entirely.
-	defer h.FlushCaches()
 	obj, ok := h.objects[uid]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrNoSuchUID, uid)
@@ -308,8 +302,7 @@ func (h *Hierarchy) CorruptForTesting(kind ProblemKind, uid uint64) error {
 }
 
 // RelabelForTesting sets an object's label directly, bypassing policy —
-// salvager tests use it to manufacture label inversions. The path cache
-// is invalidated via the normal reclassification bump.
+// salvager tests use it to manufacture label inversions.
 func (h *Hierarchy) RelabelForTesting(uid uint64, label Label) error {
 	return h.Reclassify(uid, label)
 }

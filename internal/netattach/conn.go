@@ -180,12 +180,7 @@ func (c *Conn) Close() error {
 		return nil
 	case StatePending:
 		// Never accepted: withdraw from the accept queue.
-		for i, pc := range fe.acceptq {
-			if pc == c {
-				fe.acceptq = append(fe.acceptq[:i], fe.acceptq[i+1:]...)
-				break
-			}
-		}
+		fe.acceptq.remove(c)
 		c.state = StateClosed
 		delete(fe.conns, c.id)
 		return nil

@@ -38,6 +38,7 @@ package netattach
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -171,8 +172,8 @@ type Frontend struct {
 
 	conns   map[uint64]*Conn
 	nextID  uint64
-	acceptq []*Conn
-	runq    []*Conn
+	acceptq connQueue
+	runq    connQueue
 
 	// outStore (S5+) is the private store behind the reply buffers.
 	outStore   *mem.Store
@@ -344,11 +345,11 @@ func (fe *Frontend) DialAsync(person, project, password string, level mls.Level)
 	fe.nextID++
 	fe.conns[c.id] = c
 	fe.nm.active.Set(int64(len(fe.conns)))
-	fe.acceptq = append(fe.acceptq, c)
+	fe.acceptq.push(c)
 	if err := fe.arrivals.Signal(nil, ipc.Event{From: "netattach.dial", Data: c.id}); err != nil {
 		delete(fe.conns, c.id)
 		fe.nm.active.Set(int64(len(fe.conns)))
-		fe.acceptq = fe.acceptq[:len(fe.acceptq)-1]
+		fe.acceptq.remove(c)
 		return nil, err
 	}
 	return c, nil
@@ -385,12 +386,10 @@ func (fe *Frontend) listenerBody(pc *sched.ProcCtx) {
 		if _, err := fe.arrivals.Await(pc); err != nil {
 			return // channel closed: shutdown
 		}
-		if len(fe.acceptq) == 0 {
+		if fe.acceptq.len() == 0 {
 			continue // dial withdrawn before accept
 		}
-		c := fe.acceptq[0]
-		fe.acceptq = fe.acceptq[1:]
-		fe.accept(pc, c)
+		fe.accept(pc, fe.acceptq.pop())
 	}
 }
 
@@ -451,15 +450,48 @@ func (fe *Frontend) markRunnable(c *Conn) {
 		return
 	}
 	c.queued = true
-	fe.runq = append(fe.runq, c)
+	fe.runq.push(c)
 	_ = fe.work.Signal(nil, ipc.Event{From: "netattach.mux", Data: c.id})
+}
+
+// connQueue is a FIFO of connections that pops in place, the way
+// ipc.Channel pops its events: pop advances a head index and moves the
+// queue down only once the popped prefix is half the slice. A pop costs
+// O(1) however deep a login storm queues, later pushes reuse the array,
+// and vacated slots are cleared so the array keeps no closed connection
+// alive.
+type connQueue struct {
+	conns []*Conn
+	head  int // conns[head:] are queued
+}
+
+func (q *connQueue) len() int { return len(q.conns) - q.head }
+
+func (q *connQueue) push(c *Conn) { q.conns = append(q.conns, c) }
+
+func (q *connQueue) pop() *Conn {
+	c := q.conns[q.head]
+	q.conns[q.head] = nil
+	q.head++
+	if 2*q.head >= len(q.conns) {
+		n := copy(q.conns, q.conns[q.head:])
+		clear(q.conns[n:])
+		q.conns, q.head = q.conns[:n], 0
+	}
+	return c
+}
+
+// remove withdraws c from the queue; the others keep their order.
+func (q *connQueue) remove(c *Conn) {
+	if i := slices.Index(q.conns[q.head:], c); i >= 0 {
+		q.conns = slices.Delete(q.conns, q.head+i, q.head+i+1)
+	}
 }
 
 // popRunnable removes the next serviceable connection from the run queue.
 func (fe *Frontend) popRunnable() *Conn {
-	for len(fe.runq) > 0 {
-		c := fe.runq[0]
-		fe.runq = fe.runq[1:]
+	for fe.runq.len() > 0 {
+		c := fe.runq.pop()
 		if c.state == StateAttached || c.state == StateDraining {
 			return c
 		}
@@ -688,7 +720,7 @@ func (fe *Frontend) Close() error {
 			delete(fe.conns, c.id)
 		}
 	}
-	fe.acceptq = nil
+	fe.acceptq = connQueue{}
 	fe.arrivals.Close()
 	fe.work.Close()
 	fe.pump() // daemons observe the closed channels and exit

@@ -100,39 +100,6 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-echo "== hierarchy cache-invalidation lint"
-# Every hierarchy mutation that changes what a cached path prefix was
-# derived from must bump the owning object's generation counter inside
-# the mutating function — that is the path cache's entire revocation-
-# safety argument (DESIGN.md "Hierarchy caches"). ACL/label mutators must
-# call bumpACLGen; entry-map mutators must call bumpEntGen. The lint
-# extracts each mutator's body from internal/fs/fs.go and fails if the
-# required bump call is missing.
-check_bump() {
-	fn="$1"
-	want="$2"
-	body=$(awk -v fn="$fn" '
-		$0 ~ "^func \\(h \\*Hierarchy\\) " fn "\\(" { in_fn = 1 }
-		in_fn { print }
-		in_fn && /^}/ { exit }
-	' internal/fs/fs.go)
-	if [ -z "$body" ]; then
-		echo "cache-invalidation lint: mutator $fn not found in internal/fs/fs.go" >&2
-		exit 1
-	fi
-	if ! printf '%s' "$body" | grep -q "$want"; then
-		echo "cache-invalidation lint: $fn does not call $want — a cached decision could outlive the mutation" >&2
-		exit 1
-	fi
-}
-check_bump Create bumpEntGen
-check_bump AddLink bumpEntGen
-check_bump Delete bumpEntGen
-check_bump Delete bumpACLGen
-check_bump SetACL bumpACLGen
-check_bump RemoveACL bumpACLGen
-check_bump Reclassify bumpACLGen
-
 echo "== data-path os-import lint"
 # Every byte the kernel persists flows through mem.BackingStore, and the
 # only package allowed to touch the host OS for data-path I/O is the
