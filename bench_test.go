@@ -542,6 +542,38 @@ func BenchmarkSchedSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkLoginLogout times one network session's life on an S6 system:
+// each iteration dials (login through the ring-2 answering service, the
+// attach gate) and closes (the detach gate, process destruction). It is
+// the churn step of perfbench's office workload, outside perfbench. Run it
+// at a fixed count (-benchtime=5000x) when comparing with a kernel that
+// keeps every process, whose cost grows with the iterations already run.
+func BenchmarkLoginLogout(b *testing.B) {
+	sys, err := multics.New(multics.StageRestructured)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(sys.Shutdown)
+	if err := sys.AddUser("Churn", "Net", "churn pw", multics.Secret); err != nil {
+		b.Fatal(err)
+	}
+	session := func() {
+		c, err := sys.Attach("Churn", "Net", "churn pw", multics.Unclassified)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	session() // starts the front-end
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		session()
+	}
+}
+
 // BenchmarkAblationWaterMarks sweeps the parallel pager's free-pool tuning
 // knob over the standard trace (one full trace per iteration).
 func BenchmarkAblationWaterMarks(b *testing.B) {

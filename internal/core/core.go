@@ -162,10 +162,22 @@ type Kernel struct {
 	// procedure segments.
 	programs map[uint64]*programInfo
 
-	// procs tracks live processes; byCPU lets gate implementations find
-	// the calling process.
-	procs []*Proc
-	byCPU map[*machine.Processor]*Proc
+	// procs is the process table: the live processes in id order. byCPU
+	// lets gate implementations find the calling process. lastPID is the
+	// last id handed out; peakProcs is the most processes live at once.
+	procs     []*Proc
+	byCPU     map[*machine.Processor]*Proc
+	lastPID   uint64
+	peakProcs int
+	// spare holds destroyed processes' processors, each with its
+	// descriptor segment and associative memory, for CreateProcess to
+	// reuse.
+	spare []*machine.Processor
+	// mProcsCreated, mProcsDestroyed and mProcsLive count the process
+	// table's traffic on the metrics plane.
+	mProcsCreated   *metrics.Counter
+	mProcsDestroyed *metrics.Counter
+	mProcsLive      *metrics.Gauge
 
 	// channels is the kernel event-channel table.
 	channels map[uint64]*kernelChannel
@@ -219,6 +231,9 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 		metrics:  metrics.New(),
 	}
 	k.metrics.SetNow(k.clock.Now)
+	k.mProcsCreated = k.metrics.Counter("core.procs_created")
+	k.mProcsDestroyed = k.metrics.Counter("core.procs_destroyed")
+	k.mProcsLive = k.metrics.Gauge("core.procs_live")
 	if cfg.Stage == S0Baseline {
 		k.cost = machine.Model645()
 	} else {

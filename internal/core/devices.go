@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/iosys"
 	"repro/internal/mem"
@@ -120,6 +121,24 @@ func (dt *deviceTable) detach(p *Proc, id uint64) error {
 	if d.uid != 0 {
 		if err := dt.store.DeleteSegment(d.uid); err != nil {
 			return fmt.Errorf("core: releasing buffer segment: %w", err)
+		}
+	}
+	return nil
+}
+
+// detachAll detaches every attachment p owns, in id order, so that the
+// buffer segments go back to the free pools in a repeatable order.
+func (dt *deviceTable) detachAll(p *Proc) error {
+	var ids []uint64
+	for id, d := range dt.devices {
+		if d.owner == p {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := dt.detach(p, id); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -86,12 +86,7 @@ func (k *Kernel) processGates() []gdef {
 			}},
 		{name: "hcs_$get_process_id", cat: gate.CatProcess, bracket: userRing, units: 1,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				for i, q := range k.procs {
-					if q == p {
-						return []uint64{uint64(i) + 1}, nil
-					}
-				}
-				return nil, fmt.Errorf("core: calling process not in process table")
+				return []uint64{p.id}, nil
 			}},
 	}
 }
@@ -215,12 +210,7 @@ func (k *Kernel) loginGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				for i, q := range k.procs {
-					if q == np {
-						return []uint64{uint64(i) + 1}, nil
-					}
-				}
-				return nil, fmt.Errorf("core: created process not in table")
+				return []uint64{np.id}, nil
 			}},
 		{name: "as_$logout", cat: gate.CatLogin, bracket: userRing, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -244,12 +234,7 @@ func (k *Kernel) loginGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				for i, q := range k.procs {
-					if q == np {
-						return []uint64{uint64(i) + 1}, nil
-					}
-				}
-				return nil, fmt.Errorf("core: created process not in table")
+				return []uint64{np.id}, nil
 			}},
 	}
 }
@@ -314,13 +299,7 @@ func (k *Kernel) privilegedGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				_ = p
-				for i, q := range k.procs {
-					if q == np {
-						return []uint64{uint64(i) + 1}, nil
-					}
-				}
-				return nil, fmt.Errorf("core: created process not in table")
+				return []uint64{np.id}, nil
 			}},
 		{name: "phcs_$ring0_peek", cat: gate.CatMisc, bracket: machine.SupervisorRing, arity: 1, units: 2, anon: true,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {

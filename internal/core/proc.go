@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/acl"
 	"repro/internal/kst"
@@ -13,6 +16,11 @@ import (
 	"repro/internal/sched"
 )
 
+// ErrProcessDestroyed is returned by a process handle's operations after
+// DestroyProcess: the dead handle reaches nothing, least of all the
+// processor and descriptor segment that a later process reuses.
+var ErrProcessDestroyed = errors.New("core: process destroyed")
+
 // Proc is one Multics process: a descriptor segment, a processor, a known
 // segment table, and — depending on the kernel stage — kernel- or user-ring
 // resident naming and linking machinery.
@@ -21,9 +29,14 @@ type Proc struct {
 	Principal acl.Principal
 	Label     mls.Label
 
+	// DS, CPU and KST are nil once the process is destroyed.
 	DS  *machine.DescriptorSegment
 	CPU *machine.Processor
 	KST *kst.Table
+
+	// id is the process id: 1 for the kernel's first process, one more
+	// for each later one, never reused.
+	id uint64
 
 	// kernelNames is the KERNEL-resident reference-name space, present
 	// only before the Bratt removal (stage < S2). After S2 the name space
@@ -51,13 +64,23 @@ type Proc struct {
 }
 
 // CreateProcess builds a process for the given identity. It is the kernel
-// function that remains privileged at every stage.
+// function that remains privileged at every stage. The processor comes
+// from a destroyed process when one is spare, reset so that it is
+// indistinguishable from a new one; otherwise it is allocated.
 func (k *Kernel) CreateProcess(name string, who acl.Principal, label mls.Label, ring machine.Ring) (*Proc, error) {
 	if !ring.Valid() {
 		return nil, fmt.Errorf("core: invalid ring %d", int(ring))
 	}
-	ds := machine.NewDescriptorSegment(descriptorSlots)
-	cpu := machine.NewProcessor(ds, k.clock, k.cost, ring)
+	var cpu *machine.Processor
+	if n := len(k.spare); n > 0 {
+		cpu = k.spare[n-1]
+		k.spare[n-1] = nil
+		k.spare = k.spare[:n-1]
+		cpu.Reset(k.clock, k.cost, ring)
+	} else {
+		cpu = machine.NewProcessor(machine.NewDescriptorSegment(descriptorSlots), k.clock, k.cost, ring)
+	}
+	ds := cpu.DS
 	p := &Proc{
 		Name:      name,
 		Principal: who,
@@ -117,10 +140,68 @@ func (k *Kernel) CreateProcess(name string, who acl.Principal, label mls.Label, 
 		cpu.Linker = linker.New(&kernelLinkEnv{k: k, p: p}, machine.KernelRing)
 	}
 
+	k.lastPID++
+	p.id = k.lastPID
 	k.procs = append(k.procs, p)
 	k.byCPU[cpu] = p
+	k.peakProcs = max(k.peakProcs, len(k.procs))
+	k.mProcsCreated.Inc()
+	k.mProcsLive.Set(int64(len(k.procs)))
 	return p, nil
 }
+
+// DestroyProcess ends p, the way logout ends a Multics process. It makes
+// every segment p knows unknown, clears the three fixed descriptors,
+// detaches the devices and deletes the event channels that p still owns,
+// and removes p from the process table. p's processor, with its
+// descriptor segment and associative memory, is kept for CreateProcess to
+// reuse. The handle fails closed: its CPU, DS and KST become nil and its
+// operations return ErrProcessDestroyed.
+//
+// Like CreateProcess's own bookkeeping, it charges no virtual cycles: a
+// logout's modelled cost is the detach gate its front-end calls.
+//
+// A process whose body is still running under the scheduler is refused
+// with an error, and nothing changes; so is a destroyed one. An error
+// releasing a device's buffer segment leaves p alive.
+func (k *Kernel) DestroyProcess(p *Proc) error {
+	if p.CPU == nil {
+		return ErrProcessDestroyed
+	}
+	if p.k != k {
+		return fmt.Errorf("core: process %q belongs to another kernel", p.Name)
+	}
+	if p.sched != nil && p.sched.State() != sched.StateDone {
+		return fmt.Errorf("core: process %q is %v under the scheduler", p.Name, p.sched.State())
+	}
+	if err := k.devices.detachAll(p); err != nil {
+		return fmt.Errorf("core: destroying %q: %w", p.Name, err)
+	}
+	k.deleteChannelsOf(p)
+	for _, e := range p.KST.Known() {
+		_ = p.KST.Terminate(e.SegNo) // known, so it cannot fail
+	}
+	for _, seg := range [...]machine.SegNo{SegHCS, SegArgs, SegPHCS} {
+		p.DS.Clear(seg)
+	}
+	delete(k.byCPU, p.CPU)
+	i, _ := slices.BinarySearchFunc(k.procs, p.id, procByID)
+	k.procs = slices.Delete(k.procs, i, i+1)
+	// spare plus live never exceeds the peak live count: a processor
+	// joins spare only as its process leaves the table, and a new one is
+	// allocated only when spare is empty.
+	k.spare = append(k.spare, p.CPU)
+	p.CPU, p.DS, p.KST = nil, nil, nil
+	p.kernelNames = nil
+	k.mProcsDestroyed.Inc()
+	k.mProcsLive.Set(int64(len(k.procs)))
+	return nil
+}
+
+// ID returns the process id that the process gates report.
+func (p *Proc) ID() uint64 { return p.id }
+
+func procByID(p *Proc, id uint64) int { return cmp.Compare(p.id, id) }
 
 // Stage returns the configuration stage of the owning kernel.
 func (p *Proc) Stage() Stage { return p.k.cfg.Stage }
@@ -138,13 +219,41 @@ func (k *Kernel) procFor(cpu *machine.Processor) (*Proc, error) {
 	return p, nil
 }
 
-// Processes returns all processes created on this kernel.
-func (k *Kernel) Processes() []*Proc { return k.procs }
+// Processes returns the live processes, in creation order.
+func (k *Kernel) Processes() []*Proc { return slices.Clone(k.procs) }
+
+// Process returns the live process with the given id.
+func (k *Kernel) Process(id uint64) (*Proc, bool) {
+	i, ok := slices.BinarySearchFunc(k.procs, id, procByID)
+	if !ok {
+		return nil, false
+	}
+	return k.procs[i], true
+}
+
+// ProcessCounts is the population of a kernel's process table.
+type ProcessCounts struct {
+	// Live is the number of live processes; Peak the most that were
+	// live at once.
+	Live, Peak int
+	// Spare is the number of destroyed processes' processors kept for
+	// reuse; it never exceeds Peak.
+	Spare int
+}
+
+// ProcessCounts reports the process table's population.
+func (k *Kernel) ProcessCounts() ProcessCounts {
+	return ProcessCounts{Live: len(k.procs), Peak: k.peakProcs, Spare: len(k.spare)}
+}
 
 // Run executes body as this process's program under the scheduler,
 // returning the layer-2 process. While the body runs, page faults block
-// properly in the scheduler.
+// properly in the scheduler. On a destroyed process Run spawns nothing
+// and returns nil.
 func (p *Proc) Run(body func(pc *sched.ProcCtx)) *sched.Process {
+	if p.CPU == nil {
+		return nil
+	}
 	sp := p.k.sch.Spawn(p.Name, func(pc *sched.ProcCtx) {
 		p.pc = pc
 		p.CPU.Pager = pagectl.ForProcess(p.k.pager, pc)
@@ -164,6 +273,9 @@ func (p *Proc) Run(body func(pc *sched.ProcCtx)) *sched.Process {
 // through a gate. Bytes are packed one per word for simplicity of kernel
 // validation.
 func (p *Proc) WriteArgBytes(b []byte) (off, length uint64, err error) {
+	if p.CPU == nil {
+		return 0, 0, ErrProcessDestroyed
+	}
 	if p.argTop+len(b) > ArgSegWords {
 		p.argTop = 0 // wrap: argument area is transient
 		if len(b) > ArgSegWords {
@@ -188,6 +300,9 @@ func (p *Proc) WriteArgString(s string) (off, length uint64, err error) {
 // ReadArgString reads a string the kernel wrote back into the argument
 // segment at (off, length).
 func (p *Proc) ReadArgString(off, length uint64) (string, error) {
+	if p.CPU == nil {
+		return "", ErrProcessDestroyed
+	}
 	if length > ArgSegWords {
 		return "", fmt.Errorf("core: result length %d implausible", length)
 	}
@@ -205,6 +320,9 @@ func (p *Proc) ReadArgString(off, length uint64) (string, error) {
 // CallGate invokes the named gate through the machine: the call crosses
 // into ring 0 through the gate segment, so every protection check applies.
 func (p *Proc) CallGate(name string, args ...uint64) ([]uint64, error) {
+	if p.CPU == nil {
+		return nil, ErrProcessDestroyed
+	}
 	if idx, err := p.k.regUser.EntryIndex(name); err == nil {
 		return p.CPU.Call(SegHCS, idx, args)
 	}

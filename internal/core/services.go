@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/acl"
 	"repro/internal/fs"
@@ -279,4 +280,20 @@ func (k *Kernel) deleteChannel(p *Proc, id uint64) error {
 	kc.ch.Close()
 	delete(k.channels, id)
 	return nil
+}
+
+// deleteChannelsOf closes and removes every channel p owns, in id order,
+// so that the waiters they release wake in a repeatable order.
+func (k *Kernel) deleteChannelsOf(p *Proc) {
+	var ids []uint64
+	for id, kc := range k.channels {
+		if kc.owner == p {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		k.channels[id].ch.Close()
+		delete(k.channels, id)
+	}
 }

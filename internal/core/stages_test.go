@@ -187,7 +187,10 @@ func TestLoginGatesS0(t *testing.T) {
 	if err != nil {
 		t.Fatalf("as_$login: %v", err)
 	}
-	newProc := k.Processes()[out[0]-1]
+	newProc, ok := k.Process(out[0])
+	if !ok {
+		t.Fatalf("as_$login returned process %d, which is not live", out[0])
+	}
 	if newProc.Principal.Person != "Schroeder" || newProc.CPU.Ring() != machine.UserRing {
 		t.Errorf("logged-in process = %v in %v", newProc.Principal, newProc.CPU.Ring())
 	}

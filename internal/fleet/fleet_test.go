@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -313,5 +314,60 @@ func TestFleetPerMemberFaultPlans(t *testing.T) {
 	}
 	if v, ok, err := s.Conn().TryRecv(); err != nil || !ok || v != 7 {
 		t.Fatalf("echo under faults: %d, %v, %v", v, ok, err)
+	}
+}
+
+// TestFleetChurnKeepsProcessTablesBounded closes and re-attaches 64
+// sessions for 8 rounds, migrating every session to the other kernel
+// before its close every other round. A session's process dies with its
+// connection, so after each round each kernel's live processes are at
+// most its attached sessions plus the answering service's process, and
+// its spare processors never outnumber its peak live count.
+func TestFleetChurnKeepsProcessTablesBounded(t *testing.T) {
+	f := newTestFleet(t, 2)
+	const sessions, rounds = 64, 8
+	live := make([]*Session, sessions)
+	for i := range live {
+		person := fmt.Sprintf("Churn%02d", i)
+		if err := f.AddUser(person, "Net", "churn pw", multics.Secret); err != nil {
+			t.Fatal(err)
+		}
+		s, err := f.Attach(person, "Net", "churn pw", multics.Unclassified)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[i] = s
+	}
+	for round := 1; round <= rounds; round++ {
+		for i, s := range live {
+			if round%2 == 0 {
+				if err := s.Migrate(1 - s.Home()); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("round %d: closing: %v", round, err)
+			}
+			person, project := s.Principal()
+			var err error
+			if live[i], err = f.Attach(person, project, "churn pw", multics.Unclassified); err != nil {
+				t.Fatalf("round %d: re-attaching: %v", round, err)
+			}
+		}
+		for m := 0; m < f.Size(); m++ {
+			attached := f.Member(m).FE.Stats().Active
+			c := f.Member(m).Sys.Kernel.ProcessCounts()
+			if c.Live > attached+1 {
+				t.Errorf("round %d, kernel %d: %d live processes for %d attached sessions", round, m, c.Live, attached)
+			}
+			if c.Spare > c.Peak {
+				t.Errorf("round %d, kernel %d: %d spare processors above peak %d live", round, m, c.Spare, c.Peak)
+			}
+		}
+	}
+	for _, s := range live {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -73,6 +73,21 @@ func NewAssocMemory() *AssocMemory {
 	return &AssocMemory{enabled: true}
 }
 
+// reset returns a to the state NewAssocMemory leaves one in: empty,
+// enabled, counters zeroed and no metrics hookup.
+func (a *AssocMemory) reset() { *a = AssocMemory{enabled: true} }
+
+// Len returns the number of valid entries.
+func (a *AssocMemory) Len() int {
+	n := 0
+	for i := range a.slots {
+		if a.slots[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
 // Enabled reports whether lookups consult the cache.
 func (a *AssocMemory) Enabled() bool { return a.enabled }
 
@@ -139,7 +154,10 @@ func (a *AssocMemory) fill(seg SegNo, ring Ring, sdw *SDW) {
 // descriptor segment calls this from Set and Clear; it also serves a future
 // selective-clear instruction (the 6180's CAMS).
 func (a *AssocMemory) InvalidateSeg(seg SegNo) {
-	for i := range a.slots {
+	// fill keeps (seg, ring) in slot assocSlot(seg, ring), so seg's
+	// entries can only be in these NumRings slots.
+	for r := Ring(0); r < NumRings; r++ {
+		i := assocSlot(seg, r)
 		if a.slots[i].valid && a.slots[i].seg == seg {
 			a.slots[i] = assocEntry{}
 			a.stats.Invalidations++

@@ -126,6 +126,29 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 	}
 }
 
+// TestInvalidateSegFlushesEveryRing checks that invalidating a segment
+// flushes its decisions cached for every ring, and only those.
+func TestInvalidateSegFlushesEveryRing(t *testing.T) {
+	a := NewAssocMemory()
+	sdw := &SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(NumRings - 1)}
+	for _, r := range []Ring{KernelRing, UserRing, NumRings - 1} {
+		a.fill(5, r, sdw)
+	}
+	a.fill(6, UserRing, sdw)
+	a.InvalidateSeg(5)
+	for r := Ring(0); r < NumRings; r++ {
+		if a.lookup(5, r) != nil {
+			t.Errorf("segment 5's entry for %v survived InvalidateSeg", r)
+		}
+	}
+	if a.lookup(6, UserRing) == nil || a.Len() != 1 {
+		t.Errorf("InvalidateSeg(5) left %d entries, want segment 6's one", a.Len())
+	}
+	if got := a.Stats().Invalidations; got != 3 {
+		t.Errorf("invalidations = %d, want 3", got)
+	}
+}
+
 // TestAssocHitMissCounters pins the counter semantics: first reference
 // misses and fills, repeats hit, and disabling the cache stops counting.
 func TestAssocHitMissCounters(t *testing.T) {

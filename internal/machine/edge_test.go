@@ -2,8 +2,12 @@ package machine
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // TestRingRestoredAfterCalleeError verifies the processor restores the
@@ -191,5 +195,106 @@ func TestFaultErrorRendering(t *testing.T) {
 		if c.String() == "" {
 			t.Errorf("empty string for class %d", int(c))
 		}
+	}
+}
+
+// TestResetMakesAFreshProcessor loads a processor with every kind of state
+// it keeps — descriptors, cached decisions, a snapped link, statistics, a
+// pager, a linker, a sink and metrics — and checks that Reset leaves it
+// indistinguishable from a new processor, and detached from the old
+// sink and registry.
+func TestResetMakesAFreshProcessor(t *testing.T) {
+	p, ds, _ := newTestProc(UserRing, Model6180())
+	sink := trace.NewRing(16)
+	reg := metrics.New()
+	p.SetSink(sink)
+	p.SetMetrics(reg)
+	p.Pager = PageFaultHandlerFunc(func(*PageFault) error { return nil })
+	mustSet(t, ds, 1, SDW{Proc: echoProc(), Mode: ModeExecute, Brackets: UserBrackets(UserRing)})
+	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead | ModeWrite, Brackets: UserBrackets(UserRing)})
+	p.Linker = linkerFunc(func(*ExecContext, LinkRef) (LinkTarget, error) { return LinkTarget{Seg: 1}, nil })
+	if _, err := p.CallSym(5, LinkRef{SegName: "echo", EntryName: "main"}, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Store(3, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Load(9, 0); err == nil {
+		t.Fatal("load through an unused descriptor succeeded")
+	}
+
+	clk := NewClock()
+	p.Reset(clk, Model645(), SupervisorRing)
+	fresh := NewProcessor(NewDescriptorSegment(ds.Len()), clk, Model645(), SupervisorRing)
+
+	for seg := SegNo(0); int(seg) < ds.Len(); seg++ {
+		if *ds.SDW(seg) != (SDW{}) {
+			t.Errorf("descriptor %d survived Reset: %+v", seg, *ds.SDW(seg))
+		}
+	}
+	if n := p.Assoc().Len(); n != 0 {
+		t.Errorf("%d associative-memory entries survived Reset", n)
+	}
+	if !reflect.DeepEqual(p.Stats(), fresh.Stats()) {
+		t.Errorf("stats after Reset %+v, fresh %+v", p.Stats(), fresh.Stats())
+	}
+	if n := p.SnappedLinkCount(5); n != 0 {
+		t.Errorf("%d snapped links survived Reset", n)
+	}
+	if p.Pager != nil || p.Linker != nil {
+		t.Errorf("Reset kept pager %v, linker %v", p.Pager, p.Linker)
+	}
+	if p.Ring() != SupervisorRing || p.Clock != clk || p.Cost != Model645() || p.DS != ds {
+		t.Errorf("Reset runs in %v on clock %p, cost %+v, DS %p", p.Ring(), p.Clock, p.Cost, p.DS)
+	}
+	if !p.Assoc().Enabled() {
+		t.Error("associative memory disabled after Reset")
+	}
+
+	// The old sink and registry hear nothing from the reset processor.
+	events, counts := sink.Written(), reg.Snapshot()
+	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(SupervisorRing)})
+	if _, err := p.Load(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Load(9, 0); err == nil {
+		t.Fatal("load through an unused descriptor succeeded")
+	}
+	ds.Clear(3)
+	if sink.Written() != events {
+		t.Error("the reset processor still records faults in the old sink")
+	}
+	if !reflect.DeepEqual(reg.Snapshot(), counts) {
+		t.Error("the reset processor still publishes into the old registry")
+	}
+}
+
+// TestCoreBackingAllocatesOnFirstStore pins the lazy argument-segment
+// storage: reads before any store see zeros without allocating, the
+// length never changes, and the first store or Words call allocates.
+func TestCoreBackingAllocatesOnFirstStore(t *testing.T) {
+	b := NewCoreBacking(4)
+	for off := 0; off < 4; off++ {
+		if w, err := b.ReadWord(off); err != nil || w != 0 {
+			t.Errorf("ReadWord(%d) before any store = %d, %v", off, w, err)
+		}
+	}
+	if _, err := b.ReadWord(4); err == nil {
+		t.Error("ReadWord past the end succeeded")
+	}
+	if err := b.WriteWord(-1, 1); err == nil {
+		t.Error("WriteWord before the start succeeded")
+	}
+	if b.words != nil || b.Length() != 4 {
+		t.Fatalf("before the first store: storage %v, length %d", b.words, b.Length())
+	}
+	if err := b.WriteWord(2, 7); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := b.ReadWord(2); w != 7 || len(b.words) != 4 {
+		t.Errorf("after a store: word %d, storage of %d words", w, len(b.words))
+	}
+	if got := NewCoreBacking(3).Words(); len(got) != 3 {
+		t.Errorf("Words() on an unwritten backing has %d words, want 3", len(got))
 	}
 }

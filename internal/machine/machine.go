@@ -215,6 +215,15 @@ func (d *DescriptorSegment) Clear(seg SegNo) {
 	}
 }
 
+// clearAll removes every descriptor and flushes every attached
+// associative memory.
+func (d *DescriptorSegment) clearAll() {
+	clear(d.sdws)
+	for _, a := range d.assocs {
+		a.Flush()
+	}
+}
+
 // attachAssoc registers an associative memory for invalidation on every
 // descriptor mutation.
 func (d *DescriptorSegment) attachAssoc(a *AssocMemory) {

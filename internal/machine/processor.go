@@ -90,15 +90,46 @@ type Processor struct {
 func NewProcessor(ds *DescriptorSegment, clock *Clock, cost CostModel, ring Ring) *Processor {
 	p := &Processor{
 		DS:      ds,
-		Clock:   clock,
-		Cost:    cost,
-		ring:    ring,
 		stats:   newStats(),
 		linkage: make(map[SegNo]map[LinkRef]LinkTarget),
 		assoc:   NewAssocMemory(),
 	}
 	ds.attachAssoc(p.assoc)
+	p.reset(clock, cost, ring)
 	return p
+}
+
+// Reset makes p a fresh processor executing in ring over its own
+// descriptor segment, now empty: every descriptor is cleared, every
+// associative memory attached to the segment is flushed, and p's own is
+// emptied with its counters zeroed. Nothing an earlier process installed
+// survives — no descriptor, cached decision, snapped link, statistic,
+// pager, linker, sink or metrics hookup — so a kernel can hand a
+// destroyed process's processor to the next process it creates.
+func (p *Processor) Reset(clock *Clock, cost CostModel, ring Ring) {
+	p.DS.clearAll()
+	p.assoc.reset()
+	p.reset(clock, cost, ring)
+}
+
+// reset is the state NewProcessor and Reset share. It is one struct
+// literal, so a field added later starts at its zero value instead of
+// being carried over; only the descriptor segment, the associative memory
+// and the emptied storage of the fault counts, linkage map and call-frame
+// contexts are kept.
+func (p *Processor) reset(clock *Clock, cost CostModel, ring Ring) {
+	clear(p.stats.Faults)
+	clear(p.linkage)
+	*p = Processor{
+		DS:       p.DS,
+		Clock:    clock,
+		Cost:     cost,
+		ring:     ring,
+		stats:    Stats{Faults: p.stats.Faults},
+		linkage:  p.linkage,
+		assoc:    p.assoc,
+		ctxCache: p.ctxCache[:0],
+	}
 }
 
 // Assoc returns the processor's associative memory.

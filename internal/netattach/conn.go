@@ -187,7 +187,7 @@ func (c *Conn) Close() error {
 	case StateFailed:
 		c.state = StateClosed
 		delete(fe.conns, c.id)
-		return nil
+		return fe.endProcess(c)
 	}
 	c.state = StateDraining
 	fe.emit(trace.Event{Name: "drain", Subject: c.id, Outcome: trace.ClassOK})

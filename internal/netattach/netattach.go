@@ -435,10 +435,14 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 	fe.emit(trace.Event{Name: "attach", Subject: c.id, Cost: c.attachLat, Outcome: trace.ClassOK})
 }
 
-// reject records a failed accept.
+// reject records a failed accept. A process that logged in for the
+// connection dies with it.
 func (fe *Frontend) reject(c *Conn, err error) {
 	fe.rejected++
 	fe.nm.rejected.Inc()
+	if derr := fe.endProcess(c); derr != nil {
+		err = fmt.Errorf("%w (and %v)", err, derr)
+	}
 	c.fail(err)
 	fe.emit(trace.Event{Name: "reject", Subject: c.id, Outcome: gate.Classify(err), Detail: err.Error()})
 }
@@ -681,6 +685,9 @@ func (fe *Frontend) finishClose(c *Conn) error {
 			return fmt.Errorf("netattach: detach gate: %w", err)
 		}
 	}
+	if err := fe.endProcess(c); err != nil {
+		return err
+	}
 	if c.out != nil {
 		fe.closedReplyLost += c.out.Lost()
 		fe.nm.replyLost.Add(c.out.Lost())
@@ -693,6 +700,19 @@ func (fe *Frontend) finishClose(c *Conn) error {
 	delete(fe.conns, c.id)
 	fe.nm.active.Set(int64(len(fe.conns)))
 	fe.emit(trace.Event{Name: "close", Subject: c.id, Arg: uint64(c.processed), Outcome: trace.ClassOK})
+	return nil
+}
+
+// endProcess destroys the connection's process, if it has one: a network
+// logout ends the process the login created.
+func (fe *Frontend) endProcess(c *Conn) error {
+	if c.proc == nil {
+		return nil
+	}
+	if err := fe.k.DestroyProcess(c.proc); err != nil {
+		return fmt.Errorf("netattach: destroying process: %w", err)
+	}
+	c.proc = nil
 	return nil
 }
 
@@ -718,6 +738,9 @@ func (fe *Frontend) Close() error {
 		default:
 			c.state = StateClosed
 			delete(fe.conns, c.id)
+			if err := fe.endProcess(c); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	fe.acceptq = connQueue{}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime/debug"
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -60,6 +61,25 @@ type ProcFunc func(pc *ProcCtx)
 // errKilled is panicked inside a simulated process when Shutdown stops
 // its coroutine; the coroutine's body wrapper recovers it.
 var errKilled = errors.New("sched: process killed by scheduler shutdown")
+
+// BodyPanic is the value a process body's panic is re-raised with at the
+// caller of Run or Step. The coroutine's frames are gone by then, so it
+// carries the stack taken inside the body, where the panic happened.
+type BodyPanic struct {
+	// Process names the process whose body panicked.
+	Process string
+	// Value is the body's own panic value.
+	Value any
+	// Stack is debug.Stack() taken in the body's coroutine as the panic
+	// unwound it; it names the panicking function.
+	Stack []byte
+}
+
+// Error reports the original value and the body's stack, which is what a
+// crash prints for an unrecovered BodyPanic.
+func (b *BodyPanic) Error() string {
+	return fmt.Sprintf("%v [in process %q]\n\n%s", b.Value, b.Process, b.Stack)
+}
 
 // VP is a layer-1 virtual processor. Dedicated VPs are permanently bound to
 // one kernel process; pooled VPs are multiplexed among Multics processes by
@@ -211,15 +231,15 @@ func (s *Scheduler) Processes() []*Process { return s.procs }
 // never started; for a suspended one it makes yield return false, so the
 // body unwinds through errKilled and its deferred calls still run. Any
 // other panic in a body reaches the caller of Run, on the driver's
-// goroutine. A body must never call runtime.Goexit: iter.Pull passes it
-// on to the driver too.
+// goroutine, as a *BodyPanic that keeps the body's stack. A body must
+// never call runtime.Goexit: iter.Pull passes it on to the driver too.
 func (s *Scheduler) newProcess(name string, body ProcFunc) *Process {
 	p := &Process{Name: name, state: StateReady}
 	s.procs = append(s.procs, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil && r != errKilled {
-				panic(r)
+				panic(&BodyPanic{Process: name, Value: r, Stack: debug.Stack()})
 			}
 		}()
 		body(&ProcCtx{s: s, p: p, yield: yield})

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -367,17 +368,32 @@ func TestShutdownKillsBlockedProcesses(t *testing.T) {
 	}
 }
 
+// crasherBody is a named process body, so its frame can be looked for in
+// the stack a panic carries out of the coroutine.
+func crasherBody(pc *ProcCtx) {
+	pc.Yield()
+	panic("crasher: boom")
+}
+
 func TestBodyPanicReachesRun(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
 	s.AddVP("cpu-a", false)
-	s.Spawn("crasher", func(pc *ProcCtx) {
-		pc.Yield()
-		panic("crasher: boom")
-	})
+	s.Spawn("crasher", crasherBody)
 	defer func() {
-		if r := recover(); r != "crasher: boom" {
-			t.Errorf("Run's caller recovered %v, want the body's panic value", r)
+		r := recover()
+		bp, ok := r.(*BodyPanic)
+		if !ok {
+			t.Fatalf("Run's caller recovered %T %v, want a *BodyPanic", r, r)
+		}
+		if bp.Value != "crasher: boom" || bp.Process != "crasher" {
+			t.Errorf("BodyPanic carries %v from %q, want the body's panic value from crasher", bp.Value, bp.Process)
+		}
+		if !strings.Contains(string(bp.Stack), "sched.crasherBody(") {
+			t.Errorf("BodyPanic stack does not name the body's function:\n%s", bp.Stack)
+		}
+		if msg := bp.Error(); !strings.Contains(msg, "crasher: boom") || !strings.Contains(msg, "sched.crasherBody(") {
+			t.Errorf("BodyPanic.Error() = %q, want the value and the body's stack", msg)
 		}
 	}()
 	s.Run(0)

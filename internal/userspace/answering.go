@@ -19,6 +19,9 @@ type AnsweringSubsystem struct {
 	k    *core.Kernel
 	proc *core.Proc
 	svc  *auth.Service
+	// created is the id phcs_$create_process returned for the login in
+	// progress, 0 until the gate succeeds.
+	created uint64
 }
 
 // NewAnsweringSubsystem stands up the subsystem. It fails on kernels
@@ -51,22 +54,25 @@ func (a *AnsweringSubsystem) createProcess(s auth.Session) error {
 	if err != nil {
 		return err
 	}
-	_, err = a.proc.CallGate("phcs_$create_process", pOff, pLen, jOff, jLen, uint64(s.Label.Level))
-	return err
+	out, err := a.proc.CallGate("phcs_$create_process", pOff, pLen, jOff, jLen, uint64(s.Label.Level))
+	if err != nil {
+		return err
+	}
+	a.created = out[0]
+	return nil
 }
 
 // Login authenticates and creates the user's process, returning it.
 func (a *AnsweringSubsystem) Login(person, project, password string, level mls.Level) (*core.Proc, error) {
-	before := len(a.k.Processes())
+	a.created = 0
 	sess, err := a.svc.Login(person, project, password, mls.NewLabel(level))
 	if err != nil {
 		return nil, err
 	}
-	procs := a.k.Processes()
-	if len(procs) != before+1 {
+	p, ok := a.k.Process(a.created)
+	if !ok {
 		return nil, fmt.Errorf("userspace: login did not create a process")
 	}
-	p := procs[len(procs)-1]
 	if p.Principal != sess.Principal {
 		return nil, fmt.Errorf("userspace: created process has principal %v, want %v", p.Principal, sess.Principal)
 	}

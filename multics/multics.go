@@ -175,7 +175,10 @@ func (s *System) Login(person, project, password string, level Level) (*Session,
 		if err != nil {
 			return nil, err
 		}
-		p = s.Kernel.Processes()[out[0]-1]
+		var ok bool
+		if p, ok = s.Kernel.Process(out[0]); !ok {
+			return nil, fmt.Errorf("multics: as_$login returned process %d, which is not live", out[0])
+		}
 	}
 	return &Session{sys: s, Proc: p, Env: userspace.NewEnv(p)}, nil
 }

@@ -13,7 +13,12 @@ set -eu
 cd "$(dirname "$0")/.."
 
 pattern="${1:-.}"
-out="BENCH_$(git rev-parse --short HEAD).json"
+# An archive written from uncommitted changes is not HEAD's: say so.
+rev="$(git rev-parse --short HEAD)"
+if ! git diff --quiet HEAD; then
+	rev="$rev-dirty"
+fi
+out="BENCH_$rev.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -36,14 +41,34 @@ fi
 
 go test -run '^$' -bench "$pattern" -benchmem . | tee "$raw"
 
+# Go appends -GOMAXPROCS to every benchmark name when GOMAXPROCS > 1
+# (BenchmarkE1GateCount-2). Archives key benchmarks without it, so that
+# runs with different processor counts compare. common_suffix reads
+# benchmark names and prints the -N that every one ends in, when there is
+# one and N > 1: that is the GOMAXPROCS suffix.
+common_suffix() {
+	awk '
+	{
+	    s = ""
+	    if (match($0, /-[0-9]+$/)) s = substr($0, RSTART)
+	    if (n++ == 0) common = s; else if (s != common) common = ""
+	}
+	END { if (common != "-1") print common }
+	'
+}
+suffix=$(awk '/^Benchmark/ { print $1 }' "$raw" | common_suffix)
+
 # Parse `BenchmarkName  iters  123 ns/op  45 B/op  6 allocs/op  7.0 unit`
 # lines into one JSON object per benchmark.
-awk '
+awk -v suffix="$suffix" '
 BEGIN { print "[" ; first = 1 }
 /^Benchmark/ {
     if (!first) print ","
     first = 0
-    printf "  {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {", $1, $2
+    name = $1
+    if (suffix != "" && substr(name, length(name) - length(suffix) + 1) == suffix)
+        name = substr(name, 1, length(name) - length(suffix))
+    printf "  {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {", name, $2
     sep = ""
     for (i = 3; i < NF; i += 2) {
         printf "%s\"%s\": %s", sep, $(i + 1), $i
@@ -98,7 +123,11 @@ fi
 # more than 20% over the baseline is flagged and fails the run, so a perf
 # regression cannot land silently with a fresh archive. On a full run
 # (no pattern), a benchmark in the baseline but absent from this run is
-# listed as removed; that alone does not fail the run.
+# listed as removed; that alone does not fail the run, but a full run
+# that matches none of the baseline's benchmarks compared nothing and
+# fails. An archive written before this script dropped the GOMAXPROCS
+# suffix still carries it on every name; the delta strips it from such a
+# baseline.
 full=0
 if [ "$pattern" = . ]; then
 	full=1
@@ -106,10 +135,14 @@ fi
 if [ -n "$base" ]; then
 	echo ""
 	echo "delta vs $base:"
-	if ! awk -v limit=20 -v full="$full" '
+	basesuffix=$(sed -n 's/.*"name": "\([^"]*\)".*/\1/p' "$base" | common_suffix)
+	status=0
+	awk -v limit=20 -v full="$full" -v suffix="$basesuffix" '
 	FNR == 1 { fileno++ }
 	match($0, /"name": "[^"]*"/) {
 	    name = substr($0, RSTART + 9, RLENGTH - 10)
+	    if (fileno == 1 && suffix != "" && substr(name, length(name) - length(suffix) + 1) == suffix)
+	        name = substr(name, 1, length(name) - length(suffix))
 	    if (match($0, /"ns\/op": [0-9.eE+-]+/)) {
 	        ns = substr($0, RSTART + 9, RLENGTH - 9)
 	        if (fileno == 1) {
@@ -117,6 +150,7 @@ if [ -n "$base" ]; then
 	            order[++nold] = name
 	        } else if (name in old) {
 	            seen[name] = 1
+	            matched++
 	            pct = (ns - old[name]) / old[name] * 100
 	            mark = ""
 	            if (pct > limit) { mark = "  ** REGRESSION"; bad = 1 }
@@ -131,10 +165,19 @@ if [ -n "$base" ]; then
 	    for (i = 1; full && i <= nold; i++)
 	        if (!(order[i] in seen))
 	            printf "  %-52s %14s ns/op  (removed)\n", order[i], old[order[i]]
-	    exit bad
+	    if (bad) exit 1
+	    if (full && !matched) exit 2
 	}
-	' "$base" "$out"; then
+	' "$base" "$out" || status=$?
+	case $status in
+	0) ;;
+	1)
 		echo "bench: ns/op regression over 20% vs $base (see ** lines above)" >&2
 		exit 1
-	fi
+		;;
+	*)
+		echo "bench: no benchmark of this run matches one in $base, so nothing was compared" >&2
+		exit 1
+		;;
+	esac
 fi
