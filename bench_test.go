@@ -478,9 +478,9 @@ func benchGateDispatch(b *testing.B, traceOn bool) (vcycles, allocs float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := k.Services().UserGates.EntryIndex("hcs_$get_system_info")
-	if err != nil {
-		b.Fatal(err)
+	idx, ok := k.Services().UserGates.EntryIndex("hcs_$get_system_info")
+	if !ok {
+		b.Fatal("no gate hcs_$get_system_info")
 	}
 	call := func() {
 		if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
@@ -657,9 +657,9 @@ func benchMetricsOverhead(b *testing.B, metricsOn bool) (float64, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := svc.UserGates.EntryIndex("hcs_$get_system_info")
-	if err != nil {
-		b.Fatal(err)
+	idx, ok := svc.UserGates.EntryIndex("hcs_$get_system_info")
+	if !ok {
+		b.Fatal("no gate hcs_$get_system_info")
 	}
 	if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
 		b.Fatal(err)

@@ -4,11 +4,9 @@
 // The paper's removal idea: entering a protected subsystem and creating a
 // logged-in process are mechanically the same act, so "the large collection
 // of privileged, protected code used to authenticate and log in users would
-// become non-privileged code". The Service type therefore runs in one of
-// two placements — Privileged (the baseline, where all of this code counts
-// toward the kernel) and Subsystem (the post-removal configuration, where
-// the same code runs as an unprivileged protected subsystem and the kernel
-// retains only a create-process gate).
+// become non-privileged code". The same Service runs behind the kernel's
+// as_$login gate before S4 and, from S4, in the unprivileged answering
+// subsystem, where the kernel retains only a create-process gate.
 package auth
 
 import (
@@ -20,25 +18,6 @@ import (
 	"repro/internal/acl"
 	"repro/internal/mls"
 )
-
-// Placement records where the answering service executes.
-type Placement int
-
-// Service placements.
-const (
-	// Privileged: the login machinery is part of the kernel (baseline).
-	Privileged Placement = iota
-	// Subsystem: the login machinery is an unprivileged protected
-	// subsystem entered through the same mechanism as any other (S4+).
-	Subsystem
-)
-
-func (p Placement) String() string {
-	if p == Subsystem {
-		return "protected-subsystem"
-	}
-	return "privileged"
-}
 
 // Errors returned by the answering service.
 var (
@@ -185,25 +164,24 @@ type Session struct {
 	Label     mls.Label
 }
 
-// ProcessCreator is the single kernel function that remains privileged in
-// the Subsystem placement: create a process for an authenticated principal.
-// The kernel implementation also counts invocations, which lets the
-// experiments show login working identically in both placements.
+// ProcessCreator is the single kernel function that remains privileged
+// once login is demoted to a subsystem: create a process for an
+// authenticated principal.
 type ProcessCreator func(s Session) error
 
 // Service is the answering service.
 type Service struct {
-	Placement Placement
-	registry  *Registry
-	create    ProcessCreator
+	registry *Registry
+	create   ProcessCreator
 
 	// Logins and Failures count outcomes for the reports.
 	Logins, Failures int64
 }
 
-// NewService returns an answering service in the given placement.
-func NewService(placement Placement, registry *Registry, create ProcessCreator) *Service {
-	return &Service{Placement: placement, registry: registry, create: create}
+// NewService returns an answering service over registry. create, when
+// not nil, creates the process of each successful login.
+func NewService(registry *Registry, create ProcessCreator) *Service {
+	return &Service{registry: registry, create: create}
 }
 
 // Login authenticates person/password, validates the project and the
@@ -238,21 +216,3 @@ func (s *Service) Login(person, project, password string, requested mls.Label) (
 	s.Logins++
 	return sess, nil
 }
-
-// KernelCodeUnits reports how much of the answering service counts as
-// protected kernel code in this placement: everything when privileged, only
-// the create-process gate when demoted to a subsystem.
-func (s *Service) KernelCodeUnits() int {
-	if s.Placement == Privileged {
-		return loginCodeUnits + createProcessUnits
-	}
-	return createProcessUnits
-}
-
-// Code-size contributions, in the same arbitrary units as the gate
-// registry: the paper calls the login machinery "the large collection of
-// privileged, protected code".
-const (
-	loginCodeUnits     = 30
-	createProcessUnits = 4
-)

@@ -83,7 +83,7 @@ func TestFailureCounterResetsOnSuccess(t *testing.T) {
 func TestLoginHappyPath(t *testing.T) {
 	r := reg(t)
 	created := 0
-	svc := NewService(Subsystem, r, func(s Session) error { created++; return nil })
+	svc := NewService(r, func(s Session) error { created++; return nil })
 	sess, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Secret, "nato"))
 	if err != nil {
 		t.Fatalf("Login: %v", err)
@@ -98,7 +98,7 @@ func TestLoginHappyPath(t *testing.T) {
 
 func TestLoginAtLowerLabel(t *testing.T) {
 	r := reg(t)
-	svc := NewService(Subsystem, r, nil)
+	svc := NewService(r, nil)
 	if _, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Unclassified)); err != nil {
 		t.Errorf("login below clearance: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestLoginAtLowerLabel(t *testing.T) {
 
 func TestLoginRejections(t *testing.T) {
 	r := reg(t)
-	svc := NewService(Privileged, r, nil)
+	svc := NewService(r, nil)
 	if _, err := svc.Login("Schroeder", "CSR", "bad", mls.NewLabel(mls.Unclassified)); !errors.Is(err, ErrBadPassword) {
 		t.Errorf("bad pw = %v", err)
 	}
@@ -126,7 +126,7 @@ func TestAddProject(t *testing.T) {
 	if err := r.AddProject("Schroeder", "Mitre"); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(Subsystem, r, nil)
+	svc := NewService(r, nil)
 	if _, err := svc.Login("Schroeder", "Mitre", "multics75", mls.NewLabel(mls.Unclassified)); err != nil {
 		t.Errorf("second project login: %v", err)
 	}
@@ -146,26 +146,10 @@ func TestClearanceLookup(t *testing.T) {
 	}
 }
 
-func TestPlacementChangesKernelFootprintNotBehaviour(t *testing.T) {
-	r := reg(t)
-	priv := NewService(Privileged, r, nil)
-	sub := NewService(Subsystem, r, nil)
-	if priv.KernelCodeUnits() <= sub.KernelCodeUnits() {
-		t.Errorf("privileged placement (%d units) must carry more kernel code than subsystem (%d)",
-			priv.KernelCodeUnits(), sub.KernelCodeUnits())
-	}
-	// Identical observable behaviour in both placements.
-	s1, err1 := priv.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Unclassified))
-	s2, err2 := sub.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Unclassified))
-	if err1 != nil || err2 != nil || s1.Principal != s2.Principal {
-		t.Errorf("placements diverge: %v/%v %v/%v", s1, err1, s2, err2)
-	}
-}
-
 func TestCreateProcessFailurePropagates(t *testing.T) {
 	r := reg(t)
 	boom := errors.New("no process slots")
-	svc := NewService(Subsystem, r, func(Session) error { return boom })
+	svc := NewService(r, func(Session) error { return boom })
 	if _, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Unclassified)); !errors.Is(err, boom) {
 		t.Errorf("create failure = %v", err)
 	}
@@ -180,7 +164,7 @@ func TestChangePassword(t *testing.T) {
 	if err := r.AddUser("Racer", "Proj", "old-password", mls.NewLabel(mls.Secret)); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(Subsystem, r, nil)
+	svc := NewService(r, nil)
 	login := func(pw string) error {
 		_, err := svc.Login("Racer", "Proj", pw, mls.NewLabel(mls.Unclassified))
 		return err

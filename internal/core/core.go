@@ -152,7 +152,9 @@ type Kernel struct {
 	sampler *metrics.Sampler
 
 	registry *auth.Registry
-	answer   *auth.Service
+	// answer is the body of as_$login (S0–S3); nil from S4, where the
+	// answering subsystem runs the login outside the kernel.
+	answer *auth.Service
 
 	// faults is the fault plane's injector, when Config.Faults asked for
 	// one; nil otherwise.
@@ -309,11 +311,9 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 	}
 
 	k.registry = auth.NewRegistry()
-	placement := auth.Privileged
-	if cfg.Stage >= S4LoginDemoted {
-		placement = auth.Subsystem
+	if cfg.Stage < S4LoginDemoted {
+		k.answer = auth.NewService(k.registry, nil)
 	}
-	k.answer = auth.NewService(placement, k.registry, nil)
 
 	k.devices = newDeviceTable(cfg.Stage, k.store)
 

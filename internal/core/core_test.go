@@ -107,6 +107,28 @@ func TestUserCannotCallPrivilegedGates(t *testing.T) {
 	}
 }
 
+// TestPrivilegedGateCallAllocatesNothing pins a phcs_ call from ring 2 at
+// 0 allocations, as an hcs_ call is: CallGate tries the hcs_ registry
+// first, and that miss must not build an error.
+func TestPrivilegedGateCallAllocatesNothing(t *testing.T) {
+	k := newKernel(t, S6Restructured)
+	sys := acl.Principal{Person: "Init", Project: "Sys", Tag: "z"}
+	p, err := k.CreateProcess("sys", sys, mls.NewLabel(mls.TopSecret), machine.SupervisorRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"hcs_$get_system_info", "phcs_$shutdown"} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := p.CallGate(name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s from ring 2: %.1f allocs per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestGateArgumentValidation(t *testing.T) {
 	k := newKernel(t, S0Baseline)
 	p := userProc(t, k, alice, unc)

@@ -40,8 +40,6 @@ type Services struct {
 	Pager pagectl.Pager
 	// Users is the answering service's user data base.
 	Users *auth.Registry
-	// Answering is the login service.
-	Answering *auth.Service
 	// Trace is the kernel-crossing trace ring. Every layer of the spine
 	// — gate dispatch, fault delivery, scheduling, network attachment,
 	// fault injection — records into this one ring.
@@ -70,7 +68,6 @@ func (k *Kernel) Services() Services {
 		Scheduler: k.sch,
 		Pager:     k.pager,
 		Users:     k.registry,
-		Answering: k.answer,
 		Trace:     k.trace,
 		UserGates: k.regUser,
 		PrivGates: k.regPriv,

@@ -100,6 +100,32 @@ func (k *Kernel) kernelMalfunction(op string, err error) error {
 	return gate.Malfunction(op, fmt.Errorf("core: SUPERVISOR MALFUNCTION in %s: %w", op, err))
 }
 
+// treeNameArg reads the tree name in the first two argument words and
+// resolves it in ring 0: the S0/S1 kernel naming service. It returns the
+// name with the UID it names.
+func (k *Kernel) treeNameArg(p *Proc, ctx *machine.ExecContext, args []uint64) (string, uint64, error) {
+	path, err := k.readUserString(ctx, args[0], args[1])
+	if err != nil {
+		return "", 0, err
+	}
+	uid, err := k.resolvePathKernel(p, path)
+	return path, uid, err
+}
+
+// refNameArg reads the reference name in the first two argument words and
+// resolves it in the kernel-resident name space (S0/S1).
+func (k *Kernel) refNameArg(p *Proc, ctx *machine.ExecContext, args []uint64) (machine.SegNo, error) {
+	ref, err := k.readUserString(ctx, args[0], args[1])
+	if err != nil {
+		return 0, err
+	}
+	seg, ok := p.kernelNames.Resolve(ref)
+	if !ok {
+		return 0, fmt.Errorf("core: reference name %q not bound", ref)
+	}
+	return seg, nil
+}
+
 // addressSpaceGates is the address-space and reference-name table. Before
 // the Bratt removal it is the wide, path-and-name-keyed family whose
 // implementation drags tree-name resolution and the reference name manager
@@ -127,11 +153,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 	// initiateByPath resolves, initiates, and optionally binds a reference
 	// name, all inside ring 0.
 	initiateByPath := func(p *Proc, ctx *machine.ExecContext, args []uint64) (machine.SegNo, error) {
-		path, err := k.readUserString(ctx, args[0], args[1])
-		if err != nil {
-			return 0, err
-		}
-		uid, err := k.resolvePathKernel(p, path)
+		_, uid, err := k.treeNameArg(p, ctx, args)
 		if err != nil {
 			return 0, err
 		}
@@ -177,13 +199,9 @@ func (k *Kernel) addressSpaceGates() []gdef {
 			}},
 		{name: "hcs_$terminate_name", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				ref, err := k.readUserString(ctx, args[0], args[1])
+				seg, err := k.refNameArg(p, ctx, args)
 				if err != nil {
 					return nil, err
-				}
-				seg, ok := p.kernelNames.Resolve(ref)
-				if !ok {
-					return nil, fmt.Errorf("core: reference name %q not bound", ref)
 				}
 				p.kernelNames.UnbindSegno(seg)
 				return nil, p.KST.Terminate(seg)
@@ -252,25 +270,17 @@ func (k *Kernel) addressSpaceGates() []gdef {
 			}},
 		{name: "hcs_$fs_get_seg_ptr", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				ref, err := k.readUserString(ctx, args[0], args[1])
+				seg, err := k.refNameArg(p, ctx, args)
 				if err != nil {
 					return nil, err
-				}
-				seg, ok := p.kernelNames.Resolve(ref)
-				if !ok {
-					return nil, fmt.Errorf("core: reference name %q not bound", ref)
 				}
 				return []uint64{uint64(seg)}, nil
 			}},
 		{name: "hcs_$fs_get_mode", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				ref, err := k.readUserString(ctx, args[0], args[1])
+				seg, err := k.refNameArg(p, ctx, args)
 				if err != nil {
 					return nil, err
-				}
-				seg, ok := p.kernelNames.Resolve(ref)
-				if !ok {
-					return nil, fmt.Errorf("core: reference name %q not bound", ref)
 				}
 				e, ok := p.KST.Entry(seg)
 				if !ok {
@@ -280,11 +290,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 			}},
 		{name: "hcs_$set_wdir", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				path, err := k.readUserString(ctx, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				uid, err := k.resolvePathKernel(p, path)
+				_, uid, err := k.treeNameArg(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}
@@ -315,11 +321,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 			}},
 		{name: "hcs_$terminate_file", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				path, err := k.readUserString(ctx, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				uid, err := k.resolvePathKernel(p, path)
+				path, uid, err := k.treeNameArg(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}
@@ -409,11 +411,7 @@ func (k *Kernel) linkerGates() []gdef {
 			}},
 		{name: "hcs_$add_search_rule", cat: gate.CatLinker, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				path, err := k.readUserString(ctx, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				uid, err := k.resolvePathKernel(p, path)
+				_, uid, err := k.treeNameArg(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}

@@ -8,147 +8,133 @@ import (
 	"repro/internal/fs"
 	"repro/internal/gate"
 	"repro/internal/machine"
-	"repro/internal/mls"
 )
 
-// fileSystemGates is the directory-control table. The shape changes at
-// S2: before the Bratt removal every operation is keyed by a
-// character-string tree name the kernel resolves; afterwards operations
-// are keyed by a directory segment number plus an entry name, and the
-// tree walk happens in the user ring.
+// fileSystemGates is the directory-control table. Each operation is
+// written once; the stage picks only how a gate names its target. Before
+// the Bratt removal (S0/S1) every key is a character-string tree name the
+// kernel resolves. From S2 a directory is named by its segment number and
+// an entry by that number plus the entry name, and the tree walk happens
+// in the user ring through the walk gates that open the table.
 func (k *Kernel) fileSystemGates() []gdef {
-	if k.cfg.Stage >= S2RefNamesRemoved {
-		return k.segnoKeyedFSGates()
+	treeName := fsKey{width: 2, uid: func(p *Proc, ctx *machine.ExecContext, args []uint64) (uint64, error) {
+		_, uid, err := k.treeNameArg(p, ctx, args)
+		return uid, err
+	}}
+	dirKey, entryKey := treeName, treeName
+	var defs []gdef
+	segno := k.cfg.Stage >= S2RefNamesRemoved
+	if segno {
+		defs = k.walkGates()
+		dirKey = fsKey{width: 1, uid: func(p *Proc, ctx *machine.ExecContext, args []uint64) (uint64, error) {
+			return k.dirArg(p, args[0])
+		}}
+		entryKey = fsKey{width: 3, uid: func(p *Proc, ctx *machine.ExecContext, args []uint64) (uint64, error) {
+			e, err := k.lookupArg(p, ctx, args)
+			if err != nil {
+				return 0, err
+			}
+			if e.IsLink() {
+				return 0, fmt.Errorf("core: %q is a link", e.Name)
+			}
+			return e.UID, nil
+		}}
 	}
-	return k.pathKeyedFSGates()
-}
-
-// dirArg converts a directory segment-number argument to the directory
-// object, verifying it really is a known directory of the caller.
-func (k *Kernel) dirArg(p *Proc, arg uint64) (*fs.Object, error) {
-	uid, ok := p.KST.UIDForSegNo(machine.SegNo(arg))
-	if !ok {
-		return nil, fmt.Errorf("core: directory segment %d not known", arg)
-	}
-	obj, err := k.hier.Object(uid)
-	if err != nil {
-		return nil, err
-	}
-	if obj.Kind != fs.KindDirectory {
-		return nil, fmt.Errorf("%w: segment %d", fs.ErrNotDirectory, arg)
-	}
-	return obj, nil
-}
-
-// createBranch is the shared create implementation.
-func (k *Kernel) createBranch(p *Proc, dirUID uint64, name string, kindFlag uint64) (uint64, error) {
-	kind := fs.KindSegment
-	if kindFlag != 0 {
-		kind = fs.KindDirectory
-	}
-	return k.hier.Create(p.Principal, p.Label, dirUID, name, fs.CreateOptions{
-		Kind:  kind,
-		Label: p.Label, // created objects carry the creating process's label
-	})
-}
-
-// aclArgs decodes (patternOff, patternLen, modeBits) into an ACL pattern
-// and mode.
-func (k *Kernel) aclArgs(ctx *machine.ExecContext, patOff, patLen, modeBits uint64) (acl.Pattern, acl.Mode, error) {
-	patStr, err := k.readUserString(ctx, patOff, patLen)
-	if err != nil {
-		return acl.Pattern{}, 0, err
-	}
-	pat, err := acl.ParsePattern(patStr)
-	if err != nil {
-		return acl.Pattern{}, 0, err
-	}
-	if modeBits > uint64(acl.ModeRead|acl.ModeExecute|acl.ModeWrite|acl.ModeStatus|acl.ModeModify|acl.ModeAppend) {
-		return acl.Pattern{}, 0, fmt.Errorf("core: invalid mode bits %#x", modeBits)
-	}
-	return pat, acl.Mode(modeBits), nil
-}
-
-func formatACL(entries []acl.Entry) string {
-	lines := make([]string, len(entries))
-	for i, e := range entries {
-		lines[i] = e.String()
-	}
-	return strings.Join(lines, "\n")
-}
-
-// statusWords packs status results.
-func statusWords(obj *fs.Object) []uint64 {
-	kind := uint64(0)
-	if obj.Kind == fs.KindDirectory {
-		kind = 1
-	}
-	return []uint64{kind, uint64(obj.BitCount()), obj.UID}
-}
-
-// pathKeyedFSGates is the S0/S1 interface table.
-func (k *Kernel) pathKeyedFSGates() []gdef {
-	// resolveDir handles a (pathOff, pathLen) pair naming any object.
-	resolveDir := func(ctx *machine.ExecContext, p *Proc, off, length uint64) (uint64, error) {
-		path, err := k.readUserString(ctx, off, length)
-		if err != nil {
-			return 0, err
+	for _, op := range k.dirOps() {
+		key, units := dirKey, op.units[0]
+		if op.entry {
+			key = entryKey
 		}
-		return k.resolvePathKernel(p, path)
-	}
-
-	return []gdef{
-		{name: "hcs_$append_branch", cat: gate.CatFileSystem, bracket: userRing, arity: 5, units: 5,
+		if segno {
+			units = op.units[1]
+		}
+		defs = append(defs, gdef{name: op.name, cat: gate.CatFileSystem, bracket: userRing,
+			arity: key.width + op.rest, units: units,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dirUID, err := resolveDir(ctx, p, args[0], args[1])
+				uid, err := key.uid(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}
-				name, err := k.readUserString(ctx, args[2], args[3])
+				return op.body(p, ctx, uid, args[key.width:])
+			}})
+	}
+	if !segno {
+		defs = append(defs, gdef{name: "hcs_$get_uid", cat: gate.CatFileSystem, bracket: userRing,
+			arity: treeName.width, units: 2,
+			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
+				uid, err := treeName.uid(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}
-				uid, err := k.createBranch(p, dirUID, name, args[4])
+				return []uint64{uid}, nil
+			}})
+	}
+	return defs
+}
+
+// fsKey decodes the leading width argument words of a directory-control
+// gate to the UID of the gate's target.
+type fsKey struct {
+	width int
+	uid   func(p *Proc, ctx *machine.ExecContext, args []uint64) (uint64, error)
+}
+
+// dirOp is one directory-control operation, the same at every stage.
+type dirOp struct {
+	name  string
+	rest  int    // argument words after the key
+	entry bool   // the key names an entry; otherwise a directory
+	units [2]int // declared code units keyed by tree name (S0/S1), by segment number (S2+)
+	// body acts on the target whose UID the key decoded; args are the
+	// words after the key.
+	body func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error)
+}
+
+// dirOps is the directory-control table, in registration order.
+func (k *Kernel) dirOps() []dirOp {
+	return []dirOp{
+		{name: "hcs_$append_branch", rest: 3, units: [2]int{5, 3},
+			body: func(p *Proc, ctx *machine.ExecContext, dir uint64, args []uint64) ([]uint64, error) {
+				name, err := k.readUserString(ctx, args[0], args[1])
+				if err != nil {
+					return nil, err
+				}
+				kind := fs.KindSegment
+				if args[2] != 0 {
+					kind = fs.KindDirectory
+				}
+				uid, err := k.hier.Create(p.Principal, p.Label, dir, name, fs.CreateOptions{
+					Kind:  kind,
+					Label: p.Label, // created objects carry the creating process's label
+				})
 				if err != nil {
 					return nil, err
 				}
 				return []uint64{uid}, nil
 			}},
-		{name: "hcs_$append_link", cat: gate.CatFileSystem, bracket: userRing, arity: 6, units: 3,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dirUID, err := resolveDir(ctx, p, args[0], args[1])
+		{name: "hcs_$append_link", rest: 4, units: [2]int{3, 2},
+			body: func(p *Proc, ctx *machine.ExecContext, dir uint64, args []uint64) ([]uint64, error) {
+				name, err := k.readUserString(ctx, args[0], args[1])
 				if err != nil {
 					return nil, err
 				}
-				name, err := k.readUserString(ctx, args[2], args[3])
+				target, err := k.readUserString(ctx, args[2], args[3])
 				if err != nil {
 					return nil, err
 				}
-				target, err := k.readUserString(ctx, args[4], args[5])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.AddLink(p.Principal, p.Label, dirUID, name, target)
+				return nil, k.hier.AddLink(p.Principal, p.Label, dir, name, target)
 			}},
-		{name: "hcs_$delete_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 4, units: 4,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dirUID, err := resolveDir(ctx, p, args[0], args[1])
+		{name: "hcs_$delete_entry", rest: 2, units: [2]int{4, 2},
+			body: func(p *Proc, ctx *machine.ExecContext, dir uint64, args []uint64) ([]uint64, error) {
+				name, err := k.readUserString(ctx, args[0], args[1])
 				if err != nil {
 					return nil, err
 				}
-				name, err := k.readUserString(ctx, args[2], args[3])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.Delete(p.Principal, p.Label, dirUID, name)
+				return nil, k.hier.Delete(p.Principal, p.Label, dir, name)
 			}},
-		{name: "hcs_$list_dir", cat: gate.CatFileSystem, bracket: userRing, arity: 2, units: 4,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dirUID, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				entries, err := k.hier.List(p.Principal, p.Label, dirUID)
+		{name: "hcs_$list_dir", units: [2]int{4, 2},
+			body: func(p *Proc, ctx *machine.ExecContext, dir uint64, args []uint64) ([]uint64, error) {
+				entries, err := k.hier.List(p.Principal, p.Label, dir)
 				if err != nil {
 					return nil, err
 				}
@@ -156,125 +142,66 @@ func (k *Kernel) pathKeyedFSGates() []gdef {
 				for i, e := range entries {
 					names[i] = e.Name
 				}
-				off, length, err := k.writeUserString(ctx, strings.Join(names, "\n"))
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{off, length, uint64(len(entries))}, nil
+				return k.writeList(ctx, names)
 			}},
-		{name: "hcs_$add_acl_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 5, units: 4,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1]) // any object path
+		{name: "hcs_$add_acl_entry", rest: 3, entry: true, units: [2]int{4, 3},
+			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
+				pat, err := k.patternArg(ctx, args[0], args[1])
 				if err != nil {
 					return nil, err
 				}
-				pat, mode, err := k.aclArgs(ctx, args[2], args[3], args[4])
-				if err != nil {
-					return nil, err
+				if args[2] > uint64(acl.ModeRead|acl.ModeExecute|acl.ModeWrite|acl.ModeStatus|acl.ModeModify|acl.ModeAppend) {
+					return nil, fmt.Errorf("core: invalid mode bits %#x", args[2])
 				}
-				return nil, k.hier.SetACL(p.Principal, p.Label, uid, pat, mode)
+				return nil, k.hier.SetACL(p.Principal, p.Label, uid, pat, acl.Mode(args[2]))
 			}},
-		{name: "hcs_$delete_acl_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 4, units: 3,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				patStr, err := k.readUserString(ctx, args[2], args[3])
-				if err != nil {
-					return nil, err
-				}
-				pat, err := acl.ParsePattern(patStr)
+		{name: "hcs_$delete_acl_entry", rest: 2, entry: true, units: [2]int{3, 2},
+			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
+				pat, err := k.patternArg(ctx, args[0], args[1])
 				if err != nil {
 					return nil, err
 				}
 				return nil, k.hier.RemoveACL(p.Principal, p.Label, uid, pat)
 			}},
-		{name: "hcs_$list_acl", cat: gate.CatFileSystem, bracket: userRing, arity: 2, units: 3,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
+		{name: "hcs_$list_acl", entry: true, units: [2]int{3, 2},
+			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
 				obj, err := k.hier.Object(uid)
 				if err != nil {
 					return nil, err
 				}
-				off, length, err := k.writeUserString(ctx, formatACL(obj.ACLEntries()))
-				if err != nil {
-					return nil, err
+				entries := obj.ACLEntries()
+				lines := make([]string, len(entries))
+				for i, e := range entries {
+					lines[i] = e.String()
 				}
-				return []uint64{off, length, uint64(len(obj.ACLEntries()))}, nil
+				return k.writeList(ctx, lines)
 			}},
-		{name: "hcs_$status", cat: gate.CatFileSystem, bracket: userRing, arity: 2, units: 4,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
+		{name: "hcs_$status", entry: true, units: [2]int{4, 2},
+			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
 				obj, err := k.hier.Object(uid)
 				if err != nil {
 					return nil, err
 				}
-				return statusWords(obj), nil
+				return []uint64{kindWord(obj), uint64(obj.BitCount()), obj.UID}, nil
 			}},
-		{name: "hcs_$set_bc", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
+		{name: "hcs_$set_bc", rest: 1, entry: true, units: [2]int{2, 1},
+			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
 				if _, err := k.hier.CheckSegmentAccess(p.Principal, p.Label, uid, acl.ModeWrite); err != nil {
 					return nil, err
 				}
-				if err := k.hier.SetBitCount(uid, int(args[2])); err != nil {
-					return nil, err
-				}
-				return nil, nil
+				return nil, k.hier.SetBitCount(uid, int(args[0]))
 			}},
-		{name: "hcs_$set_max_length", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.SetLength(p.Principal, p.Label, uid, int(args[2]))
-			}},
-		{name: "hcs_$get_uid", cat: gate.CatFileSystem, bracket: userRing, arity: 2, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := resolveDir(ctx, p, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{uid}, nil
+		{name: "hcs_$set_max_length", rest: 1, entry: true, units: [2]int{2, 1},
+			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
+				return nil, k.hier.SetLength(p.Principal, p.Label, uid, int(args[0]))
 			}},
 	}
 }
 
-// segnoKeyedFSGates is the S2+ interface table: the Bratt design, keyed
-// by directory segment numbers. Tree-name resolution is gone from the
-// kernel.
-func (k *Kernel) segnoKeyedFSGates() []gdef {
-	// entryUID resolves the common (dirSegno, nameOff, nameLen) key.
-	entryUID := func(ctx *machine.ExecContext, p *Proc, dirArg, nameOff, nameLen uint64) (uint64, error) {
-		dir, err := k.dirArg(p, dirArg)
-		if err != nil {
-			return 0, err
-		}
-		name, err := k.readUserString(ctx, nameOff, nameLen)
-		if err != nil {
-			return 0, err
-		}
-		entry, err := k.hier.Lookup(p.Principal, p.Label, dir.UID, name)
-		if err != nil {
-			return 0, err
-		}
-		if entry.IsLink() {
-			return 0, fmt.Errorf("core: %q is a link", name)
-		}
-		return entry.UID, nil
-	}
-
+// walkGates are the S2+ gates through which the user ring walks the tree
+// itself: the root directory, one step down into a directory, and one
+// entry lookup that reports links instead of following them.
+func (k *Kernel) walkGates() []gdef {
 	return []gdef{
 		{name: "hcs_$root_dir", cat: gate.CatFileSystem, bracket: userRing, units: 1,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -286,22 +213,14 @@ func (k *Kernel) segnoKeyedFSGates() []gdef {
 			}},
 		{name: "hcs_$initiate_dir", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dir, err := k.dirArg(p, args[0])
+				e, err := k.lookupArg(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}
-				name, err := k.readUserString(ctx, args[1], args[2])
-				if err != nil {
-					return nil, err
+				if e.IsLink() {
+					return nil, fmt.Errorf("core: %q is a link; resolve it in the user ring", e.Name)
 				}
-				entry, err := k.hier.Lookup(p.Principal, p.Label, dir.UID, name)
-				if err != nil {
-					return nil, err
-				}
-				if entry.IsLink() {
-					return nil, fmt.Errorf("core: %q is a link; resolve it in the user ring", name)
-				}
-				seg, err := k.initiateDir(p, entry.UID)
+				seg, err := k.initiateDir(p, e.UID)
 				if err != nil {
 					return nil, err
 				}
@@ -309,185 +228,81 @@ func (k *Kernel) segnoKeyedFSGates() []gdef {
 			}},
 		{name: "hcs_$lookup_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dir, err := k.dirArg(p, args[0])
+				e, err := k.lookupArg(p, ctx, args)
 				if err != nil {
 					return nil, err
 				}
-				name, err := k.readUserString(ctx, args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				entry, err := k.hier.Lookup(p.Principal, p.Label, dir.UID, name)
-				if err != nil {
-					return nil, err
-				}
-				if entry.IsLink() {
-					off, length, err := k.writeUserString(ctx, entry.LinkTo)
+				if e.IsLink() {
+					off, length, err := k.writeUserString(ctx, e.LinkTo)
 					if err != nil {
 						return nil, err
 					}
 					return []uint64{0, 2, off, length}, nil // isLink marker
 				}
-				obj, err := k.hier.Object(entry.UID)
+				obj, err := k.hier.Object(e.UID)
 				if err != nil {
 					return nil, err
 				}
-				kind := uint64(0)
-				if obj.Kind == fs.KindDirectory {
-					kind = 1
-				}
-				return []uint64{entry.UID, kind, 0, 0}, nil
-			}},
-		{name: "hcs_$append_branch", cat: gate.CatFileSystem, bracket: userRing, arity: 4, units: 3,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dir, err := k.dirArg(p, args[0])
-				if err != nil {
-					return nil, err
-				}
-				name, err := k.readUserString(ctx, args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				uid, err := k.createBranch(p, dir.UID, name, args[3])
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{uid}, nil
-			}},
-		{name: "hcs_$append_link", cat: gate.CatFileSystem, bracket: userRing, arity: 5, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dir, err := k.dirArg(p, args[0])
-				if err != nil {
-					return nil, err
-				}
-				name, err := k.readUserString(ctx, args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				target, err := k.readUserString(ctx, args[3], args[4])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.AddLink(p.Principal, p.Label, dir.UID, name, target)
-			}},
-		{name: "hcs_$delete_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dir, err := k.dirArg(p, args[0])
-				if err != nil {
-					return nil, err
-				}
-				name, err := k.readUserString(ctx, args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.Delete(p.Principal, p.Label, dir.UID, name)
-			}},
-		{name: "hcs_$list_dir", cat: gate.CatFileSystem, bracket: userRing, arity: 1, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				dir, err := k.dirArg(p, args[0])
-				if err != nil {
-					return nil, err
-				}
-				entries, err := k.hier.List(p.Principal, p.Label, dir.UID)
-				if err != nil {
-					return nil, err
-				}
-				names := make([]string, len(entries))
-				for i, e := range entries {
-					names[i] = e.Name
-				}
-				off, length, err := k.writeUserString(ctx, strings.Join(names, "\n"))
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{off, length, uint64(len(entries))}, nil
-			}},
-		{name: "hcs_$add_acl_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 6, units: 3,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := entryUID(ctx, p, args[0], args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				pat, mode, err := k.aclArgs(ctx, args[3], args[4], args[5])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.SetACL(p.Principal, p.Label, uid, pat, mode)
-			}},
-		{name: "hcs_$delete_acl_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 5, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := entryUID(ctx, p, args[0], args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				patStr, err := k.readUserString(ctx, args[3], args[4])
-				if err != nil {
-					return nil, err
-				}
-				pat, err := acl.ParsePattern(patStr)
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.RemoveACL(p.Principal, p.Label, uid, pat)
-			}},
-		{name: "hcs_$list_acl", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := entryUID(ctx, p, args[0], args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				obj, err := k.hier.Object(uid)
-				if err != nil {
-					return nil, err
-				}
-				off, length, err := k.writeUserString(ctx, formatACL(obj.ACLEntries()))
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{off, length, uint64(len(obj.ACLEntries()))}, nil
-			}},
-		{name: "hcs_$status", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := entryUID(ctx, p, args[0], args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				obj, err := k.hier.Object(uid)
-				if err != nil {
-					return nil, err
-				}
-				return statusWords(obj), nil
-			}},
-		{name: "hcs_$set_bc", cat: gate.CatFileSystem, bracket: userRing, arity: 4, units: 1,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := entryUID(ctx, p, args[0], args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				if _, err := k.hier.CheckSegmentAccess(p.Principal, p.Label, uid, acl.ModeWrite); err != nil {
-					return nil, err
-				}
-				if err := k.hier.SetBitCount(uid, int(args[3])); err != nil {
-					return nil, err
-				}
-				return nil, nil
-			}},
-		{name: "hcs_$set_max_length", cat: gate.CatFileSystem, bracket: userRing, arity: 4, units: 1,
-			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				uid, err := entryUID(ctx, p, args[0], args[1], args[2])
-				if err != nil {
-					return nil, err
-				}
-				return nil, k.hier.SetLength(p.Principal, p.Label, uid, int(args[3]))
+				return []uint64{e.UID, kindWord(obj), 0, 0}, nil
 			}},
 	}
 }
 
-// labelForLevel builds an MLS label from a packed level word (level only;
-// compartments are set by richer interfaces).
-func labelForLevel(level uint64) (mls.Label, error) {
-	if level > uint64(mls.TopSecret) {
-		return mls.Label{}, fmt.Errorf("core: invalid level %d", level)
+// dirArg converts a directory segment-number argument to the directory's
+// UID, verifying it really is a known directory of the caller.
+func (k *Kernel) dirArg(p *Proc, arg uint64) (uint64, error) {
+	uid, ok := p.KST.UIDForSegNo(machine.SegNo(arg))
+	if !ok {
+		return 0, fmt.Errorf("core: directory segment %d not known", arg)
 	}
-	return mls.NewLabel(mls.Level(level)), nil
+	obj, err := k.hier.Object(uid)
+	if err != nil {
+		return 0, err
+	}
+	if obj.Kind != fs.KindDirectory {
+		return 0, fmt.Errorf("%w: segment %d", fs.ErrNotDirectory, arg)
+	}
+	return uid, nil
+}
+
+// lookupArg decodes (dirSegno, nameOff, nameLen) and looks the named
+// entry up: one step of the user-ring tree walk (S2+).
+func (k *Kernel) lookupArg(p *Proc, ctx *machine.ExecContext, args []uint64) (*fs.DirEntry, error) {
+	dir, err := k.dirArg(p, args[0])
+	if err != nil {
+		return nil, err
+	}
+	name, err := k.readUserString(ctx, args[1], args[2])
+	if err != nil {
+		return nil, err
+	}
+	return k.hier.Lookup(p.Principal, p.Label, dir, name)
+}
+
+// patternArg decodes a (patternOff, patternLen) pair into an ACL pattern.
+func (k *Kernel) patternArg(ctx *machine.ExecContext, off, length uint64) (acl.Pattern, error) {
+	s, err := k.readUserString(ctx, off, length)
+	if err != nil {
+		return acl.Pattern{}, err
+	}
+	return acl.ParsePattern(s)
+}
+
+// writeList writes lines, newline-separated, into the caller's result
+// area and returns (offset, length, count).
+func (k *Kernel) writeList(ctx *machine.ExecContext, lines []string) ([]uint64, error) {
+	off, length, err := k.writeUserString(ctx, strings.Join(lines, "\n"))
+	if err != nil {
+		return nil, err
+	}
+	return []uint64{off, length, uint64(len(lines))}, nil
+}
+
+// kindWord is the status word for an object's kind: 1 for a directory,
+// 0 for a segment.
+func kindWord(obj *fs.Object) uint64 {
+	if obj.Kind == fs.KindDirectory {
+		return 1
+	}
+	return 0
 }

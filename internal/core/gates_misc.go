@@ -9,6 +9,7 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/mls"
 )
 
 // processGates is the process and IPC table, identical in shape at every
@@ -186,19 +187,7 @@ func (k *Kernel) loginGates() []gdef {
 	return []gdef{
 		{name: "as_$login", cat: gate.CatLogin, bracket: userRing, arity: 7, units: 10,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				person, err := k.readUserString(ctx, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				project, err := k.readUserString(ctx, args[2], args[3])
-				if err != nil {
-					return nil, err
-				}
-				password, err := k.readUserString(ctx, args[4], args[5])
-				if err != nil {
-					return nil, err
-				}
-				label, err := labelForLevel(args[6])
+				person, project, password, label, err := k.loginArgs(ctx, args)
 				if err != nil {
 					return nil, err
 				}
@@ -239,6 +228,35 @@ func (k *Kernel) loginGates() []gdef {
 	}
 }
 
+// loginArgs decodes a login's arguments in order: the person and project
+// names, the password when the gate takes one (as_$login's seven words;
+// phcs_$create_process has five), and the requested level in the last
+// word. The results are meaningless when err is not nil.
+func (k *Kernel) loginArgs(ctx *machine.ExecContext, args []uint64) (person, project, password string, label mls.Label, err error) {
+	if person, err = k.readUserString(ctx, args[0], args[1]); err != nil {
+		return
+	}
+	if project, err = k.readUserString(ctx, args[2], args[3]); err != nil {
+		return
+	}
+	if len(args) == 7 {
+		if password, err = k.readUserString(ctx, args[4], args[5]); err != nil {
+			return
+		}
+	}
+	label, err = labelForLevel(args[len(args)-1])
+	return
+}
+
+// labelForLevel builds an MLS label from a packed level word (level only;
+// compartments are set by richer interfaces).
+func labelForLevel(level uint64) (mls.Label, error) {
+	if level > uint64(mls.TopSecret) {
+		return mls.Label{}, fmt.Errorf("core: invalid level %d", level)
+	}
+	return mls.NewLabel(mls.Level(level)), nil
+}
+
 // miscGates is the small status table present at every stage.
 func (k *Kernel) miscGates() []gdef {
 	return []gdef{
@@ -273,15 +291,7 @@ func (k *Kernel) privilegedGates() []gdef {
 	return []gdef{
 		{name: "phcs_$create_process", cat: gate.CatProcess, bracket: machine.SupervisorRing, arity: 5, units: 4,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				person, err := k.readUserString(ctx, args[0], args[1])
-				if err != nil {
-					return nil, err
-				}
-				project, err := k.readUserString(ctx, args[2], args[3])
-				if err != nil {
-					return nil, err
-				}
-				label, err := labelForLevel(args[4])
+				person, project, _, label, err := k.loginArgs(ctx, args)
 				if err != nil {
 					return nil, err
 				}

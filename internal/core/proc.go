@@ -323,14 +323,13 @@ func (p *Proc) CallGate(name string, args ...uint64) ([]uint64, error) {
 	if p.CPU == nil {
 		return nil, ErrProcessDestroyed
 	}
-	if idx, err := p.k.regUser.EntryIndex(name); err == nil {
+	if idx, ok := p.k.regUser.EntryIndex(name); ok {
 		return p.CPU.Call(SegHCS, idx, args)
 	}
-	idx, err := p.k.regPriv.EntryIndex(name)
-	if err != nil {
-		return nil, fmt.Errorf("core: no gate named %q", name)
+	if idx, ok := p.k.regPriv.EntryIndex(name); ok {
+		return p.CPU.Call(SegPHCS, idx, args)
 	}
-	return p.CPU.Call(SegPHCS, idx, args)
+	return nil, fmt.Errorf("core: no gate named %q", name)
 }
 
 // GateString passes a string argument: it writes s into the argument

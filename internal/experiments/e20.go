@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -72,9 +73,9 @@ func E20TracedGateDispatch() Report {
 	if err != nil {
 		return fail(err)
 	}
-	idx, err := svc.UserGates.EntryIndex("hcs_$get_system_info")
-	if err != nil {
-		return fail(err)
+	idx, ok := svc.UserGates.EntryIndex("hcs_$get_system_info")
+	if !ok {
+		return fail(errors.New("e20: no gate hcs_$get_system_info"))
 	}
 	call := func() error {
 		_, err := p.CPU.Call(core.SegHCS, idx, nil)

@@ -109,13 +109,12 @@ func (r *Registry) MustRegister(d Def) {
 	}
 }
 
-// EntryIndex returns the entry number of the named gate.
-func (r *Registry) EntryIndex(name string) (int, error) {
+// EntryIndex returns the entry number of the named gate and whether the
+// registry has it. A miss allocates nothing: a caller that tries the
+// hcs_ registry before the phcs_ one misses on every privileged call.
+func (r *Registry) EntryIndex(name string) (int, bool) {
 	i, ok := r.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("gate: no gate named %q", name)
-	}
-	return i, nil
+	return i, ok
 }
 
 // Count returns the total number of gates.

@@ -17,11 +17,11 @@ func TestRegisterAndLookup(t *testing.T) {
 	if err := r.Register(Def{Name: "hcs_$initiate", Category: CatAddressSpace, CodeUnits: 1, Impl: echo}); err == nil {
 		t.Error("duplicate name should fail")
 	}
-	i, err := r.EntryIndex("hcs_$initiate")
-	if err != nil || i != 0 {
-		t.Errorf("EntryIndex = %d, %v", i, err)
+	i, ok := r.EntryIndex("hcs_$initiate")
+	if !ok || i != 0 {
+		t.Errorf("EntryIndex = %d, %v", i, ok)
 	}
-	if _, err := r.EntryIndex("nope"); err == nil {
+	if _, ok := r.EntryIndex("nope"); ok {
 		t.Error("missing gate lookup should fail")
 	}
 }

@@ -39,7 +39,7 @@ func NewAnsweringSubsystem(k *core.Kernel) (*AnsweringSubsystem, error) {
 		return nil, fmt.Errorf("userspace: creating subsystem process: %w", err)
 	}
 	a := &AnsweringSubsystem{k: k, proc: proc}
-	a.svc = auth.NewService(auth.Subsystem, k.Services().Users, a.createProcess)
+	a.svc = auth.NewService(k.Services().Users, a.createProcess)
 	return a, nil
 }
 
@@ -78,9 +78,6 @@ func (a *AnsweringSubsystem) Login(person, project, password string, level mls.L
 	}
 	return p, nil
 }
-
-// Service exposes the underlying auth service (for failure counters).
-func (a *AnsweringSubsystem) Service() *auth.Service { return a.svc }
 
 // SubsystemProcess exposes the ring-2 process, so experiments can verify
 // its ring and show that a ring-4 process cannot call the gate it uses.

@@ -75,15 +75,11 @@ func NewWithConfig(cfg core.Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Kernel: k}
-	if k.Services().Stage >= core.S4LoginDemoted {
-		s.answering, err = userspace.NewAnsweringSubsystem(k)
-		if err != nil {
-			k.Shutdown()
-			return nil, err
-		}
+	s, err := Adopt(k)
+	if err != nil {
+		k.Shutdown()
 	}
-	return s, nil
+	return s, err
 }
 
 // Shutdown closes the network front-end (if serving) and stops the
@@ -106,14 +102,7 @@ func (s *System) Serve(cfg netattach.Config) (*netattach.Frontend, error) {
 	if s.frontend != nil {
 		return nil, fmt.Errorf("multics: system is already serving")
 	}
-	login := func(person, project, password string, level mls.Level) (*core.Proc, error) {
-		sess, err := s.Login(person, project, password, level)
-		if err != nil {
-			return nil, err
-		}
-		return sess.Proc, nil
-	}
-	fe, err := netattach.New(s.Kernel, login, cfg)
+	fe, err := netattach.New(s.Kernel, s.createProcess, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -144,43 +133,49 @@ func (s *System) AddUser(person, project, password string, clearance Level) erro
 // path: the privileged as_$login gate before S4, the ring-2 answering
 // subsystem after. It returns a ready Session.
 func (s *System) Login(person, project, password string, level Level) (*Session, error) {
-	var p *core.Proc
-	if s.answering != nil {
-		var err error
-		p, err = s.answering.Login(person, project, password, level)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Drive the privileged gate from an initializer process.
-		init, err := s.Kernel.CreateProcess("initializer",
-			acl.Principal{Person: "Initializer", Project: "Sys", Tag: "z"},
-			mls.NewLabel(TopSecret), machine.UserRing)
-		if err != nil {
-			return nil, err
-		}
-		pOff, pLen, err := init.GateString(person)
-		if err != nil {
-			return nil, err
-		}
-		jOff, jLen, err := init.GateString(project)
-		if err != nil {
-			return nil, err
-		}
-		wOff, wLen, err := init.GateString(password)
-		if err != nil {
-			return nil, err
-		}
-		out, err := init.CallGate("as_$login", pOff, pLen, jOff, jLen, wOff, wLen, uint64(level))
-		if err != nil {
-			return nil, err
-		}
-		var ok bool
-		if p, ok = s.Kernel.Process(out[0]); !ok {
-			return nil, fmt.Errorf("multics: as_$login returned process %d, which is not live", out[0])
-		}
+	p, err := s.createProcess(person, project, password, level)
+	if err != nil {
+		return nil, err
 	}
 	return &Session{sys: s, Proc: p, Env: userspace.NewEnv(p)}, nil
+}
+
+// createProcess is the half of Login that authenticates and creates the
+// process, without the user-ring environment; network logins use it.
+// Before S4 it calls the privileged as_$login gate from an initializer
+// process, which it destroys on every path.
+func (s *System) createProcess(person, project, password string, level Level) (p *core.Proc, err error) {
+	if s.answering != nil {
+		return s.answering.Login(person, project, password, level)
+	}
+	init, err := s.Kernel.CreateProcess("initializer",
+		acl.Principal{Person: "Initializer", Project: "Sys", Tag: "z"},
+		mls.NewLabel(TopSecret), machine.UserRing)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if derr := s.Kernel.DestroyProcess(init); derr != nil && err == nil {
+			p, err = nil, derr
+		}
+	}()
+	args := make([]uint64, 0, 7)
+	for _, str := range [...]string{person, project, password} {
+		off, n, err := init.GateString(str)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, off, n)
+	}
+	out, err := init.CallGate("as_$login", append(args, uint64(level))...)
+	if err != nil {
+		return nil, err
+	}
+	p, ok := s.Kernel.Process(out[0])
+	if !ok {
+		return nil, fmt.Errorf("multics: as_$login returned process %d, which is not live", out[0])
+	}
+	return p, nil
 }
 
 // InstallProgram places an executable segment with a symbol table into the
@@ -227,80 +222,91 @@ func splitParent(path string) (string, string, error) {
 	return parent, name, nil
 }
 
-// create issues the stage-appropriate append_branch gate call.
-func (se *Session) create(path string, isDir bool) (uint64, error) {
+// dirKey returns the argument list of a directory-control gate whose key
+// names the directory at path, followed by rest: the directory's tree
+// name before S2, its segment number from S2.
+func (se *Session) dirKey(path string, rest ...uint64) ([]uint64, error) {
+	if se.Proc.Stage() < core.S2RefNamesRemoved {
+		return se.treeNameKey(path, rest)
+	}
+	dirSeg, err := se.Env.InitiateDir(path)
+	if err != nil {
+		return nil, err
+	}
+	return keyArgs(rest, uint64(dirSeg)), nil
+}
+
+// entryKey returns the argument list of a directory-control gate whose
+// key names the entry at path, followed by rest: the entry's tree name
+// before S2, its directory's segment number and its name from S2.
+func (se *Session) entryKey(path string, rest ...uint64) ([]uint64, error) {
+	if se.Proc.Stage() < core.S2RefNamesRemoved {
+		return se.treeNameKey(path, rest)
+	}
 	parent, name, err := splitParent(path)
 	if err != nil {
-		return 0, err
-	}
-	kindFlag := uint64(0)
-	if isDir {
-		kindFlag = 1
-	}
-	nOff, nLen, err := se.Proc.GateString(name)
-	if err != nil {
-		return 0, err
-	}
-	if se.Proc.Stage() < core.S2RefNamesRemoved {
-		dOff, dLen, err := se.Proc.GateString(parent)
-		if err != nil {
-			return 0, err
-		}
-		out, err := se.Proc.CallGate("hcs_$append_branch", dOff, dLen, nOff, nLen, kindFlag)
-		if err != nil {
-			return 0, err
-		}
-		return out[0], nil
+		return nil, err
 	}
 	dirSeg, err := se.Env.InitiateDir(parent)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	out, err := se.Proc.CallGate("hcs_$append_branch", uint64(dirSeg), nOff, nLen, kindFlag)
+	nOff, nLen, err := se.Proc.GateString(name)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return out[0], nil
+	return keyArgs(rest, uint64(dirSeg), nOff, nLen), nil
 }
 
-// MakeDir creates a directory at path.
-func (se *Session) MakeDir(path string) error {
-	_, err := se.create(path, true)
+// treeNameKey is the S0/S1 key of dirKey and entryKey: the tree name,
+// passed in the argument segment.
+func (se *Session) treeNameKey(path string, rest []uint64) ([]uint64, error) {
+	pOff, pLen, err := se.Proc.GateString(path)
+	if err != nil {
+		return nil, err
+	}
+	return keyArgs(rest, pOff, pLen), nil
+}
+
+// keyArgs builds a gate's argument list, key then rest, at its exact
+// length. CallGate's argument list escapes to the heap either way; an
+// exact length makes it no larger than a literal argument list.
+func keyArgs(rest []uint64, key ...uint64) []uint64 {
+	return append(append(make([]uint64, 0, len(key)+len(rest)), key...), rest...)
+}
+
+// create issues the append_branch gate call; kind is the gate's kind
+// word, 1 for a directory and 0 for a segment.
+func (se *Session) create(path string, kind uint64) error {
+	parent, name, err := splitParent(path)
+	if err != nil {
+		return err
+	}
+	nOff, nLen, err := se.Proc.GateString(name)
+	if err != nil {
+		return err
+	}
+	args, err := se.dirKey(parent, nOff, nLen, kind)
+	if err != nil {
+		return err
+	}
+	_, err = se.Proc.CallGate("hcs_$append_branch", args...)
 	return err
 }
 
+// MakeDir creates a directory at path.
+func (se *Session) MakeDir(path string) error { return se.create(path, 1) }
+
 // CreateSegment creates a data segment of the given length in words.
 func (se *Session) CreateSegment(path string, words int) error {
-	uid, err := se.create(path, false)
+	if err := se.create(path, 0); err != nil {
+		return err
+	}
+	args, err := se.entryKey(path, uint64(words))
 	if err != nil {
 		return err
 	}
-	return se.setLength(path, uid, words)
-}
-
-// setLength grows a segment through the stage-appropriate gate.
-func (se *Session) setLength(path string, uid uint64, words int) error {
-	if se.Proc.Stage() < core.S2RefNamesRemoved {
-		pOff, pLen, err := se.Proc.GateString(path)
-		if err != nil {
-			return err
-		}
-		_, err = se.Proc.CallGate("hcs_$set_max_length", pOff, pLen, uint64(words))
-		return err
-	}
-	parent, name, err := splitParent(path)
-	if err != nil {
-		return err
-	}
-	dirSeg, err := se.Env.InitiateDir(parent)
-	if err != nil {
-		return err
-	}
-	nOff, nLen, err := se.Proc.GateString(name)
-	if err != nil {
-		return err
-	}
-	_, err = se.Proc.CallGate("hcs_$set_max_length", uint64(dirSeg), nOff, nLen, uint64(words))
+	_, err = se.Proc.CallGate("hcs_$set_max_length", args...)
 	return err
 }
 
@@ -345,47 +351,21 @@ func (se *Session) SetACL(path, pattern, mode string) error {
 	if err != nil {
 		return err
 	}
-	if se.Proc.Stage() < core.S2RefNamesRemoved {
-		pOff, pLen, err := se.Proc.GateString(path)
-		if err != nil {
-			return err
-		}
-		_, err = se.Proc.CallGate("hcs_$add_acl_entry", pOff, pLen, patOff, patLen, uint64(m))
-		return err
-	}
-	parent, name, err := splitParent(path)
+	args, err := se.entryKey(path, patOff, patLen, uint64(m))
 	if err != nil {
 		return err
 	}
-	dirSeg, err := se.Env.InitiateDir(parent)
-	if err != nil {
-		return err
-	}
-	nOff, nLen, err := se.Proc.GateString(name)
-	if err != nil {
-		return err
-	}
-	_, err = se.Proc.CallGate("hcs_$add_acl_entry", uint64(dirSeg), nOff, nLen, patOff, patLen, uint64(m))
+	_, err = se.Proc.CallGate("hcs_$add_acl_entry", args...)
 	return err
 }
 
 // List returns the entry names of the directory at path.
 func (se *Session) List(path string) ([]string, error) {
-	var out []uint64
-	var err error
-	if se.Proc.Stage() < core.S2RefNamesRemoved {
-		pOff, pLen, gerr := se.Proc.GateString(path)
-		if gerr != nil {
-			return nil, gerr
-		}
-		out, err = se.Proc.CallGate("hcs_$list_dir", pOff, pLen)
-	} else {
-		dirSeg, derr := se.Env.InitiateDir(path)
-		if derr != nil {
-			return nil, derr
-		}
-		out, err = se.Proc.CallGate("hcs_$list_dir", uint64(dirSeg))
+	args, err := se.dirKey(path)
+	if err != nil {
+		return nil, err
 	}
+	out, err := se.Proc.CallGate("hcs_$list_dir", args...)
 	if err != nil {
 		return nil, err
 	}

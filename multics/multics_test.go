@@ -221,3 +221,43 @@ func TestSetACLInvalidMode(t *testing.T) {
 		t.Errorf("bad mode = %v", err)
 	}
 }
+
+// TestLoginLeavesOnlyTheUsersProcess checks that a login before S4, which
+// drives as_$login from an initializer process, destroys that process:
+// N logins raise the live count by exactly N, and a refused login by 0.
+func TestLoginLeavesOnlyTheUsersProcess(t *testing.T) {
+	const n = 4
+	for _, stage := range allStages[:StageLoginDemoted] {
+		sys := newSys(t, stage)
+		before := sys.Kernel.ProcessCounts().Live
+		for i := 0; i < n; i++ {
+			login(t, sys, "Schroeder", "multics75")
+		}
+		if _, err := sys.Login("Schroeder", "CSR", "wrong", Unclassified); err == nil {
+			t.Fatalf("%v: login with a bad password succeeded", stage)
+		}
+		if got := sys.Kernel.ProcessCounts().Live - before; got != n {
+			t.Errorf("%v: %d logins raised the live process count by %d, want %d", stage, n, got, n)
+		}
+	}
+}
+
+// TestDialledProcessHasNoUserRingLinker checks that a network login
+// creates the process without a user-ring environment: installing the
+// user-ring linker is the only mark NewEnv leaves on a process, and a
+// dialled connection's process has none.
+func TestDialledProcessHasNoUserRingLinker(t *testing.T) {
+	for _, stage := range []Stage{StageLinkerRemoved, StageRestructured} {
+		sys := newSys(t, stage)
+		c, err := sys.Attach("Schroeder", "CSR", "multics75", Unclassified)
+		if err != nil {
+			t.Fatalf("%v: %v", stage, err)
+		}
+		if c.Proc().CPU.Linker != nil {
+			t.Errorf("%v: a dialled connection's process has a user-ring linker", stage)
+		}
+		if sess := login(t, sys, "Saltzer", "projmac9"); sess.Proc.CPU.Linker == nil {
+			t.Errorf("%v: a Login session has no user-ring linker", stage)
+		}
+	}
+}
