@@ -235,6 +235,7 @@ func TestEveryS0GateConformance(t *testing.T) {
 	if len(missed) > 0 {
 		t.Errorf("gates never exercised: %s", strings.Join(missed, ", "))
 	}
+	checkDirGateStats(t, k, "S0: tree-name keys, 645 costs")
 }
 
 // TestEveryPrivilegedGateConformance exercises every phcs_ gate from a
@@ -425,4 +426,5 @@ func TestEveryS2GateConformance(t *testing.T) {
 	if len(missed) > 0 {
 		t.Errorf("S2 gates never exercised: %s", strings.Join(missed, ", "))
 	}
+	checkDirGateStats(t, k, "S2: segment-number keys, 6180 costs")
 }
