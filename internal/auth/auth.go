@@ -173,9 +173,6 @@ type ProcessCreator func(s Session) error
 type Service struct {
 	registry *Registry
 	create   ProcessCreator
-
-	// Logins and Failures count outcomes for the reports.
-	Logins, Failures int64
 }
 
 // NewService returns an answering service over registry. create, when
@@ -187,22 +184,18 @@ func NewService(registry *Registry, create ProcessCreator) *Service {
 // Login authenticates person/password, validates the project and the
 // requested label against the clearance, and creates the process.
 func (s *Service) Login(person, project, password string, requested mls.Label) (Session, error) {
-	fail := func(err error) (Session, error) {
-		s.Failures++
-		return Session{}, err
-	}
 	if err := s.registry.Authenticate(person, password); err != nil {
-		return fail(err)
+		return Session{}, err
 	}
 	canonical, clearance, err := s.registry.UserInfo(person)
 	if err != nil {
-		return fail(err)
+		return Session{}, err
 	}
 	if err := s.registry.CheckProject(person, project); err != nil {
-		return fail(err)
+		return Session{}, err
 	}
 	if !clearance.Dominates(requested) {
-		return fail(fmt.Errorf("%w: %v above %v", ErrClearance, requested, clearance))
+		return Session{}, fmt.Errorf("%w: %v above %v", ErrClearance, requested, clearance)
 	}
 	sess := Session{
 		Principal: acl.Principal{Person: canonical, Project: project, Tag: "a"},
@@ -210,9 +203,8 @@ func (s *Service) Login(person, project, password string, requested mls.Label) (
 	}
 	if s.create != nil {
 		if err := s.create(sess); err != nil {
-			return fail(fmt.Errorf("auth: creating process: %w", err))
+			return Session{}, fmt.Errorf("auth: creating process: %w", err)
 		}
 	}
-	s.Logins++
 	return sess, nil
 }

@@ -91,8 +91,8 @@ func TestLoginHappyPath(t *testing.T) {
 	if sess.Principal.String() != "Schroeder.CSR.a" {
 		t.Errorf("principal = %v", sess.Principal)
 	}
-	if created != 1 || svc.Logins != 1 {
-		t.Errorf("created=%d logins=%d", created, svc.Logins)
+	if created != 1 {
+		t.Errorf("created=%d", created)
 	}
 }
 
@@ -115,9 +115,6 @@ func TestLoginRejections(t *testing.T) {
 	}
 	if _, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.TopSecret)); !errors.Is(err, ErrClearance) {
 		t.Errorf("over clearance = %v", err)
-	}
-	if svc.Failures != 3 {
-		t.Errorf("failures = %d", svc.Failures)
 	}
 }
 

@@ -341,3 +341,83 @@ func mkdirDirect(t *testing.T, k *Kernel, name string) {
 		t.Fatal(err)
 	}
 }
+
+// TestProtectedSubsystemBrackets checks, at S0 and S6, the kernel
+// facility behind user-constructed protected subsystems: a program
+// installed with one gate and brackets (3,3,4) answers its gate from ring
+// 4 and refuses its other entry with a gate fault, and a data segment with
+// brackets (3,3,3) is out of ring 4's reach but readable from the
+// program's entry. The ACLs grant everyone access; the brackets alone
+// protect the data from the calling user.
+func TestProtectedSubsystemBrackets(t *testing.T) {
+	const sub = machine.Ring(3)
+	world := func(mode acl.Mode) *acl.ACL {
+		return acl.New(acl.Entry{
+			Who:  acl.Pattern{Person: acl.Wildcard, Project: acl.Wildcard, Tag: acl.Wildcard},
+			Mode: mode,
+		})
+	}
+	for _, stage := range []Stage{S0Baseline, S6Restructured} {
+		t.Run(stage.String(), func(t *testing.T) {
+			k := newKernel(t, stage)
+			dir := mkdir(t, k, alice, "subsys")
+			var data machine.SegNo
+			counter := &machine.Procedure{Name: "counter", Entries: []machine.EntryFunc{
+				func(ctx *machine.ExecContext, _ []uint64) ([]uint64, error) {
+					v, err := ctx.Load(data, 0)
+					if err != nil {
+						return nil, err
+					}
+					return []uint64{v + 1}, ctx.Store(data, 0, v+1)
+				},
+				func(ctx *machine.ExecContext, _ []uint64) ([]uint64, error) {
+					return nil, ctx.Store(data, 0, 0)
+				},
+			}}
+			codeUID, err := k.InstallProgram(alice, unc, dir, "counter", counter,
+				[]linker.Symbol{{Name: "increment", Entry: 0}}, fs.CreateOptions{
+					Label:    unc,
+					ACL:      world(acl.ModeRead | acl.ModeExecute),
+					Brackets: machine.Brackets{R1: sub, R2: sub, R3: machine.UserRing},
+					Gates:    1,
+				})
+			if err != nil {
+				t.Fatalf("InstallProgram: %v", err)
+			}
+			dataUID, err := k.Services().Hierarchy.Create(alice, unc, dir, "counter.data", fs.CreateOptions{
+				Kind: fs.KindSegment, Label: unc, Length: 8,
+				ACL:      world(acl.ModeRead | acl.ModeWrite),
+				Brackets: machine.Brackets{R1: sub, R2: sub, R3: sub},
+			})
+			if err != nil {
+				t.Fatalf("creating the data segment: %v", err)
+			}
+			p := userProc(t, k, bob, unc)
+			code, err := k.initiateUID(p, codeUID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, err = k.initiateUID(p, dataUID); err != nil {
+				t.Fatal(err)
+			}
+
+			for want := uint64(1); want <= 2; want++ {
+				if out, err := p.CPU.Call(code, 0, nil); err != nil || out[0] != want {
+					t.Fatalf("gate call %d = %v, %v; want %d", want, out, err, want)
+				}
+			}
+			if _, err := p.CPU.Call(code, 1, nil); !machine.IsFaultClass(err, machine.FaultGate) {
+				t.Errorf("call of the non-gate entry from ring 4 = %v, want a gate fault", err)
+			}
+			if _, err := p.CPU.Load(data, 0); !machine.IsFaultClass(err, machine.FaultRing) {
+				t.Errorf("read of the data segment from ring 4 = %v, want a ring fault", err)
+			}
+			if err := p.CPU.Store(data, 0, 999); !machine.IsFaultClass(err, machine.FaultRing) {
+				t.Errorf("write of the data segment from ring 4 = %v, want a ring fault", err)
+			}
+			if out, err := p.CPU.Call(code, 0, nil); err != nil || out[0] != 3 {
+				t.Errorf("gate call after the refused probes = %v, %v; want 3", out, err)
+			}
+		})
+	}
+}

@@ -94,8 +94,8 @@ func TestFleetMigrationCarriesState(t *testing.T) {
 	if err := s.Migrate(target); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	if s.Home() != target || s.Migrations() != 1 {
-		t.Fatalf("home %d migrations %d after migrate to %d", s.Home(), s.Migrations(), target)
+	if n := f.Metrics().Counter("fleet.migrations").Value(); s.Home() != target || n != 1 {
+		t.Fatalf("home %d, fleet.migrations %d after migrate to %d", s.Home(), n, target)
 	}
 	if got := sum(7); got != 12 {
 		t.Fatalf("sum(7) after migration = %d, want 12 (accumulator lost)", got)

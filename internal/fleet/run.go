@@ -51,8 +51,10 @@ type RunReport struct {
 	// or a migration whose fallback also failed).
 	Failed int64 `json:"failed"`
 
-	// Migrations/MigrationFailures count live moves during the run; a
-	// failed migration leaves the session serving on its home kernel.
+	// Migrations/MigrationFailures are the run's fleet.migrations and
+	// fleet.migration_failures deltas: every live move, including those
+	// of sessions that later failed. A failed migration leaves the session
+	// serving on its home kernel.
 	Migrations        int64 `json:"migrations"`
 	MigrationFailures int64 `json:"migration_failures"`
 
@@ -184,7 +186,7 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 			tallies[i].Err = fmt.Errorf("fleet: session %d close: %w", i, err)
 		}
 	}
-	for i, t := range tallies {
+	for _, t := range tallies {
 		if t.Err != nil {
 			rep.Failed++
 			continue
@@ -192,7 +194,6 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 		rep.Sent += t.Sent
 		rep.Received += t.Received
 		rep.Throttled += t.Throttled
-		rep.Migrations += int64(sessions[i].Migrations())
 	}
 
 	for i := 0; i < n; i++ {
@@ -210,11 +211,7 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	if rep.MaxCycles > 0 {
 		rep.Throughput = float64(totalProcessed) / float64(rep.MaxCycles) * 1000
 	}
-	// Consistency with the fleet counters (they also count moves from
-	// sessions that later failed).
-	if got := f.mMigrations.Value() - migrationsBefore; got > rep.Migrations {
-		rep.Migrations = got
-	}
+	rep.Migrations = f.mMigrations.Value() - migrationsBefore
 	rep.MigrationFailures = f.mMigrationFailures.Value() - migFailuresBefore
 
 	// The determinism witness: per-session digests folded in session

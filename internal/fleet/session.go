@@ -18,7 +18,6 @@ type Session struct {
 	level           multics.Level
 	home            int
 	conn            *netattach.Conn
-	migrations      int
 }
 
 // Conn returns the session's live connection on its current kernel.
@@ -28,9 +27,6 @@ func (s *Session) Conn() *netattach.Conn { return s.conn }
 
 // Home returns the index of the kernel currently serving the session.
 func (s *Session) Home() int { return s.home }
-
-// Migrations returns how many times the session has moved.
-func (s *Session) Migrations() int { return s.migrations }
 
 // Principal returns the session's routing identity.
 func (s *Session) Principal() (person, project string) { return s.person, s.project }
@@ -85,7 +81,6 @@ func (s *Session) Migrate(target int) error {
 	}
 	s.conn = conn
 	s.home = target
-	s.migrations++
 	f.mMigrations.Inc()
 	return nil
 }

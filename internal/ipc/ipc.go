@@ -61,9 +61,8 @@ type Channel struct {
 	Name    string
 	sch     *sched.Scheduler
 	guard   Guard
-	pending []Event
-	head    int // pending[head:] are the queued events
-	waiters []*sched.Process
+	pending sched.Queue[Event]
+	waiters sched.Queue[*sched.Process]
 	closed  bool
 	// awaitReason is the block reason Await reports, built once.
 	awaitReason string
@@ -96,11 +95,9 @@ func (c *Channel) Signal(p *sched.Process, ev Event) error {
 	}
 	ev.At = c.sch.Clock.Now()
 	c.Signals++
-	c.pending = append(c.pending, ev)
-	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[:copy(c.waiters, c.waiters[1:])]
-		c.sch.Unblock(w)
+	c.pending.Push(ev)
+	if c.waiters.Len() > 0 {
+		c.sch.Unblock(c.waiters.Pop())
 	}
 	return nil
 }
@@ -118,10 +115,10 @@ func (c *Channel) Await(pc *sched.ProcCtx) (Event, error) {
 		if c.closed {
 			return Event{}, ErrChannelClosed
 		}
-		c.waiters = append(c.waiters, pc.Process())
+		c.waiters.Push(pc.Process())
 		pc.Block(c.awaitReason)
 	}
-	return c.pop(), nil
+	return c.pending.Pop(), nil
 }
 
 // TryAwait removes and returns a pending event without blocking.
@@ -135,31 +132,17 @@ func (c *Channel) TryAwait(pc *sched.ProcCtx) (Event, bool, error) {
 		return Event{}, false, nil
 	}
 	c.Waits++
-	return c.pop(), true, nil
-}
-
-// pop removes the oldest pending event. It moves the queue down only once
-// the popped prefix is half the slice, so an event costs O(1) however many
-// pile up, and later appends reuse the array.
-func (c *Channel) pop() Event {
-	ev := c.pending[c.head]
-	c.head++
-	if 2*c.head >= len(c.pending) {
-		c.pending = c.pending[:copy(c.pending, c.pending[c.head:])]
-		c.head = 0
-	}
-	return ev
+	return c.pending.Pop(), true, nil
 }
 
 // Pending returns the number of queued events.
-func (c *Channel) Pending() int { return len(c.pending) - c.head }
+func (c *Channel) Pending() int { return c.pending.Len() }
 
 // Close marks the channel closed and wakes all waiters, which will observe
 // ErrChannelClosed once the pending queue drains.
 func (c *Channel) Close() {
 	c.closed = true
-	for _, w := range c.waiters {
-		c.sch.Unblock(w)
+	for c.waiters.Len() > 0 {
+		c.sch.Unblock(c.waiters.Pop())
 	}
-	c.waiters = nil
 }

@@ -7,6 +7,14 @@
 // and simplification with measured consequences; a uniform way to observe
 // the kernel is what makes that auditing activity repeatable.
 //
+// Each event is counted once. Where a subsystem's report has a counter
+// twin here (the gate, fs, blockstore, netattach and pagectl Stats,
+// fleet's migration count), the counter is the only tally and the report
+// reads it back, so while a registry is disabled those figures read
+// zero, and on a kernel restored from a checkpoint they continue from
+// its totals. Per-object views with no counter twin (a processor's
+// stats, a VP's busy cycles) stay private to their objects.
+//
 // Instruments are pre-resolved handles over plain integers: like the
 // kernel that owns it, a registry has one driver at a time (DESIGN.md,
 // "One driver per kernel"). Recording charges no virtual cycles —
@@ -54,9 +62,6 @@ func (r *Registry) SetNow(fn func() int64) { r.now = fn }
 // registry drops every Add/Set/Observe.
 func (r *Registry) SetEnabled(on bool) { r.enabled = on }
 
-// Enabled reports whether recordings are being accepted.
-func (r *Registry) Enabled() bool { return r.enabled }
-
 // Counter is a monotonically increasing event count. Handles are cheap
 // to hold.
 type Counter struct {
@@ -66,9 +71,6 @@ type Counter struct {
 }
 
 func (c *Counter) instName() string { return c.name }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by d (no-op when the registry is disabled).
 func (c *Counter) Add(d int64) {
@@ -93,20 +95,10 @@ type Gauge struct {
 
 func (g *Gauge) instName() string { return g.name }
 
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
 // Set stores the level.
 func (g *Gauge) Set(v int64) {
 	if *g.on {
 		g.v = v
-	}
-}
-
-// Add moves the level by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if *g.on {
-		g.v += d
 	}
 }
 
@@ -126,12 +118,6 @@ type Histogram struct {
 }
 
 func (h *Histogram) instName() string { return h.name }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// Bounds returns the bucket upper bounds (not a copy; do not mutate).
-func (h *Histogram) Bounds() []int64 { return h.bounds }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {

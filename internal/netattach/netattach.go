@@ -29,6 +29,12 @@
 // the buffers themselves and surfaces in Stats, demonstrating exactly the
 // failure mode the consolidation removed.
 //
+// Each lifecycle event is counted once, in the kernel's metrics registry
+// under net.* names; Stats reads those counters back rather than keeping
+// a second tally. Only what has no counter twin is kept here: the table
+// population, the peak queue depths and the attach latencies behind the
+// exact percentiles.
+//
 // One goroutine at a time drives a front-end, as it drives the kernel
 // under it (DESIGN.md, "One driver per kernel"); the traffic engines
 // (internal/workload and internal/fleet) replay every connection from one
@@ -38,7 +44,6 @@ package netattach
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -172,8 +177,8 @@ type Frontend struct {
 
 	conns   map[uint64]*Conn
 	nextID  uint64
-	acceptq connQueue
-	runq    connQueue
+	acceptq sched.Queue[*Conn] // dialled, awaiting the listener
+	runq    sched.Queue[*Conn] // runnable, awaiting a worker
 
 	// outStore (S5+) is the private store behind the reply buffers.
 	outStore   *mem.Store
@@ -189,22 +194,17 @@ type Frontend struct {
 	// faults, when set, decides injected connection faults; see FaultPlane.
 	faults FaultPlane
 
-	// Running totals (closed connections fold in on finishClose).
-	accepted, rejected               int64
-	delivered, processed, replies    int64
-	drops, throttled                 int64
-	stalls, resets                   int64
-	closedInputLost, closedReplyLost int64
-	peakInput, peakOutput            int
+	// peakInput/peakOutput are the highest per-connection queue depths
+	// seen; no counter holds a peak.
+	peakInput, peakOutput int
 
-	// nm publishes the same lifecycle counters into the kernel's unified
-	// metrics registry (net.* names) as they happen.
+	// nm counts every lifecycle event in the kernel's metrics registry
+	// (net.* names) as it happens. It is the only tally: Stats reads it.
 	nm netMetrics
 }
 
 // netMetrics is the front-end's handle set into the kernel's unified
-// metrics registry. resolve falls back to a private registry when the
-// kernel has none, so the handles are always safe to use.
+// metrics registry.
 type netMetrics struct {
 	accepted, rejected            *metrics.Counter
 	delivered, processed, replies *metrics.Counter
@@ -216,9 +216,6 @@ type netMetrics struct {
 }
 
 func (nm *netMetrics) resolve(reg *metrics.Registry) {
-	if reg == nil {
-		reg = metrics.New()
-	}
 	nm.accepted = reg.Counter("net.accepted")
 	nm.rejected = reg.Counter("net.rejected")
 	nm.delivered = reg.Counter("net.delivered")
@@ -345,11 +342,11 @@ func (fe *Frontend) DialAsync(person, project, password string, level mls.Level)
 	fe.nextID++
 	fe.conns[c.id] = c
 	fe.nm.active.Set(int64(len(fe.conns)))
-	fe.acceptq.push(c)
+	fe.acceptq.Push(c)
 	if err := fe.arrivals.Signal(nil, ipc.Event{From: "netattach.dial", Data: c.id}); err != nil {
 		delete(fe.conns, c.id)
 		fe.nm.active.Set(int64(len(fe.conns)))
-		fe.acceptq.remove(c)
+		fe.acceptq.Remove(c)
 		return nil, err
 	}
 	return c, nil
@@ -386,10 +383,10 @@ func (fe *Frontend) listenerBody(pc *sched.ProcCtx) {
 		if _, err := fe.arrivals.Await(pc); err != nil {
 			return // channel closed: shutdown
 		}
-		if fe.acceptq.len() == 0 {
+		if fe.acceptq.Len() == 0 {
 			continue // dial withdrawn before accept
 		}
-		fe.accept(pc, fe.acceptq.pop())
+		fe.accept(pc, fe.acceptq.Pop())
 	}
 }
 
@@ -429,7 +426,6 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 	c.state = StateAttached
 	c.attachLat = pc.Now() - c.dialedAt
 	fe.attachLats = append(fe.attachLats, c.attachLat)
-	fe.accepted++
 	fe.nm.accepted.Inc()
 	fe.nm.attachLat.Observe(c.attachLat)
 	fe.emit(trace.Event{Name: "attach", Subject: c.id, Cost: c.attachLat, Outcome: trace.ClassOK})
@@ -438,7 +434,6 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 // reject records a failed accept. A process that logged in for the
 // connection dies with it.
 func (fe *Frontend) reject(c *Conn, err error) {
-	fe.rejected++
 	fe.nm.rejected.Inc()
 	if derr := fe.endProcess(c); derr != nil {
 		err = fmt.Errorf("%w (and %v)", err, derr)
@@ -454,48 +449,14 @@ func (fe *Frontend) markRunnable(c *Conn) {
 		return
 	}
 	c.queued = true
-	fe.runq.push(c)
+	fe.runq.Push(c)
 	_ = fe.work.Signal(nil, ipc.Event{From: "netattach.mux", Data: c.id})
-}
-
-// connQueue is a FIFO of connections that pops in place, the way
-// ipc.Channel pops its events: pop advances a head index and moves the
-// queue down only once the popped prefix is half the slice. A pop costs
-// O(1) however deep a login storm queues, later pushes reuse the array,
-// and vacated slots are cleared so the array keeps no closed connection
-// alive.
-type connQueue struct {
-	conns []*Conn
-	head  int // conns[head:] are queued
-}
-
-func (q *connQueue) len() int { return len(q.conns) - q.head }
-
-func (q *connQueue) push(c *Conn) { q.conns = append(q.conns, c) }
-
-func (q *connQueue) pop() *Conn {
-	c := q.conns[q.head]
-	q.conns[q.head] = nil
-	q.head++
-	if 2*q.head >= len(q.conns) {
-		n := copy(q.conns, q.conns[q.head:])
-		clear(q.conns[n:])
-		q.conns, q.head = q.conns[:n], 0
-	}
-	return c
-}
-
-// remove withdraws c from the queue; the others keep their order.
-func (q *connQueue) remove(c *Conn) {
-	if i := slices.Index(q.conns[q.head:], c); i >= 0 {
-		q.conns = slices.Delete(q.conns, q.head+i, q.head+i+1)
-	}
 }
 
 // popRunnable removes the next serviceable connection from the run queue.
 func (fe *Frontend) popRunnable() *Conn {
-	for fe.runq.len() > 0 {
-		c := fe.runq.pop()
+	for fe.runq.Len() > 0 {
+		c := fe.runq.Pop()
 		if c.state == StateAttached || c.state == StateDraining {
 			return c
 		}
@@ -546,13 +507,11 @@ func (fe *Frontend) service(pc *sched.ProcCtx, c *Conn) {
 	for c.state == StateAttached || c.state == StateDraining {
 		if fp := fe.faults; fp != nil {
 			if fp.ConnReset(c.id) {
-				fe.resets++
 				fe.nm.resets.Inc()
 				pc.Consume(resetPenalty)
 				return
 			}
 			if fp.ConnStall(c.id) {
-				fe.stalls++
 				fe.nm.stalls.Inc()
 				pc.Sleep(stallDelay)
 				return
@@ -567,7 +526,6 @@ func (fe *Frontend) service(pc *sched.ProcCtx, c *Conn) {
 			return // input drained
 		}
 		c.delivered++
-		fe.delivered++
 		fe.nm.delivered.Inc()
 		fe.execute(pc, c, out[0])
 	}
@@ -610,12 +568,10 @@ func (fe *Frontend) execute(pc *sched.ProcCtx, c *Conn, word uint64) {
 		// Unknown op: processed, no reply.
 		pc.Consume(1)
 		c.processed++
-		fe.processed++
 		fe.nm.processed.Inc()
 		return
 	}
 	c.processed++
-	fe.processed++
 	fe.nm.processed.Inc()
 	fe.emit(trace.Event{Name: "request", Subject: c.id, Arg: word, Outcome: trace.ClassOK})
 	fe.enqueueReply(c, reply)
@@ -633,21 +589,15 @@ func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 		c.shedding = true
 	}
 	if c.shedding {
-		c.drops++
-		fe.drops++
 		fe.nm.replyDrops.Inc()
 		return
 	}
 	c.replySeq++
 	if err := c.out.Put(iosys.Message{Seq: c.replySeq, Data: v}); err != nil {
 		// Refused by storage: still a counted drop, never silent.
-		c.drops++
-		fe.drops++
 		fe.nm.replyDrops.Inc()
 		return
 	}
-	c.replies++
-	fe.replies++
 	fe.nm.replies.Inc()
 	if n+1 > fe.peakOutput {
 		fe.peakOutput = n + 1
@@ -672,13 +622,11 @@ func (fe *Frontend) drain(c *Conn) error {
 	}
 }
 
-// finishClose detaches c and folds its accounting into the front-end
-// totals. Input must already be drained.
+// finishClose detaches c and counts what its buffers lost. Input must
+// already be drained.
 func (fe *Frontend) finishClose(c *Conn) error {
 	if c.state == StateAttached || c.state == StateDraining {
-		lost, err := fe.k.DeviceLost(c.dev)
-		if err == nil {
-			fe.closedInputLost += lost
+		if lost, err := fe.k.DeviceLost(c.dev); err == nil {
 			fe.nm.inputLost.Add(lost)
 		}
 		if _, err := c.proc.CallGate(fe.detachGate(), c.dev); err != nil {
@@ -689,7 +637,6 @@ func (fe *Frontend) finishClose(c *Conn) error {
 		return err
 	}
 	if c.out != nil {
-		fe.closedReplyLost += c.out.Lost()
 		fe.nm.replyLost.Add(c.out.Lost())
 		if c.outUID != 0 {
 			_ = fe.outStore.DeleteSegment(c.outUID)
@@ -743,7 +690,7 @@ func (fe *Frontend) Close() error {
 			}
 		}
 	}
-	fe.acceptq = connQueue{}
+	fe.acceptq = sched.Queue[*Conn]{}
 	fe.arrivals.Close()
 	fe.work.Close()
 	fe.pump() // daemons observe the closed channels and exit
@@ -761,15 +708,20 @@ func (fe *Frontend) connsByID() []*Conn {
 	return out
 }
 
-// Stats snapshots the front-end counters, including loss still sitting in
-// open connections' buffers.
+// Stats reads the front-end's net.* counters back from the kernel's
+// metrics registry and adds the loss still sitting in open connections'
+// buffers. Active, the peaks and the attach-latency percentiles have no
+// counter twin and come from the front-end itself. While the registry
+// is disabled the counted fields read zero, and on a kernel restored
+// from a checkpoint they continue from the checkpoint's totals.
 func (fe *Frontend) Stats() Stats {
+	nm := &fe.nm
 	st := Stats{
-		Accepted: fe.accepted, Rejected: fe.rejected, Active: len(fe.conns),
-		Delivered: fe.delivered, Processed: fe.processed, Replies: fe.replies,
-		ReplyDrops: fe.drops, Throttled: fe.throttled,
-		Stalls: fe.stalls, Resets: fe.resets,
-		InputLost: fe.closedInputLost, ReplyLost: fe.closedReplyLost,
+		Accepted: nm.accepted.Value(), Rejected: nm.rejected.Value(), Active: len(fe.conns),
+		Delivered: nm.delivered.Value(), Processed: nm.processed.Value(), Replies: nm.replies.Value(),
+		ReplyDrops: nm.replyDrops.Value(), Throttled: nm.throttled.Value(),
+		Stalls: nm.stalls.Value(), Resets: nm.resets.Value(),
+		InputLost: nm.inputLost.Value(), ReplyLost: nm.replyLost.Value(),
 		PeakInput: fe.peakInput, PeakOutput: fe.peakOutput,
 	}
 	for _, c := range fe.connsByID() {

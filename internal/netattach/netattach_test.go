@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/mls"
 	"repro/internal/netattach"
@@ -16,10 +17,17 @@ import (
 // for many concurrent attachments.
 func boot(t testing.TB, stage multics.Stage, cfg netattach.Config) (*multics.System, *netattach.Frontend) {
 	t.Helper()
+	return bootKernel(t, core.Config{Stage: stage}, cfg)
+}
+
+// bootKernel is boot for a kernel configured beyond its stage.
+func bootKernel(t testing.TB, kcfg core.Config, cfg netattach.Config) (*multics.System, *netattach.Frontend) {
+	t.Helper()
 	mc := mem.DefaultConfig()
 	mc.CoreFrames = 4096
 	mc.BulkBlocks = 4096
-	sys, err := multics.NewWithConfig(core.Config{Stage: stage, Mem: &mc})
+	kcfg.Mem = &mc
+	sys, err := multics.NewWithConfig(kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +170,42 @@ func TestInputBackpressureThrottles(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultCountsMatchInjector runs a front-end under a seeded fault
+// plan at S6. Stats' Resets and Stalls, read from net.resets and
+// net.stalls, equal the injector's ConnResets and ConnStalls, which count
+// the same events at the fault plane, and drain-and-requeue still serves
+// every request.
+func TestFaultCountsMatchInjector(t *testing.T) {
+	plan := faults.Spec{Seed: 7, ConnResetRate: 0.2, ConnStallRate: 0.2}
+	sys, fe := bootKernel(t, core.Config{Stage: multics.StageRestructured, Faults: &plan}, netattach.Config{})
+	const conns, requests = 8, 16
+	for i := 0; i < conns; i++ {
+		c, err := fe.Dial("Schroeder", "CSR", "multics75", multics.Unclassified)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < requests; j++ {
+			if err := c.Send(netattach.OpEcho, uint64(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, inj := fe.Stats(), sys.Kernel.Services().Faults.Counts()
+	if inj.ConnResets == 0 || inj.ConnStalls == 0 {
+		t.Fatalf("the plan injected %d resets and %d stalls; want some of each", inj.ConnResets, inj.ConnStalls)
+	}
+	if st.Resets != inj.ConnResets || st.Stalls != inj.ConnStalls {
+		t.Errorf("front-end counted %d resets and %d stalls; the injector %d and %d",
+			st.Resets, st.Stalls, inj.ConnResets, inj.ConnStalls)
+	}
+	if st.Processed != conns*requests {
+		t.Errorf("processed %d requests, want %d", st.Processed, conns*requests)
 	}
 }
 

@@ -109,7 +109,9 @@ func (FIFOPolicy) ChooseVictim(store *mem.Store) (mem.FrameID, error) {
 }
 
 // FaultStats aggregates what the faulting processes experienced; the E5
-// experiment compares these across the two designs.
+// experiment compares these across the two designs. Faults, WaitCycles
+// and IORetries are read back from the pager's pagectl.* counters; the
+// other fields have no counter twin and are kept by the pager itself.
 type FaultStats struct {
 	// Faults is the number of page faults handled.
 	Faults int64 `json:"faults"`
@@ -130,19 +132,20 @@ type FaultStats struct {
 	IORetries int64 `json:"io_retries"`
 }
 
-// pagerMetrics holds the handles both page-control designs publish
-// through: pagectl.faults, pagectl.wait_cycles, pagectl.io_retries. The
-// zero value (all nil) means detached.
+// pagerMetrics holds the counters both page-control designs count
+// through: pagectl.faults, pagectl.wait_cycles, pagectl.io_retries. They
+// are the only tally of those events; Stats reads them back.
 type pagerMetrics struct {
 	faults     *metrics.Counter
 	waitCycles *metrics.Counter
 	ioRetries  *metrics.Counter
 }
 
+// resolve binds the counters in reg, or in a private registry when reg
+// is nil, so a pager always counts.
 func (pm *pagerMetrics) resolve(reg *metrics.Registry) {
 	if reg == nil {
-		*pm = pagerMetrics{}
-		return
+		reg = metrics.New()
 	}
 	pm.faults = reg.Counter("pagectl.faults")
 	pm.waitCycles = reg.Counter("pagectl.wait_cycles")
@@ -150,16 +153,16 @@ func (pm *pagerMetrics) resolve(reg *metrics.Registry) {
 }
 
 func (pm *pagerMetrics) fault(wait int64) {
-	if pm.faults != nil {
-		pm.faults.Inc()
-		pm.waitCycles.Add(wait)
-	}
+	pm.faults.Inc()
+	pm.waitCycles.Add(wait)
 }
 
-func (pm *pagerMetrics) ioRetry() {
-	if pm.ioRetries != nil {
-		pm.ioRetries.Inc()
-	}
+// stats returns st with the counted fields read from the counters.
+func (pm *pagerMetrics) stats(st FaultStats) FaultStats {
+	st.Faults = pm.faults.Value()
+	st.WaitCycles = pm.waitCycles.Value()
+	st.IORetries = pm.ioRetries.Value()
+	return st
 }
 
 // ioRetryLimit bounds retry-with-backoff on transient backing-store I/O
@@ -197,30 +200,29 @@ type SequentialPager struct {
 	pm     pagerMetrics
 }
 
-// SetMetrics publishes fault handling into reg under pagectl.* names; nil
-// detaches the pager.
+// SetMetrics counts fault handling in reg under pagectl.* names from now
+// on; nil binds a private registry.
 func (s *SequentialPager) SetMetrics(reg *metrics.Registry) { s.pm.resolve(reg) }
 
-// NewSequentialPager returns the old-design pager.
+// NewSequentialPager returns the old-design pager, counting in a private
+// registry until SetMetrics.
 func NewSequentialPager(store *mem.Store, policy VictimPolicy) *SequentialPager {
 	if policy == nil {
 		policy = &ClockPolicy{}
 	}
-	return &SequentialPager{store: store, policy: policy}
+	s := &SequentialPager{store: store, policy: policy}
+	s.pm.resolve(nil)
+	return s
 }
 
 // Stats implements Pager.
-func (s *SequentialPager) Stats() FaultStats { return s.stats }
+func (s *SequentialPager) Stats() FaultStats { return s.pm.stats(s.stats) }
 
 // Handle implements Pager: fetch the page, performing however many
 // evictions that requires, all in the faulting process.
 func (s *SequentialPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 	start := pc.Now()
-	defer func() {
-		s.stats.Faults++
-		s.stats.WaitCycles += pc.Now() - start
-		s.pm.fault(pc.Now() - start)
-	}()
+	defer func() { s.pm.fault(pc.Now() - start) }()
 	pid := mem.PageID{SegUID: pf.SegTag, Index: pf.Page}
 	cascade := 0
 	ioAttempts := 0
@@ -244,8 +246,7 @@ func (s *SequentialPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error
 			if ioAttempts > ioRetryLimit {
 				return fmt.Errorf("pagectl(sequential): page-in of %v: %d retries exhausted: %w", pid, ioRetryLimit, err)
 			}
-			s.stats.IORetries++
-			s.pm.ioRetry()
+			s.pm.ioRetries.Inc()
 			pc.Sleep(ioRetryBackoff << (ioAttempts - 1))
 			continue
 		}

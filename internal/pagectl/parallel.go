@@ -73,13 +73,13 @@ type ParallelPager struct {
 	KernelEvictions int64
 }
 
-// SetMetrics publishes fault handling into reg under pagectl.* names; nil
-// detaches the pager.
+// SetMetrics counts fault handling in reg under pagectl.* names from now
+// on; nil binds a private registry.
 func (p *ParallelPager) SetMetrics(reg *metrics.Registry) { p.pm.resolve(reg) }
 
 // NewParallelPager creates the pager and spawns its two dedicated kernel
 // processes on dedicated virtual processors, per the paper's two-layer
-// process design.
+// process design. It counts in a private registry until SetMetrics.
 func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig, policy VictimPolicy) (*ParallelPager, error) {
 	if cfg.CoreLowWater <= 0 || cfg.CoreTarget < cfg.CoreLowWater {
 		return nil, fmt.Errorf("pagectl: bad core water marks %+v", cfg)
@@ -91,6 +91,7 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 		policy = &ClockPolicy{}
 	}
 	p := &ParallelPager{store: store, sch: sch, cfg: cfg, policy: policy}
+	p.pm.resolve(nil)
 	p.framesAvail = ipc.NewChannel("pc.frames-available", sch, nil)
 	p.coreWork = ipc.NewChannel("pc.core-work", sch, nil)
 	p.bulkWork = ipc.NewChannel("pc.bulk-work", sch, nil)
@@ -111,7 +112,7 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 }
 
 // Stats implements Pager.
-func (p *ParallelPager) Stats() FaultStats { return p.stats }
+func (p *ParallelPager) Stats() FaultStats { return p.pm.stats(p.stats) }
 
 // coreFreeingBody is the dedicated process that "runs in a loop making sure
 // that some small number of free primary memory blocks always exist".
@@ -147,8 +148,7 @@ func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 			if errors.Is(err, mem.ErrIO) {
 				// Injected transient I/O error: back off and retry rather
 				// than killing the dedicated process.
-				p.stats.IORetries++
-				p.pm.ioRetry()
+				p.pm.ioRetries.Inc()
 				pc.Sleep(ioRetryBackoff)
 				continue
 			}
@@ -189,8 +189,7 @@ func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 			}
 			lat, err := p.store.BulkToDisk(block)
 			if errors.Is(err, mem.ErrIO) {
-				p.stats.IORetries++
-				p.pm.ioRetry()
+				p.pm.ioRetries.Inc()
 				pc.Sleep(ioRetryBackoff)
 				continue
 			}
@@ -214,11 +213,7 @@ func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 // core-freeing process if frames ran out, wait, fetch the page.
 func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 	start := pc.Now()
-	defer func() {
-		p.stats.Faults++
-		p.stats.WaitCycles += pc.Now() - start
-		p.pm.fault(pc.Now() - start)
-	}()
+	defer func() { p.pm.fault(pc.Now() - start) }()
 	pid := mem.PageID{SegUID: pf.SegTag, Index: pf.Page}
 	ioAttempts := 0
 	for {
@@ -245,8 +240,7 @@ func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 			if ioAttempts > ioRetryLimit {
 				return fmt.Errorf("pagectl(parallel): page-in of %v: %d retries exhausted: %w", pid, ioRetryLimit, err)
 			}
-			p.stats.IORetries++
-			p.pm.ioRetry()
+			p.pm.ioRetries.Inc()
 			pc.Sleep(ioRetryBackoff << (ioAttempts - 1))
 			continue
 		}

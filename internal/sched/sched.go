@@ -161,7 +161,7 @@ type Scheduler struct {
 	vps    []*VP
 	pooled []*VP
 
-	ready   []*Process // layer-2 ready queue (FIFO)
+	ready   Queue[*Process] // layer-2 ready queue
 	procs   []*Process
 	timers  timerHeap
 	seq     int64
@@ -277,7 +277,7 @@ func (s *Scheduler) SpawnDedicated(vp *VP, name string, body ProcFunc) (*Process
 // virtual processor is available.
 func (s *Scheduler) Spawn(name string, body ProcFunc) *Process {
 	p := s.newProcess(name, body)
-	s.ready = append(s.ready, p)
+	s.ready.Push(p)
 	return p
 }
 
@@ -294,7 +294,7 @@ func (s *Scheduler) Unblock(p *Process) {
 	if p.vp != nil && p.vp.Dedicated {
 		return // dedicated processes stay bound; readiness is enough
 	}
-	s.ready = append(s.ready, p)
+	s.ready.Push(p)
 }
 
 // At schedules fn to run at absolute virtual time t (immediately before the
@@ -319,8 +319,8 @@ func (s *Scheduler) nextRunnable() *Process {
 			return vp.current
 		}
 	}
-	for len(s.ready) > 0 {
-		p := s.ready[0]
+	for s.ready.Len() > 0 {
+		p := s.ready.Peek()
 		if p.state == StateReady && p.vp == nil {
 			vp := s.idlePooledVP()
 			if vp == nil {
@@ -330,9 +330,7 @@ func (s *Scheduler) nextRunnable() *Process {
 			vp.current = p
 			p.Bindings++
 		}
-		// Pop by shifting down, so appends reuse the array; the queue
-		// holds each process at most once.
-		s.ready = s.ready[:copy(s.ready, s.ready[1:])]
+		s.ready.Pop()
 		if p.state == StateReady {
 			return p
 		}
@@ -374,7 +372,7 @@ func (s *Scheduler) dispatch(p *Process) {
 		// kernel process stays bound and is found by the dedicated-VP scan.
 		p.state = StateReady
 		if !vp.Dedicated {
-			s.ready = append(s.ready, p)
+			s.ready.Push(p)
 		}
 	}
 	if !vp.Dedicated {
