@@ -574,6 +574,75 @@ func BenchmarkLoginLogout(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeOps times the reads of perfbench's tree workload on a
+// small S6 tree, outside perfbench: each iteration opens, reads and closes
+// one of three segments, through the user-ring walk and three gate round
+// trips, then lists their directory. The walk's directories are cached
+// after the warm-up, as they are in the tree workload's timed phase.
+func BenchmarkTreeOps(b *testing.B) {
+	sys, err := multics.New(multics.StageRestructured)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(sys.Shutdown)
+	if err := sys.AddUser("Reader", "Tree", "reader pw", multics.Unclassified); err != nil {
+		b.Fatal(err)
+	}
+	sess, err := sys.Login("Reader", "Tree", "reader pw", multics.Unclassified)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paths := []string{">tree>d>alpha", ">tree>d>beta", ">tree>d>gamma"}
+	for _, d := range []string{">tree", ">tree>d"} {
+		if err := sess.MakeDir(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, path := range paths {
+		if err := sess.CreateSegment(path, 64); err != nil {
+			b.Fatal(err)
+		}
+		seg, err := sess.Open(path, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := seg.WriteWord(i, uint64(100+i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := seg.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	clk := sys.Kernel.Services().Clock
+	op := func(i int) {
+		j := i % len(paths)
+		seg, err := sess.Open(paths[j], "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v, err := seg.ReadWord(j); err != nil || v != uint64(100+j) {
+			b.Fatalf("read %s: %d, %v", paths[j], v, err)
+		}
+		if err := seg.Close(); err != nil {
+			b.Fatal(err)
+		}
+		names, err := sess.List(">tree>d")
+		if err != nil || len(names) != len(paths) {
+			b.Fatalf("list: %v, %v", names, err)
+		}
+	}
+	for i := range paths {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := clk.Now()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	b.ReportMetric(float64(clk.Now()-start)/float64(b.N), "vcycles/op")
+}
+
 // BenchmarkAblationWaterMarks sweeps the parallel pager's free-pool tuning
 // knob over the standard trace (one full trace per iteration).
 func BenchmarkAblationWaterMarks(b *testing.B) {

@@ -188,6 +188,9 @@ type Kernel struct {
 	// devices is the I/O attachment table.
 	devices *deviceTable
 
+	// names is hcs_$list_dir's listing buffer, reused by every call.
+	names []string
+
 	// modules is the non-gate kernel code inventory for this stage.
 	modules []Module
 

@@ -139,7 +139,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 					if err != nil {
 						return nil, err
 					}
-					return []uint64{uint64(seg)}, nil
+					return ctx.Return(uint64(seg)), nil
 				}},
 			{name: "hcs_$terminate_seg", cat: gate.CatAddressSpace, bracket: userRing, arity: 1, units: 2,
 				impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -182,7 +182,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(seg)}, nil
+				return ctx.Return(uint64(seg)), nil
 			}},
 		{name: "hcs_$initiate_count", cat: gate.CatAddressSpace, bracket: userRing, arity: 4, units: 6,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -195,7 +195,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(seg), uint64(obj.BitCount())}, nil
+				return ctx.Return(uint64(seg), uint64(obj.BitCount())), nil
 			}},
 		{name: "hcs_$terminate_name", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -224,7 +224,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 					return nil, err
 				}
 				if seg, ok := p.kernelNames.Resolve(ref); ok {
-					return []uint64{uint64(seg)}, nil
+					return ctx.Return(uint64(seg)), nil
 				}
 				env := &kernelLinkEnv{k: k, p: p}
 				uid, err := env.LookupSegment(ref)
@@ -238,7 +238,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err := p.kernelNames.Bind(ref, seg); err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(seg)}, nil
+				return ctx.Return(uint64(seg)), nil
 			}},
 		{name: "hcs_$fs_get_path_name", cat: gate.CatAddressSpace, bracket: userRing, arity: 1, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -254,7 +254,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{off, length}, nil
+				return ctx.Return(off, length), nil
 			}},
 		{name: "hcs_$fs_get_ref_name", cat: gate.CatRefName, bracket: userRing, arity: 1, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -266,7 +266,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{off, length}, nil
+				return ctx.Return(off, length), nil
 			}},
 		{name: "hcs_$fs_get_seg_ptr", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -274,7 +274,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(seg)}, nil
+				return ctx.Return(uint64(seg)), nil
 			}},
 		{name: "hcs_$fs_get_mode", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -286,7 +286,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if !ok {
 					return nil, fmt.Errorf("core: segment %d not known", seg)
 				}
-				return []uint64{uint64(e.Mode)}, nil
+				return ctx.Return(uint64(e.Mode)), nil
 			}},
 		{name: "hcs_$set_wdir", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -317,7 +317,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{off, length}, nil
+				return ctx.Return(off, length), nil
 			}},
 		{name: "hcs_$terminate_file", cat: gate.CatRefName, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -334,7 +334,7 @@ func (k *Kernel) addressSpaceGates() []gdef {
 			}},
 		{name: "hcs_$high_low_seg_count", cat: gate.CatAddressSpace, bracket: userRing, units: 1,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				return []uint64{uint64(p.KST.Len()), uint64(FirstUserSegNo)}, nil
+				return ctx.Return(uint64(p.KST.Len()), uint64(FirstUserSegNo)), nil
 			}},
 	}
 }
@@ -361,7 +361,7 @@ func (k *Kernel) linkerGates() []gdef {
 			}
 			return nil, err
 		}
-		return []uint64{uint64(target.Seg), uint64(target.Entry)}, nil
+		return ctx.Return(uint64(target.Seg), uint64(target.Entry)), nil
 	}
 	return []gdef{
 		{name: "hcs_$link_snap", cat: gate.CatLinker, bracket: userRing, arity: 4, units: 8,
@@ -386,7 +386,7 @@ func (k *Kernel) linkerGates() []gdef {
 					}
 					return nil, err
 				}
-				return []uint64{uint64(entry)}, nil
+				return ctx.Return(uint64(entry)), nil
 			}},
 		{name: "hcs_$get_defname", cat: gate.CatLinker, bracket: userRing, arity: 2, units: 5,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -404,7 +404,7 @@ func (k *Kernel) linkerGates() []gdef {
 						if err != nil {
 							return nil, err
 						}
-						return []uint64{off, length}, nil
+						return ctx.Return(off, length), nil
 					}
 				}
 				return nil, fmt.Errorf("core: no symbol for entry %d of segment %d", args[1], args[0])
@@ -420,7 +420,7 @@ func (k *Kernel) linkerGates() []gdef {
 			}},
 		{name: "hcs_$get_search_rules", cat: gate.CatLinker, bracket: userRing, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				return []uint64{uint64(len(p.searchDirs))}, nil
+				return ctx.Return(uint64(len(p.searchDirs))), nil
 			}},
 		{name: "hcs_$reset_search_rules", cat: gate.CatLinker, bracket: userRing, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/acl"
 	"repro/internal/fs"
@@ -66,7 +65,7 @@ func (k *Kernel) fileSystemGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uid}, nil
+				return ctx.Return(uid), nil
 			}})
 	}
 	return defs
@@ -110,7 +109,7 @@ func (k *Kernel) dirOps() []dirOp {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uid}, nil
+				return ctx.Return(uid), nil
 			}},
 		{name: "hcs_$append_link", rest: 4, units: [2]int{3, 2},
 			body: func(p *Proc, ctx *machine.ExecContext, dir uint64, args []uint64) ([]uint64, error) {
@@ -134,13 +133,10 @@ func (k *Kernel) dirOps() []dirOp {
 			}},
 		{name: "hcs_$list_dir", units: [2]int{4, 2},
 			body: func(p *Proc, ctx *machine.ExecContext, dir uint64, args []uint64) ([]uint64, error) {
-				entries, err := k.hier.List(p.Principal, p.Label, dir)
+				names, err := k.hier.List(p.Principal, p.Label, dir, k.names[:0])
+				k.names = names
 				if err != nil {
 					return nil, err
-				}
-				names := make([]string, len(entries))
-				for i, e := range entries {
-					names[i] = e.Name
 				}
 				return k.writeList(ctx, names)
 			}},
@@ -182,7 +178,7 @@ func (k *Kernel) dirOps() []dirOp {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{kindWord(obj), uint64(obj.BitCount()), obj.UID}, nil
+				return ctx.Return(kindWord(obj), uint64(obj.BitCount()), obj.UID), nil
 			}},
 		{name: "hcs_$set_bc", rest: 1, entry: true, units: [2]int{2, 1},
 			body: func(p *Proc, ctx *machine.ExecContext, uid uint64, args []uint64) ([]uint64, error) {
@@ -209,7 +205,7 @@ func (k *Kernel) walkGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(seg)}, nil
+				return ctx.Return(uint64(seg)), nil
 			}},
 		{name: "hcs_$initiate_dir", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -224,7 +220,7 @@ func (k *Kernel) walkGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(seg)}, nil
+				return ctx.Return(uint64(seg)), nil
 			}},
 		{name: "hcs_$lookup_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 3, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -237,13 +233,13 @@ func (k *Kernel) walkGates() []gdef {
 					if err != nil {
 						return nil, err
 					}
-					return []uint64{0, 2, off, length}, nil // isLink marker
+					return ctx.Return(0, 2, off, length), nil // isLink marker
 				}
 				obj, err := k.hier.Object(e.UID)
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{e.UID, kindWord(obj), 0, 0}, nil
+				return ctx.Return(e.UID, kindWord(obj), 0, 0), nil
 			}},
 	}
 }
@@ -267,14 +263,14 @@ func (k *Kernel) dirArg(p *Proc, arg uint64) (uint64, error) {
 
 // lookupArg decodes (dirSegno, nameOff, nameLen) and looks the named
 // entry up: one step of the user-ring tree walk (S2+).
-func (k *Kernel) lookupArg(p *Proc, ctx *machine.ExecContext, args []uint64) (*fs.DirEntry, error) {
+func (k *Kernel) lookupArg(p *Proc, ctx *machine.ExecContext, args []uint64) (fs.DirEntry, error) {
 	dir, err := k.dirArg(p, args[0])
 	if err != nil {
-		return nil, err
+		return fs.DirEntry{}, err
 	}
 	name, err := k.readUserString(ctx, args[1], args[2])
 	if err != nil {
-		return nil, err
+		return fs.DirEntry{}, err
 	}
 	return k.hier.Lookup(p.Principal, p.Label, dir, name)
 }
@@ -291,11 +287,11 @@ func (k *Kernel) patternArg(ctx *machine.ExecContext, off, length uint64) (acl.P
 // writeList writes lines, newline-separated, into the caller's result
 // area and returns (offset, length, count).
 func (k *Kernel) writeList(ctx *machine.ExecContext, lines []string) ([]uint64, error) {
-	off, length, err := k.writeUserString(ctx, strings.Join(lines, "\n"))
+	off, length, err := k.writeUserString(ctx, lines...)
 	if err != nil {
 		return nil, err
 	}
-	return []uint64{off, length, uint64(len(lines))}, nil
+	return ctx.Return(off, length, uint64(len(lines))), nil
 }
 
 // kindWord is the status word for an object's kind: 1 for a directory,

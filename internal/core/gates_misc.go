@@ -27,7 +27,7 @@ func (k *Kernel) processGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{id}, nil
+				return ctx.Return(id), nil
 			}},
 		{name: "hcs_$delete_ev_chn", cat: gate.CatIPC, bracket: userRing, arity: 1, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -55,7 +55,7 @@ func (k *Kernel) processGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{ev.Data}, nil
+				return ctx.Return(ev.Data), nil
 			}},
 		{name: "hcs_$read_events", cat: gate.CatIPC, bracket: userRing, arity: 1, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -63,7 +63,7 @@ func (k *Kernel) processGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(kc.ch.Pending())}, nil
+				return ctx.Return(uint64(kc.ch.Pending())), nil
 			}},
 		{name: "hcs_$set_timer", cat: gate.CatProcess, bracket: userRing, arity: 3, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -83,11 +83,11 @@ func (k *Kernel) processGates() []gdef {
 				if p.sched != nil {
 					cycles = p.sched.CPUCycles
 				}
-				return []uint64{uint64(cycles)}, nil
+				return ctx.Return(uint64(cycles)), nil
 			}},
 		{name: "hcs_$get_process_id", cat: gate.CatProcess, bracket: userRing, units: 1,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				return []uint64{p.id}, nil
+				return ctx.Return(p.id), nil
 			}},
 	}
 }
@@ -103,7 +103,7 @@ func (k *Kernel) ioGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{id}, nil
+				return ctx.Return(id), nil
 			}}
 	}
 	mkRead := func(name string, units int) gdef {
@@ -118,9 +118,9 @@ func (k *Kernel) ioGates() []gdef {
 					return nil, err
 				}
 				if !ok {
-					return []uint64{0, 0}, nil
+					return ctx.Return(0, 0), nil
 				}
-				return []uint64{m.Data, 1}, nil
+				return ctx.Return(m.Data, 1), nil
 			}}
 	}
 	mkWrite := func(name string, units int) gdef {
@@ -147,7 +147,7 @@ func (k *Kernel) ioGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{uint64(d.buf.Len()), uint64(d.buf.Lost())}, nil
+				return ctx.Return(uint64(d.buf.Len()), uint64(d.buf.Lost())), nil
 			}}
 	}
 
@@ -199,7 +199,7 @@ func (k *Kernel) loginGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{np.id}, nil
+				return ctx.Return(np.id), nil
 			}},
 		{name: "as_$logout", cat: gate.CatLogin, bracket: userRing, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -223,7 +223,7 @@ func (k *Kernel) loginGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{np.id}, nil
+				return ctx.Return(np.id), nil
 			}},
 	}
 }
@@ -262,24 +262,15 @@ func (k *Kernel) miscGates() []gdef {
 	return []gdef{
 		{name: "hcs_$get_system_info", cat: gate.CatMisc, bracket: userRing, units: 2, anon: true,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				// The status gates return through the call frame's Out
-				// arena: they are the dispatch benchmark's hot path and
-				// must not allocate per call.
-				out := ctx.Out(2)
-				out[0], out[1] = uint64(k.cfg.Stage), uint64(k.clock.Now())
-				return out, nil
+				return ctx.Return(uint64(k.cfg.Stage), uint64(k.clock.Now())), nil
 			}},
 		{name: "hcs_$get_authorization", cat: gate.CatMisc, bracket: userRing, units: 1,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				out := ctx.Out(1)
-				out[0] = uint64(p.Label.Level)
-				return out, nil
+				return ctx.Return(uint64(p.Label.Level)), nil
 			}},
 		{name: "hcs_$total_cpu_time", cat: gate.CatMisc, bracket: userRing, units: 1, anon: true,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				out := ctx.Out(1)
-				out[0] = uint64(k.clock.Now())
-				return out, nil
+				return ctx.Return(uint64(k.clock.Now())), nil
 			}},
 	}
 }
@@ -309,7 +300,7 @@ func (k *Kernel) privilegedGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				return []uint64{np.id}, nil
+				return ctx.Return(np.id), nil
 			}},
 		{name: "phcs_$ring0_peek", cat: gate.CatMisc, bracket: machine.SupervisorRing, arity: 1, units: 2, anon: true,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -322,7 +313,7 @@ func (k *Kernel) privilegedGates() []gdef {
 				if !f.Free {
 					bits = 1
 				}
-				return []uint64{bits, f.PID.SegUID}, nil
+				return ctx.Return(bits, f.PID.SegUID), nil
 			}},
 		{name: "phcs_$wire_frame", cat: gate.CatMisc, bracket: machine.SupervisorRing, arity: 2, units: 2, anon: true,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -348,7 +339,7 @@ func (k *Kernel) privilegedGates() []gdef {
 						repaired++
 					}
 				}
-				return []uint64{uint64(rep.ObjectsWalked), uint64(len(rep.Problems)), uint64(repaired)}, nil
+				return ctx.Return(uint64(rep.ObjectsWalked), uint64(len(rep.Problems)), uint64(repaired)), nil
 			}},
 		{name: "phcs_$reclassify", cat: gate.CatMisc, bracket: machine.SupervisorRing, arity: 2, units: 2, anon: true,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {

@@ -273,32 +273,31 @@ func (p *Proc) Run(body func(pc *sched.ProcCtx)) *sched.Process {
 // through a gate. Bytes are packed one per word for simplicity of kernel
 // validation.
 func (p *Proc) WriteArgBytes(b []byte) (off, length uint64, err error) {
+	return p.WriteArgString(string(b))
+}
+
+// WriteArgString is WriteArgBytes for a string: the characters cross in
+// one store run (machine.Processor.StoreString).
+func (p *Proc) WriteArgString(s string) (off, length uint64, err error) {
 	if p.CPU == nil {
 		return 0, 0, ErrProcessDestroyed
 	}
-	if p.argTop+len(b) > ArgSegWords {
+	if p.argTop+len(s) > ArgSegWords {
 		p.argTop = 0 // wrap: argument area is transient
-		if len(b) > ArgSegWords {
-			return 0, 0, fmt.Errorf("core: argument of %d bytes exceeds argument segment", len(b))
+		if len(s) > ArgSegWords {
+			return 0, 0, fmt.Errorf("core: argument of %d bytes exceeds argument segment", len(s))
 		}
 	}
 	start := p.argTop
-	for i, c := range b {
-		if err := p.CPU.Store(SegArgs, start+i, uint64(c)); err != nil {
-			return 0, 0, fmt.Errorf("core: writing argument byte %d: %w", i, err)
-		}
+	if n, err := p.CPU.StoreString(SegArgs, start, s); err != nil {
+		return 0, 0, fmt.Errorf("core: writing argument byte %d: %w", n, err)
 	}
-	p.argTop += len(b)
-	return uint64(start), uint64(len(b)), nil
-}
-
-// WriteArgString is WriteArgBytes for a string.
-func (p *Proc) WriteArgString(s string) (off, length uint64, err error) {
-	return p.WriteArgBytes([]byte(s))
+	p.argTop += len(s)
+	return uint64(start), uint64(len(s)), nil
 }
 
 // ReadArgString reads a string the kernel wrote back into the argument
-// segment at (off, length).
+// segment at (off, length), in one load run.
 func (p *Proc) ReadArgString(off, length uint64) (string, error) {
 	if p.CPU == nil {
 		return "", ErrProcessDestroyed
@@ -306,15 +305,7 @@ func (p *Proc) ReadArgString(off, length uint64) (string, error) {
 	if length > ArgSegWords {
 		return "", fmt.Errorf("core: result length %d implausible", length)
 	}
-	buf := make([]byte, length)
-	for i := range buf {
-		w, err := p.CPU.Load(SegArgs, int(off)+i)
-		if err != nil {
-			return "", err
-		}
-		buf[i] = byte(w)
-	}
-	return string(buf), nil
+	return p.CPU.LoadString(SegArgs, int(off), int(length))
 }
 
 // CallGate invokes the named gate through the machine: the call crosses
@@ -340,7 +331,8 @@ func (p *Proc) GateString(s string) (uint64, uint64, error) {
 
 // readUserString is the kernel-side helper: gate implementations use it to
 // fetch a string argument from the caller's argument segment, reading
-// through the machine (and therefore through the access checks) in ring 0.
+// through the machine (and therefore through the access checks) in ring 0,
+// in one load run.
 func (k *Kernel) readUserString(ctx *machine.ExecContext, off, length uint64) (string, error) {
 	if length == 0 {
 		return "", nil
@@ -348,31 +340,45 @@ func (k *Kernel) readUserString(ctx *machine.ExecContext, off, length uint64) (s
 	if length > ArgSegWords {
 		return "", fmt.Errorf("core: string argument length %d exceeds argument segment", length)
 	}
-	buf := make([]byte, length)
-	for i := uint64(0); i < length; i++ {
-		w, err := ctx.Load(SegArgs, int(off+i))
-		if err != nil {
-			return "", fmt.Errorf("core: reading string argument: %w", err)
+	s, err := ctx.LoadString(SegArgs, int(off), int(length))
+	if err != nil {
+		var wide *machine.WideWordError
+		if errors.As(err, &wide) {
+			return "", fmt.Errorf("core: malformed string argument word %#x", wide.Word)
 		}
-		if w > 0xff {
-			return "", fmt.Errorf("core: malformed string argument word %#x", w)
-		}
-		buf[i] = byte(w)
+		return "", fmt.Errorf("core: reading string argument: %w", err)
 	}
-	return string(buf), nil
+	return s, nil
 }
 
-// writeUserString writes s into the caller's argument segment at a fixed
-// result area (the top quarter), returning (off, len).
-func (k *Kernel) writeUserString(ctx *machine.ExecContext, s string) (uint64, uint64, error) {
-	resultBase := ArgSegWords * 3 / 4
-	if len(s) > ArgSegWords/4 {
-		return 0, 0, fmt.Errorf("core: result string of %d bytes too large", len(s))
+// resultBase is the start of the result area of the argument segment, its
+// top quarter, where gates write the strings they return.
+const resultBase = ArgSegWords * 3 / 4
+
+// writeUserString writes lines, newline-separated, into the caller's
+// argument segment at the result area, returning (off, len). Each line
+// crosses in one store run, with a newline word between lines, so the
+// joined text is never built.
+func (k *Kernel) writeUserString(ctx *machine.ExecContext, lines ...string) (uint64, uint64, error) {
+	length := max(len(lines)-1, 0)
+	for _, l := range lines {
+		length += len(l)
 	}
-	for i := 0; i < len(s); i++ {
-		if err := ctx.Store(SegArgs, resultBase+i, uint64(s[i])); err != nil {
+	if length > ArgSegWords/4 {
+		return 0, 0, fmt.Errorf("core: result string of %d bytes too large", length)
+	}
+	off := resultBase
+	for i, l := range lines {
+		if i > 0 {
+			if err := ctx.Store(SegArgs, off, '\n'); err != nil {
+				return 0, 0, fmt.Errorf("core: writing result string: %w", err)
+			}
+			off++
+		}
+		if _, err := ctx.StoreString(SegArgs, off, l); err != nil {
 			return 0, 0, fmt.Errorf("core: writing result string: %w", err)
 		}
+		off += len(l)
 	}
-	return uint64(resultBase), uint64(len(s)), nil
+	return uint64(resultBase), uint64(length), nil
 }

@@ -1,0 +1,63 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/fs"
+	"repro/internal/gate"
+	"repro/internal/trace"
+)
+
+// TestGateRoundTripAllocatesNothingItDoesNotReturn pins the allocations of
+// user-ring gate calls with arguments. The argument list stays in the
+// caller's frame and the results come back in the call frame's arena, so
+// re-initiating a known segment allocates nothing, and a fresh
+// initiate-terminate pair allocates only the new descriptor's backing.
+func TestGateRoundTripAllocatesNothingItDoesNotReturn(t *testing.T) {
+	k := newKernel(t, S6Restructured)
+	h := k.Services().Hierarchy
+	dir := mkdir(t, k, alice, "udd")
+	uid, err := h.Create(alice, unc, dir, "data", fs.CreateOptions{Kind: fs.KindSegment, Label: unc, Length: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := userProc(t, k, alice, unc)
+	out, err := p.CallGate("hcs_$initiate_uid", uid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := out[0]
+	if n := testing.AllocsPerRun(100, func() {
+		if out, err := p.CallGate("hcs_$initiate_uid", uid); err != nil || out[0] != seg {
+			t.Fatalf("re-initiate = %v, %v, want segment %d", out, err, seg)
+		}
+	}); n != 0 {
+		t.Errorf("re-initiating a known segment allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		out, err := p.CallGate("hcs_$initiate_uid", uid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.CallGate("hcs_$terminate_seg", out[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("initiate then terminate allocates %.0f times, want 1 (the descriptor's backing)", n)
+	}
+}
+
+// TestOversizedArgumentListStillRefused checks that the frame's argument
+// copy hands an argument list longer than gate.MaxArgs to the gatekeeper,
+// which refuses it as before.
+func TestOversizedArgumentListStillRefused(t *testing.T) {
+	k := newKernel(t, S6Restructured)
+	p := userProc(t, k, alice, unc)
+	args := make([]uint64, gate.MaxArgs+1)
+	if _, err := p.CallGate("hcs_$get_system_info", args...); gate.Classify(err) != trace.ClassBadArgs {
+		t.Errorf("%d-word argument list: %v, want a bad-args refusal", len(args), err)
+	}
+	if _, err := p.CallGate("hcs_$get_system_info"); err != nil {
+		t.Errorf("the next call at the same depth: %v", err)
+	}
+}

@@ -128,6 +128,9 @@ func (k *Kernel) initiateUID(p *Proc, uid uint64) (machine.SegNo, error) {
 	if granted&(acl.ModeRead|acl.ModeWrite|acl.ModeExecute) == 0 {
 		return 0, &acl.DeniedError{Who: p.Principal, Want: acl.ModeRead, Got: granted}
 	}
+	if seg, ok := p.KST.SegNoForUID(uid); ok {
+		return seg, nil // already known: its descriptor stands, as KST.Initiate keeps it
+	}
 	backing, err := mem.NewPagedBacking(k.store, uid)
 	if err != nil {
 		return 0, err
@@ -160,6 +163,9 @@ func (k *Kernel) initiateDir(p *Proc, uid uint64) (machine.SegNo, error) {
 	// Require status permission to make the directory known at all.
 	if err := obj.CheckACL(p.Principal, acl.ModeStatus); err != nil {
 		return 0, err
+	}
+	if seg, ok := p.KST.SegNoForUID(uid); ok {
+		return seg, nil
 	}
 	backing, err := mem.NewPagedBacking(k.store, uid)
 	if err != nil {

@@ -272,13 +272,14 @@ func TestDeviceOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pb.CallGate("net_$read", out[0]); err == nil {
+	dev := out[0] // a result is reused by pa's next call
+	if _, err := pb.CallGate("net_$read", dev); err == nil {
 		t.Error("reading another process's attachment should fail")
 	}
-	if _, err := pa.CallGate("net_$detach", out[0]); err != nil {
+	if _, err := pa.CallGate("net_$detach", dev); err != nil {
 		t.Errorf("detach: %v", err)
 	}
-	if _, err := pa.CallGate("net_$read", out[0]); err == nil {
+	if _, err := pa.CallGate("net_$read", dev); err == nil {
 		t.Error("read after detach should fail")
 	}
 }

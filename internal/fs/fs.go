@@ -32,6 +32,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/acl"
@@ -128,7 +129,7 @@ type DirEntry struct {
 }
 
 // IsLink reports whether the entry is a link.
-func (e *DirEntry) IsLink() bool { return e.LinkTo != "" }
+func (e DirEntry) IsLink() bool { return e.LinkTo != "" }
 
 // Errors returned by the hierarchy.
 var (
@@ -394,46 +395,47 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 
 // lookupEntry returns a copy of the entry name in dir, holding the checks
 // the public Lookup performs. Shared by Lookup and the path walker.
-func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, name string) (*DirEntry, error) {
+func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, name string) (DirEntry, error) {
 	if err := checkDir(dir, who, subj, acl.ModeStatus); err != nil {
-		return nil, err
+		return DirEntry{}, err
 	}
 	h.ops.lookups.Inc()
 	e, ok := dir.entries[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dir.UID)
+		return DirEntry{}, fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dir.UID)
 	}
-	cp := *e
-	return &cp, nil
+	return *e, nil
 }
 
 // Lookup finds the entry name in directory dirUID. It requires status
 // permission on the directory. Links are returned as-is; the caller decides
 // whether to chase them.
-func (h *Hierarchy) Lookup(who acl.Principal, subj mls.Label, dirUID uint64, name string) (*DirEntry, error) {
+func (h *Hierarchy) Lookup(who acl.Principal, subj mls.Label, dirUID uint64, name string) (DirEntry, error) {
 	dir, err := h.directory(dirUID)
 	if err != nil {
-		return nil, err
+		return DirEntry{}, err
 	}
 	return h.lookupEntry(dir, who, subj, name)
 }
 
-// List returns the entries of directory dirUID in name order.
-func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64) ([]DirEntry, error) {
+// List appends the entry names of directory dirUID to names, in name
+// order, and returns the extended slice; a caller that lists often passes
+// the previous result's storage back in.
+func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64, names []string) ([]string, error) {
 	dir, err := h.directory(dirUID)
 	if err != nil {
-		return nil, err
+		return names, err
 	}
 	if err := checkDir(dir, who, subj, acl.ModeStatus); err != nil {
-		return nil, err
+		return names, err
 	}
 	h.ops.lookups.Inc()
-	out := make([]DirEntry, 0, len(dir.entries))
-	for _, e := range dir.entries {
-		out = append(out, *e)
+	start := len(names)
+	for name := range dir.entries {
+		names = append(names, name)
 	}
-	sortEntries(out)
-	return out, nil
+	slices.Sort(names[start:])
+	return names, nil
 }
 
 // Delete removes the entry name from directory dirUID. Deleting a branch
@@ -584,12 +586,4 @@ func validName(name string) error {
 		}
 	}
 	return nil
-}
-
-func sortEntries(es []DirEntry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Name < es[j-1].Name; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }

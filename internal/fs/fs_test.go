@@ -108,15 +108,12 @@ func TestListSorted(t *testing.T) {
 	for _, n := range []string{"zebra", "alpha", "mike"} {
 		mustCreate(t, h, alice, RootUID, n, CreateOptions{Kind: KindSegment})
 	}
-	es, err := h.List(alice, unc, RootUID)
+	// List appends after what the buffer already holds.
+	names, err := h.List(alice, unc, RootUID, []string{"kept"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(es))
-	for i, e := range es {
-		names[i] = e.Name
-	}
-	if strings.Join(names, ",") != "alpha,mike,zebra" {
+	if strings.Join(names, ",") != "kept,alpha,mike,zebra" {
 		t.Errorf("list = %v", names)
 	}
 }
@@ -300,7 +297,7 @@ func TestDirectoryStatusRequiredForLookup(t *testing.T) {
 	if _, err := h.ResolvePath(bob, unc, ">locked>doc"); err == nil {
 		t.Error("resolution through unreadable directory should fail")
 	}
-	if _, err := h.List(bob, unc, dir); err == nil {
+	if _, err := h.List(bob, unc, dir, nil); err == nil {
 		t.Error("list without status permission should fail")
 	}
 }

@@ -174,6 +174,37 @@ func TestInfiniteBufferTrimsConsumedPages(t *testing.T) {
 	}
 }
 
+// TestInfiniteBufferSteadyBurstAllocatesNothing drives bursts that fill a
+// fresh page and drain it, as a session's reply buffer does: the store
+// reuses the discarded page's words for the next zero-fill, so a steady
+// burst allocates nothing.
+func TestInfiniteBufferSteadyBurstAllocatesNothing(t *testing.T) {
+	s := bufStore(t) // 8-word pages -> 4 messages per page
+	b, err := NewInfiniteBuffer(s, 503)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			if err := b.Put(Message{Seq: seq + uint64(i), Data: 7}); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			m, ok, err := b.Get()
+			if err != nil || !ok || m.Seq != seq {
+				t.Fatalf("Get = %+v, %v, %v, want seq %d", m, ok, err, seq)
+			}
+			seq++
+		}
+	}
+	burst() // the first page is a new one
+	if n := testing.AllocsPerRun(50, burst); n != 0 {
+		t.Errorf("steady burst allocates %.0f times, want 0", n)
+	}
+}
+
 func TestDriverInventory(t *testing.T) {
 	legacy := LegacyDrivers()
 	if len(legacy) != 5 {

@@ -66,10 +66,6 @@ type Channel struct {
 	closed  bool
 	// awaitReason is the block reason Await reports, built once.
 	awaitReason string
-
-	// Signals and Waits count uses, for the experiment reports.
-	Signals int64
-	Waits   int64
 }
 
 // NewChannel creates an event channel. A nil guard permits every use (the
@@ -94,7 +90,6 @@ func (c *Channel) Signal(p *sched.Process, ev Event) error {
 		ev.From = p.Name
 	}
 	ev.At = c.sch.Clock.Now()
-	c.Signals++
 	c.pending.Push(ev)
 	if c.waiters.Len() > 0 {
 		c.sch.Unblock(c.waiters.Pop())
@@ -110,7 +105,6 @@ func (c *Channel) Await(pc *sched.ProcCtx) (Event, error) {
 			return Event{}, fmt.Errorf("ipc: await on %q denied: %w", c.Name, err)
 		}
 	}
-	c.Waits++
 	for c.Pending() == 0 {
 		if c.closed {
 			return Event{}, ErrChannelClosed
@@ -131,12 +125,14 @@ func (c *Channel) TryAwait(pc *sched.ProcCtx) (Event, bool, error) {
 	if c.Pending() == 0 {
 		return Event{}, false, nil
 	}
-	c.Waits++
 	return c.pending.Pop(), true, nil
 }
 
 // Pending returns the number of queued events.
 func (c *Channel) Pending() int { return c.pending.Len() }
+
+// Waiting returns the number of processes blocked in Await.
+func (c *Channel) Waiting() int { return c.waiters.Len() }
 
 // Close marks the channel closed and wakes all waiters, which will observe
 // ErrChannelClosed once the pending queue drains.

@@ -37,8 +37,8 @@ func TestSignalThenAwait(t *testing.T) {
 	if got.Data != 42 || got.From != "producer" {
 		t.Errorf("event = %+v", got)
 	}
-	if ch.Signals != 1 || ch.Waits != 1 {
-		t.Errorf("counters = %d/%d", ch.Signals, ch.Waits)
+	if ch.Pending() != 0 || ch.Waiting() != 0 {
+		t.Errorf("after one signal and one await: %d pending, %d waiting, want 0 and 0", ch.Pending(), ch.Waiting())
 	}
 }
 
@@ -191,8 +191,8 @@ func TestGuardDeniesUse(t *testing.T) {
 		}
 	})
 	s.Run(0)
-	if ch.Signals != 1 {
-		t.Errorf("signals = %d, want 1 (intruder excluded)", ch.Signals)
+	if ch.Pending() != 1 {
+		t.Errorf("pending = %d, want 1 (intruder excluded)", ch.Pending())
 	}
 }
 

@@ -34,7 +34,7 @@ type Table struct {
 	// firstUser is the first segment number handed to initiations;
 	// numbers below it are reserved for kernel segments.
 	firstUser machine.SegNo
-	entries   map[machine.SegNo]*Entry
+	entries   map[machine.SegNo]Entry
 	byUID     map[uint64]machine.SegNo
 }
 
@@ -44,7 +44,7 @@ func New(ds *machine.DescriptorSegment, firstUser machine.SegNo) *Table {
 	return &Table{
 		ds:        ds,
 		firstUser: firstUser,
-		entries:   make(map[machine.SegNo]*Entry),
+		entries:   make(map[machine.SegNo]Entry),
 		byUID:     make(map[uint64]machine.SegNo),
 	}
 }
@@ -64,7 +64,7 @@ func (t *Table) Initiate(uid uint64, sdw machine.SDW) (machine.SegNo, bool, erro
 	if err := t.ds.Set(seg, sdw); err != nil {
 		return 0, false, fmt.Errorf("kst: installing descriptor for %#x: %w", uid, err)
 	}
-	t.entries[seg] = &Entry{SegNo: seg, UID: uid, Mode: sdw.Mode, Brackets: sdw.Brackets}
+	t.entries[seg] = Entry{SegNo: seg, UID: uid, Mode: sdw.Mode, Brackets: sdw.Brackets}
 	t.byUID[uid] = seg
 	return seg, true, nil
 }
@@ -100,17 +100,14 @@ func (t *Table) UIDForSegNo(seg machine.SegNo) (uint64, bool) {
 // Entry returns a copy of the entry for seg.
 func (t *Table) Entry(seg machine.SegNo) (Entry, bool) {
 	e, ok := t.entries[seg]
-	if !ok {
-		return Entry{}, false
-	}
-	return *e, true
+	return e, ok
 }
 
 // Known returns the known entries sorted by segment number.
 func (t *Table) Known() []Entry {
 	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
-		out = append(out, *e)
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SegNo < out[j].SegNo })
 	return out

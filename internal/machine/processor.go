@@ -78,6 +78,8 @@ type Processor struct {
 	// ctxCache holds one reusable ExecContext per call depth, so gate
 	// dispatch allocates nothing on the steady-state hot path.
 	ctxCache []ExecContext
+	// strBuf is LoadString's reusable character buffer.
+	strBuf []byte
 	// mAssocHits/mAssocMisses/mFaults, when set, publish into the unified
 	// metrics registry alongside the per-processor stats (see SetMetrics).
 	mAssocHits   *metrics.Counter
@@ -115,8 +117,10 @@ func (p *Processor) Reset(clock *Clock, cost CostModel, ring Ring) {
 // reset is the state NewProcessor and Reset share. It is one struct
 // literal, so a field added later starts at its zero value instead of
 // being carried over; only the descriptor segment, the associative memory
-// and the emptied storage of the fault counts, linkage map and call-frame
-// contexts are kept.
+// and the storage of the fault counts and linkage map (emptied), the
+// call-frame contexts and the string buffer are kept. A kept context
+// shows a new process nothing of an old one: Call overwrites its
+// argument copy and Out clears the result words it hands out.
 func (p *Processor) reset(clock *Clock, cost CostModel, ring Ring) {
 	clear(p.stats.Faults)
 	clear(p.linkage)
@@ -128,7 +132,8 @@ func (p *Processor) reset(clock *Clock, cost CostModel, ring Ring) {
 		stats:    Stats{Faults: p.stats.Faults},
 		linkage:  p.linkage,
 		assoc:    p.assoc,
-		ctxCache: p.ctxCache[:0],
+		ctxCache: p.ctxCache,
+		strBuf:   p.strBuf,
 	}
 }
 
@@ -355,6 +360,124 @@ func (p *Processor) Store(seg SegNo, off int, val uint64) error {
 	return err
 }
 
+// WideWordError is the error of a load run that met a word wider than a
+// byte where a character belongs.
+type WideWordError struct {
+	Seg    SegNo
+	Offset int
+	Word   uint64
+}
+
+func (e *WideWordError) Error() string {
+	return fmt.Sprintf("machine: word %#x at segment %d offset %d is not a character", e.Word, e.Seg, e.Offset)
+}
+
+// LoadString reads the n consecutive one-byte words at off as a string,
+// in one run. The first word is an ordinary checked reference. After
+// it, while the associative memory holds a decision permitting the read
+// and the segment is a resident CoreBacking, the remaining in-bounds
+// words are copied in one loop and charged exactly as that many single
+// references: an associative-memory search and a load each, with their
+// hits and loads counted. Any other word (the first past the bound, or
+// every word when the associative memory is off) goes through the full
+// check, so faults land on the same word at the same cost. A word wider
+// than a byte ends the run after it is charged, with a *WideWordError.
+// The string is the run's only allocation.
+func (p *Processor) LoadString(seg SegNo, off, n int) (string, error) {
+	buf, err := p.loadRun(seg, off, n, p.strBuf[:0])
+	p.strBuf = buf[:0]
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// loadRun is LoadString's run: it appends the characters to buf, which
+// grows only as far as the run gets.
+func (p *Processor) loadRun(seg SegNo, off, n int, buf []byte) ([]byte, error) {
+	for len(buf) < n {
+		w, err := p.access(seg, off+len(buf), ModeRead, false, 0)
+		if err != nil {
+			return buf, err
+		}
+		if w > 0xff {
+			return buf, &WideWordError{Seg: seg, Offset: off + len(buf), Word: w}
+		}
+		buf = append(buf, byte(w))
+		cb := p.runBacking(seg, false)
+		if cb == nil {
+			continue
+		}
+		start := len(buf)
+		for i := start; i < min(n, cb.n-off); i++ {
+			var w uint64
+			if cb.words != nil {
+				w = cb.words[off+i]
+			}
+			if w > 0xff {
+				p.chargeRun(i+1-start, false)
+				return buf, &WideWordError{Seg: seg, Offset: off + i, Word: w}
+			}
+			buf = append(buf, byte(w))
+		}
+		p.chargeRun(len(buf)-start, false)
+	}
+	return buf, nil
+}
+
+// StoreString writes s at off, one character per word, in one run with
+// LoadString's rules. It returns the number of characters stored, which
+// is len(s) unless a reference faulted.
+func (p *Processor) StoreString(seg SegNo, off int, s string) (int, error) {
+	for i := 0; i < len(s); {
+		if _, err := p.access(seg, off+i, ModeWrite, true, uint64(s[i])); err != nil {
+			return i, err
+		}
+		i++
+		cb := p.runBacking(seg, true)
+		if cb == nil {
+			continue
+		}
+		start := i
+		words := cb.Words()
+		for end := min(len(s), cb.n-off); i < end; i++ {
+			words[off+i] = uint64(s[i])
+		}
+		p.chargeRun(i-start, true)
+	}
+	return len(s), nil
+}
+
+// runBacking returns the resident backing of seg when the associative
+// memory holds a decision permitting the wanted access in the current
+// ring, so a run may continue without the full check; otherwise nil.
+func (p *Processor) runBacking(seg SegNo, write bool) *CoreBacking {
+	e := p.assoc.lookup(seg, p.ring)
+	if e == nil || (write && !e.writeOK) || (!write && !e.readOK) {
+		return nil
+	}
+	cb, _ := e.sdw.Backing.(*CoreBacking)
+	return cb
+}
+
+// chargeRun charges n in-bounds references that hit the associative
+// memory, exactly as n single references through access would be.
+func (p *Processor) chargeRun(n int, write bool) {
+	p.stats.AssocHits += int64(n)
+	if p.mAssocHits != nil {
+		p.mAssocHits.Add(int64(n))
+	}
+	cost := p.Cost.AssocSearch
+	if write {
+		p.stats.Stores += int64(n)
+		cost += p.Cost.Store
+	} else {
+		p.stats.Loads += int64(n)
+		cost += p.Cost.Load
+	}
+	p.Clock.Advance(int64(n) * cost)
+}
+
 // resolveCall applies the ring-bracket call rules, returning the ring the
 // callee will execute in and whether the call passes through a gate.
 func (p *Processor) resolveCall(seg SegNo, sdw *SDW, entry int) (Ring, bool, *Fault) {
@@ -464,14 +587,18 @@ func (p *Processor) Call(seg SegNo, entry int, args []uint64) ([]uint64, error) 
 	p.ring = target
 	// One cached ExecContext per call depth: frames deeper than any seen
 	// before grow the cache once, then every later call at that depth
-	// reuses the same context (and its Out arena) allocation-free.
+	// reuses the same context (its argument copy and Out arena)
+	// allocation-free. The body sees the frame's copy of args, never the
+	// caller's slice: the body is an opaque function value, so handing it
+	// args would move every caller's argument list to the heap.
 	if p.depth >= len(p.ctxCache) {
 		p.ctxCache = append(p.ctxCache, ExecContext{})
 	}
 	ctx := &p.ctxCache[p.depth]
 	ctx.proc, ctx.seg, ctx.entry = p, seg, entry
+	ctx.args = append(ctx.args[:0], args...)
 	p.depth++
-	out, err := sdw.Proc.Entries[entry](ctx, args)
+	out, err := sdw.Proc.Entries[entry](ctx, ctx.args)
 	p.depth--
 	p.ring = caller
 	p.Clock.Advance(p.Cost.Return)
@@ -514,21 +641,31 @@ type ExecContext struct {
 	proc  *Processor
 	seg   SegNo
 	entry int
+	// args is the frame's copy of the caller's argument list; see Call.
+	args []uint64
 	// out is the frame's reusable result arena; see Out.
 	out []uint64
 }
 
-// Out returns an n-word result buffer owned by this call frame, for gate
-// bodies to return without allocating. The buffer is reused by the next
-// call at the same depth on the same processor, so callers of
-// Processor.Call must consume (or copy) results before calling again —
-// which every in-tree caller already does.
+// Out returns an n-word result buffer owned by this call frame, zeroed,
+// for gate bodies to return without allocating. The buffer is reused by
+// the next call at the same depth on the same processor, so callers of
+// Processor.Call must consume (or copy) results before calling again.
 func (c *ExecContext) Out(n int) []uint64 {
 	if cap(c.out) < n {
 		c.out = make([]uint64, n)
 	}
 	c.out = c.out[:n]
+	clear(c.out)
 	return c.out
+}
+
+// Return copies words into the frame's Out arena and returns it: the way
+// a body hands back its results without allocating. Out's rule applies.
+func (c *ExecContext) Return(words ...uint64) []uint64 {
+	out := c.Out(len(words))
+	copy(out, words)
+	return out
 }
 
 // Ring returns the ring this code is executing in.
@@ -548,6 +685,18 @@ func (c *ExecContext) Load(seg SegNo, off int) (uint64, error) { return c.proc.L
 // Store writes one word through the protection checks.
 func (c *ExecContext) Store(seg SegNo, off int, val uint64) error {
 	return c.proc.Store(seg, off, val)
+}
+
+// LoadString reads an n-character string from consecutive one-byte words
+// through the protection checks; see Processor.LoadString.
+func (c *ExecContext) LoadString(seg SegNo, off, n int) (string, error) {
+	return c.proc.LoadString(seg, off, n)
+}
+
+// StoreString writes s one character per word through the protection
+// checks; see Processor.StoreString.
+func (c *ExecContext) StoreString(seg SegNo, off int, s string) (int, error) {
+	return c.proc.StoreString(seg, off, s)
 }
 
 // Call invokes another procedure segment through the ring-bracket rules.

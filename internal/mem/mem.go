@@ -190,6 +190,12 @@ type Store struct {
 	// process.
 	bulk bulkIndex
 
+	// spare holds the words of pages released by Discard, DeleteSegment
+	// and a shrinking SetLength, at most CoreFrames of them; a zero-fill
+	// clears and reuses one before it allocates. Pages that leave core
+	// or bulk by eviction or a disk write pass their words on instead.
+	spare [][]uint64
+
 	// backing is the durable block layer serving LevelDisk. It may also
 	// hold stale copies of pages whose live location is core or bulk —
 	// checkpoint flushes write through without moving pages, exactly as
@@ -326,13 +332,18 @@ func (s *Store) DeleteSegment(uid uint64) error {
 	return nil
 }
 
-// releasePage returns a page's storage to the free pools.
+// releasePage returns a page's storage to the free pools and keeps its
+// words for the next zero-fill.
 func (s *Store) releasePage(pid PageID, loc Location) {
+	var data []uint64
 	switch loc.Level {
 	case LevelCore:
-		s.releaseFrame(loc.Frame)
+		data = s.releaseFrame(loc.Frame)
 	case LevelBulk:
-		s.releaseBlock(loc.Block)
+		data = s.releaseBlock(loc.Block)
+	}
+	if len(data) == s.cfg.PageWords && len(s.spare) < s.cfg.CoreFrames {
+		s.spare = append(s.spare, data)
 	}
 	// Drop the durable copy regardless of the live level: a checkpoint
 	// flush may have left one behind a core- or bulk-resident page. A
@@ -350,6 +361,11 @@ func (s *Store) SetLength(uid uint64, length int) error {
 	}
 	if length < 0 {
 		return fmt.Errorf("mem: negative segment length %d", length)
+	}
+	if length >= sp.length {
+		// Pages exist only within the length, so growing releases none.
+		sp.length = length
+		return nil
 	}
 	lastPage := (length + s.cfg.PageWords - 1) / s.cfg.PageWords
 	for idx, loc := range sp.pages {
@@ -473,9 +489,23 @@ func (s *Store) materializeZero(sp *SegmentPages, pid PageID) (FrameID, error) {
 	if !ok {
 		return 0, ErrNoFreeFrame
 	}
-	s.installFrame(sp, f, pid, make([]uint64, s.cfg.PageWords))
+	s.installFrame(sp, f, pid, s.zeroPage())
 	s.zeroFills.Inc()
 	return f, nil
+}
+
+// zeroPage returns a page of zero words: a released page's words,
+// cleared, when one is kept, else new ones.
+func (s *Store) zeroPage() []uint64 {
+	n := len(s.spare)
+	if n == 0 {
+		return make([]uint64, s.cfg.PageWords)
+	}
+	data := s.spare[n-1]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	clear(data)
+	return data
 }
 
 // installFrame publishes page data into a freshly allocated frame and

@@ -3,6 +3,7 @@ package pagectl
 import (
 	"testing"
 
+	"repro/internal/ipc"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -178,6 +179,40 @@ func TestParallelPagerUnderPressure(t *testing.T) {
 	}
 	if transfers(store, "mem.bulk_to_disk") == 0 {
 		t.Error("bulk-store freeing process should have pushed pages to disk")
+	}
+}
+
+// TestFreeingWakeupsDoNotPileUp runs enough faults to keep both freeing
+// processes busy and requires their availability channels to hold no
+// backlog: a wakeup signalled while nobody waits is drained unread, so
+// queueing it only grows the channel.
+func TestFreeingWakeupsDoNotPileUp(t *testing.T) {
+	store := tinyMem(t, 4, 4)
+	if _, err := store.CreateSegment(1, 4000); err != nil {
+		t.Fatal(err)
+	}
+	clk := machine.NewClock()
+	sch := sched.New(clk)
+	defer sch.Shutdown()
+	sch.AddVP("cpu", false)
+	cfg := ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}
+	p, err := NewParallelPager(store, sch, cfg, FIFOPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := make([]int, 400)
+	for i := range pages {
+		pages[i] = (i * 7) % 40
+	}
+	touchPages(t, sch, p, 1, pages)
+	if p.KernelEvictions < 100 || transfers(store, "mem.bulk_to_disk") == 0 {
+		t.Fatalf("freeing processes barely ran: %d evictions, %d bulk-to-disk moves",
+			p.KernelEvictions, transfers(store, "mem.bulk_to_disk"))
+	}
+	for _, ch := range []*ipc.Channel{p.framesAvail, p.blocksAvail} {
+		if n := ch.Pending(); n > 1 {
+			t.Errorf("%s holds %d stale wakeups, want at most 1", ch.Name, n)
+		}
 	}
 }
 

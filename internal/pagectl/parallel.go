@@ -54,11 +54,13 @@ type ParallelPager struct {
 	policy VictimPolicy
 
 	// framesAvail is signalled by the core-freeing process each time it
-	// frees frames; faulting processes await it when core is exhausted.
+	// frees a frame while a faulting process awaits it (core is
+	// exhausted).
 	framesAvail *ipc.Channel
 	// coreWork wakes the core-freeing process; bulkWork wakes the
 	// bulk-store-freeing process; blocksAvail is signalled by the
-	// bulk-store-freeing process each time it frees a block.
+	// bulk-store-freeing process each time it frees a block while the
+	// core-freeing process awaits one.
 	coreWork    *ipc.Channel
 	bulkWork    *ipc.Channel
 	blocksAvail *ipc.Channel
@@ -158,9 +160,13 @@ func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 			p.KernelEvictions++
 			pc.Consume(evictionCPUCost) // page-control bookkeeping
 			pc.Sleep(lat)               // the I/O happens in THIS process, not the faulter
-			// Tell any faulting process waiting for a frame.
-			if err := p.framesAvail.Signal(pc.Process(), ipc.Event{}); err != nil {
-				return
+			// Tell any faulting process waiting for a frame. With none
+			// waiting the wakeup would only be drained unread, so none is
+			// queued.
+			if p.framesAvail.Waiting() > 0 {
+				if err := p.framesAvail.Signal(pc.Process(), ipc.Event{}); err != nil {
+					return
+				}
 			}
 		}
 		// Keep the bulk freeing process ahead of demand ("driven ... by
@@ -199,8 +205,12 @@ func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 			p.KernelEvictions++
 			pc.Consume(evictionCPUCost)
 			pc.Sleep(lat)
-			if err := p.blocksAvail.Signal(pc.Process(), ipc.Event{}); err != nil {
-				return
+			// Only a waiting core-freeing process needs the wakeup; it
+			// drains stale ones before it waits.
+			if p.blocksAvail.Waiting() > 0 {
+				if err := p.blocksAvail.Signal(pc.Process(), ipc.Event{}); err != nil {
+					return
+				}
 			}
 		}
 		if _, err := p.bulkWork.Await(pc); err != nil {
@@ -249,9 +259,10 @@ func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 		}
 		// The simplified path: signal the core-freeing process and wait.
 		// Stale frames-available notifications (the freeing process
-		// signals once per eviction, and other faulters may have consumed
-		// the frames) are drained first, so the Await below genuinely
-		// blocks until fresh frames appear instead of spinning.
+		// signals once per eviction while anyone waits, and other
+		// faulters may have consumed the frames) are drained first, so
+		// the Await below genuinely blocks until fresh frames appear
+		// instead of spinning.
 		p.stats.FaulterSteps++
 		if err := drain(pc, p.framesAvail); err != nil {
 			return err

@@ -74,16 +74,21 @@ func (e *Env) initiateDir(path string) (machine.SegNo, error) {
 	if seg, ok := e.dirCache[path]; ok {
 		return seg, nil
 	}
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return 0, err
 	}
 	cur, err := e.rootDir()
 	if err != nil {
 		return 0, err
 	}
-	walked := ">"
-	for _, name := range parts {
+	// Each component is initiated from the root down, and each walked
+	// prefix of path is cached under its own tree name.
+	for start := 1; start < len(path); {
+		end := len(path)
+		if i := strings.IndexByte(path[start:], '>'); i >= 0 {
+			end = start + i
+		}
+		name := path[start:end]
 		nOff, nLen, err := e.P.GateString(name)
 		if err != nil {
 			return 0, err
@@ -93,12 +98,8 @@ func (e *Env) initiateDir(path string) (machine.SegNo, error) {
 			return 0, fmt.Errorf("userspace: walking %q at %q: %w", path, name, err)
 		}
 		cur = machine.SegNo(out[0])
-		if walked == ">" {
-			walked = ">" + name
-		} else {
-			walked = walked + ">" + name
-		}
-		e.dirCache[walked] = cur
+		e.dirCache[path[:end]] = cur
+		start = end + 1
 	}
 	return cur, nil
 }
@@ -135,22 +136,23 @@ func (e *Env) resolvePath(path string, depth int) (uint64, error) {
 		}
 		return out[0], nil
 	}
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return 0, err
 	}
-	if len(parts) == 0 {
+	if path == ">" {
 		return 0, errors.New("userspace: the root has no UID-returning gate; directories are named by segment number")
 	}
-	dirPath := ">" + strings.Join(parts[:len(parts)-1], ">")
-	if len(parts) == 1 {
+	// A valid path other than the root cuts at its last ">" into the
+	// containing directory's tree name and the entry name.
+	i := strings.LastIndexByte(path, '>')
+	dirPath, name := path[:i], path[i+1:]
+	if i == 0 {
 		dirPath = ">"
 	}
 	dirSeg, err := e.initiateDir(dirPath)
 	if err != nil {
 		return 0, err
 	}
-	name := parts[len(parts)-1]
 	nOff, nLen, err := e.P.GateString(name)
 	if err != nil {
 		return 0, err
@@ -264,19 +266,14 @@ func (u *userLinkEnv) Initiate(uid uint64) (machine.SegNo, error) {
 	return machine.SegNo(out[0]), nil
 }
 
-func splitPath(path string) ([]string, error) {
+// checkPath validates an absolute tree name: it begins with ">" and has
+// no empty component. The root, ">", is valid.
+func checkPath(path string) error {
 	if !strings.HasPrefix(path, ">") {
-		return nil, fmt.Errorf("userspace: %q is not an absolute tree name", path)
+		return fmt.Errorf("userspace: %q is not an absolute tree name", path)
 	}
-	trimmed := strings.TrimPrefix(path, ">")
-	if trimmed == "" {
-		return nil, nil
+	if strings.Contains(path, ">>") || len(path) > 1 && strings.HasSuffix(path, ">") {
+		return fmt.Errorf("userspace: empty component in %q", path)
 	}
-	parts := strings.Split(trimmed, ">")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("userspace: empty component in %q", path)
-		}
-	}
-	return parts, nil
+	return nil
 }

@@ -2,7 +2,6 @@ package userspace
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/acl"
@@ -235,15 +234,33 @@ func TestDirCacheReuse(t *testing.T) {
 	}
 }
 
-func TestSplitPathValidation(t *testing.T) {
-	if _, err := splitPath(">a>>b"); err == nil {
-		t.Error("empty component should fail")
+// TestPathValidation checks that the walk validates a tree name before
+// cutting it: a relative name, the root and an empty component give the
+// errors they always gave, and nothing is initiated for them.
+func TestPathValidation(t *testing.T) {
+	k := newKernel(t, core.S2RefNamesRemoved)
+	setupTree(t, k)
+	p := userProc(t, k)
+	e := NewEnv(p)
+	for _, c := range []struct{ path, want string }{
+		{"lib>data", `userspace: "lib>data" is not an absolute tree name`},
+		{"", `userspace: "" is not an absolute tree name`},
+		{">", "userspace: the root has no UID-returning gate; directories are named by segment number"},
+		{">lib>>data", `userspace: empty component in ">lib>>data"`},
+		{">>lib", `userspace: empty component in ">>lib"`},
+		{">lib>", `userspace: empty component in ">lib>"`},
+	} {
+		if _, err := e.ResolvePath(c.path); err == nil || err.Error() != c.want {
+			t.Errorf("ResolvePath(%q) = %v, want %q", c.path, err, c.want)
+		}
 	}
-	parts, err := splitPath(">")
-	if err != nil || len(parts) != 0 {
-		t.Errorf("root split = %v, %v", parts, err)
+	if _, err := e.InitiateDir(">lib>>x"); err == nil || err.Error() != `userspace: empty component in ">lib>>x"` {
+		t.Errorf("InitiateDir of an empty component = %v", err)
 	}
-	if !strings.HasPrefix(">a", ">") {
-		t.Fatal("sanity")
+	if err := checkPath(">"); err != nil {
+		t.Errorf("checkPath(\">\") = %v, want nil", err)
+	}
+	if n := p.KST.Len(); n != 0 {
+		t.Errorf("invalid names initiated %d segments, want 0", n)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/fs"
+	"repro/internal/gate"
 	"repro/internal/linker"
 	"repro/internal/machine"
 	"repro/internal/mls"
@@ -222,16 +223,35 @@ func splitParent(path string) (string, string, error) {
 	return parent, name, nil
 }
 
+// gateArgs is a gate's argument list, built in the caller's frame: no
+// gate accepts more than gate.MaxArgs words, and CallGate copies the list
+// into the call frame, so the list never reaches the heap.
+type gateArgs struct {
+	w [gate.MaxArgs]uint64
+	n int
+}
+
+// words returns the argument list.
+func (a *gateArgs) words() []uint64 { return a.w[:a.n] }
+
+// keyArgs builds a gate's argument list: key, then rest.
+func keyArgs(rest []uint64, key ...uint64) gateArgs {
+	var a gateArgs
+	a.n = copy(a.w[:], key)
+	a.n += copy(a.w[a.n:], rest)
+	return a
+}
+
 // dirKey returns the argument list of a directory-control gate whose key
 // names the directory at path, followed by rest: the directory's tree
 // name before S2, its segment number from S2.
-func (se *Session) dirKey(path string, rest ...uint64) ([]uint64, error) {
+func (se *Session) dirKey(path string, rest ...uint64) (gateArgs, error) {
 	if se.Proc.Stage() < core.S2RefNamesRemoved {
 		return se.treeNameKey(path, rest)
 	}
 	dirSeg, err := se.Env.InitiateDir(path)
 	if err != nil {
-		return nil, err
+		return gateArgs{}, err
 	}
 	return keyArgs(rest, uint64(dirSeg)), nil
 }
@@ -239,40 +259,33 @@ func (se *Session) dirKey(path string, rest ...uint64) ([]uint64, error) {
 // entryKey returns the argument list of a directory-control gate whose
 // key names the entry at path, followed by rest: the entry's tree name
 // before S2, its directory's segment number and its name from S2.
-func (se *Session) entryKey(path string, rest ...uint64) ([]uint64, error) {
+func (se *Session) entryKey(path string, rest ...uint64) (gateArgs, error) {
 	if se.Proc.Stage() < core.S2RefNamesRemoved {
 		return se.treeNameKey(path, rest)
 	}
 	parent, name, err := splitParent(path)
 	if err != nil {
-		return nil, err
+		return gateArgs{}, err
 	}
 	dirSeg, err := se.Env.InitiateDir(parent)
 	if err != nil {
-		return nil, err
+		return gateArgs{}, err
 	}
 	nOff, nLen, err := se.Proc.GateString(name)
 	if err != nil {
-		return nil, err
+		return gateArgs{}, err
 	}
 	return keyArgs(rest, uint64(dirSeg), nOff, nLen), nil
 }
 
 // treeNameKey is the S0/S1 key of dirKey and entryKey: the tree name,
 // passed in the argument segment.
-func (se *Session) treeNameKey(path string, rest []uint64) ([]uint64, error) {
+func (se *Session) treeNameKey(path string, rest []uint64) (gateArgs, error) {
 	pOff, pLen, err := se.Proc.GateString(path)
 	if err != nil {
-		return nil, err
+		return gateArgs{}, err
 	}
 	return keyArgs(rest, pOff, pLen), nil
-}
-
-// keyArgs builds a gate's argument list, key then rest, at its exact
-// length. CallGate's argument list escapes to the heap either way; an
-// exact length makes it no larger than a literal argument list.
-func keyArgs(rest []uint64, key ...uint64) []uint64 {
-	return append(append(make([]uint64, 0, len(key)+len(rest)), key...), rest...)
 }
 
 // create issues the append_branch gate call; kind is the gate's kind
@@ -290,7 +303,7 @@ func (se *Session) create(path string, kind uint64) error {
 	if err != nil {
 		return err
 	}
-	_, err = se.Proc.CallGate("hcs_$append_branch", args...)
+	_, err = se.Proc.CallGate("hcs_$append_branch", args.words()...)
 	return err
 }
 
@@ -306,7 +319,7 @@ func (se *Session) CreateSegment(path string, words int) error {
 	if err != nil {
 		return err
 	}
-	_, err = se.Proc.CallGate("hcs_$set_max_length", args...)
+	_, err = se.Proc.CallGate("hcs_$set_max_length", args.words()...)
 	return err
 }
 
@@ -355,7 +368,7 @@ func (se *Session) SetACL(path, pattern, mode string) error {
 	if err != nil {
 		return err
 	}
-	_, err = se.Proc.CallGate("hcs_$add_acl_entry", args...)
+	_, err = se.Proc.CallGate("hcs_$add_acl_entry", args.words()...)
 	return err
 }
 
@@ -365,7 +378,7 @@ func (se *Session) List(path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := se.Proc.CallGate("hcs_$list_dir", args...)
+	out, err := se.Proc.CallGate("hcs_$list_dir", args.words()...)
 	if err != nil {
 		return nil, err
 	}

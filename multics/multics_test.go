@@ -261,3 +261,50 @@ func TestDialledProcessHasNoUserRingLinker(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeOpsAllocations pins what tree operations allocate at S6 once
+// the walk's directories are cached: an open-read-close allocates the
+// Segment handle, the new descriptor's backing and the entry name the
+// kernel reads; a listing allocates the names it returns. Gate argument
+// lists, results and the walk itself allocate nothing.
+func TestTreeOpsAllocations(t *testing.T) {
+	sys := newSys(t, StageRestructured)
+	sess := login(t, sys, "Schroeder", "multics75")
+	for _, d := range []string{">udd", ">udd>csr"} {
+		if err := sess.MakeDir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"alpha", "beta", "gamma"} {
+		if err := sess.CreateSegment(">udd>csr>"+name, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openReadClose := func() {
+		seg, err := sess.Open(">udd>csr>beta", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seg.ReadWord(3); err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func() {
+		if names, err := sess.List(">udd>csr"); err != nil || len(names) != 3 {
+			t.Fatalf("List = %v, %v", names, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+		max  float64
+	}{{"open-read-close", openReadClose, 3}, {"list", list, 3}} {
+		c.op() // warm the walk's directory cache and the call frames
+		if n := testing.AllocsPerRun(100, c.op); n > c.max {
+			t.Errorf("%s allocates %.0f times, want at most %.0f", c.name, n, c.max)
+		}
+	}
+}
