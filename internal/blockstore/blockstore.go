@@ -12,7 +12,10 @@ import (
 // keyed by a 128-bit content address; identical pages written by different
 // segments share one journal record (dedup). The live pid->address index
 // and the content table are in-memory images of the journal, rebuilt by
-// replay on Open — the journal is the store.
+// replay on Open — the journal is the store. The content table maps each
+// address to the span of journal bytes that holds its words, so no block's
+// words are held twice: a read decodes the span, from the pending buffer
+// or from media.
 //
 // Durability contract: a write is acknowledged once a Sync (or Checkpoint,
 // which syncs) covers it. Reads are not journaled: ReadBlock drops the live
@@ -23,10 +26,17 @@ type Store struct {
 	media   Media
 	enc     recEncoder
 	pending []byte // framed records not yet handed to media
+	flushed int64  // journal bytes media holds; pending follows them
 	index   map[mem.PageID]ref
-	content map[ref][]uint64
+	content map[ref]span
 	ckpt    map[mem.PageID]ref
 	man     []byte
+
+	// kept holds slices WriteBlock was handed, whose words are already in
+	// the journal; a read decodes into one before it allocates.
+	kept [][]uint64
+	// rbuf receives a span's bytes read back from media.
+	rbuf []byte
 
 	writes, reads, dedups  *metrics.Counter
 	frees, syncs, appended *metrics.Counter
@@ -39,6 +49,10 @@ type Store struct {
 // and one copy per ~64 records instead of per record. Pending bytes are
 // unsynced by definition: a crash was always allowed to lose them.
 const pendingFlushBytes = 32 << 10
+
+// keptSlices bounds Store.kept. Page-outs and page-ins alternate, so a
+// few dozen slices are enough to serve every read in steady state.
+const keptSlices = 64
 
 var _ mem.BackingStore = (*Store)(nil)
 
@@ -74,6 +88,7 @@ func Open(cfg Config) (*Store, *RecoveryReport, error) {
 	}
 	s := &Store{
 		media:   cfg.Media,
+		flushed: keep,
 		index:   st.index,
 		content: st.content,
 		ckpt:    st.ckpt,
@@ -103,6 +118,9 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.bindMetrics(reg)
 }
 
+// tail is the journal offset at which the next record will start.
+func (s *Store) tail() int64 { return s.flushed + int64(len(s.pending)) }
+
 // append frames the encoder's current record into the pending buffer,
 // flushing to media at the threshold.
 func (s *Store) append() error {
@@ -123,15 +141,73 @@ func (s *Store) flushPending() error {
 	if err := s.media.Append(s.pending); err != nil {
 		return err
 	}
+	s.flushed += int64(len(s.pending))
 	s.pending = s.pending[:0]
 	return nil
 }
 
-// WriteBlock implements mem.BackingStore.
+// spanBytes returns the journal bytes of sp: a view of the pending buffer,
+// or a read from media into rbuf. They are valid until the next append or
+// spanBytes call.
+func (s *Store) spanBytes(sp span) ([]byte, error) {
+	n := int64(sp.n) * 8
+	if sp.off >= s.flushed {
+		at := sp.off - s.flushed
+		return s.pending[at : at+n], nil
+	}
+	if int64(cap(s.rbuf)) < n {
+		s.rbuf = make([]byte, n)
+	}
+	b := s.rbuf[:n]
+	if err := s.media.ReadAt(b, sp.off); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// load decodes sp's words into a slice the caller owns: a kept slice of
+// the right length when there is one, else a new one.
+func (s *Store) load(sp span) ([]uint64, error) {
+	b, err := s.spanBytes(sp)
+	if err != nil {
+		return nil, err
+	}
+	var out []uint64
+	if k := len(s.kept) - 1; k >= 0 && len(s.kept[k]) == sp.n {
+		out = s.kept[k]
+		s.kept[k] = nil
+		s.kept = s.kept[:k]
+	} else {
+		out = make([]uint64, sp.n)
+	}
+	decodeWords(out, b)
+	return out, nil
+}
+
+// sameContent reports whether sp's words are exactly data; a false answer
+// under a matching address is a collision.
+func (s *Store) sameContent(sp span, data []uint64) (bool, error) {
+	if sp.n != len(data) {
+		return false, nil
+	}
+	b, err := s.spanBytes(sp)
+	if err != nil {
+		return false, err
+	}
+	return equalBytes(b, data), nil
+}
+
+// WriteBlock implements mem.BackingStore. Once the words are encoded the
+// store needs the slice only as storage, so it keeps it for a later read
+// to decode into.
 func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 	r := refOf(data)
-	if existing, ok := s.content[r]; ok {
-		if !equalWords(existing, data) {
+	if sp, ok := s.content[r]; ok {
+		same, err := s.sameContent(sp, data)
+		if err != nil {
+			return err
+		}
+		if !same {
 			// A 128-bit collision. Detected, never merged; loud because
 			// the store cannot hold both contents under one address.
 			return fmt.Errorf("blockstore: content address collision on %v (block %v)", r, pid)
@@ -144,17 +220,21 @@ func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 		}
 		s.dedups.Inc()
 	} else {
+		at := s.tail()
 		s.enc.begin(kindWrite)
 		s.enc.pid(pid)
 		s.enc.ref(r)
-		s.enc.words(data)
+		at += int64(s.enc.words(data))
 		if err := s.append(); err != nil {
 			return err
 		}
-		s.content[r] = data
+		s.content[r] = span{off: at, n: len(data)}
 	}
 	s.index[pid] = r
 	s.writes.Inc()
+	if len(s.kept) < keptSlices {
+		s.kept = append(s.kept, data)
+	}
 	return nil
 }
 
@@ -164,9 +244,13 @@ func (s *Store) ReadBlock(pid mem.PageID) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
 	}
+	data, err := s.load(s.content[r])
+	if err != nil {
+		return nil, err
+	}
 	delete(s.index, pid)
 	s.reads.Inc()
-	return append([]uint64(nil), s.content[r]...), nil
+	return data, nil
 }
 
 // FreeBlock implements mem.BackingStore.
@@ -264,7 +348,7 @@ func (s *Store) CheckpointBlock(pid mem.PageID) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
 	}
-	return append([]uint64(nil), s.content[r]...), nil
+	return s.load(s.content[r])
 }
 
 // RevertToCheckpoint implements mem.BackingStore. The revert is itself a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -248,6 +249,27 @@ func TestWriteRecordContentMustMatchAddress(t *testing.T) {
 	// The frame CRC was valid; only the content address check can refuse.
 	if !strings.Contains(err.Error(), "address") {
 		t.Fatalf("tamper caught by %q, want the content-address verification", err)
+	}
+}
+
+// TestCheckpointCountIsBoundedByPayload replays a checkpoint record that
+// claims far more entries than its payload holds. Replay must refuse it as
+// corrupt without sizing anything by the claimed count.
+func TestCheckpointCountIsBoundedByPayload(t *testing.T) {
+	var e recEncoder
+	e.begin(kindCheckpoint)
+	e.bytes(nil)
+	e.u32(1 << 20)
+	data := append([]byte(nil), e.finish()...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := replay(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay of an overlong checkpoint count = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("replay allocated %d bytes for a %d-byte record", n, len(data))
 	}
 }
 

@@ -71,28 +71,68 @@ func fmix64(h uint64) uint64 {
 	return h
 }
 
-// refOf addresses a block's content.
-func refOf(words []uint64) ref {
-	h1 := uint64(fnvOffset)
-	h2 := uint64(fnvOffset) ^ uint64(refSeed2)
-	for _, w := range words {
-		h1 = (h1 ^ w) * fnvPrime
-		h2 = (h2 ^ bits.RotateLeft64(w, 31)) * fnvPrime
-	}
-	n := uint64(len(words))
-	return ref{hi: fmix64(h1 ^ n), lo: fmix64(h2 ^ (n * fnvPrime))}
+// refHash is the running state of a content address; refOf and
+// refOfBytes feed it the same words.
+type refHash struct{ h1, h2 uint64 }
+
+func newRefHash() refHash { return refHash{h1: fnvOffset, h2: fnvOffset ^ refSeed2} }
+
+func (h *refHash) add(w uint64) {
+	h.h1 = (h.h1 ^ w) * fnvPrime
+	h.h2 = (h.h2 ^ bits.RotateLeft64(w, 31)) * fnvPrime
 }
 
-func equalWords(a, b []uint64) bool {
-	if len(a) != len(b) {
+func (h *refHash) sum(words int) ref {
+	n := uint64(words)
+	return ref{hi: fmix64(h.h1 ^ n), lo: fmix64(h.h2 ^ (n * fnvPrime))}
+}
+
+// refOf addresses a block's content.
+func refOf(words []uint64) ref {
+	h := newRefHash()
+	for _, w := range words {
+		h.add(w)
+	}
+	return h.sum(len(words))
+}
+
+// refOfBytes addresses a block's content as it is encoded in the journal:
+// little-endian words.
+func refOfBytes(b []byte) ref {
+	h := newRefHash()
+	for i := 0; i+8 <= len(b); i += 8 {
+		h.add(binary.LittleEndian.Uint64(b[i:]))
+	}
+	return h.sum(len(b) / 8)
+}
+
+// span locates one block's words in the journal: the offset of the first
+// word's bytes and the word count. The content table maps each address to
+// the span of the record that first carried its words, so the journal is
+// the only copy of them.
+type span struct {
+	off int64
+	n   int
+}
+
+// equalBytes reports whether b encodes exactly the words ws.
+func equalBytes(b []byte, ws []uint64) bool {
+	if len(b) != len(ws)*8 {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, w := range ws {
+		if binary.LittleEndian.Uint64(b[i*8:]) != w {
 			return false
 		}
 	}
 	return true
+}
+
+// decodeWords fills ws from b's little-endian words; len(b) is len(ws)*8.
+func decodeWords(ws []uint64, b []byte) {
+	for i := range ws {
+		ws[i] = binary.LittleEndian.Uint64(b[i*8:])
+	}
 }
 
 // recEncoder builds one framed record in a reusable buffer.
@@ -116,20 +156,25 @@ func (e *recEncoder) ref(r ref) {
 	e.u64(r.hi)
 	e.u64(r.lo)
 }
-func (e *recEncoder) words(ws []uint64) {
+
+// words encodes a word count and the words and returns the offset in the
+// record at which the words start.
+func (e *recEncoder) words(ws []uint64) int {
 	e.u32(uint32(len(ws)))
 	// Presize once and store with PutUint64: per-word appends are the
 	// hottest serialization in the store (every evicted page passes here).
-	off := len(e.buf)
-	need := off + len(ws)*8
+	start := len(e.buf)
+	need := start + len(ws)*8
 	if cap(e.buf) < need {
 		e.buf = append(e.buf[:cap(e.buf)], make([]byte, need-cap(e.buf))...)
 	}
 	e.buf = e.buf[:need]
+	off := start
 	for _, w := range ws {
 		binary.LittleEndian.PutUint64(e.buf[off:], w)
 		off += 8
 	}
+	return start
 }
 func (e *recEncoder) bytes(p []byte) {
 	e.u32(uint32(len(p)))
@@ -146,11 +191,13 @@ func (e *recEncoder) finish() []byte {
 	return e.buf
 }
 
-// recDecoder reads payload fields with saturating error state.
+// recDecoder reads payload fields with saturating error state. base is
+// the journal offset of p[0].
 type recDecoder struct {
-	p   []byte
-	off int
-	bad bool
+	p    []byte
+	base int64
+	off  int
+	bad  bool
 }
 
 func (d *recDecoder) u32() uint32 {
@@ -185,18 +232,18 @@ func (d *recDecoder) ref() ref {
 	return ref{hi: hi, lo: lo}
 }
 
-func (d *recDecoder) words() []uint64 {
+// words reads a word count and returns where the words sit in the
+// journal and their bytes, which stay in the payload.
+func (d *recDecoder) words() (span, []byte) {
 	n := d.u32()
 	if d.bad || d.off+int(n)*8 > len(d.p) {
 		d.bad = true
-		return nil
+		return span{}, nil
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(d.p[d.off:])
-		d.off += 8
-	}
-	return out
+	b := d.p[d.off : d.off+int(n)*8]
+	sp := span{off: d.base + int64(d.off), n: int(n)}
+	d.off += len(b)
+	return sp, b
 }
 
 func (d *recDecoder) bytes() []byte {
@@ -224,10 +271,11 @@ type RecoveryReport struct {
 	JournalSize int64 `json:"journal_size"` // size after recovery
 }
 
-// replayState is the in-memory image replay rebuilds.
+// replayState is the in-memory image replay rebuilds. It holds no block
+// words: content maps each address to its span in the replayed bytes.
 type replayState struct {
 	index    map[mem.PageID]ref
-	content  map[ref][]uint64
+	content  map[ref]span
 	ckpt     map[mem.PageID]ref // nil until a checkpoint record
 	manifest []byte
 }
@@ -239,7 +287,7 @@ type replayState struct {
 func replay(data []byte) (*replayState, *RecoveryReport, int64, error) {
 	st := &replayState{
 		index:   make(map[mem.PageID]ref),
-		content: make(map[ref][]uint64),
+		content: make(map[ref]span),
 	}
 	rep := &RecoveryReport{}
 	off := 0
@@ -258,7 +306,10 @@ func replay(data []byte) (*replayState, *RecoveryReport, int64, error) {
 			return st, rep, torn(rep, off, len(data)), nil
 		}
 		wantCRC := binary.LittleEndian.Uint32(data[off+9:])
-		payload := data[off+recHdrSize : off+recHdrSize+plen]
+		// The payload's capacity ends with it, so no decoder can read
+		// the next record's bytes.
+		end := off + recHdrSize + plen
+		payload := data[off+recHdrSize : end : end]
 		crc := crc32.Checksum(data[off+4:off+5], crcTable)
 		crc = crc32.Update(crc, crcTable, data[off+5:off+9])
 		crc = crc32.Update(crc, crcTable, payload)
@@ -302,22 +353,24 @@ func kindName(kind uint8) string {
 	}
 }
 
+// applyRecord applies one whole record whose frame starts at journal
+// offset off.
 func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byte, off int) error {
-	d := &recDecoder{p: payload}
+	d := &recDecoder{p: payload, base: int64(off + recHdrSize)}
 	switch kind {
 	case kindWrite:
 		pid := d.pid()
 		r := d.ref()
-		words := d.words()
+		sp, b := d.words()
 		if d.bad {
 			return fmt.Errorf("%w: short write record at offset %d", ErrCorrupt, off)
 		}
 		// End-to-end integrity beyond the CRC: the payload must still
 		// hash to the address it was stored under.
-		if refOf(words) != r {
+		if refOfBytes(b) != r {
 			return fmt.Errorf("%w: content of block %v does not match its address %v (offset %d)", ErrCorrupt, pid, r, off)
 		}
-		st.content[r] = words
+		st.content[r] = sp
 		st.index[pid] = r
 		rep.Writes++
 	case kindMap:
@@ -344,7 +397,9 @@ func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byt
 		if d.bad {
 			return fmt.Errorf("%w: short checkpoint record at offset %d", ErrCorrupt, off)
 		}
-		ckpt := make(map[mem.PageID]ref, n)
+		// Size the map by the entries the payload can hold (32 bytes
+		// each), not by the count it claims.
+		ckpt := make(map[mem.PageID]ref, min(int(n), (len(d.p)-d.off)/32))
 		for i := 0; i < int(n); i++ {
 			pid := d.pid()
 			r := d.ref()
@@ -381,14 +436,14 @@ func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byt
 				return fmt.Errorf("%w: short batch entry %d at offset %d", ErrCorrupt, i, off)
 			}
 			if flag == 1 {
-				words := d.words()
+				sp, b := d.words()
 				if d.bad {
 					return fmt.Errorf("%w: short batch entry %d at offset %d", ErrCorrupt, i, off)
 				}
-				if refOf(words) != r {
+				if refOfBytes(b) != r {
 					return fmt.Errorf("%w: content of block %v does not match its address %v (batch offset %d)", ErrCorrupt, pid, r, off)
 				}
-				st.content[r] = words
+				st.content[r] = sp
 				rep.Writes++
 			} else {
 				if _, ok := st.content[r]; !ok {

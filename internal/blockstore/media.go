@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
 // Media is the journal's byte sink. Append never reorders: the journal's
@@ -24,6 +25,9 @@ import (
 type Media interface {
 	// Contents returns the entire journal, for replay at open.
 	Contents() ([]byte, error)
+	// ReadAt fills p with the journal bytes starting at off. The whole
+	// range must lie inside the journal.
+	ReadAt(p []byte, off int64) error
 	// Append adds bytes at the end of the journal.
 	Append(p []byte) error
 	// Sync makes every appended byte durable.
@@ -43,6 +47,7 @@ type Media interface {
 // dominate the page-out path's wall-clock profile.
 type MemMedia struct {
 	chunks [][]byte
+	starts []int64 // starts[i] is chunks[i]'s journal offset
 	size   int64
 	synced int64
 }
@@ -61,9 +66,23 @@ func (m *MemMedia) Contents() ([]byte, error) {
 	return out, nil
 }
 
+// ReadAt implements Media. It finds the chunk holding off by binary
+// search and copies across chunk boundaries when the range spans them.
+func (m *MemMedia) ReadAt(p []byte, off int64) error {
+	if off < 0 || off+int64(len(p)) > m.size {
+		return fmt.Errorf("blockstore: read of %d bytes at %d outside journal of %d bytes", len(p), off, m.size)
+	}
+	i := sort.Search(len(m.starts), func(i int) bool { return m.starts[i] > off }) - 1
+	for n := 0; n < len(p); i++ {
+		n += copy(p[n:], m.chunks[i][off+int64(n)-m.starts[i]:])
+	}
+	return nil
+}
+
 // Append implements Media.
 func (m *MemMedia) Append(p []byte) error {
 	m.chunks = append(m.chunks, append([]byte(nil), p...))
+	m.starts = append(m.starts, m.size)
 	m.size += int64(len(p))
 	return nil
 }
@@ -87,6 +106,7 @@ func (m *MemMedia) Truncate(n int64) error {
 		}
 		m.chunks[i] = c[:remain]
 		m.chunks = m.chunks[:i+1]
+		m.starts = m.starts[:i+1]
 		break
 	}
 	m.size = n
@@ -156,6 +176,17 @@ func (m *FileMedia) Contents() ([]byte, error) {
 		return nil, fmt.Errorf("blockstore: read journal: %w", err)
 	}
 	return buf, nil
+}
+
+// ReadAt implements Media.
+func (m *FileMedia) ReadAt(p []byte, off int64) error {
+	if off < 0 || off+int64(len(p)) > m.size {
+		return fmt.Errorf("blockstore: read of %d bytes at %d outside journal of %d bytes", len(p), off, m.size)
+	}
+	if _, err := m.f.ReadAt(p, off); err != nil {
+		return fmt.Errorf("blockstore: read journal: %w", err)
+	}
+	return nil
 }
 
 // Append implements Media.

@@ -11,8 +11,9 @@ import (
 // TestGateRoundTripAllocatesNothingItDoesNotReturn pins the allocations of
 // user-ring gate calls with arguments. The argument list stays in the
 // caller's frame and the results come back in the call frame's arena, so
-// re-initiating a known segment allocates nothing, and a fresh
-// initiate-terminate pair allocates only the new descriptor's backing.
+// re-initiating a known segment allocates nothing, and neither does a
+// fresh initiate-terminate pair: the descriptor shares the segment's one
+// backing.
 func TestGateRoundTripAllocatesNothingItDoesNotReturn(t *testing.T) {
 	k := newKernel(t, S6Restructured)
 	h := k.Services().Hierarchy
@@ -42,8 +43,8 @@ func TestGateRoundTripAllocatesNothingItDoesNotReturn(t *testing.T) {
 		if _, err := p.CallGate("hcs_$terminate_seg", out[0]); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 1 {
-		t.Errorf("initiate then terminate allocates %.0f times, want 1 (the descriptor's backing)", n)
+	}); n != 0 {
+		t.Errorf("initiate then terminate allocates %.0f times, want 0", n)
 	}
 }
 

@@ -30,12 +30,18 @@ type PagedBacking struct {
 
 var _ machine.Backing = (*PagedBacking)(nil)
 
-// NewPagedBacking returns a backing for the segment uid, which must exist.
+// NewPagedBacking returns the backing of the segment uid, which must
+// exist. A segment has one backing, made at first use and shared by every
+// descriptor that initiates the segment, so initiation allocates none.
 func NewPagedBacking(store *Store, uid uint64) (*PagedBacking, error) {
-	if _, ok := store.Segment(uid); !ok {
+	sp, ok := store.Segment(uid)
+	if !ok {
 		return nil, fmt.Errorf("mem: no segment %#x", uid)
 	}
-	return &PagedBacking{store: store, uid: uid}, nil
+	if sp.backing == nil {
+		sp.backing = &PagedBacking{store: store, uid: uid}
+	}
+	return sp.backing, nil
 }
 
 // UID returns the segment unique ID this backing serves.

@@ -10,11 +10,16 @@ import "errors"
 // content-addressed, journaled implementation whose bytes survive a crash.
 //
 // Ownership discipline (this is what keeps the hot path copy-free):
-//   - WriteBlock takes ownership of the data slice; the caller must not
-//     touch it afterwards. On error, ownership stays with the caller.
-//   - ReadBlock returns a fresh copy the caller owns, and drops the live
+//   - WriteBlock hands the data slice over; the caller must not touch it
+//     afterwards, and the store may reuse it as storage for a later read.
+//     On error, ownership stays with the caller.
+//   - WriteBlocks borrows: it reads each entry's slice during the call and
+//     keeps none of them, so the checkpoint flush can lend a resident
+//     page's own words.
+//   - ReadBlock returns a slice the caller owns, and drops the live
 //     mapping — a page lives at exactly one level, and reading a block is
-//     how it moves back up the hierarchy.
+//     how it moves back up the hierarchy. The slice may be one an earlier
+//     WriteBlock handed over, now holding the block's words.
 //
 // The checkpoint plane is part of the interface because restore semantics
 // belong to the store: Checkpoint durably pairs a kernel manifest with the
@@ -45,8 +50,9 @@ type BlockWrite struct {
 // kernel; it stays because the benchmark in perfbench wraps the whole
 // interface. Implementations that have no batching advantage can loop.
 type BackingStore interface {
-	// ReadBlock returns a copy of pid's block and drops the live mapping.
-	// Returns ErrNoBlock if the store holds no block for pid.
+	// ReadBlock returns pid's block in a slice the caller owns and drops
+	// the live mapping. Returns ErrNoBlock if the store holds no block for
+	// pid.
 	ReadBlock(pid PageID) ([]uint64, error)
 	// WriteBlock records data as the durable copy of pid, replacing any
 	// previous block, and takes ownership of the slice.
@@ -57,8 +63,9 @@ type BackingStore interface {
 	// with ErrNoBlock and drops no mapping.
 	ReadBlocks(pids []PageID) ([][]uint64, error)
 	// WriteBlocks is the batch form of WriteBlock: one round trip records
-	// every entry, taking ownership of each data slice. All-or-nothing:
-	// on error no entry is recorded and ownership stays with the caller.
+	// every entry. It borrows each data slice for the call only; the
+	// caller keeps ownership. All-or-nothing: on error no entry is
+	// recorded.
 	WriteBlocks(writes []BlockWrite) error
 	// FreeBlock durably drops pid's block. Unknown pids are a no-op.
 	FreeBlock(pid PageID) error

@@ -22,7 +22,8 @@ func (s *Store) FlushSegment(uid uint64) ([]int, error) {
 	}
 	// Collect every core- and bulk-resident page, then push the whole
 	// segment through the backing store in one batch — one journal record
-	// group per segment instead of one record per page.
+	// group per segment instead of one record per page. WriteBlocks only
+	// borrows the words, so the batch lends each frame's and block's own.
 	idxs := make([]int, 0, len(sp.pages))
 	writes := make([]BlockWrite, 0, len(sp.pages))
 	for idx, loc := range sp.pages {
@@ -34,13 +35,13 @@ func (s *Store) FlushSegment(uid uint64) ([]int, error) {
 			if fr.free || fr.pid != pid {
 				return nil, fmt.Errorf("mem: flush of %v found frame %d inconsistent", pid, loc.Frame)
 			}
-			data = append([]uint64(nil), fr.data...)
+			data = fr.data
 		case LevelBulk:
 			bl := &s.blocks[loc.Block]
 			if bl.free || bl.pid != pid {
 				return nil, fmt.Errorf("mem: flush of %v found block %d inconsistent", pid, loc.Block)
 			}
-			data = append([]uint64(nil), bl.data...)
+			data = bl.data
 		case LevelDisk:
 			idxs = append(idxs, idx)
 			continue

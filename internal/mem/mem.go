@@ -221,8 +221,9 @@ type Store struct {
 type SegmentPages struct {
 	UID uint64
 
-	length int // length in words
-	pages  map[int]Location
+	length  int // length in words
+	pages   map[int]Location
+	backing *PagedBacking // the segment's one backing; see NewPagedBacking
 }
 
 // Length returns the segment length in words.

@@ -12,8 +12,8 @@ import (
 // implementation to compare the journaled store against.
 //
 // Slices held in the map are never mutated while mapped: WriteBlock takes
-// ownership and ReadBlock hands out copies, so Checkpoint can snapshot the
-// map shallowly.
+// ownership, WriteBlocks copies the words it borrows, and ReadBlock hands
+// out copies, so Checkpoint can snapshot the map shallowly.
 type MemStore struct {
 	blocks   map[PageID][]uint64
 	ckpt     map[PageID][]uint64 // nil until the first Checkpoint
@@ -65,10 +65,11 @@ func (m *MemStore) ReadBlocks(pids []PageID) ([][]uint64, error) {
 }
 
 // WriteBlocks implements BackingStore natively. The volatile map cannot fail mid-batch, so
-// the all-or-nothing contract is trivial.
+// the all-or-nothing contract is trivial. The entries' slices are borrowed,
+// so the map keeps copies.
 func (m *MemStore) WriteBlocks(writes []BlockWrite) error {
 	for _, w := range writes {
-		m.blocks[w.PID] = w.Data
+		m.blocks[w.PID] = append([]uint64(nil), w.Data...)
 	}
 	return nil
 }

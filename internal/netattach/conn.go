@@ -69,9 +69,9 @@ type Conn struct {
 	sum      uint64 // OpSum accumulator
 	replySeq uint64
 
-	// delivered and processed are this session's share of net.delivered
-	// and net.processed: migration carries them and close reports them.
-	delivered, processed int64
+	// processed is this session's share of net.processed: migration
+	// carries it and close reports it.
+	processed int64
 }
 
 // ID returns the connection's table id.

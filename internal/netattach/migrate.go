@@ -48,9 +48,8 @@ type SessionState struct {
 	// connection's reply stream numbers continue instead of restarting.
 	ReplySeq uint64 `json:"reply_seq"`
 
-	// Delivered/Processed carry the session's service counters across
-	// for accounting continuity.
-	Delivered int64 `json:"delivered"`
+	// Processed carries the session's service count across for
+	// accounting continuity.
 	Processed int64 `json:"processed"`
 
 	// KnownSegs and KnownUIDs snapshot the process's KST at drain: the
@@ -81,7 +80,7 @@ func (c *Conn) Snapshot() (*SessionState, error) {
 	st := &SessionState{
 		Person: c.person, Project: c.project, Level: c.level,
 		Sum: c.sum, ReplySeq: c.replySeq,
-		Delivered: c.delivered, Processed: c.processed,
+		Processed: c.processed,
 	}
 	for _, e := range c.proc.KST.Known() {
 		st.KnownUIDs = append(st.KnownUIDs, e.UID)
@@ -115,7 +114,6 @@ func (fe *Frontend) AttachMigrated(person, project, password string, level mls.L
 	}
 	c.sum = st.Sum
 	c.replySeq = st.ReplySeq
-	c.delivered = st.Delivered
 	c.processed = st.Processed
 	fe.emit(trace.Event{Name: "migrate_in", Subject: c.id,
 		Arg: uint64(st.KnownSegs), Outcome: trace.ClassOK})

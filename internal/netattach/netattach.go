@@ -525,7 +525,6 @@ func (fe *Frontend) service(pc *sched.ProcCtx, c *Conn) {
 		if out[1] == 0 {
 			return // input drained
 		}
-		c.delivered++
 		fe.nm.delivered.Inc()
 		fe.execute(pc, c, out[0])
 	}

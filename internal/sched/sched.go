@@ -18,7 +18,6 @@
 package sched
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"iter"
@@ -132,6 +131,9 @@ func (p *Process) BlockReason() string {
 	return p.blockReason
 }
 
+// timer is a pending wakeup: at virtual time at it unblocks proc or calls
+// fire. seq numbers timers in the order they were set, so timers due at
+// the same time fire in that order.
 type timer struct {
 	at   int64
 	seq  int64
@@ -139,18 +141,56 @@ type timer struct {
 	fire func()
 }
 
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (t *timer) before(u *timer) bool {
+	if t.at != u.at {
+		return t.at < u.at
 	}
-	return h[i].seq < h[j].seq
+	return t.seq < u.seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any     { old := *h; n := len(old); t := old[n-1]; *h = old[:n-1]; return t }
+
+// timerHeap is a binary min-heap of timers ordered by (at, seq). It holds
+// them by value, so setting a timer allocates nothing once the array has
+// grown.
+type timerHeap []timer
+
+func (h *timerHeap) push(t timer) {
+	q := append(*h, t)
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q[i].before(&q[up]) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
+	}
+	*h = q
+}
+
+// pop removes and returns the earliest timer. The heap must not be empty.
+func (h *timerHeap) pop() timer {
+	q := *h
+	t := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = timer{} // keep no process or closure alive
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if !q[m].before(&q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return t
+}
 
 // Scheduler drives the simulation: a single physical processor is
 // multiplexed across virtual processors (layer 1), and Multics processes are
@@ -301,7 +341,7 @@ func (s *Scheduler) Unblock(p *Process) {
 // next process dispatch at or after t). Used for device-completion events.
 func (s *Scheduler) At(t int64, fn func()) {
 	s.seq++
-	heap.Push(&s.timers, &timer{at: t, seq: s.seq, fire: fn})
+	s.timers.push(timer{at: t, seq: s.seq, fire: fn})
 }
 
 // nextRunnable picks the next process to dispatch: dedicated VPs first (the
@@ -392,7 +432,7 @@ func (s *Scheduler) Step() bool {
 		return true
 	}
 	if len(s.timers) > 0 {
-		t := heap.Pop(&s.timers).(*timer)
+		t := s.timers.pop()
 		s.Clock.AdvanceTo(t.at)
 		if t.fire != nil {
 			t.fire()
@@ -532,7 +572,7 @@ func (pc *ProcCtx) Sleep(d int64) {
 		return
 	}
 	pc.s.seq++
-	heap.Push(&pc.s.timers, &timer{at: pc.s.Clock.Now() + d, seq: pc.s.seq, proc: pc.p})
+	pc.s.timers.push(timer{at: pc.s.Clock.Now() + d, seq: pc.s.seq, proc: pc.p})
 	pc.block("", d)
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -254,6 +255,79 @@ func TestAtTimerFires(t *testing.T) {
 	s.Run(0)
 	if fired != 250 {
 		t.Errorf("timer fired at %d, want 250", fired)
+	}
+}
+
+// TestSameTimeTimersFireInSetOrder sets timers due at a handful of
+// vcycles, some through At and some through Sleep, and checks that they
+// fire by due time and, within one vcycle, in the order they were set.
+func TestSameTimeTimersFireInSetOrder(t *testing.T) {
+	s := newSched()
+	defer s.Shutdown()
+	s.AddVP("cpu-a", false)
+	var order []string
+	rec := func(name string) func() { return func() { order = append(order, name) } }
+	// Due times 300, 100, 200, 100, 300, ... so equal times are set apart.
+	due := func(i int) int64 { return 100 * int64(1+(i*2)%3) }
+	for i := 0; i < 6; i++ {
+		s.At(due(i), rec(fmt.Sprintf("at%d", i)))
+	}
+	for i := 6; i < 12; i++ {
+		name := fmt.Sprintf("sleep%d", i)
+		d := due(i)
+		s.Spawn(name, func(pc *ProcCtx) {
+			pc.Sleep(d)
+			order = append(order, name)
+		})
+	}
+	// One pooled VP runs the sleepers one by one at vcycle 0, so their
+	// timers are set after the six At timers and in spawn order.
+	s.Run(0)
+	var want []string
+	for _, at := range []int64{100, 200, 300} {
+		for i := 0; i < 12; i++ {
+			if due(i) != at {
+				continue
+			}
+			if i < 6 {
+				want = append(want, fmt.Sprintf("at%d", i))
+			} else {
+				want = append(want, fmt.Sprintf("sleep%d", i))
+			}
+		}
+	}
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Errorf("firing order\n got %v\nwant %v", order, want)
+	}
+}
+
+// TestTimersDoNotAllocate pins that setting a timer costs no allocation
+// once the heap has grown: Sleep and At store the timer by value.
+func TestTimersDoNotAllocate(t *testing.T) {
+	s := newSched()
+	defer s.Shutdown()
+	s.AddVP("cpu-a", false)
+	s.Spawn("sleeper", func(pc *ProcCtx) {
+		for {
+			pc.Consume(1)
+			pc.Sleep(10)
+		}
+	})
+	// Each pass dispatches the sleeper, which sets its timer, and then
+	// pops that timer.
+	if allocs := testing.AllocsPerRun(100, func() { s.Step(); s.Step() }); allocs != 0 {
+		t.Errorf("a Sleep and its wakeup allocate %.1f times, want 0", allocs)
+	}
+	fired := 0
+	fire := func() { fired++ }
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.At(s.Clock.Now(), fire)
+		s.Step()
+	}); allocs != 0 {
+		t.Errorf("an At timer allocates %.1f times, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Error("no At timer fired")
 	}
 }
 

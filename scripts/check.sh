@@ -173,6 +173,13 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== journal replay fuzz (FuzzReplay, 20s)"
+# Replay parses bytes a crash (or anything else) left on disk. The native
+# fuzz target checks that no input panics, that every refusal is
+# ErrCorrupt, and that every content span replay records lies inside the
+# kept bytes and hashes to its address. Its seeds also run in the suite.
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 20s ./internal/blockstore
+
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 
