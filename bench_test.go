@@ -108,7 +108,7 @@ func benchCalls(b *testing.B, cost machine.CostModel, crossRing bool) float64 {
 	b.Helper()
 	ds := machine.NewDescriptorSegment(8)
 	clk := machine.NewClock()
-	cpu := machine.NewProcessor(ds, clk, cost, machine.UserRing)
+	cpu := machine.NewProcessor(ds, clk, cost, machine.UserRing, nil)
 	echo := &machine.Procedure{Name: "echo", Entries: []machine.EntryFunc{
 		func(_ *machine.ExecContext, a []uint64) ([]uint64, error) { return a, nil },
 	}}
@@ -372,7 +372,7 @@ func BenchmarkE14AssocMemory(b *testing.B) {
 	run := func(b *testing.B, assocOn bool) {
 		ds := machine.NewDescriptorSegment(8)
 		clk := machine.NewClock()
-		cpu := machine.NewProcessor(ds, clk, machine.Model6180(), machine.UserRing)
+		cpu := machine.NewProcessor(ds, clk, machine.Model6180(), machine.UserRing, nil)
 		cpu.SetAssocEnabled(assocOn)
 		echo := &machine.Procedure{Name: "echo", Entries: []machine.EntryFunc{
 			func(_ *machine.ExecContext, a []uint64) ([]uint64, error) { return a, nil },
@@ -528,7 +528,7 @@ func BenchmarkGateDispatch(b *testing.B) {
 // scheduler step that resumes a process, which yields straight back, so
 // ns/op is one resume/yield round trip through dispatch.
 func BenchmarkSchedSwitch(b *testing.B) {
-	s := sched.New(machine.NewClock())
+	s := sched.New(machine.NewClock(), nil)
 	b.Cleanup(s.Shutdown)
 	s.AddVP("cpu", false)
 	s.Spawn("yielder", func(pc *sched.ProcCtx) {

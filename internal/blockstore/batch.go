@@ -86,15 +86,16 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 }
 
 // ReadBlocks implements mem.BackingStore natively: every block is read
-// before any live mapping is dropped, so a missing block or a failed read
-// drops none. Reads are not journaled, same as ReadBlock.
+// before any live mapping is dropped, so a missing block, a pid named
+// twice or a failed read drops none. Reads are not journaled, same as
+// ReadBlock.
 // No kernel path calls it; the benchmark in perfbench reaches it through
 // the interface.
 func (s *Store) ReadBlocks(pids []mem.PageID) ([][]uint64, error) {
 	out := make([][]uint64, len(pids))
 	for i, pid := range pids {
 		r, ok := s.index[pid]
-		if !ok {
+		if !ok || slices.Contains(pids[:i], pid) {
 			return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
 		}
 		data, err := s.load(s.content[r])

@@ -60,9 +60,9 @@ var _ mem.BackingStore = (*Store)(nil)
 type Config struct {
 	// Media is the journal byte sink. Required.
 	Media Media
-	// Metrics, when set, receives the blockstore.* counters; when nil the
-	// store uses a private registry. SetMetrics can rebind later (the
-	// kernel adopts stores that were opened before it existed).
+	// Metrics receives the blockstore.* counters; when nil they belong to
+	// no registry. SetMetrics can rebind later (the kernel adopts stores
+	// that were opened before it existed).
 	Metrics *metrics.Registry
 }
 
@@ -94,15 +94,15 @@ func Open(cfg Config) (*Store, *RecoveryReport, error) {
 		ckpt:    st.ckpt,
 		man:     st.manifest,
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
-	s.bindMetrics(reg)
+	s.SetMetrics(cfg.Metrics)
 	return s, rep, nil
 }
 
-func (s *Store) bindMetrics(reg *metrics.Registry) {
+// SetMetrics points the store's counters at reg. Open calls it with
+// Config.Metrics, and the kernel calls it again at boot, because a
+// journal is opened before the kernel that adopts it; every other
+// subsystem takes its registry in its constructor only.
+func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.writes = reg.Counter("blockstore.writes")
 	s.reads = reg.Counter("blockstore.reads")
 	s.dedups = reg.Counter("blockstore.dedup_hits")
@@ -110,12 +110,6 @@ func (s *Store) bindMetrics(reg *metrics.Registry) {
 	s.syncs = reg.Counter("blockstore.syncs")
 	s.appended = reg.Counter("blockstore.bytes_appended")
 	s.batches = reg.Counter("blockstore.batch_writes")
-}
-
-// SetMetrics repoints the store's counters at reg. The kernel calls it at
-// boot for stores opened before the kernel's registry existed.
-func (s *Store) SetMetrics(reg *metrics.Registry) {
-	s.bindMetrics(reg)
 }
 
 // tail is the journal offset at which the next record will start.

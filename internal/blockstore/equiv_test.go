@@ -209,8 +209,8 @@ func (e *equivRun) step() {
 		}
 	default:
 		pids := []mem.PageID{e.pid(), e.pid()}
-		if pids[0] == pids[1] {
-			pids = pids[:1]
+		if e.rng.Intn(4) == 0 {
+			pids = append(pids, pids[0]) // a repeat fails the batch
 		}
 		got, gerr := e.bs.ReadBlocks(pids)
 		want, werr := e.ref.ReadBlocks(pids)

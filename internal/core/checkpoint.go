@@ -249,7 +249,7 @@ func (k *Kernel) restoreStorage(rst *restoreState) error {
 			}
 		}
 	}
-	hier, err := fs.ImportSnapshot(k.store, rst.man.Hierarchy)
+	hier, err := fs.ImportSnapshot(k.store, rst.man.Hierarchy, k.metrics)
 	if err != nil {
 		return err
 	}

@@ -266,22 +266,22 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building memory hierarchy: %w", err)
 	}
-	// A durable backing store opened before the kernel existed publishes
-	// into a private registry; adopt it into the kernel's measurement
-	// plane. The structural assertion keeps core free of a blockstore
+	// A durable backing store is opened before the kernel that adopts it
+	// exists, so it is the one subsystem not bound to the kernel's
+	// registry by its constructor: adopt it into the measurement plane
+	// here. The structural assertion keeps core free of a blockstore
 	// import — any store with the rebind surface joins.
 	if sm, ok := k.store.Backing().(interface{ SetMetrics(*metrics.Registry) }); ok {
 		sm.SetMetrics(k.metrics)
 	}
 	if rst == nil {
-		k.hier, err = fs.New(k.store, mls.Label{})
+		k.hier, err = fs.New(k.store, mls.Label{}, k.metrics)
 		if err != nil {
 			return nil, fmt.Errorf("core: building file hierarchy: %w", err)
 		}
 	} else if err := k.restoreStorage(rst); err != nil {
 		return nil, fmt.Errorf("core: restoring from checkpoint: %w", err)
 	}
-	k.hier.SetMetrics(k.metrics)
 	if cfg.Faults != nil {
 		plan, err := faults.Compile(*cfg.Faults)
 		if err != nil {
@@ -290,9 +290,8 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 		k.faults = faults.NewInjector(plan, k.clock, k.trace)
 		k.store.SetFaultHook(k.faults)
 	}
-	k.sch = sched.New(k.clock)
+	k.sch = sched.New(k.clock, k.metrics)
 	k.sch.SetSink(k.trace)
-	k.sch.SetMetrics(k.metrics)
 	// Layer 1: a fixed set of virtual processors. Two pooled VPs serve the
 	// layer-2 Multics processes at every stage; the restructured kernel
 	// adds dedicated VPs for its kernel processes below.
@@ -301,16 +300,13 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 
 	if cfg.Stage >= S6Restructured {
 		pcfg := pagectl.DefaultParallelConfig(memCfg)
-		pp, err := pagectl.NewParallelPager(k.store, k.sch, pcfg, nil)
+		pp, err := pagectl.NewParallelPager(k.store, k.sch, pcfg, nil, k.metrics)
 		if err != nil {
 			return nil, fmt.Errorf("core: building parallel page control: %w", err)
 		}
-		pp.SetMetrics(k.metrics)
 		k.pager = pp
 	} else {
-		sp := pagectl.NewSequentialPager(k.store, nil)
-		sp.SetMetrics(k.metrics)
-		k.pager = sp
+		k.pager = pagectl.NewSequentialPager(k.store, nil, k.metrics)
 	}
 
 	k.registry = auth.NewRegistry()

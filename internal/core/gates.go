@@ -60,12 +60,10 @@ func (k *Kernel) install(defs []gdef) {
 // declarative tables and compiles them into the shared gate procedure
 // segments, both wired to the kernel's trace ring.
 func (k *Kernel) buildGates() error {
-	k.regUser = gate.NewRegistry()
-	k.regPriv = gate.NewRegistry()
+	k.regUser = gate.NewRegistry(k.metrics)
+	k.regPriv = gate.NewRegistry(k.metrics)
 	k.regUser.SetTraceRing(k.trace)
 	k.regPriv.SetTraceRing(k.trace)
-	k.regUser.SetMetrics(k.metrics)
-	k.regPriv.SetMetrics(k.metrics)
 
 	k.install(k.addressSpaceGates())
 	if k.cfg.Stage < S1LinkerRemoved {

@@ -63,8 +63,8 @@ func TestDestroyedHandleFailsClosed(t *testing.T) {
 			if _, err := a.CallGate("hcs_$get_process_id"); !errors.Is(err, ErrProcessDestroyed) {
 				t.Errorf("CallGate on a dead handle = %v, want ErrProcessDestroyed", err)
 			}
-			if _, _, err := a.WriteArgBytes([]byte("x")); !errors.Is(err, ErrProcessDestroyed) {
-				t.Errorf("WriteArgBytes on a dead handle = %v, want ErrProcessDestroyed", err)
+			if _, _, err := a.GateString("x"); !errors.Is(err, ErrProcessDestroyed) {
+				t.Errorf("GateString on a dead handle = %v, want ErrProcessDestroyed", err)
 			}
 			if _, err := a.ReadArgString(0, 1); !errors.Is(err, ErrProcessDestroyed) {
 				t.Errorf("ReadArgString on a dead handle = %v, want ErrProcessDestroyed", err)
@@ -142,7 +142,7 @@ func TestRecycledProcessorKeepsNothing(t *testing.T) {
 			if out, err := a.CPU.CallSym(SegArgs, incr, []uint64{9}); err != nil || out[0] != 10 {
 				t.Fatalf("incr(9) through the link = %v, %v", out, err)
 			}
-			if _, _, err := a.WriteArgString("secret"); err != nil {
+			if _, _, err := a.GateString("secret"); err != nil {
 				t.Fatal(err)
 			}
 			chn, err := k.createChannel(a, boxUID)
@@ -180,13 +180,10 @@ func TestRecycledProcessorKeepsNothing(t *testing.T) {
 			if n := b.CPU.Assoc().Len(); n != 0 {
 				t.Errorf("B starts with %d valid associative-memory entries", n)
 			}
-			if st := b.CPU.Assoc().Stats(); st != (machine.AssocStats{}) {
-				t.Errorf("B's associative memory starts with counts %+v", st)
-			}
 			if n := b.CPU.SnappedLinkCount(SegArgs); n != 0 {
 				t.Errorf("B starts with %d snapped links", n)
 			}
-			if st := b.CPU.Stats(); st.Loads != 0 || st.Stores != 0 || st.Calls != 0 || len(st.Faults) != 0 {
+			if st := b.CPU.Stats(); st != (machine.Stats{}) {
 				t.Errorf("B starts with stats %+v", st)
 			}
 			if b.CPU.Linker == linkerA {
@@ -224,6 +221,51 @@ func TestRecycledProcessorKeepsNothing(t *testing.T) {
 			}
 			if got := k.ProcessCounts(); got != (ProcessCounts{Live: 1, Peak: 1, Spare: 0}) {
 				t.Errorf("ProcessCounts = %+v, want 1 live, peak 1, none spare", got)
+			}
+		})
+	}
+}
+
+// TestRecycledProcessorCountsIntoTheKernelRegistry: a processor that
+// DestroyProcess hands to CreateProcess keeps counting its
+// associative-memory misses, hits and invalidations into the kernel's
+// registry, the one it was built with.
+func TestRecycledProcessorCountsIntoTheKernelRegistry(t *testing.T) {
+	for _, stage := range []Stage{S0Baseline, S6Restructured} {
+		t.Run(stage.String(), func(t *testing.T) {
+			k := newKernel(t, stage)
+			boxUID := aliceSegment(t, k, "box")
+			a := userProc(t, k, alice, unc)
+			cpuA := a.CPU
+			if err := k.DestroyProcess(a); err != nil {
+				t.Fatalf("DestroyProcess: %v", err)
+			}
+			b := userProc(t, k, alice, unc)
+			if b.CPU != cpuA {
+				t.Fatal("B did not recycle A's processor")
+			}
+			seg, err := k.initiateUID(b, boxUID)
+			if err != nil {
+				t.Fatalf("initiating box: %v", err)
+			}
+			names := []string{"machine.assoc_misses", "machine.assoc_hits", "machine.assoc_invalidations"}
+			var before [3]int64
+			for i, name := range names {
+				before[i] = counterValue(t, k, name)
+			}
+			// A miss that fills the associative memory, a hit on the
+			// entry, and the invalidation of that entry.
+			if err := b.CPU.Store(seg, 0, 7); err != nil {
+				t.Fatalf("store into box: %v", err)
+			}
+			if _, err := b.CPU.Load(seg, 0); err != nil {
+				t.Fatalf("load from box: %v", err)
+			}
+			b.DS.Clear(seg)
+			for i, name := range names {
+				if got := counterValue(t, k, name); got != before[i]+1 {
+					t.Errorf("%s = %d, want %d", name, got, before[i]+1)
+				}
 			}
 		})
 	}

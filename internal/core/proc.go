@@ -78,7 +78,7 @@ func (k *Kernel) CreateProcess(name string, who acl.Principal, label mls.Label, 
 		k.spare = k.spare[:n-1]
 		cpu.Reset(k.clock, k.cost, ring)
 	} else {
-		cpu = machine.NewProcessor(machine.NewDescriptorSegment(descriptorSlots), k.clock, k.cost, ring)
+		cpu = machine.NewProcessor(machine.NewDescriptorSegment(descriptorSlots), k.clock, k.cost, ring, k.metrics)
 	}
 	ds := cpu.DS
 	p := &Proc{
@@ -96,7 +96,6 @@ func (k *Kernel) CreateProcess(name string, who acl.Principal, label mls.Label, 
 	// Fault delivery feeds the kernel-crossing trace spine: every fault
 	// this processor charges becomes a StageFault event in the ring.
 	cpu.SetSink(k.trace)
-	cpu.SetMetrics(k.metrics)
 
 	// The user-available gate segment: callable from any ring via its
 	// declared gates, executing in ring 0.
@@ -268,17 +267,12 @@ func (p *Proc) Run(body func(pc *sched.ProcCtx)) *sched.Process {
 	return sp
 }
 
-// WriteArgBytes copies b into the process's argument segment through the
-// processor's checked stores, returning the (offset, length) pair to pass
-// through a gate. Bytes are packed one per word for simplicity of kernel
-// validation.
-func (p *Proc) WriteArgBytes(b []byte) (off, length uint64, err error) {
-	return p.WriteArgString(string(b))
-}
-
-// WriteArgString is WriteArgBytes for a string: the characters cross in
-// one store run (machine.Processor.StoreString).
-func (p *Proc) WriteArgString(s string) (off, length uint64, err error) {
+// GateString passes a string argument: it writes s into the process's
+// argument segment, one character per word for simplicity of kernel
+// validation, in one store run (machine.Processor.StoreString) through
+// the processor's checked stores, and returns the (offset, length) pair
+// to pass through a gate.
+func (p *Proc) GateString(s string) (off, length uint64, err error) {
 	if p.CPU == nil {
 		return 0, 0, ErrProcessDestroyed
 	}
@@ -321,12 +315,6 @@ func (p *Proc) CallGate(name string, args ...uint64) ([]uint64, error) {
 		return p.CPU.Call(SegPHCS, idx, args)
 	}
 	return nil, fmt.Errorf("core: no gate named %q", name)
-}
-
-// GateString passes a string argument: it writes s into the argument
-// segment and returns the two words for the gate call.
-func (p *Proc) GateString(s string) (uint64, uint64, error) {
-	return p.WriteArgString(s)
 }
 
 // readUserString is the kernel-side helper: gate implementations use it to

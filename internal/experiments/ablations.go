@@ -167,11 +167,11 @@ func pageFaultWorkloadWith(low, target int) (pagectl.FaultStats, int64, int64) {
 		panic(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	sch.AddVP("cpu-a", false)
 	defer sch.Shutdown()
 	pp, err := pagectl.NewParallelPager(store, sch,
-		pagectl.ParallelConfig{CoreLowWater: low, CoreTarget: target, BulkLowWater: 2, BulkTarget: 4}, nil)
+		pagectl.ParallelConfig{CoreLowWater: low, CoreTarget: target, BulkLowWater: 2, BulkTarget: 4}, nil, nil)
 	if err != nil {
 		panic(err)
 	}

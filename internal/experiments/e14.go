@@ -5,17 +5,21 @@ import (
 	"strings"
 
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 	"repro/multics"
 )
 
 // e14GateCallCycles measures steady-state virtual cycles per cross-ring
 // gate call on the 6180 model, with the associative memory on or off.
-// It also returns the processor stats for the hit-rate columns.
-func e14GateCallCycles(assocOn bool, calls int) (int64, machine.Stats) {
+// For the hit-rate columns it also returns the processor's
+// associative-memory hits and misses, read from the registry it builds
+// the processor with.
+func e14GateCallCycles(assocOn bool, calls int) (cycles, hits, misses int64) {
+	reg := metrics.New()
 	ds := machine.NewDescriptorSegment(8)
 	clk := machine.NewClock()
-	cpu := machine.NewProcessor(ds, clk, machine.Model6180(), machine.UserRing)
+	cpu := machine.NewProcessor(ds, clk, machine.Model6180(), machine.UserRing, reg)
 	cpu.SetAssocEnabled(assocOn)
 	echo := &machine.Procedure{Name: "echo", Entries: []machine.EntryFunc{
 		func(_ *machine.ExecContext, a []uint64) ([]uint64, error) { return a, nil },
@@ -28,7 +32,8 @@ func e14GateCallCycles(assocOn bool, calls int) (int64, machine.Stats) {
 			panic(err)
 		}
 	}
-	return (clk.Now() - start) / int64(calls), cpu.Stats()
+	return (clk.Now() - start) / int64(calls),
+		reg.Counter("machine.assoc_hits").Value(), reg.Counter("machine.assoc_misses").Value()
 }
 
 // e14Revoked proves the security-correctness constraint: after warming the
@@ -36,7 +41,7 @@ func e14GateCallCycles(assocOn bool, calls int) (int64, machine.Stats) {
 // reference fault — no access is ever granted from the stale cached entry.
 func e14Revoked() bool {
 	ds := machine.NewDescriptorSegment(8)
-	cpu := machine.NewProcessor(ds, machine.NewClock(), machine.Model6180(), machine.UserRing)
+	cpu := machine.NewProcessor(ds, machine.NewClock(), machine.Model6180(), machine.UserRing, nil)
 	mustSet(ds, 3, machine.SDW{Backing: machine.NewCoreBacking(8), Mode: machine.ModeRead,
 		Brackets: machine.UserBrackets(machine.UserRing)})
 	if _, err := cpu.Load(3, 0); err != nil {
@@ -56,8 +61,8 @@ func e14Revoked() bool {
 // seeded replay's kernel counters.
 func E14HotPathPerformance() Report {
 	const calls = 1000
-	offCycles, _ := e14GateCallCycles(false, calls)
-	onCycles, onStats := e14GateCallCycles(true, calls)
+	offCycles, _, _ := e14GateCallCycles(false, calls)
+	onCycles, onHits, onMisses := e14GateCallCycles(true, calls)
 	revokedBlocked := e14Revoked()
 
 	// One seeded replay; the kernel counters come from its registry.
@@ -85,7 +90,7 @@ func E14HotPathPerformance() Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-38s %14s %10s\n", "gate call path (6180)", "vcycles/call", "hit rate")
 	fmt.Fprintf(&b, "%-38s %14d %10s\n", "descriptor walk every call (cache off)", offCycles, "-")
-	hitRate := float64(onStats.AssocHits) / float64(onStats.AssocHits+onStats.AssocMisses)
+	hitRate := float64(onHits) / float64(onHits+onMisses)
 	fmt.Fprintf(&b, "%-38s %14d %9.1f%%\n", "associative memory (cache on)", onCycles, 100*hitRate)
 	fmt.Fprintf(&b, "revoked SDW honored from cache: %v (must be false)\n", !revokedBlocked)
 	fmt.Fprintf(&b, "replay digest: %s\n", rep.Digest[:16])
@@ -99,7 +104,7 @@ func E14HotPathPerformance() Report {
 		frameSteals, blockSteals, zeroFills)
 
 	pass := onCycles < offCycles && revokedBlocked &&
-		onStats.AssocHits > onStats.AssocMisses
+		onHits > onMisses
 	return Report{
 		PaperClaim: "ring checks are cheap because the 6180 caches SDWs in an associative memory instead of " +
 			"re-walking the descriptor segment; the cache is flushed whenever a descriptor changes",

@@ -197,7 +197,7 @@ const tornProbe uint64 = 0x0123_4567_89ab_cdef
 // final handled count must account for every raise.
 func e15Interrupts(rate float64, n int) (raised, handled, lost, dup int64) {
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu-a", false)
 	pi := interrupt.NewProcessInterceptor(sch)

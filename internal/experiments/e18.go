@@ -207,7 +207,7 @@ func E18HierarchyScale() Report {
 	if err != nil {
 		panic(err)
 	}
-	h, err := fs.New(store, e18Self)
+	h, err := fs.New(store, e18Self, nil)
 	if err != nil {
 		panic(err)
 	}

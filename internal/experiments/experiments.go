@@ -144,7 +144,7 @@ func E4CrossRingCall() Report {
 	measure := func(cost machine.CostModel) (intra, cross int64) {
 		ds := machine.NewDescriptorSegment(8)
 		clk := machine.NewClock()
-		cpu := machine.NewProcessor(ds, clk, cost, machine.UserRing)
+		cpu := machine.NewProcessor(ds, clk, cost, machine.UserRing, nil)
 		echo := &machine.Procedure{Name: "echo", Entries: []machine.EntryFunc{
 			func(_ *machine.ExecContext, a []uint64) ([]uint64, error) { return a, nil },
 		}}
@@ -207,7 +207,7 @@ func PageFaultWorkload(parallel bool, pages, touches int) (pagectl.FaultStats, i
 		panic(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu-a", false)
 	var pager pagectl.Pager
@@ -215,14 +215,14 @@ func PageFaultWorkload(parallel bool, pages, touches int) (pagectl.FaultStats, i
 	if parallel {
 		pp, err := pagectl.NewParallelPager(store, sch,
 			pagectl.ParallelConfig{CoreLowWater: 2, CoreTarget: 4, BulkLowWater: 2, BulkTarget: 4},
-			pagectl.FIFOPolicy{})
+			pagectl.FIFOPolicy{}, nil)
 		if err != nil {
 			panic(err)
 		}
 		pager = pp
 		kernelEv = &pp.KernelEvictions
 	} else {
-		pager = pagectl.NewSequentialPager(store, pagectl.FIFOPolicy{})
+		pager = pagectl.NewSequentialPager(store, pagectl.FIFOPolicy{}, nil)
 	}
 	// A deterministic trace with locality: a sliding window plus strides.
 	sch.Spawn("workload", func(pc *sched.ProcCtx) {

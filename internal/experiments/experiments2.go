@@ -148,7 +148,7 @@ func E7PolicyFaultInjection() Report {
 // interceptor style while a user process computes.
 func InterruptWorkload(useProcesses bool, interrupts int) (interrupt.Stats, int64) {
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu-a", false)
 	var ic interrupt.Interceptor

@@ -152,7 +152,7 @@ func TestTornWriteCorruptsExactlyOneWord(t *testing.T) {
 
 func TestInterceptorLossDupAndRedeliver(t *testing.T) {
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
 	pi := interrupt.NewProcessInterceptor(sch)

@@ -148,7 +148,7 @@ func newCrashHier(t *testing.T) (*fs.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs.New(store, mls.NewLabel(mls.Unclassified))
+	return fs.New(store, mls.NewLabel(mls.Unclassified), nil)
 }
 
 func memPID(uid uint64, idx int) mem.PageID { return mem.PageID{SegUID: uid, Index: idx} }

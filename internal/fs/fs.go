@@ -175,14 +175,13 @@ func (c *opCounters) bind(reg *metrics.Registry) {
 	c.aclChanges = reg.Counter("fs.acl_changes")
 }
 
-// New creates a hierarchy with a root directory labelled root. The root
-// ACL initially grants sma to every principal; real installations tighten
-// it immediately.
-func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
+// New creates a hierarchy with a root directory labelled root, counting
+// its operations into reg under fs.* names. The root ACL initially
+// grants sma to every principal; real installations tighten it
+// immediately.
+func New(store *mem.Store, rootLabel mls.Label, reg *metrics.Registry) (*Hierarchy, error) {
 	h := &Hierarchy{store: store, nextUID: RootUID + 1, objects: make(map[uint64]*Object)}
-	// The hierarchy publishes into its own registry until the kernel hands
-	// it the system one via SetMetrics at boot.
-	h.SetMetrics(metrics.New())
+	h.ops.bind(reg)
 	rootACL := acl.New(acl.Entry{
 		Who:  acl.Pattern{Person: acl.Wildcard, Project: acl.Wildcard, Tag: acl.Wildcard},
 		Mode: acl.ModeStatus | acl.ModeModify | acl.ModeAppend,
@@ -204,13 +203,6 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 		return nil, fmt.Errorf("fs: creating root storage: %w", err)
 	}
 	return h, nil
-}
-
-// SetMetrics rebinds the hierarchy's operation counters into reg (the
-// kernel's unified registry). Call before traffic; handles registered
-// earlier keep their counts in the old registry.
-func (h *Hierarchy) SetMetrics(reg *metrics.Registry) {
-	h.ops.bind(reg)
 }
 
 // Store returns the underlying memory hierarchy.

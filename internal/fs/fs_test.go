@@ -24,7 +24,7 @@ func newHier(t *testing.T) *Hierarchy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(store, unc)
+	h, err := New(store, unc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

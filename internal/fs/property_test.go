@@ -18,7 +18,7 @@ func TestQuickPathOfInvertsResolve(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		h, err := New(store, unc)
+		h, err := New(store, unc, nil)
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestQuickDeleteLeavesNoOrphans(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		h, err := New(store, unc)
+		h, err := New(store, unc, nil)
 		if err != nil {
 			return false
 		}
@@ -127,7 +127,7 @@ func TestDeepHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(store, unc)
+	h, err := New(store, unc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,10 +114,11 @@ func SnapshotDigest(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ImportSnapshot rebuilds a hierarchy from snapshot bytes on top of store.
-// The segments themselves must already be registered in store (the restore
-// path adopts them from the checkpoint manifest before importing names).
-func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
+// ImportSnapshot rebuilds a hierarchy from snapshot bytes on top of store,
+// counting its operations into reg as New does. The segments themselves
+// must already be registered in store (the restore path adopts them from
+// the checkpoint manifest before importing names).
+func ImportSnapshot(store *mem.Store, data []byte, reg *metrics.Registry) (*Hierarchy, error) {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("fs: decoding snapshot: %w", err)
@@ -126,7 +127,7 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 		return nil, fmt.Errorf("fs: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	h := &Hierarchy{store: store, nextUID: snap.NextUID, objects: make(map[uint64]*Object)}
-	h.SetMetrics(metrics.New())
+	h.ops.bind(reg)
 	sawRoot := false
 	for _, so := range snap.Objects {
 		entries := make([]acl.Entry, 0, len(so.ACL))

@@ -66,18 +66,18 @@ type Def struct {
 type Registry struct {
 	defs     []Def
 	byName   map[string]int // name -> entry index
-	counters []*counters    // parallel to defs
+	counters []counters     // parallel to defs
 	ring     *trace.Ring    // trace spine destination, nil = off
 	// metrics is where the spine publishes per-gate accounting
-	// (gate.<name>.calls/errors/rejected/vcycles). NewRegistry starts
-	// with a private registry so Stats works standalone; SetMetrics
-	// repoints the accounting at a shared one.
+	// (gate.<name>.calls/errors/rejected/vcycles).
 	metrics *metrics.Registry
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]int), metrics: metrics.New()}
+// NewRegistry returns an empty registry whose gates count into reg; a
+// nil reg gives counters that belong to no registry, which Stats still
+// reads.
+func NewRegistry(reg *metrics.Registry) *Registry {
+	return &Registry{byName: make(map[string]int), metrics: reg}
 }
 
 // Register adds a gate definition. Names must be unique.

@@ -10,7 +10,7 @@ import (
 func echo(_ *machine.ExecContext, args []uint64) ([]uint64, error) { return args, nil }
 
 func TestRegisterAndLookup(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	if err := r.Register(Def{Name: "hcs_$initiate", Category: CatAddressSpace, UserAvailable: true, CodeUnits: 3, Impl: echo}); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRegisterAndLookup(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	if err := r.Register(Def{Name: "", CodeUnits: 1, Impl: echo}); err == nil {
 		t.Error("empty name should fail")
 	}
@@ -46,7 +46,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.MustRegister(Def{Name: "a", Category: CatFileSystem, UserAvailable: true, CodeUnits: 5, Impl: echo})
 	r.MustRegister(Def{Name: "b", Category: CatFileSystem, UserAvailable: false, CodeUnits: 2, Impl: echo})
 	r.MustRegister(Def{Name: "c", Category: CatLinker, UserAvailable: true, CodeUnits: 7, Impl: echo})
@@ -69,7 +69,7 @@ func TestCounts(t *testing.T) {
 }
 
 func TestBuildProcedureAndValidation(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.MustRegister(Def{Name: "echo", Category: CatMisc, UserAvailable: true, CodeUnits: 1, Impl: echo})
 	proc := r.BuildProcedure()
 	if len(proc.Entries) != 1 {

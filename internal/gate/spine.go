@@ -20,8 +20,8 @@ type counters struct {
 }
 
 // newCounters resolves the per-gate handles in reg under gate.<name>.*.
-func newCounters(reg *metrics.Registry, name string) *counters {
-	return &counters{
+func newCounters(reg *metrics.Registry, name string) counters {
+	return counters{
 		calls:    reg.Counter("gate." + name + ".calls"),
 		errors:   reg.Counter("gate." + name + ".errors"),
 		rejected: reg.Counter("gate." + name + ".rejected"),
@@ -53,22 +53,6 @@ type Stat struct {
 // call, so the change reaches them too.
 func (r *Registry) SetTraceRing(ring *trace.Ring) { r.ring = ring }
 
-// SetMetrics repoints the spine's per-gate accounting at reg, so one
-// kernel's gate registries share the unified registry exposed as
-// Kernel.Services().Metrics. Handles for already-registered gates are
-// re-resolved; counts accumulated in the old registry stay behind.
-func (r *Registry) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		reg = metrics.New()
-	}
-	r.metrics = reg
-	// Mutate in place so procedures already built keep publishing into
-	// the new registry (the gatekeeper captures the *counters pointer).
-	for i, d := range r.defs {
-		*r.counters[i] = *newCounters(reg, d.Name)
-	}
-}
-
 // Stats returns per-gate accounting in registration order.
 func (r *Registry) Stats() []Stat {
 	out := make([]Stat, len(r.defs))
@@ -94,7 +78,7 @@ func (r *Registry) Stats() []Stat {
 // started from exactly such invisible malformed calls. The event is a value
 // published into the ring's pre-allocated slot, so a traced call allocates
 // nothing (E20 asserts it).
-func (r *Registry) gatekeeper(d Def, c *counters) machine.EntryFunc {
+func (r *Registry) gatekeeper(d Def, c counters) machine.EntryFunc {
 	return func(ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
 		c.calls.Inc()
 		ring := r.ring

@@ -46,7 +46,7 @@ func TestClassify(t *testing.T) {
 // arity failures, and body-level NeedArgs failures must all land in the
 // per-gate rejected counter (and in errors), while other failures must not.
 func TestRejectedCounter(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.MustRegister(Def{Name: "strict", Category: CatMisc, CodeUnits: 1, Arity: 2, Impl: echo})
 	r.MustRegister(Def{Name: "inline", Category: CatMisc, CodeUnits: 1,
 		Impl: func(_ *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -108,7 +108,7 @@ func TestArgBoundaries(t *testing.T) {
 		t.Errorf("last valid index = %d, %v", v, err)
 	}
 	// Exactly MaxArgs passes the gatekeeper; MaxArgs+1 does not.
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.MustRegister(Def{Name: "wide", Category: CatMisc, CodeUnits: 1, Impl: echo})
 	proc := r.BuildProcedure()
 	if _, err := proc.Entries[0](nil, args); err != nil {
@@ -125,7 +125,7 @@ func TestArgBoundaries(t *testing.T) {
 // TestTraceMW verifies the gatekeeper records one trace event per crossing
 // with the right outcome, rejected argument lists included.
 func TestTraceMW(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.MustRegister(Def{Name: "strict", Category: CatMisc, CodeUnits: 1, Arity: 1, Impl: echo})
 	ring := trace.NewRing(64)
 	r.SetTraceRing(ring)

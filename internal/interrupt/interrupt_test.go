@@ -9,7 +9,7 @@ import (
 )
 
 func newSched() *sched.Scheduler {
-	s := sched.New(machine.NewClock())
+	s := sched.New(machine.NewClock(), nil)
 	s.AddVP("cpu-a", false)
 	return s
 }
@@ -103,13 +103,7 @@ func TestProcessInterceptorTurnsInterruptIntoWakeup(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// The handler's cycles are charged to its own dedicated process.
-	found := false
-	for _, p := range s.Processes() {
-		if p.Name == "int-handler.disk" && p.CPUCycles >= 30 {
-			found = true
-		}
-	}
-	if !found {
+	if p := ic.procs["disk"]; p.Name != "int-handler.disk" || p.CPUCycles < 30 {
 		t.Error("handler cycles not charged to dedicated process")
 	}
 	_ = user

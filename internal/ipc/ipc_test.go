@@ -9,7 +9,7 @@ import (
 )
 
 func newSched() *sched.Scheduler {
-	s := sched.New(machine.NewClock())
+	s := sched.New(machine.NewClock(), nil)
 	s.AddVP("cpu-a", false)
 	s.AddVP("cpu-b", false)
 	return s

@@ -111,7 +111,7 @@ func buildEnv(t *testing.T) (*machine.Processor, *SearchRules, *machine.Descript
 	t.Helper()
 	ds := machine.NewDescriptorSegment(32)
 	clk := machine.NewClock()
-	p := machine.NewProcessor(ds, clk, machine.Model6180(), machine.UserRing)
+	p := machine.NewProcessor(ds, clk, machine.Model6180(), machine.UserRing, nil)
 
 	symsWords, err := EncodeSymtab([]Symbol{{Name: "sqrt", Entry: 0}, {Name: "square", Entry: 1}})
 	if err != nil {

@@ -46,36 +46,26 @@ type assocEntry struct {
 	callGate   bool
 }
 
-// AssocStats are the event counts of one associative memory.
-type AssocStats struct {
-	// Hits and Misses count lookups by outcome. A lookup that finds an
-	// entry which does not cover the wanted access counts as a miss.
-	Hits, Misses int64
-	// Invalidations counts entries flushed because their descriptor was
-	// rewritten or cleared.
-	Invalidations int64
-}
-
 // AssocMemory caches SDW lookups and ring-bracket/gate access decisions per
 // (segment number, ring). One is attached to every Processor and registered
 // with the processor's descriptor segment for invalidation.
 type AssocMemory struct {
 	enabled bool
 	slots   [assocSlots]assocEntry
-	stats   AssocStats
-	// invalidations, when set by Processor.SetMetrics, mirrors
-	// stats.Invalidations into the unified metrics registry.
+	// invalidations counts entries flushed because their descriptor was
+	// rewritten or cleared (machine.assoc_invalidations).
 	invalidations *metrics.Counter
 }
 
-// NewAssocMemory returns an empty, enabled associative memory.
-func NewAssocMemory() *AssocMemory {
-	return &AssocMemory{enabled: true}
+// newAssocMemory returns an empty, enabled associative memory counting
+// its invalidations in invalidations.
+func newAssocMemory(invalidations *metrics.Counter) *AssocMemory {
+	return &AssocMemory{enabled: true, invalidations: invalidations}
 }
 
-// reset returns a to the state NewAssocMemory leaves one in: empty,
-// enabled, counters zeroed and no metrics hookup.
-func (a *AssocMemory) reset() { *a = AssocMemory{enabled: true} }
+// reset returns a to the state newAssocMemory left it in: empty and
+// enabled, still counting into the same counter.
+func (a *AssocMemory) reset() { *a = AssocMemory{enabled: true, invalidations: a.invalidations} }
 
 // Len returns the number of valid entries.
 func (a *AssocMemory) Len() int {
@@ -99,12 +89,6 @@ func (a *AssocMemory) SetEnabled(on bool) {
 	}
 	a.enabled = on
 }
-
-// Stats returns the accumulated hit/miss/invalidation counts.
-func (a *AssocMemory) Stats() AssocStats { return a.stats }
-
-// ResetStats zeroes the accumulated counts without touching the entries.
-func (a *AssocMemory) ResetStats() { a.stats = AssocStats{} }
 
 func assocSlot(seg SegNo, ring Ring) int {
 	return (int(seg)*NumRings + int(ring)) & (assocSlots - 1)
@@ -160,10 +144,7 @@ func (a *AssocMemory) InvalidateSeg(seg SegNo) {
 		i := assocSlot(seg, r)
 		if a.slots[i].valid && a.slots[i].seg == seg {
 			a.slots[i] = assocEntry{}
-			a.stats.Invalidations++
-			if a.invalidations != nil {
-				a.invalidations.Inc()
-			}
+			a.invalidations.Inc()
 		}
 	}
 }
@@ -174,10 +155,7 @@ func (a *AssocMemory) Flush() {
 	for i := range a.slots {
 		if a.slots[i].valid {
 			a.slots[i] = assocEntry{}
-			a.stats.Invalidations++
-			if a.invalidations != nil {
-				a.invalidations.Inc()
-			}
+			a.invalidations.Inc()
 		}
 	}
 }

@@ -3,6 +3,8 @@ package machine
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestRevokedSDWNeverHonoredFromCache is the paper's security-correctness
@@ -10,7 +12,7 @@ import (
 // access may be granted from the stale cached decision. The cache is warmed
 // deliberately before each revocation.
 func TestRevokedSDWNeverHonoredFromCache(t *testing.T) {
-	p, ds, _ := newTestProc(UserRing, Model6180())
+	p, ds, reg := newCountingProc(UserRing, Model6180())
 	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead | ModeWrite, Brackets: UserBrackets(UserRing)})
 	mustSet(t, ds, 4, SDW{Proc: echoProc(), Mode: ModeExecute, Brackets: GateBrackets(KernelRing, UserRing), Gates: 1})
 
@@ -24,8 +26,8 @@ func TestRevokedSDWNeverHonoredFromCache(t *testing.T) {
 	if _, err := p.Call(4, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.AssocHits == 0 {
-		t.Fatalf("cache never hit during warm-up: %+v", st)
+	if c := readAssoc(reg); c.hits == 0 {
+		t.Fatalf("cache never hit during warm-up: %+v", c)
 	}
 
 	// Revoke both descriptors. Every subsequent reference must fault,
@@ -46,8 +48,8 @@ func TestRevokedSDWNeverHonoredFromCache(t *testing.T) {
 	if _, err := p.Call(4, 0, nil); !errors.As(err, &f) || f.Class != FaultSegment {
 		t.Fatalf("cleared descriptor call fault = %v, want segment fault", f)
 	}
-	if st := p.Stats(); st.AssocInvalidations == 0 {
-		t.Errorf("revocation flushed no cache entries: %+v", st)
+	if c := readAssoc(reg); c.invalidations == 0 {
+		t.Errorf("revocation flushed no cache entries: %+v", c)
 	}
 }
 
@@ -95,12 +97,12 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, ds, _ := newTestProc(UserRing, Model6180())
+			p, ds, reg := newCountingProc(UserRing, Model6180())
 			mustSet(t, ds, seg, SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(UserRing)})
 			if _, err := p.Load(seg, 0); err != nil {
 				t.Fatal(err)
 			}
-			before := p.Stats()
+			before := readAssoc(reg)
 			tc.mutate(t, ds)
 
 			_, err := p.Load(seg, 0)
@@ -108,8 +110,8 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("load after unrelated mutation faulted: %v", err)
 				}
-				after := p.Stats()
-				if after.AssocHits != before.AssocHits+1 {
+				after := readAssoc(reg)
+				if after.hits != before.hits+1 {
 					t.Errorf("expected a cache hit after unrelated mutation: before %+v after %+v", before, after)
 				}
 				return
@@ -118,8 +120,8 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 			if !errors.As(err, &f) || f.Class != tc.wantFault {
 				t.Fatalf("load after mutation = %v, want fault class %v", err, tc.wantFault)
 			}
-			after := p.Stats()
-			if after.AssocInvalidations == before.AssocInvalidations {
+			after := readAssoc(reg)
+			if after.invalidations == before.invalidations {
 				t.Errorf("mutation invalidated nothing: before %+v after %+v", before, after)
 			}
 		})
@@ -129,7 +131,8 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 // TestInvalidateSegFlushesEveryRing checks that invalidating a segment
 // flushes its decisions cached for every ring, and only those.
 func TestInvalidateSegFlushesEveryRing(t *testing.T) {
-	a := NewAssocMemory()
+	inv := metrics.New().Counter("machine.assoc_invalidations")
+	a := newAssocMemory(inv)
 	sdw := &SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(NumRings - 1)}
 	for _, r := range []Ring{KernelRing, UserRing, NumRings - 1} {
 		a.fill(5, r, sdw)
@@ -144,7 +147,7 @@ func TestInvalidateSegFlushesEveryRing(t *testing.T) {
 	if a.lookup(6, UserRing) == nil || a.Len() != 1 {
 		t.Errorf("InvalidateSeg(5) left %d entries, want segment 6's one", a.Len())
 	}
-	if got := a.Stats().Invalidations; got != 3 {
+	if got := inv.Value(); got != 3 {
 		t.Errorf("invalidations = %d, want 3", got)
 	}
 }
@@ -152,7 +155,7 @@ func TestInvalidateSegFlushesEveryRing(t *testing.T) {
 // TestAssocHitMissCounters pins the counter semantics: first reference
 // misses and fills, repeats hit, and disabling the cache stops counting.
 func TestAssocHitMissCounters(t *testing.T) {
-	p, ds, _ := newTestProc(UserRing, Model6180())
+	p, ds, reg := newCountingProc(UserRing, Model6180())
 	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(UserRing)})
 
 	for i := 0; i < 5; i++ {
@@ -160,21 +163,20 @@ func TestAssocHitMissCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
-	if st.AssocMisses != 1 || st.AssocHits != 4 {
-		t.Errorf("hits/misses = %d/%d, want 4/1", st.AssocHits, st.AssocMisses)
+	c := readAssoc(reg)
+	if c.misses != 1 || c.hits != 4 {
+		t.Errorf("hits/misses = %d/%d, want 4/1", c.hits, c.misses)
 	}
 
-	p.ResetStats()
 	p.SetAssocEnabled(false)
+	before := readAssoc(reg)
 	for i := 0; i < 3; i++ {
 		if _, err := p.Load(3, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st = p.Stats()
-	if st.AssocHits != 0 || st.AssocMisses != 0 {
-		t.Errorf("disabled cache still counting: %+v", st)
+	if after := readAssoc(reg); after.hits != before.hits || after.misses != before.misses {
+		t.Errorf("disabled cache still counting: before %+v, after %+v", before, after)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -95,8 +94,8 @@ func TestGateCallCostAccounting(t *testing.T) {
 	}
 }
 
-// TestStatsFaultsAreCopied verifies Stats returns a snapshot, not a live
-// map.
+// TestStatsFaultsAreCopied verifies Stats returns a snapshot, not the
+// processor's own counts.
 func TestStatsFaultsAreCopied(t *testing.T) {
 	p, _, _ := newTestProc(UserRing, Model6180())
 	if _, err := p.Load(1, 0); err == nil {
@@ -104,12 +103,8 @@ func TestStatsFaultsAreCopied(t *testing.T) {
 	}
 	st := p.Stats()
 	st.Faults[FaultSegment] = 99
-	if p.Stats().Faults[FaultSegment] == 99 {
-		t.Error("Stats leaked internal map")
-	}
-	p.ResetStats()
-	if p.Stats().Faults[FaultSegment] != 0 {
-		t.Error("ResetStats did not clear faults")
+	if got := p.Stats().Faults[FaultSegment]; got != 1 {
+		t.Errorf("segment faults = %d after editing a copy of Stats, want 1", got)
 	}
 }
 
@@ -200,15 +195,13 @@ func TestFaultErrorRendering(t *testing.T) {
 
 // TestResetMakesAFreshProcessor loads a processor with every kind of state
 // it keeps — descriptors, cached decisions, a snapped link, statistics, a
-// pager, a linker, a sink and metrics — and checks that Reset leaves it
-// indistinguishable from a new processor, and detached from the old
-// sink and registry.
+// pager, a linker and a sink — and checks that Reset leaves it
+// indistinguishable from a new processor, detached from the old sink and
+// still counting into the registry it was built with.
 func TestResetMakesAFreshProcessor(t *testing.T) {
-	p, ds, _ := newTestProc(UserRing, Model6180())
+	p, ds, reg := newCountingProc(UserRing, Model6180())
 	sink := trace.NewRing(16)
-	reg := metrics.New()
 	p.SetSink(sink)
-	p.SetMetrics(reg)
 	p.Pager = PageFaultHandlerFunc(func(*PageFault) error { return nil })
 	mustSet(t, ds, 1, SDW{Proc: echoProc(), Mode: ModeExecute, Brackets: UserBrackets(UserRing)})
 	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead | ModeWrite, Brackets: UserBrackets(UserRing)})
@@ -225,7 +218,7 @@ func TestResetMakesAFreshProcessor(t *testing.T) {
 
 	clk := NewClock()
 	p.Reset(clk, Model645(), SupervisorRing)
-	fresh := NewProcessor(NewDescriptorSegment(ds.Len()), clk, Model645(), SupervisorRing)
+	fresh := NewProcessor(NewDescriptorSegment(ds.Len()), clk, Model645(), SupervisorRing, nil)
 
 	for seg := SegNo(0); int(seg) < ds.Len(); seg++ {
 		if *ds.SDW(seg) != (SDW{}) {
@@ -251,11 +244,15 @@ func TestResetMakesAFreshProcessor(t *testing.T) {
 		t.Error("associative memory disabled after Reset")
 	}
 
-	// The old sink and registry hear nothing from the reset processor.
-	events, counts := sink.Written(), reg.Snapshot()
+	// The old sink hears nothing from the reset processor, and reg
+	// counts its two misses, its hit, its invalidation and its fault.
+	events, before := sink.Written(), readAssoc(reg)
+	faults := reg.Counter("machine.faults").Value()
 	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(SupervisorRing)})
-	if _, err := p.Load(3, 0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Load(3, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := p.Load(9, 0); err == nil {
 		t.Fatal("load through an unused descriptor succeeded")
@@ -264,8 +261,12 @@ func TestResetMakesAFreshProcessor(t *testing.T) {
 	if sink.Written() != events {
 		t.Error("the reset processor still records faults in the old sink")
 	}
-	if !reflect.DeepEqual(reg.Snapshot(), counts) {
-		t.Error("the reset processor still publishes into the old registry")
+	want := assocCounts{hits: before.hits + 1, misses: before.misses + 2, invalidations: before.invalidations + 1}
+	if got := readAssoc(reg); got != want {
+		t.Errorf("machine.assoc_* after Reset read %+v, want %+v", got, want)
+	}
+	if got := reg.Counter("machine.faults").Value(); got != faults+1 {
+		t.Errorf("machine.faults after Reset = %d, want %d", got, faults+1)
 	}
 }
 

@@ -27,6 +27,8 @@ const (
 	FaultLinkage
 	// FaultOutOfBounds: the offset exceeded the segment length.
 	FaultOutOfBounds
+
+	numFaultClasses = iota
 )
 
 func (c FaultClass) String() string {

@@ -4,12 +4,33 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metrics"
 )
 
 func newTestProc(ring Ring, cost CostModel) (*Processor, *DescriptorSegment, *Clock) {
 	ds := NewDescriptorSegment(64)
 	clk := NewClock()
-	return NewProcessor(ds, clk, cost, ring), ds, clk
+	return NewProcessor(ds, clk, cost, ring, nil), ds, clk
+}
+
+// newCountingProc is newTestProc with the registry the processor counts
+// its machine.* events into.
+func newCountingProc(ring Ring, cost CostModel) (*Processor, *DescriptorSegment, *metrics.Registry) {
+	reg := metrics.New()
+	ds := NewDescriptorSegment(64)
+	return NewProcessor(ds, NewClock(), cost, ring, reg), ds, reg
+}
+
+// assocCounts is what the machine.assoc_* counters of a registry read.
+type assocCounts struct{ hits, misses, invalidations int64 }
+
+func readAssoc(reg *metrics.Registry) assocCounts {
+	return assocCounts{
+		hits:          reg.Counter("machine.assoc_hits").Value(),
+		misses:        reg.Counter("machine.assoc_misses").Value(),
+		invalidations: reg.Counter("machine.assoc_invalidations").Value(),
+	}
 }
 
 func TestParseMode(t *testing.T) {
@@ -473,7 +494,7 @@ func TestQuickRingBracketMonotonicity(t *testing.T) {
 		ring := Ring(ringU % 8)
 		ds := NewDescriptorSegment(4)
 		clk := NewClock()
-		p := NewProcessor(ds, clk, Model6180(), ring)
+		p := NewProcessor(ds, clk, Model6180(), ring, nil)
 		b := NewCoreBacking(2)
 		if err := ds.Set(1, SDW{Backing: b, Mode: ModeRead | ModeWrite, Brackets: Brackets{r1, r2, r3}}); err != nil {
 			return false

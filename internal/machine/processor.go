@@ -27,24 +27,18 @@ type EntryFunc func(ctx *ExecContext, args []uint64) ([]uint64, error)
 const MaxCallDepth = 256
 
 // Stats records the event counts a processor accumulates; the experiment
-// harness reads them to report path lengths and fault behaviour.
+// harness reads them to report path lengths and fault behaviour. The
+// associative memory's hits, misses and invalidations are not here: the
+// machine.assoc_* counters of the processor's registry count them.
 type Stats struct {
 	Loads          int64
 	Stores         int64
 	Calls          int64
 	CrossRingCalls int64
 	GateCalls      int64
-	// AssocHits/AssocMisses/AssocInvalidations mirror the processor's
-	// associative-memory counters: references satisfied from the cached
-	// SDW decision, references that walked the descriptor segment, and
-	// entries flushed by descriptor mutation.
-	AssocHits          int64
-	AssocMisses        int64
-	AssocInvalidations int64
-	Faults             map[FaultClass]int64
+	// Faults counts charged faults by class.
+	Faults [numFaultClasses]int64
 }
-
-func newStats() Stats { return Stats{Faults: make(map[FaultClass]int64)} }
 
 // Processor simulates one CPU executing within a single process environment:
 // a descriptor segment, a current ring, and the per-process linkage
@@ -80,21 +74,26 @@ type Processor struct {
 	ctxCache []ExecContext
 	// strBuf is LoadString's reusable character buffer.
 	strBuf []byte
-	// mAssocHits/mAssocMisses/mFaults, when set, publish into the unified
-	// metrics registry alongside the per-processor stats (see SetMetrics).
+	// mAssocHits/mAssocMisses/mFaults count into the registry the
+	// processor was built with, as machine.assoc_hits,
+	// machine.assoc_misses and machine.faults; every processor of a
+	// kernel shares them, so they aggregate across CPUs.
 	mAssocHits   *metrics.Counter
 	mAssocMisses *metrics.Counter
 	mFaults      *metrics.Counter
 }
 
 // NewProcessor returns a processor executing in ring over ds, with an
-// enabled associative memory registered on ds for invalidation.
-func NewProcessor(ds *DescriptorSegment, clock *Clock, cost CostModel, ring Ring) *Processor {
+// enabled associative memory registered on ds for invalidation, that
+// counts into reg's machine.* counters.
+func NewProcessor(ds *DescriptorSegment, clock *Clock, cost CostModel, ring Ring, reg *metrics.Registry) *Processor {
 	p := &Processor{
-		DS:      ds,
-		stats:   newStats(),
-		linkage: make(map[SegNo]map[LinkRef]LinkTarget),
-		assoc:   NewAssocMemory(),
+		DS:           ds,
+		linkage:      make(map[SegNo]map[LinkRef]LinkTarget),
+		assoc:        newAssocMemory(reg.Counter("machine.assoc_invalidations")),
+		mAssocHits:   reg.Counter("machine.assoc_hits"),
+		mAssocMisses: reg.Counter("machine.assoc_misses"),
+		mFaults:      reg.Counter("machine.faults"),
 	}
 	ds.attachAssoc(p.assoc)
 	p.reset(clock, cost, ring)
@@ -104,10 +103,11 @@ func NewProcessor(ds *DescriptorSegment, clock *Clock, cost CostModel, ring Ring
 // Reset makes p a fresh processor executing in ring over its own
 // descriptor segment, now empty: every descriptor is cleared, every
 // associative memory attached to the segment is flushed, and p's own is
-// emptied with its counters zeroed. Nothing an earlier process installed
-// survives — no descriptor, cached decision, snapped link, statistic,
-// pager, linker, sink or metrics hookup — so a kernel can hand a
-// destroyed process's processor to the next process it creates.
+// emptied. Nothing an earlier process installed survives — no
+// descriptor, cached decision, snapped link, statistic, pager, linker or
+// sink — so a kernel can hand a destroyed process's processor to the
+// next process it creates. p keeps counting into the registry it was
+// built with.
 func (p *Processor) Reset(clock *Clock, cost CostModel, ring Ring) {
 	p.DS.clearAll()
 	p.assoc.reset()
@@ -117,23 +117,24 @@ func (p *Processor) Reset(clock *Clock, cost CostModel, ring Ring) {
 // reset is the state NewProcessor and Reset share. It is one struct
 // literal, so a field added later starts at its zero value instead of
 // being carried over; only the descriptor segment, the associative memory
-// and the storage of the fault counts and linkage map (emptied), the
-// call-frame contexts and the string buffer are kept. A kept context
+// and the storage of the linkage map (emptied), the call-frame contexts,
+// the string buffer and the metrics counters are kept. A kept context
 // shows a new process nothing of an old one: Call overwrites its
 // argument copy and Out clears the result words it hands out.
 func (p *Processor) reset(clock *Clock, cost CostModel, ring Ring) {
-	clear(p.stats.Faults)
 	clear(p.linkage)
 	*p = Processor{
-		DS:       p.DS,
-		Clock:    clock,
-		Cost:     cost,
-		ring:     ring,
-		stats:    Stats{Faults: p.stats.Faults},
-		linkage:  p.linkage,
-		assoc:    p.assoc,
-		ctxCache: p.ctxCache,
-		strBuf:   p.strBuf,
+		DS:           p.DS,
+		Clock:        clock,
+		Cost:         cost,
+		ring:         ring,
+		linkage:      p.linkage,
+		assoc:        p.assoc,
+		ctxCache:     p.ctxCache,
+		strBuf:       p.strBuf,
+		mAssocHits:   p.mAssocHits,
+		mAssocMisses: p.mAssocMisses,
+		mFaults:      p.mFaults,
 	}
 }
 
@@ -148,45 +149,13 @@ func (p *Processor) SetAssocEnabled(on bool) { p.assoc.SetEnabled(on) }
 func (p *Processor) Ring() Ring { return p.ring }
 
 // Stats returns a copy of the accumulated event counts.
-func (p *Processor) Stats() Stats {
-	out := p.stats
-	out.AssocInvalidations = p.assoc.stats.Invalidations
-	out.Faults = make(map[FaultClass]int64, len(p.stats.Faults))
-	for k, v := range p.stats.Faults {
-		out.Faults[k] = v
-	}
-	return out
-}
-
-// ResetStats zeroes the accumulated event counts, including the associative
-// memory's (its entries survive — only the counters reset).
-func (p *Processor) ResetStats() {
-	p.stats = newStats()
-	p.assoc.ResetStats()
-}
+func (p *Processor) Stats() Stats { return p.stats }
 
 // SetSink directs fault delivery at s: every fault the processor
 // charges — including page and linkage faults that are subsequently
 // handled — is recorded as a trace.Event with Stage trace.StageFault,
 // stamped with the virtual cycle at delivery. A nil sink disables it.
 func (p *Processor) SetSink(s trace.Sink) { p.sink = s }
-
-// SetMetrics publishes the processor's hot-path counters into reg under
-// machine.* names (assoc hits/misses/invalidations, delivered faults) in
-// addition to the per-processor Stats. All processors of one kernel share
-// the registry, so the machine.* counters aggregate across CPUs. A nil
-// registry detaches the processor.
-func (p *Processor) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		p.mAssocHits, p.mAssocMisses, p.mFaults = nil, nil, nil
-		p.assoc.invalidations = nil
-		return
-	}
-	p.mAssocHits = reg.Counter("machine.assoc_hits")
-	p.mAssocMisses = reg.Counter("machine.assoc_misses")
-	p.mFaults = reg.Counter("machine.faults")
-	p.assoc.invalidations = reg.Counter("machine.assoc_invalidations")
-}
 
 // emitFault records a delivered fault at the trace sink.
 func (p *Processor) emitFault(f *Fault) {
@@ -236,9 +205,7 @@ func (p *Processor) SnappedLinkCount(inSeg SegNo) int { return len(p.linkage[inS
 
 func (p *Processor) fault(f *Fault) *Fault {
 	p.stats.Faults[f.Class]++
-	if p.mFaults != nil {
-		p.mFaults.Inc()
-	}
+	p.mFaults.Inc()
 	p.Clock.Advance(p.Cost.FaultOverhead)
 	p.emitFault(f)
 	return f
@@ -285,10 +252,7 @@ func (p *Processor) checkData(seg SegNo, sdw *SDW, off int, want AccessMode) *Fa
 func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val uint64) (uint64, error) {
 	var sdw *SDW
 	if e := p.assoc.lookup(seg, p.ring); e != nil && ((write && e.writeOK) || (!write && e.readOK)) {
-		p.stats.AssocHits++
-		if p.mAssocHits != nil {
-			p.mAssocHits.Inc()
-		}
+		p.mAssocHits.Inc()
 		p.Clock.Advance(p.Cost.AssocSearch)
 		sdw = e.sdw
 		if off < 0 || off >= sdw.Backing.Length() {
@@ -296,10 +260,7 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 		}
 	} else {
 		if p.assoc.Enabled() {
-			p.stats.AssocMisses++
-			if p.mAssocMisses != nil {
-				p.mAssocMisses.Inc()
-			}
+			p.mAssocMisses.Inc()
 			p.Clock.Advance(p.Cost.AssocSearch)
 		}
 		p.Clock.Advance(p.Cost.DescriptorWalk)
@@ -333,9 +294,7 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 			return 0, err
 		}
 		p.stats.Faults[FaultPage]++
-		if p.mFaults != nil {
-			p.mFaults.Inc()
-		}
+		p.mFaults.Inc()
 		p.Clock.Advance(p.Cost.FaultOverhead)
 		// The event carries the segment and offset, which name the page;
 		// its text is formatted only if the fault goes unhandled.
@@ -463,10 +422,7 @@ func (p *Processor) runBacking(seg SegNo, write bool) *CoreBacking {
 // chargeRun charges n in-bounds references that hit the associative
 // memory, exactly as n single references through access would be.
 func (p *Processor) chargeRun(n int, write bool) {
-	p.stats.AssocHits += int64(n)
-	if p.mAssocHits != nil {
-		p.mAssocHits.Add(int64(n))
-	}
+	p.mAssocHits.Add(int64(n))
 	cost := p.Cost.AssocSearch
 	if write {
 		p.stats.Stores += int64(n)
@@ -538,19 +494,13 @@ func (p *Processor) Call(seg SegNo, entry int, args []uint64) ([]uint64, error) 
 			hit = true
 			sdw = s
 			target, viaGate = e.callTarget, e.callGate
-			p.stats.AssocHits++
-			if p.mAssocHits != nil {
-				p.mAssocHits.Inc()
-			}
+			p.mAssocHits.Inc()
 			p.Clock.Advance(p.Cost.AssocSearch)
 		}
 	}
 	if !hit {
 		if p.assoc.Enabled() {
-			p.stats.AssocMisses++
-			if p.mAssocMisses != nil {
-				p.mAssocMisses.Inc()
-			}
+			p.mAssocMisses.Inc()
 			p.Clock.Advance(p.Cost.AssocSearch)
 		}
 		p.Clock.Advance(p.Cost.DescriptorWalk)
@@ -616,9 +566,7 @@ func (p *Processor) CallSym(inSeg SegNo, ref LinkRef, args []uint64) ([]uint64, 
 		return p.Call(t.Seg, t.Entry, args)
 	}
 	p.stats.Faults[FaultLinkage]++
-	if p.mFaults != nil {
-		p.mFaults.Inc()
-	}
+	p.mFaults.Inc()
 	p.Clock.Advance(p.Cost.FaultOverhead)
 	p.emitFault(&Fault{Class: FaultLinkage, Seg: inSeg, Ring: p.ring, Detail: ref.SegName + "$" + ref.EntryName})
 	if p.Linker == nil {

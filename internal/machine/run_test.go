@@ -53,9 +53,8 @@ type runTwin struct {
 const runSeg = SegNo(5)
 
 func newRunTwin(cost CostModel, ring Ring, assoc, plain bool, words []uint64) runTwin {
-	p, ds, clk := newTestProc(ring, cost)
-	reg := metrics.New()
-	p.SetMetrics(reg)
+	ds, clk, reg := NewDescriptorSegment(64), NewClock(), metrics.New()
+	p := NewProcessor(ds, clk, cost, ring, reg)
 	p.SetAssocEnabled(assoc)
 	core := NewCoreBacking(len(words))
 	copy(core.Words(), words)

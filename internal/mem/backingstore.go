@@ -60,7 +60,8 @@ type BackingStore interface {
 	// ReadBlocks is the batch form of ReadBlock: one round trip for all
 	// pids, same copy-and-drop semantics per block. The result is indexed
 	// like pids. All-or-nothing: any missing block fails the whole batch
-	// with ErrNoBlock and drops no mapping.
+	// with ErrNoBlock and drops no mapping. A pid named twice fails it the
+	// same way, as a second ReadBlock of that pid would fail.
 	ReadBlocks(pids []PageID) ([][]uint64, error)
 	// WriteBlocks is the batch form of WriteBlock: one round trip records
 	// every entry. It borrows each data slice for the call only; the

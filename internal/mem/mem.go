@@ -75,9 +75,9 @@ type Config struct {
 	BulkRead, BulkWrite int64
 	// DiskRead/DiskWrite are disk transfer latencies.
 	DiskRead, DiskWrite int64
-	// Metrics, when set, is the registry the store publishes its
-	// transfer and contention counters into (mem.* names). When nil the
-	// store uses a private registry so Stats keeps working standalone.
+	// Metrics is the registry the store publishes its transfer and
+	// contention counters into (mem.* names). When nil they belong to no
+	// registry, and the store's own reports still read them.
 	Metrics *metrics.Registry
 	// Backing, when set, is the durable block layer under the disk
 	// level. When nil the store uses a fresh volatile MemStore — the
@@ -240,9 +240,6 @@ func NewStore(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
 	backing := cfg.Backing
 	if backing == nil {
 		backing = NewMemStore()

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -45,11 +46,11 @@ func (m *MemStore) WriteBlock(pid PageID, data []uint64) error {
 	return nil
 }
 
-// ReadBlocks implements BackingStore natively: the all-or-nothing check
-// runs before any mapping is dropped.
+// ReadBlocks implements BackingStore natively: the all-or-nothing check,
+// repeated pids included, runs before any mapping is dropped.
 func (m *MemStore) ReadBlocks(pids []PageID) ([][]uint64, error) {
-	for _, pid := range pids {
-		if _, ok := m.blocks[pid]; !ok {
+	for i, pid := range pids {
+		if _, ok := m.blocks[pid]; !ok || slices.Contains(pids[:i], pid) {
 			return nil, fmt.Errorf("%w: %v", ErrNoBlock, pid)
 		}
 	}

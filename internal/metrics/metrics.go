@@ -12,8 +12,13 @@
 // fleet's migration count), the counter is the only tally and the report
 // reads it back, so while a registry is disabled those figures read
 // zero, and on a kernel restored from a checkpoint they continue from
-// its totals. Per-object views with no counter twin (a processor's
-// stats, a VP's busy cycles) stay private to their objects.
+// its totals. A processor's associative-memory hits, misses and
+// invalidations are counted only here (machine.assoc_*).
+//
+// Every subsystem is bound to its registry once, by its constructor. A
+// subsystem built with a nil registry (a standalone test or experiment
+// object) still counts: Counter on a nil *Registry hands out a counter
+// that belongs to no registry, so no subsystem builds a private one.
 //
 // Instruments are pre-resolved handles over plain integers: like the
 // kernel that owns it, a registry has one driver at a time (DESIGN.md,
@@ -138,11 +143,19 @@ func (h *Histogram) Observe(v int64) {
 	h.count++
 }
 
+// always is the enabled flag of counters that belong to no registry.
+var always = true
+
 // Counter returns the named counter, creating it on first use. The same
 // name always returns the same handle; registering a name that already
 // names a different instrument kind panics (a malformed instrument table
-// is a programming error, like a malformed gate table).
+// is a programming error, like a malformed gate table). On a nil
+// registry it returns a new counter that belongs to no registry: it
+// counts, and nothing but its holder reads it.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return &Counter{name: name, on: &always}
+	}
 	in, ok := r.insts[name]
 	if !ok {
 		in = &Counter{name: name, on: &r.enabled}

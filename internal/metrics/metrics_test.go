@@ -26,6 +26,21 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestNilRegistryCounterCounts: a subsystem built with no registry gets
+// counters that count on their own, one per call.
+func TestNilRegistryCounterCounts(t *testing.T) {
+	var r *Registry
+	c := r.Counter("a.calls")
+	c.Inc()
+	c.Add(2)
+	if got := c.Value(); got != 3 {
+		t.Fatalf("counter = %d, want 3", got)
+	}
+	if d := r.Counter("a.calls"); d == c || d.Value() != 0 {
+		t.Fatalf("a nil registry must hand out a fresh counter each call")
+	}
+}
+
 func TestDisabledRegistryDropsRecordings(t *testing.T) {
 	r := New()
 	c := r.Counter("x")

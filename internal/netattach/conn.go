@@ -117,7 +117,7 @@ func (c *Conn) Send(op Op, payload uint64) error {
 	if err != nil {
 		return err
 	}
-	if q >= fe.cfg.HighWater {
+	if q >= HighWater {
 		fe.nm.throttled.Inc()
 		return fmt.Errorf("%w: connection %d input queue at %d", ErrThrottled, c.id, q)
 	}

@@ -74,21 +74,20 @@ type LoginFunc func(person, project, password string, level mls.Level) (*core.Pr
 type Config struct {
 	// Workers is the multiplexer pool size.
 	Workers int
-	// HighWater/LowWater are the flow-control marks on per-connection
-	// queues (messages). Input at or above HighWater refuses sends;
-	// replies shed from HighWater down to LowWater.
-	HighWater, LowWater int
 	// MaxConns bounds the connection table. At S5+ it also scales the
 	// private store backing the reply buffers.
 	MaxConns int
 }
 
-// Front-end defaults.
+// Front-end defaults and flow-control marks.
 const (
-	DefaultWorkers   = 4
-	DefaultHighWater = 64
-	DefaultLowWater  = 16
-	DefaultMaxConns  = 4096
+	DefaultWorkers  = 4
+	DefaultMaxConns = 4096
+	// HighWater and LowWater are the flow-control marks on
+	// per-connection queues, in messages: input at or above HighWater
+	// refuses sends, and replies shed from HighWater down to LowWater.
+	HighWater = 64
+	LowWater  = 16
 	// legacyReplySlots is the reply ring capacity on the legacy path —
 	// the same fixed-buffer regime as the legacy kernel drivers.
 	legacyReplySlots = 16
@@ -100,20 +99,11 @@ func (c *Config) setDefaults() error {
 	if c.Workers == 0 {
 		c.Workers = DefaultWorkers
 	}
-	if c.HighWater == 0 {
-		c.HighWater = DefaultHighWater
-	}
-	if c.LowWater == 0 {
-		c.LowWater = DefaultLowWater
-	}
 	if c.MaxConns == 0 {
 		c.MaxConns = DefaultMaxConns
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("netattach: %d workers", c.Workers)
-	}
-	if c.LowWater < 1 || c.HighWater <= c.LowWater {
-		return fmt.Errorf("netattach: water marks %d/%d (need high > low >= 1)", c.HighWater, c.LowWater)
 	}
 	if c.MaxConns < 1 {
 		return fmt.Errorf("netattach: %d max connections", c.MaxConns)
@@ -581,10 +571,10 @@ func (fe *Frontend) execute(pc *sched.ProcCtx, c *Conn, word uint64) {
 // the reader drains it to the low-water mark.
 func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 	n := c.out.Len()
-	if c.shedding && n <= fe.cfg.LowWater {
+	if c.shedding && n <= LowWater {
 		c.shedding = false
 	}
-	if !c.shedding && n >= fe.cfg.HighWater {
+	if !c.shedding && n >= HighWater {
 		c.shedding = true
 	}
 	if c.shedding {

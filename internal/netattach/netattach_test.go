@@ -136,14 +136,15 @@ func TestBadPasswordRejected(t *testing.T) {
 }
 
 func TestInputBackpressureThrottles(t *testing.T) {
-	_, fe := boot(t, multics.StageRestructured, netattach.Config{HighWater: 8, LowWater: 2})
+	_, fe := boot(t, multics.StageRestructured, netattach.Config{})
 	c, err := fe.Dial("Schroeder", "CSR", "multics75", multics.Unclassified)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without flushing, the 9th send finds the queue at the high-water
-	// mark and is refused — explicitly, not silently.
-	for i := 0; i < 8; i++ {
+	// Without flushing, the send after HighWater of them finds the
+	// queue at the high-water mark and is refused — explicitly, not
+	// silently.
+	for i := 0; i < netattach.HighWater; i++ {
 		if err := c.Send(netattach.OpEcho, uint64(i)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -155,8 +156,8 @@ func TestInputBackpressureThrottles(t *testing.T) {
 	if st.Throttled != 1 {
 		t.Errorf("throttled = %d, want 1", st.Throttled)
 	}
-	if st.PeakInput != 8 {
-		t.Errorf("peak input = %d, want 8", st.PeakInput)
+	if st.PeakInput != netattach.HighWater {
+		t.Errorf("peak input = %d, want %d", st.PeakInput, netattach.HighWater)
 	}
 	// After the workers drain the queue, sending works again and nothing
 	// was lost: backpressure, not loss.
@@ -165,8 +166,8 @@ func TestInputBackpressureThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe.Flush()
-	if st := fe.Stats(); st.InputLost != 0 || st.Delivered != 9 {
-		t.Errorf("lost %d delivered %d, want 0/9", st.InputLost, st.Delivered)
+	if st := fe.Stats(); st.InputLost != 0 || st.Delivered != netattach.HighWater+1 {
+		t.Errorf("lost %d delivered %d, want 0/%d", st.InputLost, st.Delivered, netattach.HighWater+1)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -210,22 +211,24 @@ func TestFaultCountsMatchInjector(t *testing.T) {
 }
 
 func TestSlowReaderSheddingCounted(t *testing.T) {
-	_, fe := boot(t, multics.StageRestructured, netattach.Config{HighWater: 8, LowWater: 2})
+	_, fe := boot(t, multics.StageRestructured, netattach.Config{})
 	c, err := fe.Dial("Schroeder", "CSR", "multics75", multics.Unclassified)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Send 20 requests, flushing so they are processed, and never read a
-	// reply: the reply queue hits the high-water mark and sheds.
-	for i := 0; i < 20; i++ {
+	// Send more requests than the high-water mark, flushing so they are
+	// processed, and never read a reply: the reply queue hits the mark
+	// and sheds.
+	const sends = netattach.HighWater + 16
+	for i := 0; i < sends; i++ {
 		if err := c.Send(netattach.OpEcho, uint64(i)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 		fe.Flush()
 	}
 	st := fe.Stats()
-	if st.Processed != 20 {
-		t.Fatalf("processed = %d, want 20", st.Processed)
+	if st.Processed != sends {
+		t.Fatalf("processed = %d, want %d", st.Processed, sends)
 	}
 	if st.ReplyDrops == 0 {
 		t.Error("slow reader should have shed replies")
@@ -267,7 +270,7 @@ func TestSlowReaderSheddingCounted(t *testing.T) {
 func TestStormLossLegacyVsConsolidated(t *testing.T) {
 	const burst = 24 // above the legacy 16-slot ring, below the high water
 	run := func(stage multics.Stage) netattach.Stats {
-		_, fe := boot(t, stage, netattach.Config{HighWater: 64, LowWater: 16})
+		_, fe := boot(t, stage, netattach.Config{})
 		c, err := fe.Dial("Schroeder", "CSR", "multics75", multics.Unclassified)
 		if err != nil {
 			t.Fatal(err)

@@ -32,10 +32,10 @@ func TestSequentialPagerRetriesInjectedIOErrors(t *testing.T) {
 	}
 	store.SetFaultHook(&flakyHook{failLeft: 3})
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p := NewSequentialPager(store, nil)
+	p := NewSequentialPager(store, nil, nil)
 	touchPages(t, sch, p, 1, []int{0, 1, 2})
 	st := p.Stats()
 	if st.IORetries != 3 {
@@ -53,10 +53,10 @@ func TestSequentialPagerGivesUpAfterRetryLimit(t *testing.T) {
 	}
 	store.SetFaultHook(&flakyHook{failLeft: 1 << 30}) // never recovers
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p := NewSequentialPager(store, nil)
+	p := NewSequentialPager(store, nil, nil)
 	var handleErr error
 	sch.Spawn("doomed", func(pc *sched.ProcCtx) {
 		handleErr = p.Handle(pc, fault(1, 0))
@@ -76,12 +76,12 @@ func TestSequentialPagerRetryBacksOffInVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
 
 	// Clean run first to learn the no-fault cost.
-	p := NewSequentialPager(store, nil)
+	p := NewSequentialPager(store, nil, nil)
 	touchPages(t, sch, p, 1, []int{0})
 	cleanCycles := clk.Now()
 
@@ -91,10 +91,10 @@ func TestSequentialPagerRetryBacksOffInVirtualTime(t *testing.T) {
 	}
 	store2.SetFaultHook(&flakyHook{failLeft: 4})
 	clk2 := machine.NewClock()
-	sch2 := sched.New(clk2)
+	sch2 := sched.New(clk2, nil)
 	defer sch2.Shutdown()
 	sch2.AddVP("cpu", false)
-	p2 := NewSequentialPager(store2, nil)
+	p2 := NewSequentialPager(store2, nil, nil)
 	touchPages(t, sch2, p2, 1, []int{0})
 
 	// Four doubling backoffs: 8+16+32+64 extra virtual cycles minimum.
@@ -112,10 +112,10 @@ func TestParallelPagerRetriesInjectedIOErrors(t *testing.T) {
 	}
 	store.SetFaultHook(&flakyHook{failLeft: 3})
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p, err := NewParallelPager(store, sch, ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}, nil)
+	p, err := NewParallelPager(store, sch, ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func thrashAndVerify(parallel bool, order []uint8, pages int) bool {
 		return false
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
 	// The parallel design MUST use a usage-aware policy (the clock, the
@@ -38,13 +38,13 @@ func thrashAndVerify(parallel bool, order []uint8, pages int) bool {
 	var pager Pager
 	if parallel {
 		pp, err := NewParallelPager(store, sch,
-			ParallelConfig{CoreLowWater: 1, CoreTarget: 1, BulkLowWater: 1, BulkTarget: 2}, nil)
+			ParallelConfig{CoreLowWater: 1, CoreTarget: 1, BulkLowWater: 1, BulkTarget: 2}, nil, nil)
 		if err != nil {
 			return false
 		}
 		pager = pp
 	} else {
-		pager = NewSequentialPager(store, FIFOPolicy{})
+		pager = NewSequentialPager(store, FIFOPolicy{}, nil)
 	}
 
 	// touch ensures the page is resident and returns its frame. Under the
@@ -70,7 +70,7 @@ func thrashAndVerify(parallel bool, order []uint8, pages int) bool {
 	}
 
 	ok := true
-	sch.Spawn("verifier", func(pc *sched.ProcCtx) {
+	verifier := sch.Spawn("verifier", func(pc *sched.ProcCtx) {
 		// Write every page exactly once, in a rotated order derived from
 		// `order` (a rotation is a permutation; per-index offsets are not).
 		rot := 0
@@ -111,10 +111,8 @@ func thrashAndVerify(parallel bool, order []uint8, pages int) bool {
 		}
 	})
 	sch.Run(0)
-	for _, p := range sch.Processes() {
-		if p.Name == "verifier" && p.State() != sched.StateDone {
-			return false // deadlock or starvation
-		}
+	if verifier.State() != sched.StateDone {
+		return false // deadlock or starvation
 	}
 	return ok
 }
@@ -151,19 +149,19 @@ func TestBothDesignsSurviveCompetingFaulters(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk := machine.NewClock()
-		sch := sched.New(clk)
+		sch := sched.New(clk, nil)
 		sch.AddVP("cpu-a", false)
 		sch.AddVP("cpu-b", false)
 		var pager Pager
 		if parallel {
 			pp, err := NewParallelPager(store, sch,
-				ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}, FIFOPolicy{})
+				ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}, FIFOPolicy{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pager = pp
 		} else {
-			pager = NewSequentialPager(store, FIFOPolicy{})
+			pager = NewSequentialPager(store, FIFOPolicy{}, nil)
 		}
 		const users, pages = 3, 8
 		for u := 0; u < users; u++ {

@@ -141,12 +141,8 @@ type pagerMetrics struct {
 	ioRetries  *metrics.Counter
 }
 
-// resolve binds the counters in reg, or in a private registry when reg
-// is nil, so a pager always counts.
+// resolve binds the counters in reg.
 func (pm *pagerMetrics) resolve(reg *metrics.Registry) {
-	if reg == nil {
-		reg = metrics.New()
-	}
 	pm.faults = reg.Counter("pagectl.faults")
 	pm.waitCycles = reg.Counter("pagectl.wait_cycles")
 	pm.ioRetries = reg.Counter("pagectl.io_retries")
@@ -200,18 +196,14 @@ type SequentialPager struct {
 	pm     pagerMetrics
 }
 
-// SetMetrics counts fault handling in reg under pagectl.* names from now
-// on; nil binds a private registry.
-func (s *SequentialPager) SetMetrics(reg *metrics.Registry) { s.pm.resolve(reg) }
-
-// NewSequentialPager returns the old-design pager, counting in a private
-// registry until SetMetrics.
-func NewSequentialPager(store *mem.Store, policy VictimPolicy) *SequentialPager {
+// NewSequentialPager returns the old-design pager, counting fault
+// handling into reg under pagectl.* names.
+func NewSequentialPager(store *mem.Store, policy VictimPolicy, reg *metrics.Registry) *SequentialPager {
 	if policy == nil {
 		policy = &ClockPolicy{}
 	}
 	s := &SequentialPager{store: store, policy: policy}
-	s.pm.resolve(nil)
+	s.pm.resolve(reg)
 	return s
 }
 

@@ -61,10 +61,10 @@ func TestSequentialPagerBasicFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p := NewSequentialPager(store, nil)
+	p := NewSequentialPager(store, nil, nil)
 	touchPages(t, sch, p, 1, []int{0, 1, 2})
 	st := p.Stats()
 	if st.Faults != 3 {
@@ -83,10 +83,10 @@ func TestSequentialPagerCascades(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p := NewSequentialPager(store, FIFOPolicy{})
+	p := NewSequentialPager(store, FIFOPolicy{}, nil)
 	touchPages(t, sch, p, 1, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	st := p.Stats()
 	if st.Faults != 8 {
@@ -111,10 +111,10 @@ func TestSequentialPagerRefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p := NewSequentialPager(store, FIFOPolicy{})
+	p := NewSequentialPager(store, FIFOPolicy{}, nil)
 	touchPages(t, sch, p, 1, []int{0, 1, 2, 0, 1, 2})
 	if got := p.Stats().Faults; got != 6 {
 		t.Errorf("faults = %d, want 6", got)
@@ -130,10 +130,10 @@ func TestParallelPagerBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p, err := NewParallelPager(store, sch, DefaultParallelConfig(store.Config()), nil)
+	p, err := NewParallelPager(store, sch, DefaultParallelConfig(store.Config()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestParallelPagerUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
 	cfg := ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}
-	p, err := NewParallelPager(store, sch, cfg, FIFOPolicy{})
+	p, err := NewParallelPager(store, sch, cfg, FIFOPolicy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func TestFreeingWakeupsDoNotPileUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
 	cfg := ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}
-	p, err := NewParallelPager(store, sch, cfg, FIFOPolicy{})
+	p, err := NewParallelPager(store, sch, cfg, FIFOPolicy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,18 +223,18 @@ func TestParallelPagerFaulterPathShorterThanSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk := machine.NewClock()
-		sch := sched.New(clk)
+		sch := sched.New(clk, nil)
 		defer sch.Shutdown()
 		sch.AddVP("cpu", false)
 		var p Pager
 		if parallel {
-			pp, err := NewParallelPager(store, sch, ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}, FIFOPolicy{})
+			pp, err := NewParallelPager(store, sch, ParallelConfig{CoreLowWater: 1, CoreTarget: 2, BulkLowWater: 1, BulkTarget: 2}, FIFOPolicy{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p = pp
 		} else {
-			p = NewSequentialPager(store, FIFOPolicy{})
+			p = NewSequentialPager(store, FIFOPolicy{}, nil)
 		}
 		pages := make([]int, 30)
 		for i := range pages {
@@ -256,7 +256,7 @@ func TestParallelPagerFaulterPathShorterThanSequential(t *testing.T) {
 func TestParallelConfigValidation(t *testing.T) {
 	store := tinyMem(t, 4, 4)
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	bad := []ParallelConfig{
 		{CoreLowWater: 0, CoreTarget: 1, BulkLowWater: 1, BulkTarget: 1},
@@ -265,7 +265,7 @@ func TestParallelConfigValidation(t *testing.T) {
 		{CoreLowWater: 1, CoreTarget: 1, BulkLowWater: 2, BulkTarget: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := NewParallelPager(store, sch, cfg, nil); err == nil {
+		if _, err := NewParallelPager(store, sch, cfg, nil, nil); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
@@ -442,10 +442,10 @@ func TestForProcessAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
-	sch := sched.New(clk)
+	sch := sched.New(clk, nil)
 	defer sch.Shutdown()
 	sch.AddVP("cpu", false)
-	p := NewSequentialPager(store, nil)
+	p := NewSequentialPager(store, nil, nil)
 	handled := false
 	sch.Spawn("user", func(pc *sched.ProcCtx) {
 		h := ForProcess(p, pc)

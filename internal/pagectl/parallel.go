@@ -75,14 +75,11 @@ type ParallelPager struct {
 	KernelEvictions int64
 }
 
-// SetMetrics counts fault handling in reg under pagectl.* names from now
-// on; nil binds a private registry.
-func (p *ParallelPager) SetMetrics(reg *metrics.Registry) { p.pm.resolve(reg) }
-
 // NewParallelPager creates the pager and spawns its two dedicated kernel
 // processes on dedicated virtual processors, per the paper's two-layer
-// process design. It counts in a private registry until SetMetrics.
-func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig, policy VictimPolicy) (*ParallelPager, error) {
+// process design. It counts fault handling into reg under pagectl.*
+// names.
+func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig, policy VictimPolicy, reg *metrics.Registry) (*ParallelPager, error) {
 	if cfg.CoreLowWater <= 0 || cfg.CoreTarget < cfg.CoreLowWater {
 		return nil, fmt.Errorf("pagectl: bad core water marks %+v", cfg)
 	}
@@ -93,7 +90,7 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 		policy = &ClockPolicy{}
 	}
 	p := &ParallelPager{store: store, sch: sch, cfg: cfg, policy: policy}
-	p.pm.resolve(nil)
+	p.pm.resolve(reg)
 	p.framesAvail = ipc.NewChannel("pc.frames-available", sch, nil)
 	p.coreWork = ipc.NewChannel("pc.core-work", sch, nil)
 	p.bulkWork = ipc.NewChannel("pc.bulk-work", sch, nil)

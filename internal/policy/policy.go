@@ -190,7 +190,7 @@ func NewDomain(clock *machine.Clock, cost machine.CostModel, mech *Mechanism, po
 	ds := machine.NewDescriptorSegment(8)
 	// The kernel calls the policy outward from ring 0; the policy executes
 	// in the policy ring.
-	proc := machine.NewProcessor(ds, clock, cost, machine.KernelRing)
+	proc := machine.NewProcessor(ds, clock, cost, machine.KernelRing, nil)
 	if err := ds.Set(GateSeg, machine.SDW{
 		Proc:     mech.Procedure(),
 		Mode:     machine.ModeExecute,

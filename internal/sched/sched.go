@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -201,7 +202,9 @@ type Scheduler struct {
 	vps    []*VP
 	pooled []*VP
 
-	ready   Queue[*Process] // layer-2 ready queue
+	ready Queue[*Process] // layer-2 ready queue
+	// procs holds the live processes in spawn order: a process leaves
+	// when its body returns or Shutdown stops it.
 	procs   []*Process
 	timers  timerHeap
 	seq     int64
@@ -213,8 +216,12 @@ type Scheduler struct {
 	// sink, when set, receives one trace.Event per dispatch — the uniform
 	// spine hookup shared with machine, netattach, and faults.
 	sink trace.Sink
-	// mDispatches/mDispatchCycles, when set via SetMetrics, publish
-	// dispatch counts and consumed vcycles into the unified registry.
+	// mDispatches/mDispatchCycles count dispatches and the vcycles they
+	// consumed as sched.dispatches and sched.dispatch_cycles. Dispatch
+	// counts depend on how often callers pump the scheduler (e.g.
+	// netattach Flush cadence); the traffic engines replay from one
+	// goroutine in a fixed order, so they repeat exactly across replays
+	// and E16 compares the whole registry, sched.* included.
 	mDispatches     *metrics.Counter
 	mDispatchCycles *metrics.Counter
 	shutdown        bool
@@ -226,25 +233,14 @@ type Scheduler struct {
 // nil sink disables it.
 func (s *Scheduler) SetSink(sk trace.Sink) { s.sink = sk }
 
-// SetMetrics publishes dispatch accounting into reg as sched.dispatches
-// and sched.dispatch_cycles. A nil registry detaches the scheduler.
-//
-// Dispatch counts depend on how often callers pump the scheduler (e.g.
-// netattach Flush cadence). The traffic engines replay from one
-// goroutine in a fixed order, so these counters repeat exactly across
-// replays; E16 compares the whole registry, sched.* included.
-func (s *Scheduler) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		s.mDispatches, s.mDispatchCycles = nil, nil
-		return
+// New returns a scheduler over the given clock that counts its
+// dispatches into reg.
+func New(clock *machine.Clock, reg *metrics.Registry) *Scheduler {
+	return &Scheduler{
+		Clock:           clock,
+		mDispatches:     reg.Counter("sched.dispatches"),
+		mDispatchCycles: reg.Counter("sched.dispatch_cycles"),
 	}
-	s.mDispatches = reg.Counter("sched.dispatches")
-	s.mDispatchCycles = reg.Counter("sched.dispatch_cycles")
-}
-
-// New returns a scheduler over the given clock.
-func New(clock *machine.Clock) *Scheduler {
-	return &Scheduler{Clock: clock}
 }
 
 // AddVP creates a virtual processor. Dedicated VPs must be claimed by
@@ -261,8 +257,10 @@ func (s *Scheduler) AddVP(name string, dedicated bool) *VP {
 // VPs returns all virtual processors.
 func (s *Scheduler) VPs() []*VP { return s.vps }
 
-// Processes returns all processes ever spawned.
-func (s *Scheduler) Processes() []*Process { return s.procs }
+// Processes returns a copy of the live processes, in spawn order: those
+// whose bodies have not returned and that Shutdown has not stopped. It
+// is a copy because the table changes in place as processes finish.
+func (s *Scheduler) Processes() []*Process { return slices.Clone(s.procs) }
 
 // newProcess runs body as an iter.Pull coroutine, so one process switch is
 // one coroutine switch and only one of the scheduler and its processes
@@ -293,6 +291,13 @@ func (p *Process) finish() {
 	if p.vp != nil {
 		p.vp.current = nil
 		p.vp = nil
+	}
+}
+
+// drop removes p, whose body has returned, from the process table.
+func (s *Scheduler) drop(p *Process) {
+	if i := slices.Index(s.procs, p); i >= 0 {
+		s.procs = slices.Delete(s.procs, i, i+1)
 	}
 }
 
@@ -395,14 +400,13 @@ func (s *Scheduler) dispatch(p *Process) {
 	before := s.Clock.Now()
 	if _, alive := p.next(); !alive {
 		p.finish()
+		s.drop(p)
 	}
 	elapsed := s.Clock.Now() - before
 	p.CPUCycles += elapsed
 	vp.busyCycles += elapsed
-	if s.mDispatches != nil {
-		s.mDispatches.Inc()
-		s.mDispatchCycles.Add(elapsed)
-	}
+	s.mDispatches.Inc()
+	s.mDispatchCycles.Add(elapsed)
 	if s.sink != nil {
 		s.sink.Record(trace.Event{Stage: trace.StageSched, Name: p.Name, Cost: elapsed, At: s.Clock.Now()})
 	}
@@ -473,16 +477,22 @@ func (s *Scheduler) BlockedProcesses() []*Process {
 	return out
 }
 
-// Shutdown stops every live process's coroutine. The scheduler is unusable
-// afterwards. It exists so tests and benchmarks do not leak the coroutines
-// of dedicated kernel processes that loop forever.
+// Shutdown stops every live process's coroutine and empties the process
+// table. The scheduler is unusable afterwards. It exists so tests and
+// benchmarks do not leak the coroutines of dedicated kernel processes
+// that loop forever.
 func (s *Scheduler) Shutdown() {
 	if s.shutdown {
 		return
 	}
 	s.shutdown = true
-	for _, p := range s.procs {
-		if p.state == StateDone || p.state == StateRunning {
+	// The table is detached before any body unwinds, so a deferred call
+	// that spawns or finishes a process cannot change the slice ranged
+	// over here.
+	procs := s.procs
+	s.procs = nil
+	for _, p := range procs {
+		if p.state == StateRunning {
 			continue
 		}
 		p.stop()

@@ -9,7 +9,7 @@ import (
 	"repro/internal/machine"
 )
 
-func newSched() *Scheduler { return New(machine.NewClock()) }
+func newSched() *Scheduler { return New(machine.NewClock(), nil) }
 
 func TestSingleProcessRunsToCompletion(t *testing.T) {
 	s := newSched()
@@ -439,6 +439,33 @@ func TestShutdownKillsBlockedProcesses(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got != baseline {
 		t.Errorf("goroutines = %d after shutdown, want baseline %d", got, baseline)
+	}
+}
+
+// TestFinishedProcessesLeaveTheTable: Processes lists only live
+// processes, so spawning short-lived bodies does not grow the table, and
+// Shutdown empties it.
+func TestFinishedProcessesLeaveTheTable(t *testing.T) {
+	s := newSched()
+	s.AddVP("cpu-a", false)
+	for i := 0; i < 100; i++ {
+		s.Spawn("short", func(pc *ProcCtx) { pc.Consume(1) })
+	}
+	stuck := s.Spawn("stuck", func(pc *ProcCtx) { pc.Block("never woken") })
+	napper := s.Spawn("napper", func(pc *ProcCtx) { pc.Sleep(10) })
+	s.Run(0)
+	if got := s.Processes(); len(got) != 1 || got[0] != stuck {
+		t.Fatalf("after the run Processes() lists %d processes, want only the blocked one", len(got))
+	}
+	if napper.State() != StateDone {
+		t.Fatalf("napper state = %v, want done", napper.State())
+	}
+	s.Shutdown()
+	if got := s.Processes(); len(got) != 0 {
+		t.Errorf("after Shutdown Processes() lists %d processes, want none", len(got))
+	}
+	if stuck.State() != StateDone {
+		t.Errorf("stuck state = %v after Shutdown, want done", stuck.State())
 	}
 }
 

@@ -63,7 +63,7 @@ type Persona struct {
 	SumMax, SpinMax uint64
 
 	// legacy routes script generation through the historical
-	// seeded stream (see GenScripts), so the Stormer persona
+	// seeded stream (see stormScripts), so the Stormer persona
 	// reproduces pre-scenario transcripts byte-for-byte.
 	legacy bool
 }

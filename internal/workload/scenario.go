@@ -191,9 +191,7 @@ func (sc *Scenario) compile() (*Plan, error) {
 		}
 		var legacyScripts []Script
 		if pe.legacy {
-			legacyScripts = GenScripts(Config{
-				Conns: counts[mi], Steps: pe.Steps, Users: pe.Users, Seed: sc.seed,
-			})
+			legacyScripts = stormScripts(counts[mi], pe.Steps, pe.Users, sc.seed)
 		}
 		for s := 0; s < counts[mi]; s++ {
 			var script Script

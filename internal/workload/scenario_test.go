@@ -8,9 +8,10 @@ import (
 )
 
 // TestLegacyAdapterReproducesGenScripts pins the compatibility contract:
-// the Stormer persona compiles into exactly the scripts the historical
-// generator produced — same accounts, same levels, same echo/sum/spin
-// stream — with its bursts firing on consecutive rounds.
+// the Stormer persona compiles into exactly the scripts of the historical
+// generator, stormScripts — same accounts, same levels, same
+// echo/sum/spin stream — with its bursts firing on consecutive rounds.
+// TestStormDigestGolden pins the stream itself.
 func TestLegacyAdapterReproducesGenScripts(t *testing.T) {
 	// Users 0 selects the historical min(conns, 8) accounts.
 	const conns, steps, burst, users = 12, 10, 4, 8
@@ -18,8 +19,7 @@ func TestLegacyAdapterReproducesGenScripts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Conns: conns, Steps: steps, Users: users, Seed: 75}
-	if !reflect.DeepEqual(plan.Scripts, GenScripts(want)) {
+	if !reflect.DeepEqual(plan.Scripts, stormScripts(conns, steps, users, 75)) {
 		t.Fatal("Stormer scripts differ from the historical generator's")
 	}
 	if len(plan.Accounts) != users {

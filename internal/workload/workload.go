@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"math/rand"
 	"sort"
 
 	"repro/internal/core"
@@ -42,20 +41,6 @@ type Script struct {
 	Person, Project, Password string
 	Level                     multics.Level
 	Steps                     []Step
-}
-
-// Config is the classic flat storm shape GenScripts generates from:
-// Conns sessions × Steps requests over Users accounts, seeded by Seed.
-// The Stormer persona fills it in once its own defaults are applied.
-type Config struct {
-	// Conns is the number of concurrent connections.
-	Conns int
-	// Steps is the number of requests per session.
-	Steps int
-	// Users is the number of distinct accounts the connections share.
-	Users int
-	// Seed drives script generation. Same seed, same transcript digest.
-	Seed int64
 }
 
 // PersonaReport is one persona's slice of a run.
@@ -150,39 +135,6 @@ func (r Report) Format() string {
 	s += fmt.Sprintf("digest %s\nsession-digest %s\nschedule-digest %s\ntrace-digest %s\n",
 		r.Digest, r.SessionDigest, r.ScheduleDigest, r.TraceDigest)
 	return s
-}
-
-// GenScripts deterministically generates the historical stormer scripts
-// from the legacy shape: one shared math/rand stream walked in session
-// order, echo/sum/spin work steps, every reply a pure function of its
-// arguments. The Stormer persona routes through this generator, which is
-// what keeps pre-scenario seeds producing the same transcript digests
-// they always did.
-func GenScripts(cfg Config) []Script {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	scripts := make([]Script, cfg.Conns)
-	for i := range scripts {
-		u := i % cfg.Users
-		s := Script{
-			Person:   fmt.Sprintf("Load%d", u),
-			Project:  "Traffic",
-			Password: fmt.Sprintf("storm%d pw", u),
-			Level:    multics.Secret,
-			Steps:    make([]Step, cfg.Steps),
-		}
-		for j := range s.Steps {
-			switch rng.Intn(3) {
-			case 0:
-				s.Steps[j] = Step{netattach.OpEcho, rng.Uint64() & netattach.PayloadMask}
-			case 1:
-				s.Steps[j] = Step{netattach.OpSum, uint64(rng.Intn(1 << 20))}
-			default:
-				s.Steps[j] = Step{netattach.OpSpin, uint64(rng.Intn(256))}
-			}
-		}
-		scripts[i] = s
-	}
-	return scripts
 }
 
 // MemConfig returns the memory geometry Boot gives a system serving sc.
