@@ -302,6 +302,78 @@ func TestStormLossLegacyVsConsolidated(t *testing.T) {
 	}
 }
 
+// TestReplyQueuePerStage pins what a reader that falls behind gets back
+// at each stage. Two flushes of 16 echoes queue 32 replies, below the
+// high-water mark. Before S5 the reply queue keeps the newest 16, the
+// capacity of the legacy circular buffers, and counts each reply it
+// overwrites; from S5 it keeps all 32.
+func TestReplyQueuePerStage(t *testing.T) {
+	const flushes, perFlush = 2, 16
+	const sends = flushes * perFlush
+	for _, tc := range []struct {
+		stage multics.Stage
+		lost  int64
+		peak  int
+	}{
+		{multics.StageBaseline, 16, 17},
+		{multics.StageLoginDemoted, 16, 17},
+		{multics.StageIOConsolidated, 0, sends},
+		{multics.StageRestructured, 0, sends},
+	} {
+		t.Run(tc.stage.String(), func(t *testing.T) {
+			sys, fe := boot(t, tc.stage, netattach.Config{})
+			c, err := fe.Dial("Schroeder", "CSR", "multics75", multics.Unclassified)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < sends; i++ {
+				if err := c.Send(netattach.OpEcho, uint64(i)); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+				if (i+1)%perFlush == 0 {
+					fe.Flush()
+				}
+			}
+			st := fe.Stats()
+			if st.ReplyLost != tc.lost || st.PeakOutput != tc.peak {
+				t.Errorf("open connection: reply lost %d, peak output %d; want %d and %d",
+					st.ReplyLost, st.PeakOutput, tc.lost, tc.peak)
+			}
+			if st.Replies != sends || st.ReplyDrops != 0 || st.InputLost != 0 {
+				t.Errorf("replies %d, drops %d, input lost %d; want %d, 0, 0",
+					st.Replies, st.ReplyDrops, st.InputLost, sends)
+			}
+			var got []uint64
+			for {
+				v, ok, err := c.TryRecv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got = append(got, v)
+			}
+			var want []uint64
+			for v := uint64(tc.lost); v < sends; v++ {
+				want = append(want, v)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("replies read = %v, want %v", got, want)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := sys.Kernel.Services().Metrics.Counter("net.reply_lost").Value(); n != tc.lost {
+				t.Errorf("net.reply_lost after close = %d, want %d", n, tc.lost)
+			}
+			if st := fe.Stats(); st.ReplyLost != tc.lost {
+				t.Errorf("reply lost after close = %d, want %d", st.ReplyLost, tc.lost)
+			}
+		})
+	}
+}
+
 func TestDetachFreesBufferSegment(t *testing.T) {
 	sys, fe := boot(t, multics.StageRestructured, netattach.Config{})
 	before := len(sys.Kernel.Services().Store.SegmentUIDs())
