@@ -1,8 +1,10 @@
 package blockstore
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -31,6 +33,8 @@ type Store struct {
 	content map[ref]span
 	ckpt    map[mem.PageID]ref
 	man     []byte
+	// pids is Checkpoint's buffer for the sorted live pids.
+	pids []mem.PageID
 
 	// kept holds slices WriteBlock was handed, whose words are already in
 	// the journal; a read decodes into one before it allocates.
@@ -264,17 +268,23 @@ func (s *Store) FreeBlock(pid mem.PageID) error {
 
 // BlockIDs implements mem.BackingStore.
 func (s *Store) BlockIDs() []mem.PageID {
-	out := make([]mem.PageID, 0, len(s.index))
-	for pid := range s.index {
-		out = append(out, pid)
+	return sortedPIDs(make([]mem.PageID, 0, len(s.index)), s.index)
+}
+
+// sortedPIDs returns dst[:0] holding m's pids in the order every
+// mem.BackingStore enumerates them: by segment UID, then page index.
+func sortedPIDs(dst []mem.PageID, m map[mem.PageID]ref) []mem.PageID {
+	dst = dst[:0]
+	for pid := range m {
+		dst = append(dst, pid)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SegUID != out[j].SegUID {
-			return out[i].SegUID < out[j].SegUID
+	slices.SortFunc(dst, func(a, b mem.PageID) int {
+		if c := cmp.Compare(a.SegUID, b.SegUID); c != 0 {
+			return c
 		}
-		return out[i].Index < out[j].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
-	return out
+	return dst
 }
 
 // Sync implements mem.BackingStore.
@@ -293,20 +303,11 @@ func (s *Store) Sync() error {
 // manifest and the full block map at the barrier, then a sync. The record
 // is self-contained — replay restores both without reading anything else.
 func (s *Store) Checkpoint(manifest []byte) error {
-	pids := make([]mem.PageID, 0, len(s.index))
-	for pid := range s.index {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool {
-		if pids[i].SegUID != pids[j].SegUID {
-			return pids[i].SegUID < pids[j].SegUID
-		}
-		return pids[i].Index < pids[j].Index
-	})
+	s.pids = sortedPIDs(s.pids, s.index)
 	s.enc.begin(kindCheckpoint)
 	s.enc.bytes(manifest)
-	s.enc.u32(uint32(len(pids)))
-	for _, pid := range pids {
+	s.enc.u32(uint32(len(s.pids)))
+	for _, pid := range s.pids {
 		s.enc.pid(pid)
 		s.enc.ref(s.index[pid])
 	}
@@ -316,11 +317,13 @@ func (s *Store) Checkpoint(manifest []byte) error {
 	if err := s.Sync(); err != nil {
 		return err
 	}
-	ck := make(map[mem.PageID]ref, len(s.index))
-	for pid, r := range s.index {
-		ck[pid] = r
+	// The superseded checkpoint's map is refilled, not replaced, so a
+	// checkpoint allocates no map.
+	if s.ckpt == nil {
+		s.ckpt = make(map[mem.PageID]ref, len(s.index))
 	}
-	s.ckpt = ck
+	clear(s.ckpt)
+	maps.Copy(s.ckpt, s.index)
 	s.man = append([]byte(nil), manifest...)
 	return nil
 }

@@ -35,7 +35,7 @@ func (k *Kernel) processGates() []gdef {
 			}},
 		{name: "hcs_$wakeup", cat: gate.CatIPC, bracket: userRing, arity: 2, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				kc, err := k.channelByID(p, args[0], ipc.OpSignal)
+				kc, err := k.channelByID(p, args[0], acl.ModeWrite)
 				if err != nil {
 					return nil, err
 				}
@@ -44,7 +44,7 @@ func (k *Kernel) processGates() []gdef {
 			}},
 		{name: "hcs_$block", cat: gate.CatProcess, bracket: userRing, arity: 1, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				kc, err := k.channelByID(p, args[0], ipc.OpAwait)
+				kc, err := k.channelByID(p, args[0], acl.ModeRead)
 				if err != nil {
 					return nil, err
 				}
@@ -59,7 +59,7 @@ func (k *Kernel) processGates() []gdef {
 			}},
 		{name: "hcs_$read_events", cat: gate.CatIPC, bracket: userRing, arity: 1, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				kc, err := k.channelByID(p, args[0], ipc.OpAwait)
+				kc, err := k.channelByID(p, args[0], acl.ModeRead)
 				if err != nil {
 					return nil, err
 				}
@@ -67,7 +67,7 @@ func (k *Kernel) processGates() []gdef {
 			}},
 		{name: "hcs_$set_timer", cat: gate.CatProcess, bracket: userRing, arity: 3, units: 2,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-				kc, err := k.channelByID(p, args[1], ipc.OpSignal)
+				kc, err := k.channelByID(p, args[1], acl.ModeWrite)
 				if err != nil {
 					return nil, err
 				}

@@ -252,23 +252,19 @@ func (k *Kernel) createChannel(p *Proc, uid uint64) (uint64, error) {
 	kc := &kernelChannel{id: id, uid: uid, owner: p}
 	// The gate implementations perform the per-use access checks (write on
 	// the governing segment to signal, read to await) before touching the
-	// channel, because only they know the calling process; no separate
-	// ipc-level guard is needed.
-	kc.ch = ipc.NewChannel(fmt.Sprintf("evchn-%d", id), k.sch, nil)
+	// channel, because only they know the calling process.
+	kc.ch = ipc.NewChannel(fmt.Sprintf("evchn-%d", id), k.sch)
 	k.channels[id] = kc
 	return id, nil
 }
 
-// channelByID fetches a channel and verifies the caller holds the needed
-// access on its governing segment.
-func (k *Kernel) channelByID(p *Proc, id uint64, op ipc.Op) (*kernelChannel, error) {
+// channelByID fetches a channel and verifies the caller holds want on
+// its governing segment: write access to signal it, read access to await
+// it.
+func (k *Kernel) channelByID(p *Proc, id uint64, want acl.Mode) (*kernelChannel, error) {
 	kc, ok := k.channels[id]
 	if !ok {
 		return nil, fmt.Errorf("core: no event channel %d", id)
-	}
-	want := acl.ModeWrite
-	if op == ipc.OpAwait {
-		want = acl.ModeRead
 	}
 	if _, err := k.hier.CheckSegmentAccess(p.Principal, p.Label, kc.uid, want); err != nil {
 		return nil, fmt.Errorf("core: event channel %d: %w", id, err)
@@ -279,7 +275,7 @@ func (k *Kernel) channelByID(p *Proc, id uint64, op ipc.Op) (*kernelChannel, err
 // deleteChannel removes a channel; only a process with write access to the
 // governing segment may delete it.
 func (k *Kernel) deleteChannel(p *Proc, id uint64) error {
-	kc, err := k.channelByID(p, id, ipc.OpSignal)
+	kc, err := k.channelByID(p, id, acl.ModeWrite)
 	if err != nil {
 		return err
 	}

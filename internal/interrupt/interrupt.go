@@ -112,65 +112,60 @@ type ProcessHandler func(pc *sched.ProcCtx, ev Event)
 // ProcessInterceptor is the new design: one dedicated process and event
 // channel per interrupt source.
 type ProcessInterceptor struct {
-	sch      *sched.Scheduler
-	channels map[string]*ipc.Channel
-	procs    map[string]*sched.Process
-	st       Stats
-	// raisedAt remembers outstanding raise times for latency accounting.
-	pendingAt map[string][]int64
+	sch     *sched.Scheduler
+	sources map[string]*sourceQueue
+	st      Stats
+}
+
+// sourceQueue is one registered interrupt source: the event channel its
+// handler process awaits, and the raise times of the interrupts it has
+// not yet handled, oldest first, for latency accounting.
+type sourceQueue struct {
+	ch       *ipc.Channel
+	raisedAt sched.Queue[int64]
 }
 
 // NewProcessInterceptor returns the new-style interceptor.
 func NewProcessInterceptor(sch *sched.Scheduler) *ProcessInterceptor {
-	return &ProcessInterceptor{
-		sch:       sch,
-		channels:  make(map[string]*ipc.Channel),
-		procs:     make(map[string]*sched.Process),
-		pendingAt: make(map[string][]int64),
-	}
+	return &ProcessInterceptor{sch: sch, sources: make(map[string]*sourceQueue)}
 }
 
 // Register creates the dedicated virtual processor, process, and event
 // channel for source, with h as the handler body.
 func (p *ProcessInterceptor) Register(source string, h ProcessHandler) error {
-	if _, dup := p.channels[source]; dup {
+	if _, dup := p.sources[source]; dup {
 		return fmt.Errorf("interrupt: handler for %q already registered", source)
 	}
-	ch := ipc.NewChannel("int."+source, p.sch, nil)
-	p.channels[source] = ch
+	src := &sourceQueue{ch: ipc.NewChannel("int."+source, p.sch)}
+	p.sources[source] = src
 	vp := p.sch.AddVP("vp.int."+source, true)
-	proc, err := p.sch.SpawnDedicated(vp, "int-handler."+source, func(pc *sched.ProcCtx) {
+	_, err := p.sch.SpawnDedicated(vp, "int-handler."+source, func(pc *sched.ProcCtx) {
 		for {
-			ev, err := ch.Await(pc)
+			ev, err := src.ch.Await(pc)
 			if err != nil {
 				return
 			}
 			h(pc, Event{Source: source, Data: ev.Data, At: ev.At})
 			p.st.Handled++
-			if times := p.pendingAt[source]; len(times) > 0 {
-				p.st.TotalLatency += pc.Now() - times[0]
-				p.pendingAt[source] = times[1:]
+			if src.raisedAt.Len() > 0 {
+				p.st.TotalLatency += pc.Now() - src.raisedAt.Pop()
 			}
 		}
 	})
-	if err != nil {
-		return err
-	}
-	p.procs[source] = proc
-	return nil
+	return err
 }
 
 // Raise implements Interceptor: the interrupt becomes a wakeup — nothing
 // else happens in interrupt context.
 func (p *ProcessInterceptor) Raise(source string, data uint64) {
 	p.st.Raised++
-	ch, ok := p.channels[source]
+	src, ok := p.sources[source]
 	if !ok {
 		return
 	}
-	p.pendingAt[source] = append(p.pendingAt[source], p.sch.Clock.Now())
+	src.raisedAt.Push(p.sch.Clock.Now())
 	// Signal with a nil process: device context has no process identity.
-	_ = ch.Signal(nil, ipc.Event{From: source, Data: data})
+	_ = src.ch.Signal(nil, ipc.Event{From: source, Data: data})
 }
 
 // Stats implements Interceptor.
@@ -180,6 +175,9 @@ func (p *ProcessInterceptor) Stats() Stats { return p.st }
 // coordinate with other processes over standard IPC (the simplification the
 // paper highlights).
 func (p *ProcessInterceptor) Channel(source string) (*ipc.Channel, bool) {
-	ch, ok := p.channels[source]
-	return ch, ok
+	src, ok := p.sources[source]
+	if !ok {
+		return nil, false
+	}
+	return src.ch, true
 }

@@ -4,41 +4,18 @@
 //
 // The paper's key property is that use of the new IPC facility "can be
 // controlled with the standard memory protection mechanisms of the kernel":
-// an event channel is materialized in a segment, and the right to signal or
-// await it is exactly the right to write or read that segment. The Guard
-// hook lets the kernel layer enforce that identification; the mechanism here
-// stays policy-free.
+// an event channel is governed by a segment, and the right to signal or
+// await it is exactly the right to write or read that segment. The kernel's
+// event-channel gates check that access before they touch a channel
+// (internal/core), so the mechanism here stays policy-free and checks
+// nothing itself.
 package ipc
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/sched"
 )
-
-// Op distinguishes the two ways a process can use a channel.
-type Op int
-
-// Channel operations, for Guard decisions.
-const (
-	// OpSignal requires write access to the channel's segment.
-	OpSignal Op = iota
-	// OpAwait requires read access to the channel's segment.
-	OpAwait
-)
-
-func (o Op) String() string {
-	if o == OpSignal {
-		return "signal"
-	}
-	return "await"
-}
-
-// Guard authorizes an operation on a channel for a process. The kernel
-// installs a guard that maps OpSignal to a write-access check and OpAwait to
-// a read-access check on the segment holding the channel.
-type Guard func(op Op, p *sched.Process) error
 
 // ErrChannelClosed is returned by operations on a closed channel.
 var ErrChannelClosed = errors.New("ipc: event channel closed")
@@ -60,7 +37,6 @@ type Event struct {
 type Channel struct {
 	Name    string
 	sch     *sched.Scheduler
-	guard   Guard
 	pending sched.Queue[Event]
 	waiters sched.Queue[*sched.Process]
 	closed  bool
@@ -68,23 +44,16 @@ type Channel struct {
 	awaitReason string
 }
 
-// NewChannel creates an event channel. A nil guard permits every use (the
-// unprotected configuration).
-func NewChannel(name string, sch *sched.Scheduler, guard Guard) *Channel {
-	return &Channel{Name: name, sch: sch, guard: guard, awaitReason: "await " + name}
+// NewChannel creates an event channel.
+func NewChannel(name string, sch *sched.Scheduler) *Channel {
+	return &Channel{Name: name, sch: sch, awaitReason: "await " + name}
 }
 
 // Signal appends an event and wakes the first waiter, if any. It may be
-// called from any process (subject to the guard) or from interrupt context
-// (with p nil and a nil-process-tolerant guard).
+// called from any process or from interrupt context (with p nil).
 func (c *Channel) Signal(p *sched.Process, ev Event) error {
 	if c.closed {
 		return ErrChannelClosed
-	}
-	if c.guard != nil {
-		if err := c.guard(OpSignal, p); err != nil {
-			return fmt.Errorf("ipc: signal on %q denied: %w", c.Name, err)
-		}
 	}
 	if p != nil && ev.From == "" {
 		ev.From = p.Name
@@ -100,11 +69,6 @@ func (c *Channel) Signal(p *sched.Process, ev Event) error {
 // Await blocks the calling process until an event is pending, then removes
 // and returns it.
 func (c *Channel) Await(pc *sched.ProcCtx) (Event, error) {
-	if c.guard != nil {
-		if err := c.guard(OpAwait, pc.Process()); err != nil {
-			return Event{}, fmt.Errorf("ipc: await on %q denied: %w", c.Name, err)
-		}
-	}
 	for c.Pending() == 0 {
 		if c.closed {
 			return Event{}, ErrChannelClosed
@@ -115,17 +79,13 @@ func (c *Channel) Await(pc *sched.ProcCtx) (Event, error) {
 	return c.pending.Pop(), nil
 }
 
-// TryAwait removes and returns a pending event without blocking.
-func (c *Channel) TryAwait(pc *sched.ProcCtx) (Event, bool, error) {
-	if c.guard != nil {
-		if err := c.guard(OpAwait, pc.Process()); err != nil {
-			return Event{}, false, fmt.Errorf("ipc: await on %q denied: %w", c.Name, err)
-		}
-	}
+// TryAwait removes and returns a pending event without blocking; ok is
+// false when none is pending.
+func (c *Channel) TryAwait() (ev Event, ok bool) {
 	if c.Pending() == 0 {
-		return Event{}, false, nil
+		return Event{}, false
 	}
-	return c.pending.Pop(), true, nil
+	return c.pending.Pop(), true
 }
 
 // Pending returns the number of queued events.

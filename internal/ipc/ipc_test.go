@@ -18,7 +18,7 @@ func newSched() *sched.Scheduler {
 func TestSignalThenAwait(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
+	ch := NewChannel("ev", s)
 	var got Event
 	s.Spawn("producer", func(pc *sched.ProcCtx) {
 		pc.Consume(10)
@@ -45,7 +45,7 @@ func TestSignalThenAwait(t *testing.T) {
 func TestAwaitBlocksUntilSignal(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
+	ch := NewChannel("ev", s)
 	var wakeTime int64
 	s.Spawn("consumer", func(pc *sched.ProcCtx) {
 		if _, err := ch.Await(pc); err != nil {
@@ -68,7 +68,7 @@ func TestAwaitBlocksUntilSignal(t *testing.T) {
 func TestEventsQueueWithoutWaiter(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
+	ch := NewChannel("ev", s)
 	var got []uint64
 	s.Spawn("producer", func(pc *sched.ProcCtx) {
 		for i := uint64(1); i <= 3; i++ {
@@ -100,17 +100,17 @@ func TestEventsQueueWithoutWaiter(t *testing.T) {
 func TestTryAwait(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
+	ch := NewChannel("ev", s)
 	s.Spawn("p", func(pc *sched.ProcCtx) {
-		if _, ok, err := ch.TryAwait(pc); ok || err != nil {
-			t.Errorf("TryAwait on empty = %v, %v", ok, err)
+		if _, ok := ch.TryAwait(); ok {
+			t.Error("TryAwait on empty took an event")
 		}
 		if err := ch.Signal(pc.Process(), Event{Data: 5}); err != nil {
 			t.Error(err)
 		}
-		ev, ok, err := ch.TryAwait(pc)
-		if !ok || err != nil || ev.Data != 5 {
-			t.Errorf("TryAwait = %+v, %v, %v", ev, ok, err)
+		ev, ok := ch.TryAwait()
+		if !ok || ev.Data != 5 {
+			t.Errorf("TryAwait = %+v, %v", ev, ok)
 		}
 	})
 	s.Run(0)
@@ -119,8 +119,7 @@ func TestTryAwait(t *testing.T) {
 func TestPendingQueuePopsInPlace(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
-	pc := s.NewDirectCtx("driver")
+	ch := NewChannel("ev", s)
 	signalled, taken := uint64(0), uint64(0)
 	// Uneven bursts of signals and takes move the queue's head past half
 	// its slice many times; the order must stay FIFO throughout.
@@ -132,9 +131,9 @@ func TestPendingQueuePopsInPlace(t *testing.T) {
 			}
 		}
 		for i := 0; i < round%5+1 && ch.Pending() > 0; i++ {
-			ev, ok, err := ch.TryAwait(pc)
-			if !ok || err != nil {
-				t.Fatalf("round %d: TryAwait = %v, %v", round, ok, err)
+			ev, ok := ch.TryAwait()
+			if !ok {
+				t.Fatalf("round %d: TryAwait took nothing", round)
 			}
 			taken++
 			if ev.Data != taken {
@@ -146,7 +145,7 @@ func TestPendingQueuePopsInPlace(t *testing.T) {
 		}
 	}
 	for ch.Pending() > 0 {
-		if ev, _, _ := ch.TryAwait(pc); ev.Data != taken+1 {
+		if ev, _ := ch.TryAwait(); ev.Data != taken+1 {
 			t.Fatalf("draining: took event %d, want %d", ev.Data, taken+1)
 		}
 		taken++
@@ -155,7 +154,7 @@ func TestPendingQueuePopsInPlace(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
 			_ = ch.Signal(nil, Event{})
-			_, _, _ = ch.TryAwait(pc)
+			_, _ = ch.TryAwait()
 		}
 	})
 	if allocs != 0 {
@@ -163,43 +162,10 @@ func TestPendingQueuePopsInPlace(t *testing.T) {
 	}
 }
 
-func TestGuardDeniesUse(t *testing.T) {
-	s := newSched()
-	defer s.Shutdown()
-	denied := errors.New("no access")
-	guard := func(op Op, p *sched.Process) error {
-		if p != nil && p.Name == "intruder" {
-			return denied
-		}
-		return nil
-	}
-	ch := NewChannel("guarded", s, guard)
-	s.Spawn("intruder", func(pc *sched.ProcCtx) {
-		if err := ch.Signal(pc.Process(), Event{}); !errors.Is(err, denied) {
-			t.Errorf("intruder signal: %v, want guard denial", err)
-		}
-		if _, err := ch.Await(pc); !errors.Is(err, denied) {
-			t.Errorf("intruder await: %v, want guard denial", err)
-		}
-		if _, _, err := ch.TryAwait(pc); !errors.Is(err, denied) {
-			t.Errorf("intruder tryawait: %v, want guard denial", err)
-		}
-	})
-	s.Spawn("legit", func(pc *sched.ProcCtx) {
-		if err := ch.Signal(pc.Process(), Event{}); err != nil {
-			t.Errorf("legit signal: %v", err)
-		}
-	})
-	s.Run(0)
-	if ch.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (intruder excluded)", ch.Pending())
-	}
-}
-
 func TestCloseWakesWaiters(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
+	ch := NewChannel("ev", s)
 	var gotErr error
 	s.Spawn("consumer", func(pc *sched.ProcCtx) {
 		_, gotErr = ch.Await(pc)
@@ -220,7 +186,7 @@ func TestCloseWakesWaiters(t *testing.T) {
 func TestMultipleWaitersServedFIFO(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
-	ch := NewChannel("ev", s, nil)
+	ch := NewChannel("ev", s)
 	var order []string
 	mkConsumer := func(name string) {
 		s.Spawn(name, func(pc *sched.ProcCtx) {

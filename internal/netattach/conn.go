@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/iosys"
 	"repro/internal/mls"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -55,10 +55,9 @@ type Conn struct {
 	state State
 	err   error
 
-	proc   *core.Proc
-	dev    uint64       // kernel attachment id
-	out    iosys.Buffer // reply queue back to the client
-	outUID uint64       // segment behind out (S5+ only)
+	proc *core.Proc
+	dev  uint64              // kernel attachment id
+	out  sched.Queue[uint64] // replies back to the client, oldest first
 
 	dialedAt  int64
 	attachLat int64
@@ -66,8 +65,7 @@ type Conn struct {
 	queued   bool // in the multiplexer's run queue
 	shedding bool // slow-reader shedding engaged (hysteresis)
 
-	sum      uint64 // OpSum accumulator
-	replySeq uint64
+	sum uint64 // OpSum accumulator
 
 	// processed is this session's share of net.processed: migration
 	// carries it and close reports it.
@@ -134,22 +132,31 @@ func (c *Conn) Send(op Op, payload uint64) error {
 // Recv runs the system until quiescent, then removes and returns the oldest
 // undelivered reply. ok is false when no reply is pending.
 func (c *Conn) Recv() (uint64, bool, error) {
-	fe := c.fe
-	if c.out == nil {
-		return 0, false, fmt.Errorf("%w: connection %d is %v", ErrNotAttached, c.id, c.state)
+	if err := c.readable(); err != nil {
+		return 0, false, err
 	}
-	fe.pump()
-	m, ok, err := c.out.Get()
-	return m.Data, ok, err
+	c.fe.pump()
+	return c.TryRecv()
 }
 
 // TryRecv is Recv without running the system first.
 func (c *Conn) TryRecv() (uint64, bool, error) {
-	if c.out == nil {
-		return 0, false, fmt.Errorf("%w: connection %d is %v", ErrNotAttached, c.id, c.state)
+	if err := c.readable(); err != nil {
+		return 0, false, err
 	}
-	m, ok, err := c.out.Get()
-	return m.Data, ok, err
+	if c.out.Len() == 0 {
+		return 0, false, nil
+	}
+	return c.out.Pop(), true, nil
+}
+
+// readable refuses a reply read before the attach gate has succeeded or
+// after close.
+func (c *Conn) readable() error {
+	if c.dev == 0 || c.state == StateClosed {
+		return fmt.Errorf("%w: connection %d is %v", ErrNotAttached, c.id, c.state)
+	}
+	return nil
 }
 
 // Pending returns (input queued, replies queued).
@@ -159,11 +166,7 @@ func (c *Conn) Pending() (int, int) {
 	if c.state == StateAttached || c.state == StateDraining {
 		in, _ = fe.k.DeviceQueue(c.dev)
 	}
-	var out int
-	if c.out != nil {
-		out = c.out.Len()
-	}
-	return in, out
+	return in, c.out.Len()
 }
 
 // Drain runs the system until the connection's input queue is fully
@@ -171,8 +174,8 @@ func (c *Conn) Pending() (int, int) {
 func (c *Conn) Drain() error { return c.fe.drain(c) }
 
 // Close drains queued input, detaches the connection through the kernel
-// gate, counts what its buffers lost, and removes it from the connection
-// table.
+// gate, counts what its input buffer lost, and removes it from the
+// connection table.
 func (c *Conn) Close() error {
 	fe := c.fe
 	switch c.state {

@@ -16,9 +16,9 @@ import (
 // attach path rebuilds deterministically — descriptors, gate segments,
 // device table entry — is deliberately NOT in the snapshot: the replay
 // is the restore, and the snapshot carries only the request-visible
-// session state (the OpSum accumulator, the reply sequence) plus the
-// KST population for verifying the replayed address space has the same
-// shape. The migration witness is the per-session transcript digest:
+// session state (the OpSum accumulator) plus the KST population for
+// verifying the replayed address space has the same shape. The migration
+// witness is the per-session transcript digest:
 // byte-identical whether the session migrated zero times or many.
 
 // Migration errors.
@@ -44,9 +44,6 @@ type SessionState struct {
 	// Sum is the OpSum accumulator: the one piece of request-visible
 	// state that later replies depend on.
 	Sum uint64 `json:"sum"`
-	// ReplySeq is the reply sequence counter, so the migrated
-	// connection's reply stream numbers continue instead of restarting.
-	ReplySeq uint64 `json:"reply_seq"`
 
 	// Processed carries the session's service count across for
 	// accounting continuity.
@@ -79,8 +76,7 @@ func (c *Conn) Snapshot() (*SessionState, error) {
 	}
 	st := &SessionState{
 		Person: c.person, Project: c.project, Level: c.level,
-		Sum: c.sum, ReplySeq: c.replySeq,
-		Processed: c.processed,
+		Sum: c.sum, Processed: c.processed,
 	}
 	for _, e := range c.proc.KST.Known() {
 		st.KnownUIDs = append(st.KnownUIDs, e.UID)
@@ -113,7 +109,6 @@ func (fe *Frontend) AttachMigrated(person, project, password string, level mls.L
 			ErrReplayMismatch, got, st.KnownSegs)
 	}
 	c.sum = st.Sum
-	c.replySeq = st.ReplySeq
 	c.processed = st.Processed
 	fe.emit(trace.Event{Name: "migrate_in", Subject: c.id,
 		Arg: uint64(st.KnownSegs), Outcome: trace.ClassOK})

@@ -20,14 +20,17 @@
 //     are woken over a second event channel when connections become
 //     runnable.
 //
-// Flow control is explicit and fully counted. Input observes high/low water
-// marks: a sender above high water is refused (ErrThrottled), not silently
-// shed. Replies to a slow reader are shed with hysteresis — shedding starts
-// at the high-water mark and stops at the low-water mark — and every shed
-// reply is counted. On the legacy path (stages before S5) the fixed
-// circular buffers can still overwrite messages; that loss is counted by
-// the buffers themselves and surfaces in Stats, demonstrating exactly the
-// failure mode the consolidation removed.
+// Flow control is explicit and fully counted. Input waits in the kernel's
+// device buffers and observes high/low water marks: a sender above high
+// water is refused (ErrThrottled), not silently shed. Replies wait in one
+// in-memory FIFO per connection and are shed to a slow reader with
+// hysteresis — shedding starts at the high-water mark and stops at the
+// low-water mark — and every shed reply is counted. On the legacy path
+// (stages before S5) the kernel's fixed circular input buffers can still
+// overwrite messages, and the reply FIFO keeps only the newest 16 replies,
+// as the legacy circular buffers did; both losses are counted and surface
+// in Stats, demonstrating exactly the failure mode the consolidation
+// removed.
 //
 // Each lifecycle event is counted once, in the kernel's metrics registry
 // under net.* names; Stats reads those counters back rather than keeping
@@ -48,9 +51,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gate"
-	"repro/internal/iosys"
 	"repro/internal/ipc"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/mls"
 	"repro/internal/sched"
@@ -74,8 +75,7 @@ type LoginFunc func(person, project, password string, level mls.Level) (*core.Pr
 type Config struct {
 	// Workers is the multiplexer pool size.
 	Workers int
-	// MaxConns bounds the connection table. At S5+ it also scales the
-	// private store backing the reply buffers.
+	// MaxConns bounds the connection table.
 	MaxConns int
 }
 
@@ -88,8 +88,9 @@ const (
 	// refuses sends, and replies shed from HighWater down to LowWater.
 	HighWater = 64
 	LowWater  = 16
-	// legacyReplySlots is the reply ring capacity on the legacy path —
-	// the same fixed-buffer regime as the legacy kernel drivers.
+	// legacyReplySlots is the reply queue's capacity on the legacy path,
+	// the same fixed-buffer regime as the legacy kernel drivers: a reply
+	// queued onto a full queue overwrites the oldest.
 	legacyReplySlots = 16
 	// acceptCycles is the listener's bookkeeping charge per accept.
 	acceptCycles = 20
@@ -133,7 +134,8 @@ type Stats struct {
 
 	// InputLost counts request messages destroyed unread inside kernel
 	// buffers (legacy circular buffers only; zero from S5 on). ReplyLost
-	// is the same for the reply rings.
+	// counts replies overwritten unread in a full legacy reply queue
+	// (zero from S5 on).
 	InputLost int64 `json:"input_lost"`
 	ReplyLost int64 `json:"reply_lost"`
 
@@ -169,10 +171,6 @@ type Frontend struct {
 	nextID  uint64
 	acceptq sched.Queue[*Conn] // dialled, awaiting the listener
 	runq    sched.Queue[*Conn] // runnable, awaiting a worker
-
-	// outStore (S5+) is the private store behind the reply buffers.
-	outStore   *mem.Store
-	nextOutUID uint64
 
 	attachLats []int64
 	closed     bool
@@ -233,14 +231,13 @@ func New(k *core.Kernel, login LoginFunc, cfg Config) (*Frontend, error) {
 	}
 	svc := k.Services()
 	fe := &Frontend{
-		k:          k,
-		svc:        svc,
-		cfg:        cfg,
-		login:      login,
-		sch:        svc.Scheduler,
-		conns:      make(map[uint64]*Conn),
-		nextID:     1,
-		nextOutUID: 1,
+		k:      k,
+		svc:    svc,
+		cfg:    cfg,
+		login:  login,
+		sch:    svc.Scheduler,
+		conns:  make(map[uint64]*Conn),
+		nextID: 1,
 	}
 	fe.nm.resolve(svc.Metrics)
 	// A kernel built with a fault plan extends the plan to connections:
@@ -248,21 +245,8 @@ func New(k *core.Kernel, login LoginFunc, cfg Config) (*Frontend, error) {
 	if svc.Faults != nil {
 		fe.faults = svc.Faults
 	}
-	if svc.Stage >= core.S5IOConsolidated {
-		mc := mem.DefaultConfig()
-		mc.CoreFrames = 2 * cfg.MaxConns
-		if mc.CoreFrames < 512 {
-			mc.CoreFrames = 512
-		}
-		mc.BulkBlocks = 256
-		var err error
-		fe.outStore, err = mem.NewStore(mc)
-		if err != nil {
-			return nil, fmt.Errorf("netattach: reply-buffer store: %w", err)
-		}
-	}
-	fe.arrivals = ipc.NewChannel("netattach.arrivals", fe.sch, nil)
-	fe.work = ipc.NewChannel("netattach.work", fe.sch, nil)
+	fe.arrivals = ipc.NewChannel("netattach.arrivals", fe.sch)
+	fe.work = ipc.NewChannel("netattach.work", fe.sch)
 
 	lvp := fe.sch.AddVP("netattach.listener", true)
 	if _, err := fe.sch.SpawnDedicated(lvp, "net_listener", fe.listenerBody); err != nil {
@@ -397,22 +381,6 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 		return
 	}
 	c.dev = out[0]
-	if fe.outStore != nil {
-		uid := fe.nextOutUID
-		fe.nextOutUID++
-		c.out, err = iosys.NewInfiniteBuffer(fe.outStore, uid)
-		if err != nil {
-			fe.reject(c, fmt.Errorf("netattach: reply buffer: %w", err))
-			return
-		}
-		c.outUID = uid
-	} else {
-		c.out, err = iosys.NewCircularBuffer(legacyReplySlots)
-		if err != nil {
-			fe.reject(c, err)
-			return
-		}
-	}
 	c.state = StateAttached
 	c.attachLat = pc.Now() - c.dialedAt
 	fe.attachLats = append(fe.attachLats, c.attachLat)
@@ -568,7 +536,8 @@ func (fe *Frontend) execute(pc *sched.ProcCtx, c *Conn, word uint64) {
 
 // enqueueReply queues a reply with slow-reader shedding: once the reply
 // queue reaches the high-water mark, replies are shed (and counted) until
-// the reader drains it to the low-water mark.
+// the reader drains it to the low-water mark. Before S5 the queue holds
+// legacyReplySlots replies, and a full one loses its oldest (counted).
 func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 	n := c.out.Len()
 	if c.shedding && n <= LowWater {
@@ -581,12 +550,13 @@ func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 		fe.nm.replyDrops.Inc()
 		return
 	}
-	c.replySeq++
-	if err := c.out.Put(iosys.Message{Seq: c.replySeq, Data: v}); err != nil {
-		// Refused by storage: still a counted drop, never silent.
-		fe.nm.replyDrops.Inc()
-		return
+	if n == legacyReplySlots && fe.svc.Stage < core.S5IOConsolidated {
+		// A complete circuit of the legacy ring: the oldest reply is
+		// destroyed unread.
+		c.out.Pop()
+		fe.nm.replyLost.Inc()
 	}
+	c.out.Push(v)
 	fe.nm.replies.Inc()
 	if n+1 > fe.peakOutput {
 		fe.peakOutput = n + 1
@@ -611,8 +581,8 @@ func (fe *Frontend) drain(c *Conn) error {
 	}
 }
 
-// finishClose detaches c and counts what its buffers lost. Input must
-// already be drained.
+// finishClose detaches c, counts what its input buffer lost and drops
+// its unread replies. Input must already be drained.
 func (fe *Frontend) finishClose(c *Conn) error {
 	if c.state == StateAttached || c.state == StateDraining {
 		if lost, err := fe.k.DeviceLost(c.dev); err == nil {
@@ -625,13 +595,7 @@ func (fe *Frontend) finishClose(c *Conn) error {
 	if err := fe.endProcess(c); err != nil {
 		return err
 	}
-	if c.out != nil {
-		fe.nm.replyLost.Add(c.out.Lost())
-		if c.outUID != 0 {
-			_ = fe.outStore.DeleteSegment(c.outUID)
-		}
-		c.out = nil
-	}
+	c.out = sched.Queue[uint64]{}
 	c.state = StateClosed
 	delete(fe.conns, c.id)
 	fe.nm.active.Set(int64(len(fe.conns)))
@@ -698,11 +662,12 @@ func (fe *Frontend) connsByID() []*Conn {
 }
 
 // Stats reads the front-end's net.* counters back from the kernel's
-// metrics registry and adds the loss still sitting in open connections'
-// buffers. Active, the peaks and the attach-latency percentiles have no
-// counter twin and come from the front-end itself. While the registry
-// is disabled the counted fields read zero, and on a kernel restored
-// from a checkpoint they continue from the checkpoint's totals.
+// metrics registry and adds the input loss still sitting in open
+// connections' kernel buffers. Active, the peaks and the attach-latency
+// percentiles have no counter twin and come from the front-end itself.
+// While the registry is disabled the counted fields read zero, and on a
+// kernel restored from a checkpoint they continue from the checkpoint's
+// totals.
 func (fe *Frontend) Stats() Stats {
 	nm := &fe.nm
 	st := Stats{
@@ -719,9 +684,6 @@ func (fe *Frontend) Stats() Stats {
 				st.InputLost += lost
 			}
 		}
-		if c.out != nil {
-			st.ReplyLost += c.out.Lost()
-		}
 	}
 	if len(fe.attachLats) > 0 {
 		lats := append([]int64(nil), fe.attachLats...)
@@ -730,22 +692,6 @@ func (fe *Frontend) Stats() Stats {
 		st.AttachP99 = lats[(len(lats)-1)*99/100]
 	}
 	return st
-}
-
-// ReplyPages reports how many pages the reply buffers currently hold in
-// the private store (S5+ only; zero on the legacy path) — the cost side of
-// the infinite-buffer strategy.
-func (fe *Frontend) ReplyPages() int {
-	if fe.outStore == nil {
-		return 0
-	}
-	total := 0
-	for _, c := range fe.connsByID() {
-		if ib, ok := c.out.(*iosys.InfiniteBuffer); ok {
-			total += ib.PagesUsed()
-		}
-	}
-	return total
 }
 
 // Gate names for the stage's attachment path.

@@ -392,9 +392,6 @@ func TestDetachFreesBufferSegment(t *testing.T) {
 	if after != before {
 		t.Errorf("detach left %d kernel segments, want %d", after, before)
 	}
-	if got := fe.ReplyPages(); got != 0 {
-		t.Errorf("reply store holds %d pages after close, want 0", got)
-	}
 }
 
 func TestNetStatusGate(t *testing.T) {

@@ -91,10 +91,10 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 	}
 	p := &ParallelPager{store: store, sch: sch, cfg: cfg, policy: policy}
 	p.pm.resolve(reg)
-	p.framesAvail = ipc.NewChannel("pc.frames-available", sch, nil)
-	p.coreWork = ipc.NewChannel("pc.core-work", sch, nil)
-	p.bulkWork = ipc.NewChannel("pc.bulk-work", sch, nil)
-	p.blocksAvail = ipc.NewChannel("pc.blocks-available", sch, nil)
+	p.framesAvail = ipc.NewChannel("pc.frames-available", sch)
+	p.coreWork = ipc.NewChannel("pc.core-work", sch)
+	p.bulkWork = ipc.NewChannel("pc.bulk-work", sch)
+	p.blocksAvail = ipc.NewChannel("pc.blocks-available", sch)
 
 	coreVP := sch.AddVP("vp.core-freeing", true)
 	bulkVP := sch.AddVP("vp.bulk-freeing", true)
@@ -133,9 +133,7 @@ func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 				// bulk process sleeps on for its disk transfer. Stale
 				// notifications are drained first so the Await waits for a
 				// fresh block.
-				if err := drain(pc, p.blocksAvail); err != nil {
-					return
-				}
+				drain(p.blocksAvail)
 				if err := p.bulkWork.Signal(pc.Process(), ipc.Event{}); err != nil {
 					return
 				}
@@ -261,9 +259,7 @@ func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 		// the Await below genuinely blocks until fresh frames appear
 		// instead of spinning.
 		p.stats.FaulterSteps++
-		if err := drain(pc, p.framesAvail); err != nil {
-			return err
-		}
+		drain(p.framesAvail)
 		if err := p.coreWork.Signal(pc.Process(), ipc.Event{}); err != nil {
 			return err
 		}
@@ -275,14 +271,10 @@ func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 
 // drain consumes every pending event on ch without blocking, so the next
 // Await on ch waits for a fresh signal.
-func drain(pc *sched.ProcCtx, ch *ipc.Channel) error {
+func drain(ch *ipc.Channel) {
 	for {
-		_, ok, err := ch.TryAwait(pc)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
+		if _, ok := ch.TryAwait(); !ok {
+			return
 		}
 	}
 }

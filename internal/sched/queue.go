@@ -7,8 +7,8 @@ import "slices"
 // a pop costs O(1) however deep the queue grows, and later pushes reuse
 // the array. Vacated slots are cleared, so the array keeps no popped or
 // removed item alive. The zero value is an empty queue. The scheduler's
-// ready queue, ipc's event channels and netattach's connection queues
-// all use it.
+// ready queue, ipc's event channels, netattach's connection and reply
+// queues and the interrupt interceptor's raise times all use it.
 type Queue[T comparable] struct {
 	items []T
 	head  int // items[head:] are queued

@@ -181,6 +181,14 @@ echo "== journal replay fuzz (FuzzReplay, 20s)"
 # kept bytes and hashes to its address. Its seeds also run in the suite.
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 20s ./internal/blockstore
 
+echo "== request-word fuzz (FuzzRequestWords, 10s)"
+# Every word a client sends reaches the front-end's decoder and a worker.
+# The native fuzz target sends arbitrary words at S0 and S6 and checks
+# that no input panics, that each one is processed, and that each op
+# that answers gets exactly its reply, in order. Its seeds also run in
+# the suite.
+go test -run '^$' -fuzz '^FuzzRequestWords$' -fuzztime 10s ./internal/netattach
+
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 
