@@ -13,17 +13,41 @@ import (
 )
 
 // equivContent is the words of content id. Ids below equivAlphabet are a
-// small alphabet the sequence keeps rewriting, so most writes deduplicate;
-// every id that is 7 mod 8 is a short block, so reads need slices of two
-// lengths.
+// small alphabet the sequence keeps rewriting, so most writes deduplicate.
+// The id mod 8 picks a shape, so reads need slices of three lengths and
+// pages hold zeros where a sparse encoding must put them back:
+//
+//	0  64 words, all zero (every such id is the same content)
+//	1  64 words, only the first non-zero
+//	2  64 words, only the last non-zero
+//	3  64 words, all non-zero but word 5
+//	4  the same words as 3, but word 6 is the zero one
+//	5  65 words, all non-zero
+//	6  64 words, all non-zero
+//	7  16 words, all non-zero
 func equivContent(id int) []uint64 {
 	n := 64
-	if id%8 == 7 {
+	switch id % 8 {
+	case 5:
+		n = 65
+	case 7:
 		n = 16
 	}
 	ws := make([]uint64, n)
 	for i := range ws {
-		ws[i] = uint64(id)*0x9E3779B97F4A7C15 ^ uint64(i)
+		ws[i] = uint64(id/8+1)*0x9E3779B97F4A7C15 ^ uint64(i)
+	}
+	switch id % 8 {
+	case 0:
+		clear(ws)
+	case 1:
+		clear(ws[1:])
+	case 2:
+		clear(ws[:n-1])
+	case 3:
+		ws[5] = 0
+	case 4:
+		ws[6] = 0
 	}
 	return ws
 }
