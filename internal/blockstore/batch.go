@@ -15,11 +15,12 @@ import (
 // the same batch) is recorded as a reference, not a second copy.
 
 // batchEntry is WriteBlocks' plan for one entry: its address, and where
-// its words start in the record, or -1 when it is a reference to content
-// the store (or an earlier entry) already holds.
+// its words' encoding starts in the record and its length, or at -1 when
+// it is a reference to content the store (or an earlier entry) already
+// holds.
 type batchEntry struct {
-	r  ref
-	at int
+	r        ref
+	at, size int
 }
 
 // WriteBlocks implements mem.BackingStore natively. The batch is
@@ -65,7 +66,7 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 		s.enc.ref(plan[i].r)
 		if plan[i].at >= 0 {
 			s.enc.u32(1)
-			plan[i].at = s.enc.words(w.Data)
+			plan[i].at, plan[i].size = s.enc.words(w.Data)
 		} else {
 			s.enc.u32(0)
 		}
@@ -75,7 +76,7 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 	}
 	for i, w := range writes {
 		if e := plan[i]; e.at >= 0 {
-			s.content[e.r] = span{off: base + int64(e.at), n: len(w.Data)}
+			s.content[e.r] = span{off: base + int64(e.at), n: len(w.Data), size: e.size}
 		}
 		s.index[w.PID] = plan[i].r
 	}

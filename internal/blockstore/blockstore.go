@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"maps"
@@ -15,9 +16,9 @@ import (
 // segments share one journal record (dedup). The live pid->address index
 // and the content table are in-memory images of the journal, rebuilt by
 // replay on Open — the journal is the store. The content table maps each
-// address to the span of journal bytes that holds its words, so no block's
-// words are held twice: a read decodes the span, from the pending buffer
-// or from media.
+// address to the span of journal bytes that encodes its words (only the
+// non-zero ones; see appendWords), so no block's words are held twice: a
+// read decodes the span, from the pending buffer or from media.
 //
 // Durability contract: a write is acknowledged once a Sync (or Checkpoint,
 // which syncs) covers it. Reads are not journaled: ReadBlock drops the live
@@ -41,17 +42,24 @@ type Store struct {
 	kept [][]uint64
 	// rbuf receives a span's bytes read back from media.
 	rbuf []byte
+	// cmp holds the encoding of words a write compares with stored
+	// content: canonical encodings are equal exactly when words are.
+	cmp []byte
 
 	writes, reads, dedups  *metrics.Counter
 	frees, syncs, appended *metrics.Counter
 	batches                *metrics.Counter
 }
 
-// pendingFlushBytes bounds the store-side record buffer. Records below the
-// threshold ride in memory until a Sync, Checkpoint, Close, or the next
-// threshold crossing hands them to media in one Append — one media call
-// and one copy per ~64 records instead of per record. Pending bytes are
-// unsynced by definition: a crash was always allowed to lose them.
+// pendingFlushBytes bounds the store-side record buffer. Records ride in
+// memory until a Sync, Checkpoint, Close, or a record that would carry
+// the buffer past the bound hands them to media in one Append — one media
+// call and one copy per few hundred records instead of per record. So no
+// Append is larger than the bound, which is the allocator's largest
+// small-object size class, and MemMedia's copy of a flush wastes nothing
+// to rounding; a record larger than the bound goes to media alone.
+// Pending bytes are unsynced by definition: a crash was always allowed to
+// lose them.
 const pendingFlushBytes = 32 << 10
 
 // keptSlices bounds Store.kept. Page-outs and page-ins alternate, so a
@@ -120,14 +128,24 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 func (s *Store) tail() int64 { return s.flushed + int64(len(s.pending)) }
 
 // append frames the encoder's current record into the pending buffer,
-// flushing to media at the threshold.
+// first flushing the buffer to media when the record would carry it past
+// pendingFlushBytes. A record larger than that goes to media alone.
 func (s *Store) append() error {
 	rec := s.enc.finish()
-	s.pending = append(s.pending, rec...)
 	s.appended.Add(int64(len(rec)))
-	if len(s.pending) >= pendingFlushBytes {
-		return s.flushPending()
+	if len(s.pending)+len(rec) > pendingFlushBytes {
+		if err := s.flushPending(); err != nil {
+			return err
+		}
+		if len(rec) > pendingFlushBytes {
+			if err := s.media.Append(rec); err != nil {
+				return err
+			}
+			s.flushed += int64(len(rec))
+			return nil
+		}
 	}
+	s.pending = append(s.pending, rec...)
 	return nil
 }
 
@@ -148,7 +166,7 @@ func (s *Store) flushPending() error {
 // or a read from media into rbuf. They are valid until the next append or
 // spanBytes call.
 func (s *Store) spanBytes(sp span) ([]byte, error) {
-	n := int64(sp.n) * 8
+	n := int64(sp.size)
 	if sp.off >= s.flushed {
 		at := sp.off - s.flushed
 		return s.pending[at : at+n], nil
@@ -164,7 +182,8 @@ func (s *Store) spanBytes(sp span) ([]byte, error) {
 }
 
 // load decodes sp's words into a slice the caller owns: a kept slice of
-// the right length when there is one, else a new one.
+// the right length when there is one, else a new one. The decode writes
+// every word, so nothing of the kept slice's old words survives.
 func (s *Store) load(sp span) ([]uint64, error) {
 	b, err := s.spanBytes(sp)
 	if err != nil {
@@ -178,12 +197,15 @@ func (s *Store) load(sp span) ([]uint64, error) {
 	} else {
 		out = make([]uint64, sp.n)
 	}
-	decodeWords(out, b)
+	if !decodeWords(out, b) {
+		return nil, fmt.Errorf("%w: block words at offset %d do not decode", ErrCorrupt, sp.off)
+	}
 	return out, nil
 }
 
-// sameContent reports whether sp's words are exactly data; a false answer
-// under a matching address is a collision.
+// sameContent reports whether sp's words are exactly data, by comparing
+// data's encoding with sp's bytes; a false answer under a matching
+// address is a collision.
 func (s *Store) sameContent(sp span, data []uint64) (bool, error) {
 	if sp.n != len(data) {
 		return false, nil
@@ -192,7 +214,8 @@ func (s *Store) sameContent(sp span, data []uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return equalBytes(b, data), nil
+	s.cmp = appendWords(s.cmp[:0], data)
+	return bytes.Equal(b, s.cmp), nil
 }
 
 // WriteBlock implements mem.BackingStore. Once the words are encoded the
@@ -218,15 +241,15 @@ func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 		}
 		s.dedups.Inc()
 	} else {
-		at := s.tail()
+		base := s.tail()
 		s.enc.begin(kindWrite)
 		s.enc.pid(pid)
 		s.enc.ref(r)
-		at += int64(s.enc.words(data))
+		at, size := s.enc.words(data)
 		if err := s.append(); err != nil {
 			return err
 		}
-		s.content[r] = span{off: at, n: len(data)}
+		s.content[r] = span{off: base + int64(at), n: len(data), size: size}
 	}
 	s.index[pid] = r
 	s.writes.Inc()

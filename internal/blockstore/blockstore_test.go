@@ -236,7 +236,7 @@ func TestWriteRecordContentMustMatchAddress(t *testing.T) {
 	data, second := corruptable(t)
 	// Tamper with one content word of the second record, then fix the
 	// frame CRC so only the end-to-end content address can catch it.
-	wordOff := second + recHdrSize + 16 + 16 + 4 // pid + ref + word count
+	wordOff := second + recHdrSize + 16 + 16 + 4 + 8 // pid + ref + word count + bitmap
 	data[wordOff] ^= 0xFF
 	plen := int(binary.LittleEndian.Uint32(data[second+5:]))
 	crc := crc32.Checksum(data[second+4:second+9], crc32.MakeTable(crc32.Castagnoli))

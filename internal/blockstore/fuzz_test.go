@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -51,16 +52,25 @@ func unframe(journal []byte) []byte {
 
 // checkReplayInvariants is what the store trusts of a replayed state:
 // every address the live map or the checkpoint names has content, and
-// every content span lies inside the kept bytes and decodes to words that
-// hash to its address.
+// every content span's encoded bytes lie inside the kept bytes, decode to
+// words that hash to its address, and are those words' canonical
+// encoding.
 func checkReplayInvariants(t *testing.T, st *replayState, kept []byte) {
 	t.Helper()
 	for r, sp := range st.content {
-		if sp.off < 0 || sp.n < 0 || sp.off+int64(sp.n)*8 > int64(len(kept)) {
+		if sp.off < 0 || sp.n < 0 || sp.size < 0 || sp.off+int64(sp.size) > int64(len(kept)) {
 			t.Fatalf("span %+v of %v lies outside the %d kept bytes", sp, r, len(kept))
 		}
-		if got := refOfBytes(kept[sp.off : sp.off+int64(sp.n)*8]); got != r {
+		enc := kept[sp.off : sp.off+int64(sp.size)]
+		ws := make([]uint64, sp.n)
+		if !decodeWords(ws, enc) {
+			t.Fatalf("span %+v of %v does not decode", sp, r)
+		}
+		if got := refOf(ws); got != r {
 			t.Fatalf("span %+v decodes to content %v, not its address %v", sp, got, r)
+		}
+		if !bytes.Equal(appendWords(nil, ws), enc) {
+			t.Fatalf("span %+v of %v is not the canonical encoding of its words", sp, r)
 		}
 	}
 	for _, m := range []map[mem.PageID]ref{st.index, st.ckpt} {
@@ -132,10 +142,38 @@ type replaySeed struct {
 	raw, pairs []byte
 }
 
-// replaySeeds returns journals the store writes, one per record kind and
-// one torn. Each whole journal comes twice: as raw bytes, where most
-// mutations stop at the frame checks, and as (kind, payload) pairs, where
-// a mutated payload keeps a valid CRC and reaches applyRecord.
+// nonCanonicalSeeds returns three one-record journals that write the
+// words [0 5] under their true address, each encoded one way the
+// canonical rule forbids: a bitmap bit set past the word count, a present
+// word that is zero, and a payload 8 bytes longer than the bitmap's
+// population count accounts for. canonical is the same record encoded as
+// the store encodes it.
+func nonCanonicalSeeds() (canonical []byte, seeds []replaySeed) {
+	words := []uint64{0, 5}
+	record := func(bitmap uint64, vals ...uint64) []byte {
+		var e recEncoder
+		e.begin(kindWrite)
+		e.pid(pid(1, 0))
+		e.ref(refOf(words))
+		e.u32(uint32(len(words)))
+		e.u64(bitmap)
+		for _, v := range vals {
+			e.u64(v)
+		}
+		return append([]byte(nil), e.finish()...)
+	}
+	return record(0b10, 5), []replaySeed{
+		{name: "bit-past-n", raw: record(0b110, 5, 7)},
+		{name: "present-zero", raw: record(0b11, 0, 5)},
+		{name: "long-payload", raw: record(0b10, 5, 9)},
+	}
+}
+
+// replaySeeds returns journals the store writes, one per record kind, one
+// of sparse pages and one torn, and the non-canonical journals. Each whole
+// journal the store writes comes twice: as raw bytes, where most mutations
+// stop at the frame checks, and as (kind, payload) pairs, where a mutated
+// payload keeps a valid CRC and reaches applyRecord.
 func replaySeeds(t *testing.T) []replaySeed {
 	small := func(seed uint64) []uint64 { return block(seed)[:4] }
 	must := func(err error) {
@@ -197,6 +235,20 @@ func replaySeeds(t *testing.T) []replaySeed {
 			must(s.RevertToCheckpoint())
 			write(s, 1, 2, 2)
 		})},
+		{name: "sparse", raw: journal(func(s *Store) {
+			// A zero page, a page whose last word alone is set, and a
+			// 65-word page, whose second bitmap word has one bit to keep.
+			last := make([]uint64, 64)
+			last[63] = 7
+			long := make([]uint64, 65)
+			long[1], long[40], long[64] = 3, 4, 5
+			must(s.WriteBlock(pid(1, 0), make([]uint64, 64)))
+			must(s.WriteBlock(pid(1, 1), last))
+			must(s.WriteBlocks([]mem.BlockWrite{
+				{PID: pid(2, 0), Data: long},
+				{PID: pid(2, 1), Data: make([]uint64, 64)},
+			}))
+		})},
 	}
 	seeds := whole
 	for _, sd := range whole {
@@ -210,12 +262,60 @@ func replaySeeds(t *testing.T) []replaySeed {
 	must(s.Close())
 	must(m.Tear(7))
 	torn, _ := m.Contents()
-	return append(seeds, replaySeed{name: "torn-tail", raw: torn})
+	_, bad := nonCanonicalSeeds()
+	return append(append(seeds, replaySeed{name: "torn-tail", raw: torn}), bad...)
+}
+
+// TestReplayRefusesNonCanonicalWords replays each non-canonical journal:
+// its words hash to their address, so only the canonical rule can refuse
+// it, and replay must, as corruption. The canonical twin replays.
+func TestReplayRefusesNonCanonicalWords(t *testing.T) {
+	canonical, bad := nonCanonicalSeeds()
+	if _, rep, _, err := replay(canonical); err != nil || rep.Writes != 1 {
+		t.Fatalf("canonical record: replay = %v, report %+v", err, rep)
+	}
+	for _, sd := range bad {
+		if _, _, _, err := replay(sd.raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: replay = %v, want ErrCorrupt", sd.name, err)
+		}
+	}
+}
+
+// TestWordEncoding pins the encoded size of four page shapes and their
+// round trip through a slice that held other words: the bitmap costs one
+// word per 64 words, and a zero word costs nothing else.
+func TestWordEncoding(t *testing.T) {
+	one := make([]uint64, 64)
+	one[17] = 0xABC
+	cases := []struct {
+		name  string
+		words []uint64
+		size  int
+	}{
+		{"all-zero", make([]uint64, 64), 8},
+		{"one-word", one, 8 + 8},
+		{"dense", block(3), 8 + 64*8},
+		{"65 words", append(block(4), 1), 16 + 65*8},
+	}
+	for _, c := range cases {
+		enc := appendWords(nil, c.words)
+		if len(enc) != c.size {
+			t.Errorf("%s: %d bytes, want %d", c.name, len(enc), c.size)
+		}
+		got := make([]uint64, len(c.words))
+		for i := range got {
+			got[i] = ^uint64(i) // words the decode must overwrite
+		}
+		if !decodeWords(got, enc) || !slices.Equal(got, c.words) {
+			t.Errorf("%s: words do not round-trip", c.name)
+		}
+	}
 }
 
 // TestFuzzReplaySeedsAreCurrent checks that the committed seeds are the
-// journals the store writes today; -update rewrites them. A change to the
-// record format shows up here first.
+// journals the store writes today and the hand-built non-canonical ones;
+// -update rewrites them. A change to the record format shows up here
+// first.
 func TestFuzzReplaySeedsAreCurrent(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzReplay")
 	for _, sd := range replaySeeds(t) {

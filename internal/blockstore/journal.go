@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -24,7 +25,7 @@ import (
 // tail and is truncated away; damage with valid bytes after it can only be
 // real corruption and fails loudly (ErrCorrupt). Nothing recovers silently.
 const (
-	recMagic   = 0x424a4c31 // "BJL1"
+	recMagic   = 0x424a4c32 // "BJL2"
 	recHdrSize = 13
 )
 
@@ -71,68 +72,88 @@ func fmix64(h uint64) uint64 {
 	return h
 }
 
-// refHash is the running state of a content address; refOf and
-// refOfBytes feed it the same words.
-type refHash struct{ h1, h2 uint64 }
-
-func newRefHash() refHash { return refHash{h1: fnvOffset, h2: fnvOffset ^ refSeed2} }
-
-func (h *refHash) add(w uint64) {
-	h.h1 = (h.h1 ^ w) * fnvPrime
-	h.h2 = (h.h2 ^ bits.RotateLeft64(w, 31)) * fnvPrime
-}
-
-func (h *refHash) sum(words int) ref {
-	n := uint64(words)
-	return ref{hi: fmix64(h.h1 ^ n), lo: fmix64(h.h2 ^ (n * fnvPrime))}
-}
-
-// refOf addresses a block's content.
+// refOf addresses a block's content: all of its words, zeros included,
+// so an address does not depend on how the words are journaled.
 func refOf(words []uint64) ref {
-	h := newRefHash()
+	h1, h2 := uint64(fnvOffset), uint64(fnvOffset^refSeed2)
 	for _, w := range words {
-		h.add(w)
+		h1 = (h1 ^ w) * fnvPrime
+		h2 = (h2 ^ bits.RotateLeft64(w, 31)) * fnvPrime
 	}
-	return h.sum(len(words))
+	n := uint64(len(words))
+	return ref{hi: fmix64(h1 ^ n), lo: fmix64(h2 ^ (n * fnvPrime))}
 }
 
-// refOfBytes addresses a block's content as it is encoded in the journal:
-// little-endian words.
-func refOfBytes(b []byte) ref {
-	h := newRefHash()
-	for i := 0; i+8 <= len(b); i += 8 {
-		h.add(binary.LittleEndian.Uint64(b[i:]))
+// Block words are journaled sparsely, the way Multics page control gave a
+// page of zeros a null disk address instead of a record. n words encode
+// as a presence bitmap of ceil(n/64) little-endian words, in which bit
+// i%64 of word i/64 stands for word i, followed by the non-zero words
+// alone, little-endian and in order. The encoding is canonical: a bit is
+// set exactly when its word is non-zero and no bit is set past n, so equal
+// words always encode to equal bytes. The word count is written before
+// the encoding; appendWords and decodeWords are its only writer and
+// reader.
+
+// bitmapWords is the length in words of the presence bitmap of n words.
+func bitmapWords(n int) int { return (n + 63) / 64 }
+
+// appendWords appends the encoding of ws to b.
+func appendWords(b []byte, ws []uint64) []byte {
+	nb := bitmapWords(len(ws))
+	at := len(b)
+	b = slices.Grow(b, (nb+len(ws))*8)[:at+nb*8]
+	for g := 0; g < nb; g++ {
+		var present uint64
+		for j, w := range ws[g*64 : min(len(ws), g*64+64)] {
+			if w != 0 {
+				present |= 1 << j
+				b = binary.LittleEndian.AppendUint64(b, w)
+			}
+		}
+		binary.LittleEndian.PutUint64(b[at+g*8:], present)
 	}
-	return h.sum(len(b) / 8)
+	return b
 }
 
-// span locates one block's words in the journal: the offset of the first
-// word's bytes and the word count. The content table maps each address to
-// the span of the record that first carried its words, so the journal is
-// the only copy of them.
-type span struct {
-	off int64
-	n   int
-}
-
-// equalBytes reports whether b encodes exactly the words ws.
-func equalBytes(b []byte, ws []uint64) bool {
-	if len(b) != len(ws)*8 {
+// decodeWords overwrites every word of ws with the words enc encodes. It
+// reports false, leaving ws undefined, unless enc is the canonical
+// encoding of exactly len(ws) words: no bitmap bit past len(ws), no
+// present word that is zero, and no byte beyond the present words.
+func decodeWords(ws []uint64, enc []byte) bool {
+	nb := bitmapWords(len(ws))
+	if len(enc) < nb*8 {
 		return false
 	}
-	for i, w := range ws {
-		if binary.LittleEndian.Uint64(b[i*8:]) != w {
+	vals := enc[nb*8:]
+	clear(ws)
+	for g := 0; g < nb; g++ {
+		present := binary.LittleEndian.Uint64(enc[g*8:])
+		if rest := len(ws) - g*64; rest < 64 && present>>rest != 0 {
 			return false
 		}
+		for ; present != 0; present &= present - 1 {
+			if len(vals) < 8 {
+				return false
+			}
+			w := binary.LittleEndian.Uint64(vals)
+			if w == 0 {
+				return false
+			}
+			ws[g*64+bits.TrailingZeros64(present)] = w
+			vals = vals[8:]
+		}
 	}
-	return true
+	return len(vals) == 0
 }
 
-// decodeWords fills ws from b's little-endian words; len(b) is len(ws)*8.
-func decodeWords(ws []uint64, b []byte) {
-	for i := range ws {
-		ws[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
+// span locates one block's encoded words in the journal: the offset of
+// the presence bitmap, the word count and the encoding's length in bytes.
+// The content table maps each address to the span of the record that
+// first carried its words, so the journal is the only copy of them.
+type span struct {
+	off  int64
+	n    int
+	size int
 }
 
 // recEncoder builds one framed record in a reusable buffer.
@@ -157,24 +178,13 @@ func (e *recEncoder) ref(r ref) {
 	e.u64(r.lo)
 }
 
-// words encodes a word count and the words and returns the offset in the
-// record at which the words start.
-func (e *recEncoder) words(ws []uint64) int {
+// words encodes a word count and the words, and returns the offset in
+// the record at which their encoding starts and its length.
+func (e *recEncoder) words(ws []uint64) (at, size int) {
 	e.u32(uint32(len(ws)))
-	// Presize once and store with PutUint64: per-word appends are the
-	// hottest serialization in the store (every evicted page passes here).
-	start := len(e.buf)
-	need := start + len(ws)*8
-	if cap(e.buf) < need {
-		e.buf = append(e.buf[:cap(e.buf)], make([]byte, need-cap(e.buf))...)
-	}
-	e.buf = e.buf[:need]
-	off := start
-	for _, w := range ws {
-		binary.LittleEndian.PutUint64(e.buf[off:], w)
-		off += 8
-	}
-	return start
+	at = len(e.buf)
+	e.buf = appendWords(e.buf, ws)
+	return at, len(e.buf) - at
 }
 func (e *recEncoder) bytes(p []byte) {
 	e.u32(uint32(len(p)))
@@ -232,17 +242,28 @@ func (d *recDecoder) ref() ref {
 	return ref{hi: hi, lo: lo}
 }
 
-// words reads a word count and returns where the words sit in the
-// journal and their bytes, which stay in the payload.
+// words reads a word count and the encoding after it, whose length its
+// bitmap's population count fixes, and returns the encoding's span in
+// the journal and its bytes, which stay in the payload. It does not
+// decode them.
 func (d *recDecoder) words() (span, []byte) {
-	n := d.u32()
-	if d.bad || d.off+int(n)*8 > len(d.p) {
+	n := int(d.u32())
+	nb := bitmapWords(n)
+	if d.bad || nb > (len(d.p)-d.off)/8 {
 		d.bad = true
 		return span{}, nil
 	}
-	b := d.p[d.off : d.off+int(n)*8]
-	sp := span{off: d.base + int64(d.off), n: int(n)}
-	d.off += len(b)
+	size := nb * 8
+	for g := 0; g < nb; g++ {
+		size += 8 * bits.OnesCount64(binary.LittleEndian.Uint64(d.p[d.off+g*8:]))
+	}
+	if size > len(d.p)-d.off {
+		d.bad = true
+		return span{}, nil
+	}
+	sp := span{off: d.base + int64(d.off), n: n, size: size}
+	b := d.p[d.off : d.off+size]
+	d.off += size
 	return sp, b
 }
 
@@ -278,6 +299,26 @@ type replayState struct {
 	content  map[ref]span
 	ckpt     map[mem.PageID]ref // nil until a checkpoint record
 	manifest []byte
+	// words receives each record's block words for the address check.
+	words []uint64
+}
+
+// addContent records sp, whose encoding is enc, as the content at address
+// r, after the check beyond the CRC: the encoding must be canonical and
+// decode to words that hash to r.
+func (st *replayState) addContent(pid mem.PageID, r ref, sp span, enc []byte, off int) error {
+	if cap(st.words) < sp.n {
+		st.words = make([]uint64, sp.n)
+	}
+	ws := st.words[:sp.n]
+	if !decodeWords(ws, enc) {
+		return fmt.Errorf("%w: words of block %v are not canonically encoded (offset %d)", ErrCorrupt, pid, off)
+	}
+	if refOf(ws) != r {
+		return fmt.Errorf("%w: content of block %v does not match its address %v (offset %d)", ErrCorrupt, pid, r, off)
+	}
+	st.content[r] = sp
+	return nil
 }
 
 // replay scans the journal bytes, applies every whole valid record, and
@@ -361,16 +402,13 @@ func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byt
 	case kindWrite:
 		pid := d.pid()
 		r := d.ref()
-		sp, b := d.words()
+		sp, enc := d.words()
 		if d.bad {
 			return fmt.Errorf("%w: short write record at offset %d", ErrCorrupt, off)
 		}
-		// End-to-end integrity beyond the CRC: the payload must still
-		// hash to the address it was stored under.
-		if refOfBytes(b) != r {
-			return fmt.Errorf("%w: content of block %v does not match its address %v (offset %d)", ErrCorrupt, pid, r, off)
+		if err := st.addContent(pid, r, sp, enc, off); err != nil {
+			return err
 		}
-		st.content[r] = sp
 		st.index[pid] = r
 		rep.Writes++
 	case kindMap:
@@ -436,14 +474,13 @@ func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byt
 				return fmt.Errorf("%w: short batch entry %d at offset %d", ErrCorrupt, i, off)
 			}
 			if flag == 1 {
-				sp, b := d.words()
+				sp, enc := d.words()
 				if d.bad {
 					return fmt.Errorf("%w: short batch entry %d at offset %d", ErrCorrupt, i, off)
 				}
-				if refOfBytes(b) != r {
-					return fmt.Errorf("%w: content of block %v does not match its address %v (batch offset %d)", ErrCorrupt, pid, r, off)
+				if err := st.addContent(pid, r, sp, enc, off); err != nil {
+					return err
 				}
-				st.content[r] = sp
 				rep.Writes++
 			} else {
 				if _, ok := st.content[r]; !ok {
@@ -456,6 +493,11 @@ func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byt
 		rep.Batches++
 	default:
 		return fmt.Errorf("%w: unknown record kind %d at offset %d", ErrCorrupt, kind, off)
+	}
+	// A record is exactly its fields: bytes past them, say a write whose
+	// length disagrees with its bitmap, are damage too.
+	if d.off != len(d.p) {
+		return fmt.Errorf("%w: %d bytes past the fields of the %s record at offset %d", ErrCorrupt, len(d.p)-d.off, kindName(kind), off)
 	}
 	return nil
 }

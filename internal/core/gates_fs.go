@@ -262,17 +262,18 @@ func (k *Kernel) dirArg(p *Proc, arg uint64) (uint64, error) {
 }
 
 // lookupArg decodes (dirSegno, nameOff, nameLen) and looks the named
-// entry up: one step of the user-ring tree walk (S2+).
+// entry up: one step of the user-ring tree walk (S2+). The name is looked
+// up in the bytes the load run read, so a hit makes no string.
 func (k *Kernel) lookupArg(p *Proc, ctx *machine.ExecContext, args []uint64) (fs.DirEntry, error) {
 	dir, err := k.dirArg(p, args[0])
 	if err != nil {
 		return fs.DirEntry{}, err
 	}
-	name, err := k.readUserString(ctx, args[1], args[2])
+	name, err := k.readUserBytes(ctx, args[1], args[2])
 	if err != nil {
 		return fs.DirEntry{}, err
 	}
-	return k.hier.Lookup(p.Principal, p.Label, dir, name)
+	return k.hier.LookupBytes(p.Principal, p.Label, dir, name)
 }
 
 // patternArg decodes a (patternOff, patternLen) pair into an ACL pattern.

@@ -322,21 +322,29 @@ func (p *Proc) CallGate(name string, args ...uint64) ([]uint64, error) {
 // through the machine (and therefore through the access checks) in ring 0,
 // in one load run.
 func (k *Kernel) readUserString(ctx *machine.ExecContext, off, length uint64) (string, error) {
+	b, err := k.readUserBytes(ctx, off, length)
+	return string(b), err
+}
+
+// readUserBytes is readUserString without the string, read and charged
+// the same: the characters are in the processor's buffer until its next
+// load run, for a gate that only looks them up.
+func (k *Kernel) readUserBytes(ctx *machine.ExecContext, off, length uint64) ([]byte, error) {
 	if length == 0 {
-		return "", nil
+		return nil, nil
 	}
 	if length > ArgSegWords {
-		return "", fmt.Errorf("core: string argument length %d exceeds argument segment", length)
+		return nil, fmt.Errorf("core: string argument length %d exceeds argument segment", length)
 	}
-	s, err := ctx.LoadString(SegArgs, int(off), int(length))
+	b, err := ctx.LoadBytes(SegArgs, int(off), int(length))
 	if err != nil {
 		var wide *machine.WideWordError
 		if errors.As(err, &wide) {
-			return "", fmt.Errorf("core: malformed string argument word %#x", wide.Word)
+			return nil, fmt.Errorf("core: malformed string argument word %#x", wide.Word)
 		}
-		return "", fmt.Errorf("core: reading string argument: %w", err)
+		return nil, fmt.Errorf("core: reading string argument: %w", err)
 	}
-	return s, nil
+	return b, nil
 }
 
 // resultBase is the start of the result area of the argument segment, its

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fs"
@@ -45,6 +48,42 @@ func TestGateRoundTripAllocatesNothingItDoesNotReturn(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("initiate then terminate allocates %.0f times, want 0", n)
+	}
+}
+
+// TestLookupEntryHitAllocatesNothing pins hcs_$lookup_entry's name: the
+// gate looks the entry up in the characters its load run read, so a hit
+// allocates nothing, and a miss still names the entry and the directory.
+func TestLookupEntryHitAllocatesNothing(t *testing.T) {
+	k := newKernel(t, S6Restructured)
+	dir := mkdir(t, k, alice, "udd")
+	uid, err := k.Services().Hierarchy.Create(alice, unc, dir, "data", fs.CreateOptions{Kind: fs.KindSegment, Label: unc, Length: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := userProc(t, k, alice, unc)
+	out, err := p.CallGate("hcs_$root_dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := out[0]
+	off, n, _ := p.GateString("udd")
+	if out, err = p.CallGate("hcs_$initiate_dir", root, off, n); err != nil {
+		t.Fatal(err)
+	}
+	udd := out[0]
+	off, n, _ = p.GateString("data")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if out, err := p.CallGate("hcs_$lookup_entry", udd, off, n); err != nil || out[0] != uid {
+			t.Fatalf("lookup_entry = %v, %v, want entry %#x", out, err, uid)
+		}
+	}); allocs != 0 {
+		t.Errorf("a lookup_entry hit allocates %.0f times, want 0", allocs)
+	}
+	off, n, _ = p.GateString("nope")
+	_, err = p.CallGate("hcs_$lookup_entry", udd, off, n)
+	if want := fmt.Sprintf("%q in %#x", "nope", dir); !errors.Is(err, fs.ErrNotFound) || !strings.Contains(err.Error(), want) {
+		t.Errorf("lookup_entry of a missing name = %v, want ErrNotFound naming %s", err, want)
 	}
 }
 

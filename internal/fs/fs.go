@@ -386,13 +386,15 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 }
 
 // lookupEntry returns a copy of the entry name in dir, holding the checks
-// the public Lookup performs. Shared by Lookup and the path walker.
-func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, name string) (DirEntry, error) {
+// the public Lookup performs. Shared by Lookup, LookupBytes and the path
+// walker. The name is a string or its bytes, which it does not keep:
+// indexing the map with the bytes makes no string.
+func lookupEntry[N string | []byte](h *Hierarchy, dir *Object, who acl.Principal, subj mls.Label, name N) (DirEntry, error) {
 	if err := checkDir(dir, who, subj, acl.ModeStatus); err != nil {
 		return DirEntry{}, err
 	}
 	h.ops.lookups.Inc()
-	e, ok := dir.entries[name]
+	e, ok := dir.entries[string(name)]
 	if !ok {
 		return DirEntry{}, fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dir.UID)
 	}
@@ -407,7 +409,18 @@ func (h *Hierarchy) Lookup(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if err != nil {
 		return DirEntry{}, err
 	}
-	return h.lookupEntry(dir, who, subj, name)
+	return lookupEntry(h, dir, who, subj, name)
+}
+
+// LookupBytes is Lookup with the name's bytes, which it does not keep: a
+// gate that reads an entry name from its caller looks it up without making
+// a string of it. A miss reports the name as Lookup does.
+func (h *Hierarchy) LookupBytes(who acl.Principal, subj mls.Label, dirUID uint64, name []byte) (DirEntry, error) {
+	dir, err := h.directory(dirUID)
+	if err != nil {
+		return DirEntry{}, err
+	}
+	return lookupEntry(h, dir, who, subj, name)
 }
 
 // List appends the entry names of directory dirUID to names, in name

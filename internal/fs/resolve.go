@@ -73,7 +73,7 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int) (
 		if err != nil {
 			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}
-		entry, err := h.lookupEntry(dir, who, subj, name)
+		entry, err := lookupEntry(h, dir, who, subj, name)
 		if err != nil {
 			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}

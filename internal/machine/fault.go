@@ -97,9 +97,27 @@ func IsFaultClass(err error, c FaultClass) bool {
 	return false
 }
 
-// PageFault is the error a paged Backing returns when the referenced page is
-// absent from primary memory. The processor converts it into a FaultPage
-// fault, invokes the registered pager, and retries the access.
+// ErrPageAbsent is the error a PagedBacking returns when the referenced
+// page is absent from primary memory. The processor converts it into a
+// FaultPage fault, names the page in a PageFault it owns, invokes the
+// registered pager with it, and retries the access, so a handled page
+// fault allocates nothing.
+var ErrPageAbsent = errors.New("machine: page absent")
+
+// PagedBacking is a Backing whose pages may be absent from primary
+// memory: a reference to an absent page returns ErrPageAbsent.
+type PagedBacking interface {
+	Backing
+	// PageOf names the page holding offset off: the pager's tag for the
+	// segment and the page index within it.
+	PageOf(off int) (segTag uint64, page int)
+}
+
+// PageFault names the absent page of a page fault to the pager. The
+// processor owns the one it passes and reuses it for its next fault, so
+// a handler that keeps it past its return must copy it. A processor has
+// at most one fault outstanding: it handles each before the access
+// returns.
 type PageFault struct {
 	// Page is the page index within the segment.
 	Page int

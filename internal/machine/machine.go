@@ -131,9 +131,9 @@ func GateBrackets(execRing, callers Ring) Brackets {
 func UserBrackets(r Ring) Brackets { return Brackets{R1: r, R2: r, R3: r} }
 
 // Backing supplies the storage behind a segment. The memory subsystem
-// provides paged backings; tests can provide simple in-core ones. A Backing
-// may return a *PageFault error, which the processor converts into a fault
-// delivered to the registered pager before the access is retried.
+// provides paged backings; tests can provide simple in-core ones. A
+// PagedBacking may return ErrPageAbsent, which the processor converts into
+// a fault delivered to the registered pager before the access is retried.
 type Backing interface {
 	// ReadWord returns the word at offset off.
 	ReadWord(off int) (uint64, error)

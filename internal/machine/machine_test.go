@@ -392,16 +392,17 @@ type faultingBacking struct {
 	tag      uint64
 }
 
-func (b *faultingBacking) page(off int) int { return off / b.pageSize }
+func (b *faultingBacking) page(off int) int             { return off / b.pageSize }
+func (b *faultingBacking) PageOf(off int) (uint64, int) { return b.tag, b.page(off) }
 func (b *faultingBacking) ReadWord(off int) (uint64, error) {
 	if !b.resident[b.page(off)] {
-		return 0, &PageFault{Page: b.page(off), SegTag: b.tag}
+		return 0, ErrPageAbsent
 	}
 	return b.inner.ReadWord(off)
 }
 func (b *faultingBacking) WriteWord(off int, val uint64) error {
 	if !b.resident[b.page(off)] {
-		return &PageFault{Page: b.page(off), SegTag: b.tag}
+		return ErrPageAbsent
 	}
 	return b.inner.WriteWord(off, val)
 }
@@ -452,8 +453,44 @@ func TestPageFaultWithoutPagerAborts(t *testing.T) {
 	p, ds, _ := newTestProc(UserRing, Model6180())
 	fb := &faultingBacking{inner: NewCoreBacking(8), resident: map[int]bool{}, pageSize: 4, tag: 1}
 	mustSet(t, ds, 1, SDW{Backing: fb, Mode: ModeRead, Brackets: UserBrackets(UserRing)})
-	if _, err := p.Load(1, 0); !IsFaultClass(err, FaultPage) {
+	_, err := p.Load(1, 5)
+	if !IsFaultClass(err, FaultPage) {
 		t.Errorf("page fault without pager: got %v, want page fault", err)
+	}
+	if f, _ := AsFault(err); f == nil || f.Detail != "page fault: page 1 of segment 0x1 absent" {
+		t.Errorf("unhandled page fault = %v, want its detail to name page 1 of segment 0x1", err)
+	}
+}
+
+// TestHandledPageFaultAllocatesNothing pins the fault path's storage: the
+// backing reports an absent page with ErrPageAbsent, and the processor
+// names it to the pager in a PageFault of its own, so taking, handling and
+// retrying a page fault allocates nothing.
+func TestHandledPageFaultAllocatesNothing(t *testing.T) {
+	p, ds, _ := newTestProc(UserRing, Model6180())
+	fb := &faultingBacking{inner: NewCoreBacking(8), resident: map[int]bool{}, pageSize: 4, tag: 0xabc}
+	mustSet(t, ds, 1, SDW{Backing: fb, Mode: ModeRead, Brackets: UserBrackets(UserRing)})
+	var got PageFault
+	p.Pager = PageFaultHandlerFunc(func(pf *PageFault) error {
+		got = *pf
+		fb.resident[pf.Page] = true
+		return nil
+	})
+	faults := p.Stats().Faults[FaultPage]
+	allocs := testing.AllocsPerRun(100, func() {
+		fb.resident[1] = false
+		if _, err := p.Load(1, 6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a handled page fault allocates %.1f times, want 0", allocs)
+	}
+	if got != (PageFault{Page: 1, SegTag: 0xabc}) {
+		t.Errorf("pager was handed %+v, want page 1 of segment 0xabc", got)
+	}
+	if n := p.Stats().Faults[FaultPage] - faults; n != 101 {
+		t.Errorf("%d page faults charged, want 101 (one per load)", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -72,8 +73,10 @@ type Processor struct {
 	// ctxCache holds one reusable ExecContext per call depth, so gate
 	// dispatch allocates nothing on the steady-state hot path.
 	ctxCache []ExecContext
-	// strBuf is LoadString's reusable character buffer.
+	// strBuf is the load runs' reusable character buffer.
 	strBuf []byte
+	// pf names the page of the fault being handled, for the pager.
+	pf PageFault
 	// mAssocHits/mAssocMisses/mFaults count into the registry the
 	// processor was built with, as machine.assoc_hits,
 	// machine.assoc_misses and machine.faults; every processor of a
@@ -289,10 +292,11 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 		if err == nil {
 			return out, nil
 		}
-		pf, ok := err.(*PageFault)
-		if !ok {
+		pb, ok := sdw.Backing.(PagedBacking)
+		if !ok || !errors.Is(err, ErrPageAbsent) {
 			return 0, err
 		}
+		p.pf.SegTag, p.pf.Page = pb.PageOf(off)
 		p.stats.Faults[FaultPage]++
 		p.mFaults.Inc()
 		p.Clock.Advance(p.Cost.FaultOverhead)
@@ -300,9 +304,9 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 		// its text is formatted only if the fault goes unhandled.
 		p.emitFault(&Fault{Class: FaultPage, Seg: seg, Offset: off, Ring: p.ring, Wanted: want})
 		if p.Pager == nil || attempt > 0 {
-			return 0, &Fault{Class: FaultPage, Seg: seg, Offset: off, Ring: p.ring, Wanted: want, Detail: pf.Error()}
+			return 0, &Fault{Class: FaultPage, Seg: seg, Offset: off, Ring: p.ring, Wanted: want, Detail: p.pf.Error()}
 		}
-		if herr := p.Pager.HandlePageFault(pf); herr != nil {
+		if herr := p.Pager.HandlePageFault(&p.pf); herr != nil {
 			return 0, fmt.Errorf("page fault on segment %d offset %d: %w", seg, off, herr)
 		}
 	}
@@ -343,12 +347,21 @@ func (e *WideWordError) Error() string {
 // than a byte ends the run after it is charged, with a *WideWordError.
 // The string is the run's only allocation.
 func (p *Processor) LoadString(seg SegNo, off, n int) (string, error) {
-	buf, err := p.loadRun(seg, off, n, p.strBuf[:0])
-	p.strBuf = buf[:0]
+	buf, err := p.LoadBytes(seg, off, n)
 	if err != nil {
 		return "", err
 	}
 	return string(buf), nil
+}
+
+// LoadBytes is LoadString's run, charged the same, without the string:
+// the characters are returned in the processor's buffer, which its next
+// load run overwrites, so a caller that only looks them up allocates
+// nothing. On an error they are the characters read before it.
+func (p *Processor) LoadBytes(seg SegNo, off, n int) ([]byte, error) {
+	buf, err := p.loadRun(seg, off, n, p.strBuf[:0])
+	p.strBuf = buf[:0]
+	return buf, err
 }
 
 // loadRun is LoadString's run: it appends the characters to buf, which
@@ -639,6 +652,12 @@ func (c *ExecContext) Store(seg SegNo, off int, val uint64) error {
 // through the protection checks; see Processor.LoadString.
 func (c *ExecContext) LoadString(seg SegNo, off, n int) (string, error) {
 	return c.proc.LoadString(seg, off, n)
+}
+
+// LoadBytes reads n characters as LoadString does into the processor's
+// buffer, valid until its next load run; see Processor.LoadBytes.
+func (c *ExecContext) LoadBytes(seg SegNo, off, n int) ([]byte, error) {
+	return c.proc.LoadBytes(seg, off, n)
 }
 
 // StoreString writes s one character per word through the protection

@@ -19,16 +19,16 @@ var (
 	ErrOutOfRange = errors.New("mem: offset outside segment")
 )
 
-// PagedBacking adapts one segment of the Store to the machine.Backing
+// PagedBacking adapts one segment of the Store to the machine.PagedBacking
 // interface. References to core-resident pages succeed directly; references
-// to absent pages return *machine.PageFault so the processor can invoke page
-// control and retry.
+// to absent pages return machine.ErrPageAbsent so the processor can invoke
+// page control and retry.
 type PagedBacking struct {
 	store *Store
 	uid   uint64
 }
 
-var _ machine.Backing = (*PagedBacking)(nil)
+var _ machine.PagedBacking = (*PagedBacking)(nil)
 
 // NewPagedBacking returns the backing of the segment uid, which must
 // exist. A segment has one backing, made at first use and shared by every
@@ -62,9 +62,15 @@ func (b *PagedBacking) locate(off int) (FrameID, int, error) {
 		return 0, 0, err
 	}
 	if loc.Level != LevelCore {
-		return 0, 0, &machine.PageFault{Page: page, SegTag: b.uid}
+		return 0, 0, machine.ErrPageAbsent
 	}
 	return loc.Frame, off % b.store.cfg.PageWords, nil
+}
+
+// PageOf implements machine.PagedBacking: the pager's tag for the segment
+// is its UID.
+func (b *PagedBacking) PageOf(off int) (uint64, int) {
+	return b.uid, off / b.store.cfg.PageWords
 }
 
 // ReadWord implements machine.Backing.

@@ -288,13 +288,11 @@ func TestPagedBacking(t *testing.T) {
 		t.Errorf("Length = %d, want 10", pb.Length())
 	}
 	// First access faults.
-	_, err = pb.ReadWord(0)
-	pf, ok := err.(*machine.PageFault)
-	if !ok {
+	if _, err = pb.ReadWord(0); !errors.Is(err, machine.ErrPageAbsent) {
 		t.Fatalf("expected page fault, got %v", err)
 	}
-	if pf.Page != 0 || pf.SegTag != 7 {
-		t.Errorf("page fault = %+v", pf)
+	if tag, page := pb.PageOf(5); tag != 7 || page != 1 {
+		t.Errorf("offset 5 is page %d of segment %#x, want page 1 of 0x7", page, tag)
 	}
 	// Materialize and retry.
 	if _, _, err := s.PageIn(PageID{SegUID: 7, Index: 0}); err != nil {
@@ -312,6 +310,50 @@ func TestPagedBacking(t *testing.T) {
 	}
 	if _, err := NewPagedBacking(s, 99); err == nil {
 		t.Error("backing for missing segment should fail")
+	}
+}
+
+// TestPagedBackingFaultAllocatesNothing takes a page fault through a
+// processor on every load: the page goes back to bulk store, the load
+// faults, page control brings the page in and the load is retried. The
+// backing reports the absent page without building an error, so the
+// round trip allocates nothing.
+func TestPagedBackingFaultAllocatesNothing(t *testing.T) {
+	s := newStore(t, smallConfig())
+	if _, err := s.CreateSegment(7, 8); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := NewPagedBacking(s, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := machine.NewDescriptorSegment(4)
+	cpu := machine.NewProcessor(ds, machine.NewClock(), machine.Model6180(), machine.UserRing, nil)
+	if err := ds.Set(1, machine.SDW{Backing: pb, Mode: machine.ModeRead, Brackets: machine.UserBrackets(machine.UserRing)}); err != nil {
+		t.Fatal(err)
+	}
+	var frame FrameID
+	cpu.Pager = machine.PageFaultHandlerFunc(func(pf *machine.PageFault) error {
+		f, _, err := s.PageIn(PageID{SegUID: pf.SegTag, Index: pf.Page})
+		frame = f
+		return err
+	})
+	if _, err := cpu.Load(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := s.EvictToBulk(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cpu.Load(1, 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a page fault through the backing allocates %.1f times, want 0", allocs)
+	}
+	if n := cpu.Stats().Faults[machine.FaultPage]; n != 102 {
+		t.Errorf("%d page faults, want 102 (one per load)", n)
 	}
 }
 
