@@ -542,6 +542,24 @@ func BenchmarkSchedSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedSleep times one sleep with nothing else runnable: a single
+// Run drives one process that sleeps 10 vcycles in a loop until the clock
+// reaches 10 vcycles per iteration, so ns/op and allocs/op are per sleep
+// and its wakeup.
+func BenchmarkSchedSleep(b *testing.B) {
+	s := sched.New(machine.NewClock(), nil)
+	b.Cleanup(s.Shutdown)
+	s.AddVP("cpu", false)
+	s.Spawn("sleeper", func(pc *sched.ProcCtx) {
+		for {
+			pc.Sleep(10)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(10 * int64(b.N))
+}
+
 // BenchmarkLoginLogout times one network session's life on an S6 system:
 // each iteration dials (login through the ring-2 answering service, the
 // attach gate) and closes (the detach gate, process destruction). It is
