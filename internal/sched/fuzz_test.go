@@ -17,7 +17,8 @@ import (
 // Step is the one-decision primitive, so whatever Run skips or does in
 // place must leave the same log: every dispatch event, every body action
 // with the clock before and after it, the state at the limit and at the
-// end, and the dispatch counters.
+// end, and the dispatch counters. A body may itself drain the scheduler,
+// by a nested Run(0) in the first play and by Steps in the second.
 func FuzzRunMatchesStep(f *testing.F) {
 	for _, sc := range handScripts() {
 		f.Add(sc.encode())
@@ -47,6 +48,7 @@ const (
 	opBlock
 	opWakeup // Wakeup(process arg % n)
 	opAt     // At(now + arg%24, a wakeup of process arg/24 % n)
+	opDrain  // a nested Run(0), or Steps until none is left
 	numOps
 )
 
@@ -58,6 +60,7 @@ func yield() action               { return action{op: opYield} }
 func block() action               { return action{op: opBlock} }
 func wakeup(proc byte) action     { return action{opWakeup, proc} }
 func at(delay, proc byte) action  { return action{opAt, proc*24 + delay} }
+func drain() action               { return action{op: opDrain} }
 func body(a ...action) procScript { return procScript{rounds: 1, actions: a} }
 
 func (a action) String() string {
@@ -72,8 +75,10 @@ func (a action) String() string {
 		return "block"
 	case opWakeup:
 		return fmt.Sprintf("wakeup(#%d)", a.arg)
-	default:
+	case opAt:
 		return fmt.Sprintf("at(+%d,#%d)", a.arg%24, a.arg/24)
+	default:
+		return "drain"
 	}
 }
 
@@ -180,6 +185,13 @@ func (sc script) play(byRun bool) string {
 							fmt.Fprintf(&log, "timer wakes %s at %d\n", target.Name, s.Clock.Now())
 							s.Unblock(target)
 						})
+					case opDrain:
+						if byRun {
+							s.Run(0)
+						} else {
+							for s.Step() {
+							}
+						}
 					}
 					fmt.Fprintf(&log, "%s %v %d->%d\n", name, a, start, pc.Now())
 				}
@@ -268,6 +280,13 @@ func handScripts() []script {
 		limited(20),
 		// Sleep(0), which yields.
 		pooled(body(consume(2), sleep(0), consume(2), sleep(0))),
+		// A dedicated sleeper whose nested Run dispatched another
+		// dedicated process, and a nested Run under a limit.
+		{vps: 1, dedicated: []procScript{
+			body(wakeup(1), drain(), sleep(5), wakeup(1), yield(), consume(2)),
+			body(block(), consume(1), block(), consume(1)),
+		}, pooled: []procScript{body(consume(1))}},
+		{vps: 2, limit: 8, pooled: []procScript{body(drain(), sleep(10), consume(1)), body(consume(2))}},
 	}
 }
 
