@@ -108,8 +108,7 @@ type CheckpointReport struct {
 func (k *Kernel) Checkpoint(meta map[string]string) (*CheckpointReport, error) {
 	// Quiesce: run the scheduler dry. With no runnable process and no
 	// pending timer, no transfer is in flight and page tables are stable.
-	for k.sch.Step() {
-	}
+	k.sch.Run(0)
 
 	// The checkpoint domain is the hierarchy's segments — the durable
 	// storage system. Raw layer-1 segments outside the hierarchy (device

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"slices"
 
@@ -87,6 +88,9 @@ func (b *BodyPanic) Error() string {
 type VP struct {
 	Name      string
 	Dedicated bool
+	// idx is the VP's index in the scheduler's VP list, where the
+	// dedicated-VP scan's hand points.
+	idx int
 	// current is the process currently bound to this VP (nil if idle).
 	current *Process
 	// Busy cycles accumulated, for utilization reporting.
@@ -119,6 +123,8 @@ type Process struct {
 	Bindings int64
 	// CPUCycles is the total cycles this process has consumed.
 	CPUCycles int64
+	// since is the virtual time the process's current dispatch began.
+	since int64
 }
 
 // State returns the process's scheduling state.
@@ -205,13 +211,16 @@ type Scheduler struct {
 	ready Queue[*Process] // layer-2 ready queue
 	// procs holds the live processes in spawn order: a process leaves
 	// when its body returns or Shutdown stops it.
-	procs   []*Process
-	timers  timerHeap
-	seq     int64
-	running *Process
+	procs  []*Process
+	timers timerHeap
+	seq    int64
 	// dedHand rotates the dedicated-VP scan so no dedicated process can
 	// starve another by staying ready.
 	dedHand int
+	// until is the limit of the Run whose loop dispatched the running
+	// process (math.MaxInt64 for none), or 0 while a bare Step
+	// dispatches: a Sleep ends in place only if it wakes before until.
+	until int64
 
 	// sink, when set, receives one trace.Event per dispatch — the uniform
 	// spine hookup shared with machine, netattach, and faults.
@@ -246,7 +255,7 @@ func New(clock *machine.Clock, reg *metrics.Registry) *Scheduler {
 // AddVP creates a virtual processor. Dedicated VPs must be claimed by
 // SpawnDedicated; pooled VPs serve the layer-2 ready queue.
 func (s *Scheduler) AddVP(name string, dedicated bool) *VP {
-	vp := &VP{Name: name, Dedicated: dedicated}
+	vp := &VP{Name: name, Dedicated: dedicated, idx: len(s.vps)}
 	s.vps = append(s.vps, vp)
 	if !dedicated {
 		s.pooled = append(s.pooled, vp)
@@ -395,22 +404,13 @@ func (s *Scheduler) idlePooledVP() *VP {
 // dispatch runs p until it yields (blocks, sleeps, exits, or yields).
 func (s *Scheduler) dispatch(p *Process) {
 	p.state = StateRunning
-	s.running = p
 	vp := p.vp // nextRunnable bound one
-	before := s.Clock.Now()
+	p.since = s.Clock.Now()
 	if _, alive := p.next(); !alive {
 		p.finish()
 		s.drop(p)
 	}
-	elapsed := s.Clock.Now() - before
-	p.CPUCycles += elapsed
-	vp.busyCycles += elapsed
-	s.mDispatches.Inc()
-	s.mDispatchCycles.Add(elapsed)
-	if s.sink != nil {
-		s.sink.Record(trace.Event{Stage: trace.StageSched, Name: p.Name, Cost: elapsed, At: s.Clock.Now()})
-	}
-	s.running = nil
+	s.closeDispatch(p, vp)
 	if p.state == StateRunning {
 		// The process yielded voluntarily: it is still ready. A dedicated
 		// kernel process stays bound and is found by the dedicated-VP scan.
@@ -427,10 +427,33 @@ func (s *Scheduler) dispatch(p *Process) {
 	}
 }
 
+// closeDispatch ends p's dispatch on vp: it charges the vcycles since the
+// dispatch began to the process, the VP and the sched.* counters, and
+// records the dispatch on the sink. dispatch calls it when the process
+// yields, and Sleep when the process sleeps in place instead.
+func (s *Scheduler) closeDispatch(p *Process, vp *VP) {
+	now := s.Clock.Now()
+	elapsed := now - p.since
+	p.CPUCycles += elapsed
+	vp.busyCycles += elapsed
+	s.mDispatches.Inc()
+	s.mDispatchCycles.Add(elapsed)
+	if s.sink != nil {
+		s.sink.Record(trace.Event{Stage: trace.StageSched, Name: p.Name, Cost: elapsed, At: now})
+	}
+}
+
 // Step performs one scheduling decision: dispatch a runnable process, or
 // advance the clock to the next timer. It returns false when nothing remains
-// to do (no runnable process and no pending timer).
+// to do (no runnable process and no pending timer). A process that Step
+// dispatches never sleeps in place, so each Step is exactly one decision.
 func (s *Scheduler) Step() bool {
+	defer func(until int64) { s.until = until }(s.until)
+	s.until = 0
+	return s.step()
+}
+
+func (s *Scheduler) step() bool {
 	if p := s.nextRunnable(); p != nil {
 		s.dispatch(p)
 		return true
@@ -450,18 +473,18 @@ func (s *Scheduler) Step() bool {
 }
 
 // Run steps the simulation until nothing remains runnable or the clock
-// passes limit (limit <= 0 means no limit). It returns the number of
-// scheduling steps taken.
-func (s *Scheduler) Run(limit int64) int {
-	steps := 0
-	for {
-		if limit > 0 && s.Clock.Now() >= limit {
-			return steps
-		}
-		if !s.Step() {
-			return steps
-		}
-		steps++
+// reaches limit (limit <= 0 means no limit). It takes the same decisions
+// as a loop of Steps that stops at the limit, except that a process it
+// dispatches may sleep in place (see ProcCtx.Sleep). A Run called from a
+// process body leaves its caller's limit as it found it.
+func (s *Scheduler) Run(limit int64) {
+	until := int64(math.MaxInt64)
+	if limit > 0 {
+		until = limit
+	}
+	defer func(outer int64) { s.until = outer }(s.until)
+	s.until = until
+	for s.Clock.Now() < until && s.step() {
 	}
 }
 
@@ -570,6 +593,14 @@ func (pc *ProcCtx) block(reason string, sleepFor int64) {
 
 // Sleep blocks the process for d virtual cycles — the primitive used to
 // model waiting for a device transfer.
+//
+// Under Run, when the sleeper's wakeup is the scheduler's next event, it
+// sleeps in place: the ready queue is empty, no dedicated process is
+// ready, no timer is due by the wake time and Run's limit lies beyond it.
+// The next two decisions then have one outcome each: fire the sleeper's
+// timer, then dispatch the sleeper again. Sleep takes them without
+// yielding: it closes the dispatch as dispatch would, takes the timer's
+// sequence number, advances the clock and opens the next dispatch.
 func (pc *ProcCtx) Sleep(d int64) {
 	if pc.yield == nil {
 		if d > 0 {
@@ -581,9 +612,42 @@ func (pc *ProcCtx) Sleep(d int64) {
 		pc.Yield()
 		return
 	}
-	pc.s.seq++
-	pc.s.timers.push(timer{at: pc.s.Clock.Now() + d, seq: pc.s.seq, proc: pc.p})
-	pc.block("", d)
+	s, p := pc.s, pc.p
+	s.seq++
+	wake := s.Clock.Now() + d
+	if !s.wakesNext(wake) {
+		s.timers.push(timer{at: wake, seq: s.seq, proc: p})
+		pc.block("", d)
+		return
+	}
+	vp := p.vp
+	s.closeDispatch(p, vp)
+	s.Clock.AdvanceTo(wake)
+	p.since = wake
+	// nextRunnable would find the sleeper alone: a dedicated one by the
+	// scan, which leaves the hand on its VP, and a pooled one at the head
+	// of the queue, bound to the first idle pooled VP, which is the one
+	// it gave up.
+	if vp.Dedicated {
+		s.dedHand = vp.idx
+	} else {
+		p.Bindings++
+	}
+}
+
+// wakesNext reports whether a process that sleeps until wake, under Run,
+// would be the scheduler's next event: nothing else is runnable, no timer
+// is due by wake and Run's limit lies beyond it.
+func (s *Scheduler) wakesNext(wake int64) bool {
+	if wake >= s.until || s.ready.Len() > 0 || len(s.timers) > 0 && s.timers[0].at <= wake {
+		return false
+	}
+	for _, vp := range s.vps {
+		if vp.Dedicated && vp.current != nil && vp.current.state == StateReady {
+			return false
+		}
+	}
+	return true
 }
 
 // Wakeup unblocks target. This is the base-level IPC primitive; the event

@@ -302,7 +302,8 @@ func TestSameTimeTimersFireInSetOrder(t *testing.T) {
 }
 
 // TestTimersDoNotAllocate pins that setting a timer costs no allocation
-// once the heap has grown: Sleep and At store the timer by value.
+// once the heap has grown: Sleep and At store the timer by value, and a
+// Sleep that ends in place under Run sets none.
 func TestTimersDoNotAllocate(t *testing.T) {
 	s := newSched()
 	defer s.Shutdown()
@@ -328,6 +329,15 @@ func TestTimersDoNotAllocate(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Error("no At timer fired")
+	}
+	// Under Run the sleeper's wakeup is the next event, so each Sleep
+	// but the one that reaches the limit ends in place.
+	limit := s.Clock.Now()
+	if allocs := testing.AllocsPerRun(100, func() {
+		limit += 110
+		s.Run(limit)
+	}); allocs != 0 {
+		t.Errorf("a Run of ten Sleeps allocates %.1f times, want 0", allocs)
 	}
 }
 

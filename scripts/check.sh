@@ -189,6 +189,15 @@ echo "== request-word fuzz (FuzzRequestWords, 10s)"
 # the suite.
 go test -run '^$' -fuzz '^FuzzRequestWords$' -fuzztime 10s ./internal/netattach
 
+echo "== scheduler oracle fuzz (FuzzRunMatchesStep, 10s)"
+# Run may take a sleeper's next two decisions in place, without a
+# coroutine switch. The native fuzz target plays scripts of sleeping,
+# yielding, blocking, waking, timed and draining processes under Run and
+# under bare Steps, and checks that both leave byte-identical logs:
+# dispatch events, clocks, process and VP accounting, and counters. Its
+# seeds also run in the suite.
+go test -run '^$' -fuzz '^FuzzRunMatchesStep$' -fuzztime 10s ./internal/sched
+
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 
